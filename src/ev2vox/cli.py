@@ -408,7 +408,6 @@ def cmd_preprocess(cfg: RunConfig, manifest_path: str, out_dir: str | None, thre
         np.save(cache / f"{entry.sample_id}.frames.npy", stack.frames)
         meta = {
             "window": stack.window,
-            "frame_index_origin": stack.frame_index_origin,
             "shape": list(stack.frames.shape),
             "source": entry.events,
         }
@@ -466,6 +465,20 @@ def cmd_train(cfg: RunConfig, manifest_path: str, out_dir: str | None) -> None:
     print(f"checkpoint: {result.checkpoint_path}")
 
 
+def _trained_config(sidecar: dict) -> dict | None:
+    """The sidecar's model config rebuilt through the config classes, which
+    drops keys older versions wrote; None if it does not describe a model."""
+    try:
+        d = sidecar["config"]
+        return model_config_dict(
+            EncoderConfig.from_dict(d["encoder"]),
+            DecoderConfig.from_dict(d["decoder"]),
+            int(d.get("seed", 0)),
+        )
+    except (KeyError, TypeError, ValueError, ConfigError):
+        return None
+
+
 def cmd_eval(cfg: RunConfig, manifest_path: str, out_dir: str | None) -> None:
     """Score every split present and write report.txt / report.csv."""
     manifest = load_manifest(manifest_path)
@@ -478,7 +491,7 @@ def cmd_eval(cfg: RunConfig, manifest_path: str, out_dir: str | None) -> None:
         sidecar = json.loads((run_dir / "model.ckpt.json").read_text())
     except OSError as exc:
         raise IoFailure(f"checkpoint sidecar not found: {ckpt}.json ({exc})") from exc
-    if sidecar.get("config") != expected:
+    if _trained_config(sidecar) != expected:
         raise CheckpointMismatch(
             f"{ckpt}: checkpoint was trained with a different model configuration"
         )

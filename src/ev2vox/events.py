@@ -132,7 +132,6 @@ class FrameStack:
 
     frames: np.ndarray
     window: float
-    frame_index_origin: int = 0
 
     @property
     def depth(self) -> int:
@@ -268,11 +267,7 @@ def downscale_frames(stack: FrameStack, factor: int) -> FrameStack:
         raise NonDivisibleDimensions(f"downscale factor must be >= 1, got {factor}")
     d, h, w = stack.frames.shape
     if factor == 1:
-        return FrameStack(
-            frames=stack.frames.copy(),
-            window=stack.window,
-            frame_index_origin=stack.frame_index_origin,
-        )
+        return FrameStack(frames=stack.frames.copy(), window=stack.window)
     if h % factor or w % factor:
         raise NonDivisibleDimensions(
             f"frame size {h}x{w} not divisible by factor {factor}"
@@ -282,9 +277,7 @@ def downscale_frames(stack: FrameStack, factor: int) -> FrameStack:
         .max(axis=(2, 4))
         .astype(np.uint8)
     )
-    return FrameStack(
-        frames=pooled, window=stack.window, frame_index_origin=stack.frame_index_origin
-    )
+    return FrameStack(frames=pooled, window=stack.window)
 
 
 def write_evt1(stream: EventStream, path: str | os.PathLike) -> None:

@@ -9,12 +9,15 @@ convolutions down, transposed convolutions up with channel-concatenated
 skips, and a sigmoid head that emits one occupancy probability per cell.
 
 Forward and backward are hand-threaded through the layer objects in
-reverse order; there is no graph machinery.
+reverse order; there is no graph machinery. Every block is an
+``nn.Module``, so parameters, running statistics and train/eval mode come
+from one walk over its attributes; the order in which a block assigns its
+layers is the order of its entries in a checkpoint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,9 +48,7 @@ class EncoderConfig:
     stem: StemConfig
     stages: tuple[StageConfig, ...]
     hidden_spatial: tuple[int, int, int] = (32, 32, 32)
-    norm: str = "batch"
     in_channels: int = 1
-    paper_scale: bool = False
 
     def __post_init__(self):
         if not self.stages:
@@ -70,7 +71,6 @@ class EncoderConfig:
                 StageConfig(3, 512, (2, 2, 2)),
             ),
             hidden_spatial=(32, 32, 32),
-            paper_scale=True,
         )
 
     @classmethod
@@ -97,13 +97,12 @@ class EncoderConfig:
                 for s in self.stages
             ],
             "hidden_spatial": list(self.hidden_spatial),
-            "norm": self.norm,
             "in_channels": self.in_channels,
-            "paper_scale": self.paper_scale,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderConfig":
+        _check_legacy_norm(d)
         stem = StemConfig(
             kernel=tuple(d["stem"]["kernel"]),
             stride=tuple(d["stem"]["stride"]),
@@ -118,9 +117,7 @@ class EncoderConfig:
             stem=stem,
             stages=stages,
             hidden_spatial=tuple(d["hidden_spatial"]),
-            norm=d.get("norm", "batch"),
             in_channels=int(d.get("in_channels", 1)),
-            paper_scale=bool(d.get("paper_scale", False)),
         )
 
 
@@ -128,7 +125,6 @@ class EncoderConfig:
 class DecoderConfig:
     levels: int = 3
     channels: tuple[int, ...] = (64, 128, 256)
-    norm: str = "batch"
 
     def __post_init__(self):
         if self.levels < 1:
@@ -147,26 +143,29 @@ class DecoderConfig:
         return cls(levels=2, channels=(16, 32))
 
     def to_dict(self) -> dict:
-        return {"levels": self.levels, "channels": list(self.channels), "norm": self.norm}
+        return {"levels": self.levels, "channels": list(self.channels)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "DecoderConfig":
-        return cls(
-            levels=int(d["levels"]),
-            channels=tuple(d["channels"]),
-            norm=d.get("norm", "batch"),
-        )
+        _check_legacy_norm(d)
+        return cls(levels=int(d["levels"]), channels=tuple(d["channels"]))
 
 
-class ConvNormRelu:
+def _check_legacy_norm(d: dict) -> None:
+    # sidecars written before the norm option was removed carry "norm": "batch"
+    if d.get("norm", "batch") != "batch":
+        raise ConfigError(f"unsupported norm {d['norm']!r}; every block uses batch norm")
+
+
+class ConvNormRelu(nn.Module):
     """conv -> norm -> relu, the workhorse unit of both halves."""
 
-    def __init__(self, cin, cout, kernel, stride, padding, norm_kind, name, seed, dtype):
+    def __init__(self, cin, cout, kernel, stride, padding, name, seed, dtype):
         self.conv = nn.Conv3d(
             cin, cout, kernel, stride=stride, padding=padding,
             name=f"{name}.conv", seed=seed, dtype=dtype,
         )
-        self.norm = nn.make_norm(norm_kind, cout, f"{name}.norm", dtype=dtype)
+        self.norm = nn.BatchNorm3d(cout, name=f"{name}.norm", dtype=dtype)
         self.relu = nn.ReLU()
 
     def forward(self, x, remember=True):
@@ -177,38 +176,29 @@ class ConvNormRelu:
     def backward(self, g):
         return self.conv.backward(self.norm.backward(self.relu.backward(g)))
 
-    def parameters(self):
-        return self.conv.parameters() + self.norm.parameters()
 
-    def buffers(self):
-        return self.norm.buffers()
-
-    def norms(self):
-        return [self.norm]
-
-
-class Bottleneck:
+class Bottleneck(nn.Module):
     """Residual block: 1-reduce, 3-spatial (carries the stride), 1-expand."""
 
-    def __init__(self, cin, width, stride, norm_kind, name, seed, dtype):
+    def __init__(self, cin, width, stride, name, seed, dtype):
         cout = width * EXPANSION
         self.conv1 = nn.Conv3d(cin, width, 1, name=f"{name}.conv1", seed=seed, dtype=dtype)
-        self.norm1 = nn.make_norm(norm_kind, width, f"{name}.norm1", dtype=dtype)
+        self.norm1 = nn.BatchNorm3d(width, name=f"{name}.norm1", dtype=dtype)
         self.relu1 = nn.ReLU()
         self.conv2 = nn.Conv3d(
             width, width, 3, stride=stride, padding=1,
             name=f"{name}.conv2", seed=seed, dtype=dtype,
         )
-        self.norm2 = nn.make_norm(norm_kind, width, f"{name}.norm2", dtype=dtype)
+        self.norm2 = nn.BatchNorm3d(width, name=f"{name}.norm2", dtype=dtype)
         self.relu2 = nn.ReLU()
         self.conv3 = nn.Conv3d(width, cout, 1, name=f"{name}.conv3", seed=seed, dtype=dtype)
-        self.norm3 = nn.make_norm(norm_kind, cout, f"{name}.norm3", dtype=dtype)
+        self.norm3 = nn.BatchNorm3d(cout, name=f"{name}.norm3", dtype=dtype)
         self.relu3 = nn.ReLU()
         if cin != cout or tuple(stride) != (1, 1, 1):
             self.proj_conv = nn.Conv3d(
                 cin, cout, 1, stride=stride, name=f"{name}.proj.conv", seed=seed, dtype=dtype
             )
-            self.proj_norm = nn.make_norm(norm_kind, cout, f"{name}.proj.norm", dtype=dtype)
+            self.proj_norm = nn.BatchNorm3d(cout, name=f"{name}.proj.norm", dtype=dtype)
         else:
             self.proj_conv = None
             self.proj_norm = None
@@ -235,36 +225,13 @@ class Bottleneck:
             gs = g
         return gm + gs
 
-    def parameters(self):
-        out = (
-            self.conv1.parameters() + self.norm1.parameters()
-            + self.conv2.parameters() + self.norm2.parameters()
-            + self.conv3.parameters() + self.norm3.parameters()
-        )
-        if self.proj_conv is not None:
-            out += self.proj_conv.parameters() + self.proj_norm.parameters()
-        return out
 
-    def buffers(self):
-        out = self.norm1.buffers() + self.norm2.buffers() + self.norm3.buffers()
-        if self.proj_norm is not None:
-            out += self.proj_norm.buffers()
-        return out
-
-    def norms(self):
-        out = [self.norm1, self.norm2, self.norm3]
-        if self.proj_norm is not None:
-            out.append(self.proj_norm)
-        return out
-
-
-class Encoder:
+class Encoder(nn.Module):
     def __init__(self, cfg: EncoderConfig, seed: int, dtype):
         self.cfg = cfg
         self.stem = ConvNormRelu(
             cfg.in_channels, cfg.stem.channels, cfg.stem.kernel, cfg.stem.stride,
-            tuple(k // 2 for k in cfg.stem.kernel), cfg.norm,
-            "encoder.stem", seed, dtype,
+            tuple(k // 2 for k in cfg.stem.kernel), "encoder.stem", seed, dtype,
         )
         self.pool = nn.MaxPool3d(3, stride=2, padding=1) if cfg.stem.pool else None
         self.blocks: list[Bottleneck] = []
@@ -273,8 +240,7 @@ class Encoder:
             for bi in range(stage.blocks):
                 stride = stage.stride if bi == 0 else (1, 1, 1)
                 block = Bottleneck(
-                    cin, stage.channels, stride, cfg.norm,
-                    f"encoder.stage{si}.block{bi}", seed, dtype,
+                    cin, stage.channels, stride, f"encoder.stage{si}.block{bi}", seed, dtype,
                 )
                 self.blocks.append(block)
                 cin = block.out_channels
@@ -297,36 +263,18 @@ class Encoder:
             g = self.pool.backward(g)
         return self.stem.backward(g)
 
-    def parameters(self):
-        out = self.stem.parameters()
-        for block in self.blocks:
-            out += block.parameters()
-        return out
 
-    def buffers(self):
-        out = self.stem.buffers()
-        for block in self.blocks:
-            out += block.buffers()
-        return out
-
-    def norms(self):
-        out = self.stem.norms()
-        for block in self.blocks:
-            out += block.norms()
-        return out
-
-
-class UpBlock:
+class UpBlock(nn.Module):
     """deconv up, norm+relu, concat the saved skip, fuse back down."""
 
-    def __init__(self, cin, cout, norm_kind, name, seed, dtype):
+    def __init__(self, cin, cout, name, seed, dtype):
         self.deconv = nn.Deconv3d(
             cin, cout, 2, stride=2, name=f"{name}.deconv", seed=seed, dtype=dtype
         )
-        self.norm = nn.make_norm(norm_kind, cout, f"{name}.norm", dtype=dtype)
+        self.norm = nn.BatchNorm3d(cout, name=f"{name}.norm", dtype=dtype)
         self.relu = nn.ReLU()
         self.fuse = ConvNormRelu(
-            2 * cout, cout, 3, 1, 1, norm_kind, f"{name}.fuse", seed, dtype
+            2 * cout, cout, 3, 1, 1, f"{name}.fuse", seed, dtype
         )
         self.cout = cout
 
@@ -342,17 +290,8 @@ class UpBlock:
         g_x = self.deconv.backward(self.norm.backward(self.relu.backward(g_up)))
         return g_x, g_skip
 
-    def parameters(self):
-        return self.deconv.parameters() + self.norm.parameters() + self.fuse.parameters()
 
-    def buffers(self):
-        return self.norm.buffers() + self.fuse.buffers()
-
-    def norms(self):
-        return [self.norm] + self.fuse.norms()
-
-
-class Decoder:
+class Decoder(nn.Module):
     def __init__(self, cfg: DecoderConfig, in_channels: int, hidden_spatial, seed: int, dtype):
         self.cfg = cfg
         ch = cfg.channels
@@ -363,14 +302,14 @@ class Decoder:
                 f"the up path could not restore it"
             )
         self.entry = ConvNormRelu(
-            in_channels, ch[0], 1, 1, 0, cfg.norm, "decoder.entry", seed, dtype
+            in_channels, ch[0], 1, 1, 0, "decoder.entry", seed, dtype
         )
         self.downs = [
-            ConvNormRelu(ch[i - 1], ch[i], 3, 2, 1, cfg.norm, f"decoder.down{i}", seed, dtype)
+            ConvNormRelu(ch[i - 1], ch[i], 3, 2, 1, f"decoder.down{i}", seed, dtype)
             for i in range(1, cfg.levels)
         ]
         self.ups = [
-            UpBlock(ch[i], ch[i - 1], cfg.norm, f"decoder.up{i}", seed, dtype)
+            UpBlock(ch[i], ch[i - 1], f"decoder.up{i}", seed, dtype)
             for i in range(cfg.levels - 1, 0, -1)
         ]
         self.head = nn.Conv3d(ch[0], 1, 1, name="decoder.head.conv", seed=seed, dtype=dtype)
@@ -399,33 +338,8 @@ class Decoder:
             g = g + skip_grads[i - 1]
         return self.entry.backward(g)
 
-    def parameters(self):
-        out = self.entry.parameters()
-        for down in self.downs:
-            out += down.parameters()
-        for up in self.ups:
-            out += up.parameters()
-        out += self.head.parameters()
-        return out
 
-    def buffers(self):
-        out = self.entry.buffers()
-        for down in self.downs:
-            out += down.buffers()
-        for up in self.ups:
-            out += up.buffers()
-        return out
-
-    def norms(self):
-        out = self.entry.norms()
-        for down in self.downs:
-            out += down.norms()
-        for up in self.ups:
-            out += up.norms()
-        return out
-
-
-class E2VModel:
+class E2VModel(nn.Module):
     """The full reconstruction network with hand-threaded backward.
 
     forward() takes a batch of event-frame stacks shaped (N, 1, D, H, W)
@@ -441,7 +355,6 @@ class E2VModel:
         self.dtype = np.dtype(dtype)
         self.encoder = Encoder(enc_cfg, seed, dtype)
         self.decoder = Decoder(dec_cfg, self.encoder.out_channels, enc_cfg.hidden_spatial, seed, dtype)
-        self.training = True
         names = [p.name for p in self.parameters()] + [n for n, _ in self.buffers()]
         dupes = {n for n in names if names.count(n) > 1}
         if dupes:
@@ -463,33 +376,12 @@ class E2VModel:
         g = self.decoder.backward(grad_probs[:, None].astype(self.dtype, copy=False))
         return self.encoder.backward(g)
 
-    def parameters(self) -> list[nn.Parameter]:
-        return self.encoder.parameters() + self.decoder.parameters()
-
-    def buffers(self) -> list[tuple[str, np.ndarray]]:
-        return self.encoder.buffers() + self.decoder.buffers()
-
-    def norms(self):
-        return self.encoder.norms() + self.decoder.norms()
-
-    def train(self) -> "E2VModel":
-        self.training = True
-        for norm in self.norms():
-            norm.training = True
-        return self
-
-    def eval(self) -> "E2VModel":
-        self.training = False
-        for norm in self.norms():
-            norm.training = False
-        return self
-
     def zero_grad(self):
         for p in self.parameters():
             p.zero_grad()
 
     def state_entries(self) -> list[tuple[str, np.ndarray]]:
-        return [(p.name, p.value) for p in self.parameters()] + list(self.buffers())
+        return [(p.name, p.value) for p in self.parameters()] + self.buffers()
 
     def load_state(self, entries: dict[str, np.ndarray]):
         """Install parameter and buffer values from a checkpoint dict."""
@@ -510,18 +402,15 @@ class E2VModel:
                     f"{name}: checkpoint shape {value.shape} != model shape {p.value.shape}"
                 )
             p.value = value.astype(self.dtype)
-        for norm in self.norms():
-            names = [name for name, _ in norm.buffers()]
-            if not names:
-                continue
-            mean_name, var_name = names
-            for name in names:
-                if entries[name].size != norm.channels:
+        for m in self.modules():
+            for attr in m.buffer_names:
+                name, old = f"{m.name}.{attr}", getattr(m, attr)
+                value = entries[name]
+                if value.size != old.size:
                     raise CheckpointMismatch(
-                        f"{name}: checkpoint has {entries[name].size} values, "
-                        f"model expects {norm.channels}"
+                        f"{name}: checkpoint has {value.size} values, model expects {old.size}"
                     )
-            norm.load_buffers(entries[mean_name], entries[var_name])
+                setattr(m, attr, value.astype(np.float32).reshape(old.shape))
 
 
 def build_model(enc_cfg: EncoderConfig, dec_cfg: DecoderConfig, seed: int = 0,

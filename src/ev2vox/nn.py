@@ -14,17 +14,23 @@ slice addition per kernel offset. Transposed convolution reuses the same
 three core routines with the roles of forward and input-gradient swapped.
 Chunking keeps any materialized patch matrix under a fixed byte budget so
 large inputs stay within memory.
+
+Every layer, and every block built from layers, is a ``Module``. A module
+holds no registry: its parameters, buffers and submodules are found by
+walking its instance attributes (and lists of them) in insertion order.
+That order is the checkpoint order, so assigning attributes in a
+different order in ``__init__`` changes the bytes of every saved model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit
 
-from .errors import NonFiniteTensor, ShapeMismatch, ZeroBatchVolume
+from .errors import ShapeMismatch, ZeroBatchVolume
 from .rng import ParameterRng
 
 # Upper bound on any materialized patch matrix (bytes).
@@ -38,11 +44,6 @@ def as_triple(v) -> tuple[int, int, int]:
     if len(t) != 3:
         raise ShapeMismatch(f"expected an int or 3-tuple, got {v!r}")
     return t
-
-
-def assert_finite(arr: np.ndarray, context: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteTensor(f"non-finite values in {context}")
 
 
 def _require_rank5(x: np.ndarray, context: str) -> None:
@@ -69,6 +70,50 @@ class Parameter:
         return f"Parameter({self.name}, shape={self.value.shape})"
 
 
+class Module:
+    """Base of all layers and blocks: state found by one attribute walk.
+
+    An attribute holding a ``Parameter`` is a parameter; one holding a
+    ``Module`` is a child, walked in turn; a list is walked item by item.
+    A module with running statistics names them in ``buffer_names`` and
+    prefixes them with its ``name`` in ``buffers()``. Subclasses define
+    their own ``forward``/``backward``; the base class has neither.
+    """
+
+    training = True
+    buffer_names: tuple[str, ...] = ()
+
+    def _walk(self):
+        """Parameters and submodules below self, depth-first in attribute order."""
+        for value in vars(self).values():
+            for item in value if isinstance(value, list) else (value,):
+                if isinstance(item, Parameter):
+                    yield item
+                elif isinstance(item, Module):
+                    yield item
+                    yield from item._walk()
+
+    def modules(self) -> list["Module"]:
+        return [self] + [m for m in self._walk() if isinstance(m, Module)]
+
+    def parameters(self) -> list[Parameter]:
+        return [p for p in self._walk() if isinstance(p, Parameter)]
+
+    def buffers(self) -> list[tuple[str, np.ndarray]]:
+        return [
+            (f"{m.name}.{b}", getattr(m, b)) for m in self.modules() for b in m.buffer_names
+        ]
+
+    def train(self, mode: bool = True):
+        """Set ``training`` on this module and every submodule."""
+        for m in self.modules():
+            m.training = mode
+        return self
+
+    def eval(self):
+        return self.train(False)
+
+
 @dataclass
 class LayerSpec:
     """Declarative description of one layer for shape plumbing.
@@ -86,16 +131,7 @@ class LayerSpec:
     out_channels: int = 0
     target: tuple[int, int, int] | None = None
 
-    _KINDS = (
-        "conv3d",
-        "deconv3d",
-        "norm",
-        "relu",
-        "sigmoid",
-        "maxpool3d",
-        "adaptive_resize",
-        "concat_skip",
-    )
+    _KINDS = ("conv3d", "deconv3d", "maxpool3d", "adaptive_resize")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
@@ -104,18 +140,16 @@ class LayerSpec:
     def out_dims(self, in_dims: tuple[int, int, int]) -> tuple[int, int, int]:
         if self.kind == "adaptive_resize":
             out = self.target
-        elif self.kind in ("conv3d", "maxpool3d"):
-            out = tuple(
-                (d + 2 * p - k) // s + 1
-                for d, k, s, p in zip(in_dims, self.kernel, self.stride, self.padding)
-            )
         elif self.kind == "deconv3d":
             out = tuple(
                 (d - 1) * s - 2 * p + k
                 for d, k, s, p in zip(in_dims, self.kernel, self.stride, self.padding)
             )
         else:
-            out = tuple(in_dims)
+            out = tuple(
+                (d + 2 * p - k) // s + 1
+                for d, k, s, p in zip(in_dims, self.kernel, self.stride, self.padding)
+            )
         if any(d <= 0 for d in out):
             raise ShapeMismatch(
                 f"{self.kind} with kernel={self.kernel} stride={self.stride} "
@@ -230,7 +264,7 @@ def conv3d_core_weight_grad(x, grad_out, stride, padding, kernel):
 # Layers
 
 
-class Conv3d:
+class Conv3d(Module):
     """3D cross-correlation with optional bias."""
 
     def __init__(
@@ -264,9 +298,6 @@ class Conv3d:
         )
         self._x = None
 
-    def parameters(self) -> list[Parameter]:
-        return [self.weight] + ([self.bias] if self.bias is not None else [])
-
     def forward(self, x: np.ndarray, remember: bool = True) -> np.ndarray:
         _require_rank5(x, "conv3d")
         if x.shape[1] != self.spec.in_channels:
@@ -294,7 +325,7 @@ class Conv3d:
         )
 
 
-class Deconv3d:
+class Deconv3d(Module):
     """Transposed 3D convolution (the adjoint of Conv3d's forward).
 
     Weight layout is (in_channels, out_channels, kd, kh, kw), which is
@@ -338,9 +369,6 @@ class Deconv3d:
         )
         self._x = None
 
-    def parameters(self) -> list[Parameter]:
-        return [self.weight] + ([self.bias] if self.bias is not None else [])
-
     def forward(self, x: np.ndarray, remember: bool = True) -> np.ndarray:
         _require_rank5(x, "deconv3d")
         if x.shape[1] != self.spec.in_channels:
@@ -370,12 +398,14 @@ class Deconv3d:
         )
 
 
-class BatchNorm3d:
+class BatchNorm3d(Module):
     """Per-channel standardization over (N, D, H, W) with affine output.
 
     Train mode uses batch statistics and updates running averages with
     momentum 0.1; eval mode applies the stored running statistics.
     """
+
+    buffer_names = ("running_mean", "running_var")
 
     def __init__(
         self,
@@ -393,21 +423,7 @@ class BatchNorm3d:
         self.running_mean = np.zeros(channels, dtype=np.float32)
         self.running_var = np.ones(channels, dtype=np.float32)
         self.name = name
-        self.training = True
         self._cache = None
-
-    def parameters(self) -> list[Parameter]:
-        return [self.gain, self.shift]
-
-    def buffers(self) -> list[tuple[str, np.ndarray]]:
-        return [
-            (f"{self.name}.running_mean", self.running_mean),
-            (f"{self.name}.running_var", self.running_var),
-        ]
-
-    def load_buffers(self, mean: np.ndarray, var: np.ndarray) -> None:
-        self.running_mean = mean.astype(np.float32).reshape(self.channels)
-        self.running_var = var.astype(np.float32).reshape(self.channels)
 
     def forward(self, x: np.ndarray, remember: bool = True) -> np.ndarray:
         _require_rank5(x, "norm")
@@ -459,41 +475,9 @@ class BatchNorm3d:
         return gscale * grad_out
 
 
-class IdentityNorm:
-    """The "none" normalization mode: passes tensors through unchanged."""
-
-    def __init__(self, channels: int, name: str = "norm"):
-        self.channels = channels
-        self.name = name
-        self.training = True
-
-    def parameters(self) -> list[Parameter]:
-        return []
-
-    def buffers(self) -> list[tuple[str, np.ndarray]]:
-        return []
-
-    def forward(self, x: np.ndarray, remember: bool = True) -> np.ndarray:
-        return x
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return grad_out
-
-
-def make_norm(kind: str, channels: int, name: str, dtype=np.float32):
-    if kind == "batch":
-        return BatchNorm3d(channels, name=name, dtype=dtype)
-    if kind == "none":
-        return IdentityNorm(channels, name=name)
-    raise ShapeMismatch(f"unknown norm kind {kind!r}")
-
-
-class ReLU:
+class ReLU(Module):
     def __init__(self):
         self._mask = None
-
-    def parameters(self) -> list[Parameter]:
-        return []
 
     def forward(self, x: np.ndarray, remember: bool = True) -> np.ndarray:
         self._mask = (x > 0) if remember else None
@@ -505,12 +489,9 @@ class ReLU:
         return grad_out * self._mask
 
 
-class Sigmoid:
+class Sigmoid(Module):
     def __init__(self):
         self._y = None
-
-    def parameters(self) -> list[Parameter]:
-        return []
 
     def forward(self, x: np.ndarray, remember: bool = True) -> np.ndarray:
         y = expit(x)
@@ -523,7 +504,7 @@ class Sigmoid:
         return grad_out * self._y * (1.0 - self._y)
 
 
-class MaxPool3d:
+class MaxPool3d(Module):
     """Max pooling with -inf padding and first-window-position tie-breaks."""
 
     def __init__(self, kernel, stride=None, padding=0):
@@ -531,9 +512,6 @@ class MaxPool3d:
         stride = kernel if stride is None else as_triple(stride)
         self.spec = LayerSpec("maxpool3d", kernel, stride, as_triple(padding))
         self._cache = None
-
-    def parameters(self) -> list[Parameter]:
-        return []
 
     def forward(self, x: np.ndarray, remember: bool = True) -> np.ndarray:
         _require_rank5(x, "maxpool3d")
@@ -589,7 +567,7 @@ class MaxPool3d:
         return gxp
 
 
-class AdaptiveResize3d:
+class AdaptiveResize3d(Module):
     """Nearest-neighbor resize to a fixed spatial target.
 
     Output cell i along an axis reads source cell floor(i * D / D').
@@ -599,9 +577,6 @@ class AdaptiveResize3d:
     def __init__(self, target):
         self.spec = LayerSpec("adaptive_resize", target=as_triple(target))
         self._cache = None
-
-    def parameters(self) -> list[Parameter]:
-        return []
 
     def _index_maps(self, in_dims):
         return tuple(

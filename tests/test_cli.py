@@ -268,6 +268,32 @@ class TestTrainEval:
         assert code == 3
         assert "configuration" in capsys.readouterr().err
 
+    def test_eval_accepts_sidecar_with_retired_keys(self, pipeline, tmp_path):
+        # sidecars written before the norm option was removed carry these keys
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "model.ckpt").write_bytes((pipeline["run"] / "model.ckpt").read_bytes())
+        sidecar = json.loads((pipeline["run"] / "model.ckpt.json").read_text())
+        sidecar["config"]["encoder"].update(norm="batch", paper_scale=False)
+        sidecar["config"]["decoder"]["norm"] = "batch"
+        (run / "model.ckpt.json").write_text(json.dumps(sidecar))
+        code = cli.main(
+            ["eval", "--toy", "--config", pipeline["cfg"],
+             "--manifest", str(pipeline["manifest"]), "--out", str(run)]
+        )
+        assert code == 0
+        assert (run / "report.txt").read_text() == (pipeline["run"] / "report.txt").read_text()
+
+    @pytest.mark.parametrize("section,key", [
+        ("encoder", "norm"), ("decoder", "norm"), ("encoder", "paper_scale"),
+    ])
+    def test_retired_model_keys_exit_2(self, pipeline, tmp_path, section, key):
+        cfg = write_config(tmp_path / "c.json", {"model": {section: {key: "batch"}}})
+        code = cli.main(
+            ["eval", "--toy", "--config", cfg, "--manifest", str(pipeline["manifest"])]
+        )
+        assert code == 2
+
     def test_eval_without_checkpoint_exits_3(self, pipeline, tmp_path):
         code = cli.main(
             ["eval", "--toy", "--config", pipeline["cfg"],

@@ -1,9 +1,12 @@
 """Tests for the encoder-decoder assembly, the loss, and state handling."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from ev2vox import model as M
+from ev2vox.checkpoint import save_checkpoint
 from ev2vox.errors import (
     CheckpointMismatch,
     ConfigError,
@@ -45,6 +48,17 @@ class TestConfigs:
         enc, dec = M.EncoderConfig.toy(), M.DecoderConfig.toy()
         assert M.EncoderConfig.from_dict(enc.to_dict()) == enc
         assert M.DecoderConfig.from_dict(dec.to_dict()) == dec
+
+    def test_legacy_norm_keys_accepted(self):
+        # configs written before the norm option was removed still load
+        enc, dec = M.EncoderConfig.toy(), M.DecoderConfig.toy()
+        old_enc = {**enc.to_dict(), "norm": "batch", "paper_scale": False}
+        assert M.EncoderConfig.from_dict(old_enc) == enc
+        assert M.DecoderConfig.from_dict({**dec.to_dict(), "norm": "batch"}) == dec
+
+    def test_legacy_norm_none_rejected(self):
+        with pytest.raises(ConfigError):
+            M.DecoderConfig.from_dict({**M.DecoderConfig.toy().to_dict(), "norm": "none"})
 
     def test_empty_stages_rejected(self):
         with pytest.raises(ConfigError):
@@ -287,6 +301,32 @@ class TestState:
         entries[name] = np.zeros((1, 1, 1, 1, 1), dtype=np.float32)
         with pytest.raises(CheckpointMismatch):
             m.load_state(entries)
+
+    def test_checkpoint_bytes_pinned(self, tmp_path):
+        # attribute order is checkpoint order; this digest pins both
+        m = M.build_model(M.EncoderConfig.toy(), M.DecoderConfig.toy(), seed=0)
+        entries = m.state_entries()
+        assert len(entries) == 80
+        path = tmp_path / "toy.ckpt"
+        save_checkpoint(path, entries)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "f6881a854e10ac88004d3102d538b0e8bc1b9ed938d702d63e5ad86dac5e50da"
+
+    def test_train_eval_reach_every_batchnorm(self):
+        from ev2vox import nn
+        m = M.build_model(M.EncoderConfig.toy(), M.DecoderConfig.toy(), seed=0)
+        enc, dec = m.encoder, m.decoder
+        norms = (
+            [enc.stem.norm]
+            + [getattr(b, a) for b in enc.blocks for a in ("norm1", "norm2", "norm3", "proj_norm")]
+            + [dec.entry.norm, dec.downs[0].norm, dec.ups[0].norm, dec.ups[0].fuse.norm]
+        )
+        walked = [mod for mod in m.modules() if isinstance(mod, nn.BatchNorm3d)]
+        assert walked == norms
+        assert m.eval() is m
+        assert not m.training and not any(n.training for n in norms)
+        m.train()
+        assert m.training and all(n.training for n in norms)
 
     def test_frames_to_input_stacks(self):
         arrs = [np.ones((3, 4, 4), dtype=np.uint8), np.zeros((3, 4, 4), dtype=np.uint8)]

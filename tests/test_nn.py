@@ -47,10 +47,6 @@ class TestLayerSpec:
         spec = nn.LayerSpec("deconv3d", (2, 2, 2), (2, 2, 2), (0, 0, 0))
         assert spec.out_dims((4, 4, 4)) == (8, 8, 8)
 
-    def test_identity_kinds(self):
-        for kind in ("norm", "relu", "sigmoid"):
-            assert nn.LayerSpec(kind).out_dims((3, 4, 5)) == (3, 4, 5)
-
     def test_non_positive_dims_rejected(self):
         spec = nn.LayerSpec("conv3d", (5, 5, 5))
         with pytest.raises(ShapeMismatch):
@@ -250,14 +246,6 @@ class TestBatchNorm:
         bn.training = False
         x = rng.normal(size=(2, 2, 3, 3, 3))
         check_layer(bn, x, rng)
-
-    def test_identity_norm_passthrough(self):
-        layer = nn.make_norm("none", 4, "n")
-        x = np.random.default_rng(0).normal(size=(1, 4, 2, 2, 2))
-        assert layer.forward(x) is x
-        g = np.ones_like(x)
-        assert layer.backward(g) is g
-        assert layer.parameters() == []
 
 
 class TestActivations:
