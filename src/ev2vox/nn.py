@@ -5,15 +5,16 @@ with a float64 mode for gradient verification. There is no autodiff tape:
 each layer caches what its own backward needs during forward, and model
 code threads gradients through layers by hand in reverse order.
 
-The convolution engine lowers each forward to one matrix product per
-depth chunk: windows are gathered with ``sliding_window_view`` (a view,
-no copy), strided, and flattened into a patch matrix that multiplies the
-reshaped kernel. The input-gradient pass runs the same product against
-the transposed kernel and scatters patch gradients back with one strided
-slice addition per kernel offset. Transposed convolution reuses the same
-three core routines with the roles of forward and input-gradient swapped.
-Chunking keeps any materialized patch matrix under a fixed byte budget so
-large inputs stay within memory.
+The convolution engine works channels-first: per sample and depth chunk,
+the kernel reshaped to (cout, cin*kd*kh*kw) multiplies a patch matrix with
+rows (c, kd, kh, kw) and columns (d, h, w), copied out of a
+``sliding_window_view`` along w, so the product is already NCDHW. A 1x1x1
+kernel needs no window view; at unit stride its patches are the input. The
+input gradient multiplies the transposed kernel by the output gradient and
+adds each tap's (d, h, w) block back with one strided slice addition; the
+weight gradient is one product per chunk over all samples. Transposed
+convolution reuses the three routines with forward and input gradient
+swapped. Chunking keeps a patch matrix under a fixed byte budget.
 
 Every layer, and every block built from layers, is a ``Module``. A module
 holds no registry: its parameters, buffers and submodules are found by
@@ -33,7 +34,8 @@ from scipy.special import expit
 from .errors import ShapeMismatch, ZeroBatchVolume
 from .rng import ParameterRng
 
-# Upper bound on any materialized patch matrix (bytes).
+# Byte budget of one materialized patch matrix; convs chunk over output
+# depth to meet it, down to one depth plane per chunk.
 MAX_PATCH_BYTES = 256 * 2**20
 
 
@@ -172,22 +174,23 @@ def _pad_spatial(x: np.ndarray, padding, value: float = 0.0) -> np.ndarray:
     )
 
 
-def _depth_chunks(rows_per_depth: int, cols: int, itemsize: int, out_depth: int):
-    budget_rows = max(1, MAX_PATCH_BYTES // max(1, cols * itemsize))
-    step = max(1, budget_rows // max(1, rows_per_depth))
+def _chunk_ranges(rows: int, cols_per_depth: int, itemsize: int, out_depth: int):
+    """Output-depth ranges whose (rows, cols) patch matrix fits MAX_PATCH_BYTES."""
+    budget_cols = max(1, MAX_PATCH_BYTES // max(1, rows * itemsize))
+    step = max(1, budget_cols // max(1, cols_per_depth))
     for d0 in range(0, out_depth, step):
         yield d0, min(out_depth, d0 + step)
 
 
-def _patch_matrix(xp_slice: np.ndarray, kernel, stride) -> np.ndarray:
-    """Rows ordered (n, d, h, w), columns (c, kd, kh, kw)."""
+def _windows(xp: np.ndarray, kernel, stride, d0: int, d1: int) -> np.ndarray:
+    """Windows of output depths d0:d1 as an (n, c, kd, kh, kw, d, h, w) view."""
     kd, kh, kw = kernel
     sd, sh, sw = stride
-    win = sliding_window_view(xp_slice, (kd, kh, kw), axis=(2, 3, 4))
-    win = win[:, :, ::sd, ::sh, ::sw]
-    win = np.ascontiguousarray(win.transpose(0, 2, 3, 4, 1, 5, 6, 7))
-    n, do, ho, wo = win.shape[:4]
-    return win.reshape(n * do * ho * wo, -1)
+    xs = xp[:, :, d0 * sd : (d1 - 1) * sd + kd]
+    if kd == kh == kw == 1:
+        return xs[:, :, None, None, None, ::sd, ::sh, ::sw]
+    win = sliding_window_view(xs, kernel, axis=(2, 3, 4))[:, :, ::sd, ::sh, ::sw]
+    return win.transpose(0, 1, 5, 6, 7, 2, 3, 4)
 
 
 def conv3d_core_forward(x, weight, stride, padding):
@@ -199,13 +202,13 @@ def conv3d_core_forward(x, weight, stride, padding):
     do, ho, wo = spec.out_dims((d, h, w))
     xp = _pad_spatial(x, padding)
     wmat = weight.reshape(cout, -1)
-    sd = stride[0]
-    y = np.empty((n, do, ho, wo, cout), dtype=np.result_type(x, weight))
-    for d0, d1 in _depth_chunks(n * ho * wo, cin * kd * kh * kw, x.itemsize, do):
-        sl = xp[:, :, d0 * sd : (d1 - 1) * sd + kd]
-        p = _patch_matrix(sl, (kd, kh, kw), stride)
-        y[:, d0:d1] = (p @ wmat.T).reshape(n, d1 - d0, ho, wo, cout)
-    return np.ascontiguousarray(y.transpose(0, 4, 1, 2, 3))
+    k = wmat.shape[1]
+    y = np.empty((n, cout, do, ho, wo), dtype=np.result_type(x, weight))
+    for d0, d1 in _chunk_ranges(k, n * ho * wo, x.itemsize, do):
+        win = _windows(xp, (kd, kh, kw), stride, d0, d1)
+        # (d, h, w) of a depth slice merge into a view, so out= writes into y
+        np.matmul(wmat, win.reshape(n, k, -1), out=y[:, :, d0:d1].reshape(n, cout, -1))
+    return y
 
 
 def conv3d_core_input_grad(grad_out, weight, stride, padding, in_dims):
@@ -217,29 +220,22 @@ def conv3d_core_input_grad(grad_out, weight, stride, padding, in_dims):
     d, h, w = in_dims
     pd, ph, pw = padding
     sd, sh, sw = stride
-    wmat = weight.reshape(cout, -1)
+    wmat_t = weight.reshape(cout, -1).T
     gxp = np.zeros(
         (n, cin, d + 2 * pd, h + 2 * ph, w + 2 * pw),
         dtype=np.result_type(grad_out, weight),
     )
-    for d0, d1 in _depth_chunks(n * ho * wo, cin * kd * kh * kw, grad_out.itemsize, do):
-        gmat = np.ascontiguousarray(
-            grad_out[:, :, d0:d1].transpose(0, 2, 3, 4, 1)
-        ).reshape(-1, cout)
-        gp = (gmat @ wmat).reshape(n, d1 - d0, ho, wo, cin, kd, kh, kw)
-        gp = gp.transpose(0, 4, 1, 2, 3, 5, 6, 7)
+    for d0, d1 in _chunk_ranges(wmat_t.shape[0], n * ho * wo, grad_out.itemsize, do):
+        g = grad_out[:, :, d0:d1].reshape(n, cout, -1)
+        gp = (wmat_t @ g).reshape(n, cin, kd, kh, kw, d1 - d0, ho, wo)
         for a in range(kd):
             dsl = slice(d0 * sd + a, (d1 - 1) * sd + a + 1, sd)
             for b in range(kh):
                 hsl = slice(b, b + (ho - 1) * sh + 1, sh)
                 for c in range(kw):
                     wsl = slice(c, c + (wo - 1) * sw + 1, sw)
-                    gxp[:, :, dsl, hsl, wsl] += gp[..., a, b, c]
-    if pd or ph or pw:
-        return np.ascontiguousarray(
-            gxp[:, :, pd : pd + d, ph : ph + h, pw : pw + w]
-        )
-    return gxp
+                    gxp[:, :, dsl, hsl, wsl] += gp[:, :, a, b, c]
+    return np.ascontiguousarray(gxp[:, :, pd : pd + d, ph : ph + h, pw : pw + w])
 
 
 def conv3d_core_weight_grad(x, grad_out, stride, padding, kernel):
@@ -248,16 +244,15 @@ def conv3d_core_weight_grad(x, grad_out, stride, padding, kernel):
     if n != n_g:
         raise ShapeMismatch("input and gradient batch sizes differ")
     kd, kh, kw = kernel
-    sd = stride[0]
     xp = _pad_spatial(x, padding)
-    gw = np.zeros((cout, cin * kd * kh * kw), dtype=np.result_type(x, grad_out))
-    for d0, d1 in _depth_chunks(n * ho * wo, cin * kd * kh * kw, x.itemsize, do):
-        sl = xp[:, :, d0 * sd : (d1 - 1) * sd + kd]
-        p = _patch_matrix(sl, kernel, stride)
-        gmat = np.ascontiguousarray(
-            grad_out[:, :, d0:d1].transpose(0, 2, 3, 4, 1)
-        ).reshape(-1, cout)
-        gw += gmat.T @ p
+    k = cin * kd * kh * kw
+    gw = np.zeros((cout, k), dtype=np.result_type(x, grad_out))
+    for d0, d1 in _chunk_ranges(k, n * ho * wo, x.itemsize, do):
+        # (K, n*L) patches against the (cout, n*L) gradient; with one sample
+        # at unit stride a 1x1x1 conv's both are views
+        win = _windows(xp, kernel, stride, d0, d1)
+        p = win.transpose(1, 2, 3, 4, 0, 5, 6, 7).reshape(k, -1)
+        gw += grad_out[:, :, d0:d1].transpose(1, 0, 2, 3, 4).reshape(cout, -1) @ p.T
     return gw.reshape(cout, cin, kd, kh, kw)
 
 
@@ -448,12 +443,17 @@ class BatchNorm3d(Module):
             mean = self.running_mean.astype(x.dtype)
             var = self.running_var.astype(x.dtype)
         ivar = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean[None, :, None, None, None]) * ivar[None, :, None, None, None]
-        y = (
-            self.gain.value[None, :, None, None, None] * xhat
-            + self.shift.value[None, :, None, None, None]
-        )
+        xhat = x - mean[None, :, None, None, None]
+        xhat *= ivar[None, :, None, None, None]
+        gain = self.gain.value[None, :, None, None, None]
         self._cache = (xhat, ivar, m) if remember else None
+        if remember or np.result_type(xhat, gain) != xhat.dtype:
+            y = gain * xhat
+        else:
+            # nothing keeps xhat and the output has its dtype: reuse it in place
+            y = xhat
+            y *= gain
+        y += self.shift.value[None, :, None, None, None]
         return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -520,7 +520,8 @@ class MaxPool3d(Module):
         do, ho, wo = self.spec.out_dims(x.shape[2:])
         xp = _pad_spatial(x, self.spec.padding, value=-np.inf)
         y = np.full((x.shape[0], x.shape[1], do, ho, wo), -np.inf, dtype=x.dtype)
-        arg = np.zeros(y.shape, dtype=np.int16)
+        better = np.empty(y.shape, dtype=bool)
+        arg = np.zeros(y.shape, dtype=np.int16) if remember else None
         offset = 0
         for a in range(kd):
             dsl = slice(a, a + (do - 1) * sd + 1, sd)
@@ -529,14 +530,13 @@ class MaxPool3d(Module):
                 for c in range(kw):
                     wsl = slice(c, c + (wo - 1) * sw + 1, sw)
                     plane = xp[:, :, dsl, hsl, wsl]
-                    better = plane > y
-                    y[better] = plane[better]
-                    arg[better] = offset
+                    # strict > keeps the first of tied positions and never takes NaN
+                    np.greater(plane, y, out=better)
+                    np.copyto(y, plane, where=better)
+                    if remember:
+                        np.copyto(arg, offset, where=better)
                     offset += 1
-        if remember:
-            self._cache = (arg, x.shape)
-        else:
-            self._cache = None
+        self._cache = (arg, x.shape) if remember else None
         return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

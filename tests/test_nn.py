@@ -1,5 +1,9 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ev2vox import checkpoint as ckp
 from ev2vox import nn
@@ -7,6 +11,8 @@ from ev2vox.errors import FormatError, ShapeMismatch, ZeroBatchVolume
 from gradcheck import check_layer, numeric_grad_full, rel_err
 
 N_GRAD_SEEDS = 20
+# kernel, stride, padding: the 1x1x1 fast path at both strides and a 3x3x3
+POINTWISE_AND_K3 = [(1, 1, 0), (1, 2, 0), (3, 1, 1)]
 
 
 def loop_conv3d(x, weight, bias, stride, padding):
@@ -36,6 +42,80 @@ def loop_conv3d(x, weight, bias, stride, padding):
                                         )
                         y[ni, co, dd, hh, ww] = acc + (bias[co] if bias is not None else 0.0)
     return y
+
+
+# Row-major im2col lowering, the conv core before the channels-first one:
+# patch rows (n, d, h, w), columns (c, kd, kh, kw), and a transpose back to
+# NCDHW. Kept as the byte-level reference for nn's core routines.
+
+
+def _ref_depth_chunks(rows_per_depth, cols, itemsize, out_depth):
+    budget_rows = max(1, nn.MAX_PATCH_BYTES // max(1, cols * itemsize))
+    step = max(1, budget_rows // max(1, rows_per_depth))
+    for d0 in range(0, out_depth, step):
+        yield d0, min(out_depth, d0 + step)
+
+
+def _ref_patch_matrix(xp_slice, kernel, stride):
+    sd, sh, sw = stride
+    win = sliding_window_view(xp_slice, kernel, axis=(2, 3, 4))[:, :, ::sd, ::sh, ::sw]
+    win = np.ascontiguousarray(win.transpose(0, 2, 3, 4, 1, 5, 6, 7))
+    n, do, ho, wo = win.shape[:4]
+    return win.reshape(n * do * ho * wo, -1)
+
+
+def _ref_pad(x, padding):
+    pd, ph, pw = padding
+    return np.pad(x, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
+
+
+def _ref_channels_last(g, d0, d1):
+    return np.ascontiguousarray(g[:, :, d0:d1].transpose(0, 2, 3, 4, 1)).reshape(-1, g.shape[1])
+
+
+def ref_conv_forward(x, weight, stride, padding):
+    n, cin, d, h, w = x.shape
+    cout, _, kd, kh, kw = weight.shape
+    do, ho, wo = nn.LayerSpec("conv3d", (kd, kh, kw), stride, padding).out_dims((d, h, w))
+    xp = _ref_pad(x, padding)
+    wmat = weight.reshape(cout, -1)
+    sd = stride[0]
+    y = np.empty((n, do, ho, wo, cout), dtype=np.result_type(x, weight))
+    for d0, d1 in _ref_depth_chunks(n * ho * wo, wmat.shape[1], x.itemsize, do):
+        p = _ref_patch_matrix(xp[:, :, d0 * sd : (d1 - 1) * sd + kd], (kd, kh, kw), stride)
+        y[:, d0:d1] = (p @ wmat.T).reshape(n, d1 - d0, ho, wo, cout)
+    return np.ascontiguousarray(y.transpose(0, 4, 1, 2, 3))
+
+
+def ref_conv_input_grad(grad_out, weight, stride, padding, in_dims):
+    n, cout, do, ho, wo = grad_out.shape
+    _, cin, kd, kh, kw = weight.shape
+    d, h, w = in_dims
+    pd, ph, pw = padding
+    sd, sh, sw = stride
+    wmat = weight.reshape(cout, -1)
+    gxp = np.zeros((n, cin, d + 2 * pd, h + 2 * ph, w + 2 * pw),
+                   dtype=np.result_type(grad_out, weight))
+    for d0, d1 in _ref_depth_chunks(n * ho * wo, wmat.shape[1], grad_out.itemsize, do):
+        gp = (_ref_channels_last(grad_out, d0, d1) @ wmat).reshape(
+            n, d1 - d0, ho, wo, cin, kd, kh, kw).transpose(0, 4, 1, 2, 3, 5, 6, 7)
+        for a, b, c in itertools.product(range(kd), range(kh), range(kw)):
+            gxp[:, :, d0 * sd + a : (d1 - 1) * sd + a + 1 : sd,
+                b : b + (ho - 1) * sh + 1 : sh, c : c + (wo - 1) * sw + 1 : sw] += gp[..., a, b, c]
+    return np.ascontiguousarray(gxp[:, :, pd : pd + d, ph : ph + h, pw : pw + w])
+
+
+def ref_conv_weight_grad(x, grad_out, stride, padding, kernel):
+    cin = x.shape[1]
+    n, cout, do, ho, wo = grad_out.shape
+    kd, kh, kw = kernel
+    sd = stride[0]
+    xp = _ref_pad(x, padding)
+    gw = np.zeros((cout, cin * kd * kh * kw), dtype=np.result_type(x, grad_out))
+    for d0, d1 in _ref_depth_chunks(n * ho * wo, gw.shape[1], x.itemsize, do):
+        p = _ref_patch_matrix(xp[:, :, d0 * sd : (d1 - 1) * sd + kd], kernel, stride)
+        gw += _ref_channels_last(grad_out, d0, d1).T @ p
+    return gw.reshape(cout, cin, kd, kh, kw)
 
 
 class TestLayerSpec:
@@ -79,6 +159,16 @@ class TestConv3d:
         conv = nn.Conv3d(2, 3, 2, stride=stride, padding=padding, name="c", dtype=np.float64)
         got = conv.forward(x)
         want = loop_conv3d(x, conv.weight.value, conv.bias.value, stride, padding)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel,stride,padding", POINTWISE_AND_K3)
+    def test_matches_loop_oracle_batched(self, kernel, stride, padding):
+        rng = np.random.default_rng(43)
+        x = rng.normal(size=(2, 2, 3, 4, 4))
+        conv = nn.Conv3d(2, 3, kernel, stride=stride, padding=padding, name="c", dtype=np.float64)
+        got = conv.forward(x)
+        want = loop_conv3d(x, conv.weight.value, conv.bias.value,
+                           conv.spec.stride, conv.spec.padding)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_zero_grad_out(self):
@@ -125,6 +215,15 @@ class TestConv3d:
         x = rng.normal(size=(1, 2, 3, 4, 4))
         check_layer(conv, x, rng)
 
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("kernel,stride,padding", POINTWISE_AND_K3)
+    def test_gradcheck_batched(self, kernel, stride, padding, seed):
+        rng = np.random.default_rng(700 + seed)
+        conv = nn.Conv3d(2, 3, kernel, stride=stride, padding=padding,
+                         name="c", seed=seed, dtype=np.float64)
+        x = rng.normal(size=(2, 2, 3, 4, 4))
+        check_layer(conv, x, rng)
+
     def test_chunked_matches_unchunked(self, monkeypatch):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(2, 3, 8, 5, 5))
@@ -144,6 +243,126 @@ class TestConv3d:
         np.testing.assert_allclose(y1, y2, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(gx1, gx2, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(gw1, gw2, rtol=1e-12, atol=1e-12)
+
+
+    @pytest.mark.parametrize("make,in_shape", [
+        (lambda: nn.Conv3d(3, 4, 1, stride=2, name="c", seed=3, dtype=np.float64),
+         (2, 3, 8, 5, 5)),
+        (lambda: nn.Deconv3d(3, 4, 2, stride=2, name="d", seed=3, dtype=np.float64),
+         (2, 3, 6, 5, 5)),
+    ], ids=["pointwise_stride2", "deconv_k2s2"])
+    def test_chunked_matches_unchunked_fast_paths(self, monkeypatch, make, in_shape):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=in_shape)
+        g = rng.normal(size=make().forward(x).shape)
+
+        def run():
+            layer = make()
+            y = layer.forward(x)
+            return y, layer.backward(g), layer.weight.grad.copy()
+
+        unchunked = run()
+        monkeypatch.setattr(nn, "MAX_PATCH_BYTES", 256)
+        for a, b in zip(unchunked, run()):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+class TestConvLowering:
+    """The channels-first core against the row-major reference above.
+
+    Float64 inputs and a tight tolerance: the two lowerings hand BLAS
+    operands in different layouts, and BLAS does not promise one
+    summation order across layouts.
+    """
+
+    # kernel -> (in channels, out channels, input dims)
+    SHAPES = {1: (6, 5, (5, 6, 6)), 2: (4, 5, (5, 6, 6)),
+              3: (3, 4, (5, 6, 6)), 7: (2, 3, (8, 9, 9))}
+    # kernel, padding: a 1x1x1 kernel's k//2 padding is 0, so it runs once
+    KERNEL_PADDING = [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (7, 0), (7, 3)]
+
+    @staticmethod
+    def _check_all_routines(x, w, stride, padding):
+        dims = x.shape[2:]
+        close = dict(rtol=1e-12, atol=1e-12)
+        y = nn.conv3d_core_forward(x, w, stride, padding)
+        np.testing.assert_allclose(y, ref_conv_forward(x, w, stride, padding), **close)
+        g = np.random.default_rng(99).normal(size=y.shape)
+        np.testing.assert_allclose(
+            nn.conv3d_core_input_grad(g, w, stride, padding, dims),
+            ref_conv_input_grad(g, w, stride, padding, dims), **close,
+        )
+        np.testing.assert_allclose(
+            nn.conv3d_core_weight_grad(x, g, stride, padding, w.shape[2:]),
+            ref_conv_weight_grad(x, g, stride, padding, w.shape[2:]), **close,
+        )
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("stride", [(1, 1, 1), (2, 2, 2), (1, 2, 2)])
+    @pytest.mark.parametrize("kernel,pad", KERNEL_PADDING)
+    def test_matches_row_major_reference(self, kernel, pad, stride, batch):
+        cin, cout, dims = self.SHAPES[kernel]
+        rng = np.random.default_rng(kernel * 10 + batch)
+        x = rng.normal(size=(batch, cin, *dims))
+        w = rng.normal(size=(cout, cin, kernel, kernel, kernel))
+        self._check_all_routines(x, w, stride, (pad,) * 3)
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_one_output_channel_matches_reference(self, batch):
+        # the decoder head's shape: numpy may send a one-row product to gemv
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(batch, 16, 8, 8, 8))
+        w = rng.normal(size=(1, 16, 1, 1, 1))
+        self._check_all_routines(x, w, (1, 1, 1), (0, 0, 0))
+
+    def test_toy_training_step_matches_reference(self, monkeypatch):
+        from ev2vox import model as M
+        rng = np.random.default_rng(3)
+        x = (rng.random((5, 1, 10, 32, 32)) < 0.1).astype(np.float64)
+        g = rng.normal(size=(5, 8, 8, 8))
+
+        def step():
+            m = M.build_model(M.EncoderConfig.toy(), M.DecoderConfig.toy(), seed=0,
+                              dtype=np.float64)
+            out = [m.forward(x), m.backward(g)]
+            return out + [p.grad for p in m.parameters()]
+
+        got = step()
+        monkeypatch.setattr(nn, "conv3d_core_forward", ref_conv_forward)
+        monkeypatch.setattr(nn, "conv3d_core_input_grad", ref_conv_input_grad)
+        monkeypatch.setattr(nn, "conv3d_core_weight_grad", ref_conv_weight_grad)
+        want = step()
+        assert len(got) == len(want) == 56  # output, input grad, 54 parameter grads
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
+
+    @staticmethod
+    def _peak_bytes(fn, *args):
+        tracemalloc.start()
+        try:
+            out = fn(*args)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_pointwise_materializes_no_patch_matrix(self, stride):
+        x = np.random.default_rng(0).normal(size=(1, 64, 8, 32, 32)).astype(np.float32)
+        w = np.ones((64, 64, 1, 1, 1), dtype=np.float32)
+        y, peak = self._peak_bytes(nn.conv3d_core_forward, x, w, (stride,) * 3, (0, 0, 0))
+        subsample = 0 if stride == 1 else x[:, :, ::2, ::2, ::2].nbytes
+        # any further copy of the (subsampled) input would overrun this
+        assert peak <= y.nbytes + subsample + 16 * 2**10
+
+    def test_patch_matrix_stays_under_budget(self, monkeypatch):
+        budget = 64 * 2**10
+        monkeypatch.setattr(nn, "MAX_PATCH_BYTES", budget)
+        x = np.random.default_rng(1).normal(size=(1, 4, 8, 12, 12)).astype(np.float32)
+        w = np.ones((8, 4, 3, 3, 3), dtype=np.float32)
+        y, peak = self._peak_bytes(nn.conv3d_core_forward, x, w, (1, 1, 1), (0, 0, 0))
+        unchunked = 4 * 27 * y[0, 0].size * x.itemsize
+        assert unchunked > budget  # the budget does force chunking here
+        assert peak < budget + y.nbytes
 
 
 class TestDeconv3d:
@@ -225,6 +444,25 @@ class TestBatchNorm:
         assert y.mean() < -5.0
         assert abs(bn.running_mean[0] - 4.0) < 0.3
 
+    # input dtype, layer dtype: the last pair has parameters wider than x
+    @pytest.mark.parametrize("dtype,layer_dtype", [
+        (np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64),
+    ])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_remember_false_same_output(self, training, dtype, layer_dtype):
+        rng = np.random.default_rng(11)
+        x = rng.normal(loc=1.0, size=(2, 3, 4, 4, 4)).astype(dtype)
+        outs = []
+        for remember in (True, False):
+            bn = nn.BatchNorm3d(3, name="n", dtype=layer_dtype)
+            bn.gain.value[...] = [0.5, -1.5, 2.0]
+            bn.shift.value[...] = [0.1, 0.0, -0.3]
+            bn.running_var[...] = [0.5, 2.0, 1.0]
+            bn.training = training
+            outs.append(bn.forward(x, remember=remember))
+        assert outs[0].dtype == outs[1].dtype == np.result_type(dtype, layer_dtype)
+        assert outs[0].tobytes() == outs[1].tobytes()
+
     def test_zero_volume_rejected(self):
         bn = nn.BatchNorm3d(2, name="n")
         with pytest.raises(ZeroBatchVolume):
@@ -305,6 +543,24 @@ class TestMaxPool:
         want = np.zeros_like(x)
         want[0, 0, 1, 0, 1] = 1.0
         np.testing.assert_array_equal(gx, want)
+
+    def test_ties_route_to_first_position(self):
+        x = np.full((1, 1, 2, 2, 2), 3.0)
+        pool = nn.MaxPool3d(2)
+        y = pool.forward(x)
+        gx = pool.backward(np.ones_like(y))
+        want = np.zeros_like(x)
+        want[0, 0, 0, 0, 0] = 1.0
+        np.testing.assert_array_equal(gx, want)
+
+    def test_remember_false_same_output(self):
+        x = np.random.default_rng(12).normal(size=(2, 3, 6, 7, 5)).astype(np.float32)
+        x[0, 0, 2, 3, 1] = np.nan
+        x[1] = np.round(x[1])  # ties
+        pool = nn.MaxPool3d(3, stride=2, padding=1)
+        y1 = pool.forward(x, remember=True)
+        y2 = pool.forward(x, remember=False)
+        assert y1.tobytes() == y2.tobytes()
 
     @pytest.mark.parametrize("seed", range(N_GRAD_SEEDS))
     def test_gradcheck(self, seed):
