@@ -9,9 +9,12 @@ The convolution engine works channels-first: per sample and depth chunk,
 the kernel reshaped to (cout, cin*kd*kh*kw) multiplies a patch matrix with
 rows (c, kd, kh, kw) and columns (d, h, w), copied out of a
 ``sliding_window_view`` along w, so the product is already NCDHW. A 1x1x1
-kernel needs no window view; at unit stride its patches are the input. The
-input gradient multiplies the transposed kernel by the output gradient and
-adds each tap's (d, h, w) block back with one strided slice addition; the
+kernel needs no window view; at unit stride its patches are the input. At
+unit stride the input gradient is itself such a forward: the output
+gradient, padded by k-1-p (cropped where that is negative), convolved with
+the spatially flipped kernel with its channel axes swapped. At any other
+stride it multiplies the transposed kernel by the output gradient and adds
+each tap's (d, h, w) block back with one strided slice addition. The
 weight gradient is one product per chunk over all samples. Transposed
 convolution reuses the three routines with forward and input gradient
 swapped. Chunking keeps a patch matrix under a fixed byte budget.
@@ -217,6 +220,16 @@ def conv3d_core_input_grad(grad_out, weight, stride, padding, in_dims):
     cout_w, cin, kd, kh, kw = weight.shape
     if cout != cout_w:
         raise ShapeMismatch(f"grad has {cout} channels, kernel expects {cout_w}")
+    if tuple(stride) == (1, 1, 1):
+        # the adjoint of a unit-stride conv is a unit-stride conv of the
+        # gradient with the flipped, channel-swapped kernel at padding
+        # k-1-p; an axis where that is negative crops the gradient instead
+        adjoint = [k - 1 - p for k, p in zip((kd, kh, kw), padding)]
+        crop = tuple(slice(max(0, -a), size - max(0, -a)) for a, size in zip(adjoint, (do, ho, wo)))
+        flipped = weight[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+        return conv3d_core_forward(
+            grad_out[(...,) + crop], flipped, stride, tuple(max(0, a) for a in adjoint)
+        )
     d, h, w = in_dims
     pd, ph, pw = padding
     sd, sh, sw = stride
@@ -429,8 +442,10 @@ class BatchNorm3d(Module):
         if m == 0:
             raise ZeroBatchVolume("norm received an empty reduction volume")
         if self.training:
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            # handing var the mean spares it a second pass over x
+            mean = x.mean(axis=axes, keepdims=True)
+            var = x.var(axis=axes, mean=mean)
+            mean = mean.reshape(-1)
             self.running_mean = (
                 (1.0 - self.momentum) * self.running_mean
                 + self.momentum * mean.astype(np.float64)
@@ -462,17 +477,20 @@ class BatchNorm3d(Module):
         xhat, ivar, m = self._cache
         axes = (0, 2, 3, 4)
         dshift = grad_out.sum(axis=axes)
-        dgain = (grad_out * xhat).sum(axis=axes)
+        gscale = (self.gain.value * ivar)[None, :, None, None, None]
+        out = np.multiply(grad_out, xhat, dtype=np.result_type(grad_out, xhat, gscale))
+        dgain = out.sum(axis=axes)
         self.shift.grad += dshift
         self.gain.grad += dgain
-        gscale = (self.gain.value * ivar)[None, :, None, None, None]
-        if self.training:
-            return gscale * (
-                grad_out
-                - dshift[None, :, None, None, None] / m
-                - xhat * dgain[None, :, None, None, None] / m
-            )
-        return gscale * grad_out
+        if not self.training:
+            return gscale * grad_out
+        # gscale * (grad_out - dshift/m - xhat*dgain/m), built in the buffer
+        # that held grad_out*xhat
+        np.multiply(xhat, (dgain / m)[None, :, None, None, None], out=out)
+        np.subtract(grad_out, out, out=out)
+        out -= (dshift / m)[None, :, None, None, None]
+        out *= gscale
+        return out
 
 
 class ReLU(Module):
@@ -571,7 +589,8 @@ class AdaptiveResize3d(Module):
     """Nearest-neighbor resize to a fixed spatial target.
 
     Output cell i along an axis reads source cell floor(i * D / D').
-    The backward pass scatter-adds gradients onto their source cells.
+    That map is monotone, so the backward pass sums each source cell's
+    run of output cells with one ``np.add.reduceat`` per resized axis.
     """
 
     def __init__(self, target):
@@ -595,18 +614,19 @@ class AdaptiveResize3d(Module):
         if self._cache is None:
             raise ShapeMismatch("adaptive_resize backward called without a cached forward")
         in_shape = self._cache
-        di, hi, wi = self._index_maps(in_shape[2:])
-        n, c = in_shape[0], in_shape[1]
-        gx = np.zeros(in_shape, dtype=grad_out.dtype)
-        ni = np.arange(n)[:, None, None, None, None]
-        ci = np.arange(c)[None, :, None, None, None]
-        np.add.at(
-            gx,
-            (ni, ci, di[None, None, :, None, None], hi[None, None, None, :, None],
-             wi[None, None, None, None, :]),
-            grad_out,
-        )
-        return gx
+        g = grad_out
+        for axis, idx in enumerate(self._index_maps(in_shape[2:]), start=2):
+            size = in_shape[axis]
+            if len(idx) == size:  # floor(i * D / D) = i: nothing to sum
+                continue
+            sources, starts = np.unique(idx, return_index=True)
+            summed = np.add.reduceat(g, starts, axis=axis)
+            if len(sources) < size:  # a downsample skips some source cells
+                g = np.zeros(summed.shape[:axis] + (size,) + summed.shape[axis + 1 :], g.dtype)
+                g[(slice(None),) * axis + (sources,)] = summed
+            else:
+                g = summed
+        return g.copy() if g is grad_out else g
 
 
 def concat_channels(parts: list[np.ndarray]) -> np.ndarray:

@@ -113,6 +113,9 @@ class TrainRun:
             raise ConfigError(f"batch size must be at least 1, got {self.batch_size}")
         if self.checkpoint_every < 1:
             raise ConfigError(f"checkpoint_every must be at least 1, got {self.checkpoint_every}")
+        if self.seed < 0:
+            # numpy's SeedSequence takes only non-negative entropy
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def adamw_step(params, state: OptState, cfg: AdamWConfig) -> None:

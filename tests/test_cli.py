@@ -173,6 +173,21 @@ class TestConfig:
         cfg = write_config(tmp_path / "c.json", {"metrics": {"threshold": "high"}})
         assert cli.main(["generate", "--toy", "--config", cfg, "--out", str(tmp_path / "d")]) == 2
 
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert cli.main(["generate", "--toy", "--seed", "-1", "--out", str(out)]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_run_seed_exits_2(self, pipeline, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", {"trainer": {"run": {"seed": -3}}})
+        code = cli.main(
+            ["train", "--toy", "--config", cfg, "--manifest", str(pipeline["manifest"]),
+             "--out", str(tmp_path / "run")]
+        )
+        assert code == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+
 
 class TestPreprocess:
     def test_cache_contents(self, pipeline):

@@ -224,6 +224,15 @@ class TestConv3d:
         x = rng.normal(size=(2, 2, 3, 4, 4))
         check_layer(conv, x, rng)
 
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("kernel,padding", [(1, 1), (3, 3)])
+    def test_gradcheck_padding_past_kernel(self, kernel, padding, seed):
+        # the unit-stride input gradient crops where k-1-p is negative
+        rng = np.random.default_rng(800 + seed)
+        conv = nn.Conv3d(2, 3, kernel, padding=padding, name="c", seed=seed, dtype=np.float64)
+        x = rng.normal(size=(2, 2, 3, 4, 4))
+        check_layer(conv, x, rng)
+
     def test_chunked_matches_unchunked(self, monkeypatch):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(2, 3, 8, 5, 5))
@@ -336,6 +345,14 @@ class TestConvLowering:
         for a, b in zip(got, want):
             np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
 
+    # padding at or past the kernel size: k-1-p is negative on some axes
+    @pytest.mark.parametrize("kernel,padding", [(1, (1, 1, 1)), (3, (3, 3, 3)), (3, (3, 0, 1))])
+    def test_unit_stride_adjoint_past_kernel_matches_reference(self, kernel, padding):
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(2, 3, 4, 5, 6))
+        w = rng.normal(size=(4, 3, kernel, kernel, kernel))
+        self._check_all_routines(x, w, (1, 1, 1), padding)
+
     @staticmethod
     def _peak_bytes(fn, *args):
         tracemalloc.start()
@@ -353,6 +370,19 @@ class TestConvLowering:
         subsample = 0 if stride == 1 else x[:, :, ::2, ::2, ::2].nbytes
         # any further copy of the (subsampled) input would overrun this
         assert peak <= y.nbytes + subsample + 16 * 2**10
+
+    def test_unit_stride_input_grad_skips_tap_product(self):
+        # up1.fuse's 32 -> 16 channels: the scatter's (n, cin*27, L) tap
+        # product is twice the flipped-kernel forward's patch matrix
+        rng = np.random.default_rng(2)
+        g = rng.normal(size=(2, 16, 8, 8, 8)).astype(np.float32)
+        w = rng.normal(size=(16, 32, 3, 3, 3)).astype(np.float32)
+        gx, peak = self._peak_bytes(
+            nn.conv3d_core_input_grad, g, w, (1, 1, 1), (1, 1, 1), (8, 8, 8)
+        )
+        tap_product = 2 * 32 * 27 * 8**3 * g.itemsize
+        assert gx.shape == (2, 32, 8, 8, 8)
+        assert peak < tap_product
 
     def test_patch_matrix_stays_under_budget(self, monkeypatch):
         budget = 64 * 2**10
@@ -403,6 +433,16 @@ class TestDeconv3d:
             g, dc.weight.value, dc.spec.stride, dc.spec.padding, out_dims
         )
         np.testing.assert_array_equal(dc.forward(g), want)
+
+    @pytest.mark.parametrize("kernel,padding", [(2, 0), (3, 1), (3, 2), (1, 1)])
+    def test_unit_stride_matches_reference(self, kernel, padding):
+        rng = np.random.default_rng(12)
+        dc = nn.Deconv3d(3, 2, kernel, stride=1, padding=padding,
+                         name="d", seed=5, dtype=np.float64, bias=False)
+        x = rng.normal(size=(2, 3, 4, 5, 6))
+        want = ref_conv_input_grad(x, dc.weight.value, (1, 1, 1), (padding,) * 3,
+                                   dc.spec.out_dims(x.shape[2:]))
+        np.testing.assert_allclose(dc.forward(x), want, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(N_GRAD_SEEDS))
     def test_gradcheck(self, seed):
@@ -462,6 +502,32 @@ class TestBatchNorm:
             outs.append(bn.forward(x, remember=remember))
         assert outs[0].dtype == outs[1].dtype == np.result_type(dtype, layer_dtype)
         assert outs[0].tobytes() == outs[1].tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_running_stats_match_two_pass_moments(self, dtype):
+        rng = np.random.default_rng(13)
+        x = rng.normal(loc=1.5, scale=2.0, size=(3, 4, 5, 6, 7)).astype(dtype)
+        bn = nn.BatchNorm3d(4, name="n", dtype=dtype)
+        bn.running_mean[...] = [0.5, -1.0, 0.0, 2.0]
+        bn.running_var[...] = [1.5, 0.25, 1.0, 3.0]
+        want = [
+            (0.9 * old + 0.1 * new.astype(np.float64)).astype(np.float32)
+            for old, new in ((bn.running_mean, x.mean(axis=(0, 2, 3, 4))),
+                             (bn.running_var, x.var(axis=(0, 2, 3, 4))))
+        ]
+        bn.forward(x)
+        assert bn.running_mean.tobytes() == want[0].tobytes()
+        assert bn.running_var.tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_backward_dtype_follows_parameters(self, training):
+        # a float64 layer on float32 input returns a float64 gradient
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(2, 3, 4, 4, 4)).astype(np.float32)
+        bn = nn.BatchNorm3d(3, name="n", dtype=np.float64)
+        bn.training = training
+        gx = bn.backward(np.ones_like(bn.forward(x)))
+        assert gx.dtype == np.float64
 
     def test_zero_volume_rejected(self):
         bn = nn.BatchNorm3d(2, name="n")
@@ -570,6 +636,17 @@ class TestMaxPool:
         check_layer(pool, x, rng)
 
 
+def add_at_resize_backward(layer, grad_out, in_shape):
+    """Scatter-add oracle: every output cell adds onto its source cell."""
+    di, hi, wi = layer._index_maps(in_shape[2:])
+    gx = np.zeros(in_shape, dtype=grad_out.dtype)
+    np.add.at(gx, (np.arange(in_shape[0])[:, None, None, None, None],
+                   np.arange(in_shape[1])[None, :, None, None, None],
+                   di[None, None, :, None, None], hi[None, None, None, :, None],
+                   wi[None, None, None, None, :]), grad_out)
+    return gx
+
+
 class TestAdaptiveResize:
     def test_identity_when_dims_match(self):
         rng = np.random.default_rng(9)
@@ -597,6 +674,47 @@ class TestAdaptiveResize:
         x = rng.normal(size=(1, 2, 5, 3, 4))
         layer = nn.AdaptiveResize3d((3, 4, 2))
         check_layer(layer, x, rng)
+
+    # (source, target) sizes: identity, upsample, downsample and
+    # non-integer ratios both ways
+    SIZE_PAIRS = [(5, 5), (5, 8), (8, 3), (7, 5), (3, 20)]
+
+    @staticmethod
+    def _check_backward(in_shape, target):
+        rng = np.random.default_rng(15)
+        layer = nn.AdaptiveResize3d(target)
+        y = layer.forward(rng.normal(size=in_shape).astype(np.float32))
+        g = rng.normal(size=y.shape).astype(np.float32)
+        got = layer.backward(g)
+        want = add_at_resize_backward(layer, g, in_shape)
+        contributions = add_at_resize_backward(layer, np.ones_like(g), in_shape)
+        assert got.dtype == np.float32 and got.shape == in_shape
+        if contributions.max() <= 2:
+            # 0 + a + b and a + b round alike
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("axis", [2, 3, 4])
+    @pytest.mark.parametrize("size,target", SIZE_PAIRS)
+    def test_backward_one_axis_matches_add_at(self, size, target, axis):
+        in_shape = [2, 3, 4, 5, 6]
+        in_shape[axis] = size
+        out = list(in_shape[2:])
+        out[axis - 2] = target
+        self._check_backward(tuple(in_shape), tuple(out))
+
+    @pytest.mark.parametrize("dims,target", [((5, 8, 7), (8, 3, 5)), ((3, 7, 8), (20, 5, 3))])
+    def test_backward_all_axes_match_add_at(self, dims, target):
+        self._check_backward((2, 3, *dims), target)
+
+    def test_backward_identity_returns_a_copy(self):
+        layer = nn.AdaptiveResize3d((3, 4, 5))
+        layer.forward(np.zeros((1, 2, 3, 4, 5)))
+        g = np.ones((1, 2, 3, 4, 5))
+        gx = layer.backward(g)
+        np.testing.assert_array_equal(gx, g)
+        assert not np.shares_memory(gx, g)
 
 
 class TestConcatSplit:
