@@ -32,10 +32,13 @@ from .errors import (
     InvalidSceneSpec,
     IoFailure,
     PipelineError,
+    require_int,
+    require_ints,
 )
 from .events import BinningConfig, bin_to_frames, read_evt1, write_evt1
 from .model import (
     DecoderConfig,
+    E2VModel,
     EncoderConfig,
     build_model,
     frames_to_input,
@@ -258,23 +261,28 @@ def load_run_config(path: str | None, toy: bool = False, seed: int | None = None
     if seed is not None:
         merged["trainer"]["run"]["seed"] = seed
     try:
-        gen = merged["generate"]
+        binning, gen = merged["binning"], merged["generate"]
+        for key in ("target_height", "target_width"):
+            if binning[key] is not None:
+                require_int(binning[key], f"binning.{key}")
         scenes = gen["scenes"]
         return RunConfig(
-            binning=BinningConfig(**merged["binning"]),
+            binning=BinningConfig(**binning),
             encoder=EncoderConfig.from_dict(merged["model"]["encoder"]),
             decoder=DecoderConfig.from_dict(merged["model"]["decoder"]),
-            model_seed=int(merged["model"]["seed"]),
+            model_seed=require_int(merged["model"]["seed"], "model.seed"),
             optimizer=AdamWConfig(**merged["trainer"]["optimizer"]),
-            run=TrainRun(**merged["trainer"]["run"]),
+            # every TrainRun field is an integer
+            run=TrainRun(**{k: require_int(v, f"trainer.run.{k}")
+                            for k, v in merged["trainer"]["run"].items()}),
             threshold=float(merged["metrics"]["threshold"]),
             distance=float(merged["metrics"]["distance"]),
             generate=GenerateConfig(
-                count=int(gen["count"]),
-                resolution=int(gen["resolution"]),
-                ratios=tuple(int(r) for r in gen["ratios"]),
-                width=int(gen["width"]),
-                height=int(gen["height"]),
+                count=require_int(gen["count"], "generate.count"),
+                resolution=require_int(gen["resolution"], "generate.resolution"),
+                ratios=require_ints(gen["ratios"], "generate.ratios"),
+                width=require_int(gen["width"], "generate.width"),
+                height=require_int(gen["height"], "generate.height"),
                 contrast=float(gen["contrast"]),
                 scenes=None if scenes is None else tuple(scenes),
             ),
@@ -424,20 +432,21 @@ def cmd_preprocess(cfg: RunConfig, manifest_path: str, out_dir: str | None, thre
     return len(manifest.entries)
 
 
+def _frames(cfg: RunConfig, manifest: Manifest, entry: ManifestEntry, cache_dir: Path):
+    """The entry's cached frame stack, or its events binned afresh."""
+    cached = cache_dir / f"{entry.sample_id}.frames.npy"
+    if cached.is_file():
+        return np.load(cached)
+    return bin_to_frames(read_evt1(manifest.root / entry.events), cfg.binning).frames
+
+
 def _load_dataset(cfg: RunConfig, manifest: Manifest, splits, cache_dir: Path):
     """Assemble (frames, occupancy, category) samples for the given splits."""
-    dataset = []
-    for entry in manifest.entries:
-        if entry.split not in splits:
-            continue
-        cached = cache_dir / f"{entry.sample_id}.frames.npy"
-        if cached.is_file():
-            frames = np.load(cached)
-        else:
-            frames = bin_to_frames(read_evt1(manifest.root / entry.events), cfg.binning).frames
-        label = read_vox1(manifest.root / entry.label)
-        dataset.append((frames, label, entry.category))
-    return dataset
+    return [
+        (_frames(cfg, manifest, e, cache_dir), read_vox1(manifest.root / e.label), e.category)
+        for e in manifest.entries
+        if e.split in splits
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +488,31 @@ def _trained_config(sidecar: dict) -> dict | None:
         return None
 
 
+def _trained_model(ckpt: Path, expected: dict | None = None) -> E2VModel:
+    """The model that a checkpoint's JSON sidecar describes, loaded from it.
+
+    A missing sidecar is an IoFailure. One that is not JSON, describes no
+    model, or describes another model than ``expected`` is a
+    CheckpointMismatch.
+    """
+    sidecar_path = Path(f"{ckpt}.json")
+    try:
+        config = _trained_config(json.loads(sidecar_path.read_text()))
+    except OSError as exc:
+        raise IoFailure(f"checkpoint sidecar not found: {sidecar_path} ({exc})") from exc
+    except ValueError as exc:  # not JSON, or not text
+        raise CheckpointMismatch(f"{sidecar_path}: unreadable checkpoint sidecar ({exc})") from exc
+    if config is None:
+        raise CheckpointMismatch(f"{sidecar_path}: sidecar does not describe a model")
+    if expected is not None and config != expected:
+        raise CheckpointMismatch(
+            f"{ckpt}: checkpoint was trained with a different model configuration"
+        )
+    model = model_from_config_dict(config)
+    load_training_checkpoint(ckpt, model)
+    return model
+
+
 def cmd_eval(cfg: RunConfig, manifest_path: str, out_dir: str | None) -> None:
     """Score every split present and write report.txt / report.csv."""
     manifest = load_manifest(manifest_path)
@@ -486,17 +520,7 @@ def cmd_eval(cfg: RunConfig, manifest_path: str, out_dir: str | None) -> None:
     ckpt = run_dir / "model.ckpt"
     if not ckpt.is_file():
         raise IoFailure(f"checkpoint not found: {ckpt}")
-    expected = model_config_dict(cfg.encoder, cfg.decoder, cfg.model_seed)
-    try:
-        sidecar = json.loads((run_dir / "model.ckpt.json").read_text())
-    except OSError as exc:
-        raise IoFailure(f"checkpoint sidecar not found: {ckpt}.json ({exc})") from exc
-    if _trained_config(sidecar) != expected:
-        raise CheckpointMismatch(
-            f"{ckpt}: checkpoint was trained with a different model configuration"
-        )
-    model = model_from_config_dict(sidecar["config"])
-    load_training_checkpoint(ckpt, model)
+    model = _trained_model(ckpt, model_config_dict(cfg.encoder, cfg.decoder, cfg.model_seed))
 
     cache = _cache_dir(manifest, None)
     text_parts = []
@@ -545,18 +569,8 @@ def _export_from_checkpoint(cfg: RunConfig, ckpt_path: str, sample_id: str,
     matches = [e for e in manifest.entries if e.sample_id == sample_id]
     if not matches:
         raise DataError(f"{manifest_path}: no sample with id {sample_id!r}")
-    entry = matches[0]
-    cached = _cache_dir(manifest, None) / f"{entry.sample_id}.frames.npy"
-    if cached.is_file():
-        frames = np.load(cached)
-    else:
-        frames = bin_to_frames(read_evt1(manifest.root / entry.events), cfg.binning).frames
-    try:
-        sidecar = json.loads(Path(str(ckpt_path) + ".json").read_text())
-    except OSError as exc:
-        raise IoFailure(f"checkpoint sidecar not found: {ckpt_path}.json ({exc})") from exc
-    model = model_from_config_dict(sidecar["config"])
-    load_training_checkpoint(ckpt_path, model)
+    frames = _frames(cfg, manifest, matches[0], _cache_dir(manifest, None))
+    model = _trained_model(Path(ckpt_path))
     model.eval()
     probs = model.forward(frames_to_input([frames], dtype=model.dtype), remember=False)
     return binarize(ProbGrid(probs.shape[-1], probs[0]), cfg.threshold)

@@ -29,6 +29,29 @@ class InternalError(PipelineError):
     """A library invariant was violated; indicates a bug."""
 
 
+# JSON gives 2.5 for a count and "false" for a flag; int() would round the
+# one and bool() read the other as True, so config readers check instead.
+
+
+def require_int(value, what: str) -> int:
+    """``value`` if it is an int (a bool is not), else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def require_ints(values, what: str) -> tuple[int, ...]:
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{what} must be a list of integers, got {values!r}")
+    return tuple(require_int(v, what) for v in values)
+
+
+def require_bool(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
 # Event streams
 
 

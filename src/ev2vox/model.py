@@ -8,11 +8,13 @@ input. The decoder runs a small UNet over that volume: strided
 convolutions down, transposed convolutions up with channel-concatenated
 skips, and a sigmoid head that emits one occupancy probability per cell.
 
-Forward and backward are hand-threaded through the layer objects in
-reverse order; there is no graph machinery. Every block is an
-``nn.Module``, so parameters, running statistics and train/eval mode come
-from one walk over its attributes; the order in which a block assigns its
-layers is the order of its entries in a checkpoint.
+Chains of layers are ``nn.Sequential``, whose backward runs its layers
+in reverse; the encoder is one such chain. Only the blocks whose data flow
+branches write a backward: the bottleneck's residual add, the up block's
+concatenation and the decoder's skips. Every block is an ``nn.Module``, so
+parameters, running statistics and train/eval mode come from one walk over
+its attributes; the order in which a block assigns its layers is the order
+of its entries in a checkpoint.
 """
 
 from __future__ import annotations
@@ -22,7 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .errors import ChannelMismatch, CheckpointMismatch, ConfigError, ResolutionMismatch, ShapeMismatch
+from .errors import (
+    ChannelMismatch,
+    CheckpointMismatch,
+    ConfigError,
+    ResolutionMismatch,
+    ShapeMismatch,
+    require_bool,
+    require_int,
+    require_ints,
+)
 
 EXPANSION = 4
 LOSS_CLAMP = 1e-7
@@ -53,6 +64,8 @@ class EncoderConfig:
     def __post_init__(self):
         if not self.stages:
             raise ConfigError("encoder needs at least one stage")
+        if any(s.blocks < 1 for s in self.stages):
+            raise ConfigError("every encoder stage needs at least one block")
         if any(d <= 0 for d in self.hidden_spatial):
             raise ConfigError(f"hidden_spatial must be positive, got {self.hidden_spatial}")
 
@@ -103,21 +116,26 @@ class EncoderConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderConfig":
         _check_legacy_norm(d)
+        s = d["stem"]
         stem = StemConfig(
-            kernel=tuple(d["stem"]["kernel"]),
-            stride=tuple(d["stem"]["stride"]),
-            channels=int(d["stem"]["channels"]),
-            pool=bool(d["stem"]["pool"]),
+            kernel=require_ints(s["kernel"], "encoder.stem.kernel"),
+            stride=require_ints(s["stride"], "encoder.stem.stride"),
+            channels=require_int(s["channels"], "encoder.stem.channels"),
+            pool=require_bool(s["pool"], "encoder.stem.pool"),
         )
         stages = tuple(
-            StageConfig(int(s["blocks"]), int(s["channels"]), tuple(s["stride"]))
+            StageConfig(
+                require_int(s["blocks"], "encoder.stages.blocks"),
+                require_int(s["channels"], "encoder.stages.channels"),
+                require_ints(s["stride"], "encoder.stages.stride"),
+            )
             for s in d["stages"]
         )
         return cls(
             stem=stem,
             stages=stages,
-            hidden_spatial=tuple(d["hidden_spatial"]),
-            in_channels=int(d.get("in_channels", 1)),
+            hidden_spatial=require_ints(d["hidden_spatial"], "encoder.hidden_spatial"),
+            in_channels=require_int(d.get("in_channels", 1), "encoder.in_channels"),
         )
 
 
@@ -148,7 +166,10 @@ class DecoderConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "DecoderConfig":
         _check_legacy_norm(d)
-        return cls(levels=int(d["levels"]), channels=tuple(d["channels"]))
+        return cls(
+            levels=require_int(d["levels"], "decoder.levels"),
+            channels=require_ints(d["channels"], "decoder.channels"),
+        )
 
 
 def _check_legacy_norm(d: dict) -> None:
@@ -157,24 +178,19 @@ def _check_legacy_norm(d: dict) -> None:
         raise ConfigError(f"unsupported norm {d['norm']!r}; every block uses batch norm")
 
 
-class ConvNormRelu(nn.Module):
+def conv_norm(cin, cout, kernel, stride, padding, name, seed, dtype, tag=""):
+    """[conv, batch norm], named ``{name}.conv{tag}`` and ``{name}.norm{tag}``."""
+    return [
+        nn.Conv3d(cin, cout, kernel, stride=stride, padding=padding,
+                  name=f"{name}.conv{tag}", seed=seed, dtype=dtype),
+        nn.BatchNorm3d(cout, name=f"{name}.norm{tag}", dtype=dtype),
+    ]
+
+
+def conv_norm_relu(cin, cout, kernel, stride, padding, name, seed, dtype) -> nn.Sequential:
     """conv -> norm -> relu, the workhorse unit of both halves."""
-
-    def __init__(self, cin, cout, kernel, stride, padding, name, seed, dtype):
-        self.conv = nn.Conv3d(
-            cin, cout, kernel, stride=stride, padding=padding,
-            name=f"{name}.conv", seed=seed, dtype=dtype,
-        )
-        self.norm = nn.BatchNorm3d(cout, name=f"{name}.norm", dtype=dtype)
-        self.relu = nn.ReLU()
-
-    def forward(self, x, remember=True):
-        return self.relu.forward(
-            self.norm.forward(self.conv.forward(x, remember), remember), remember
-        )
-
-    def backward(self, g):
-        return self.conv.backward(self.norm.backward(self.relu.backward(g)))
+    layers = conv_norm(cin, cout, kernel, stride, padding, name, seed, dtype)
+    return nn.Sequential(*layers, nn.ReLU())
 
 
 class Bottleneck(nn.Module):
@@ -182,118 +198,69 @@ class Bottleneck(nn.Module):
 
     def __init__(self, cin, width, stride, name, seed, dtype):
         cout = width * EXPANSION
-        self.conv1 = nn.Conv3d(cin, width, 1, name=f"{name}.conv1", seed=seed, dtype=dtype)
-        self.norm1 = nn.BatchNorm3d(width, name=f"{name}.norm1", dtype=dtype)
-        self.relu1 = nn.ReLU()
-        self.conv2 = nn.Conv3d(
-            width, width, 3, stride=stride, padding=1,
-            name=f"{name}.conv2", seed=seed, dtype=dtype,
+        self.main = nn.Sequential(
+            *conv_norm(cin, width, 1, 1, 0, name, seed, dtype, tag="1"), nn.ReLU(),
+            *conv_norm(width, width, 3, stride, 1, name, seed, dtype, tag="2"), nn.ReLU(),
+            *conv_norm(width, cout, 1, 1, 0, name, seed, dtype, tag="3"),
         )
-        self.norm2 = nn.BatchNorm3d(width, name=f"{name}.norm2", dtype=dtype)
-        self.relu2 = nn.ReLU()
-        self.conv3 = nn.Conv3d(width, cout, 1, name=f"{name}.conv3", seed=seed, dtype=dtype)
-        self.norm3 = nn.BatchNorm3d(cout, name=f"{name}.norm3", dtype=dtype)
-        self.relu3 = nn.ReLU()
-        if cin != cout or tuple(stride) != (1, 1, 1):
-            self.proj_conv = nn.Conv3d(
-                cin, cout, 1, stride=stride, name=f"{name}.proj.conv", seed=seed, dtype=dtype
-            )
-            self.proj_norm = nn.BatchNorm3d(cout, name=f"{name}.proj.norm", dtype=dtype)
-        else:
-            self.proj_conv = None
-            self.proj_norm = None
-        self.out_channels = cout
+        project = cin != cout or tuple(stride) != (1, 1, 1)
+        self.shortcut = nn.Sequential(
+            *(conv_norm(cin, cout, 1, stride, 0, f"{name}.proj", seed, dtype) if project else [])
+        )
+        self.relu = nn.ReLU()
 
     def forward(self, x, remember=True):
-        h = self.relu1.forward(self.norm1.forward(self.conv1.forward(x, remember), remember), remember)
-        h = self.relu2.forward(self.norm2.forward(self.conv2.forward(h, remember), remember), remember)
-        h = self.norm3.forward(self.conv3.forward(h, remember), remember)
-        if self.proj_conv is not None:
-            shortcut = self.proj_norm.forward(self.proj_conv.forward(x, remember), remember)
-        else:
-            shortcut = x
-        return self.relu3.forward(h + shortcut, remember)
+        h = self.main.forward(x, remember)
+        return self.relu.forward(h + self.shortcut.forward(x, remember), remember)
 
     def backward(self, g):
-        g = self.relu3.backward(g)
-        gm = self.conv3.backward(self.norm3.backward(g))
-        gm = self.conv2.backward(self.norm2.backward(self.relu2.backward(gm)))
-        gm = self.conv1.backward(self.norm1.backward(self.relu1.backward(gm)))
-        if self.proj_conv is not None:
-            gs = self.proj_conv.backward(self.proj_norm.backward(g))
-        else:
-            gs = g
-        return gm + gs
+        g = self.relu.backward(g)
+        return self.main.backward(g) + self.shortcut.backward(g)
 
 
-class Encoder(nn.Module):
-    def __init__(self, cfg: EncoderConfig, seed: int, dtype):
-        self.cfg = cfg
-        self.stem = ConvNormRelu(
-            cfg.in_channels, cfg.stem.channels, cfg.stem.kernel, cfg.stem.stride,
-            tuple(k // 2 for k in cfg.stem.kernel), "encoder.stem", seed, dtype,
-        )
-        self.pool = nn.MaxPool3d(3, stride=2, padding=1) if cfg.stem.pool else None
-        self.blocks: list[Bottleneck] = []
-        cin = cfg.stem.channels
-        for si, stage in enumerate(cfg.stages):
-            for bi in range(stage.blocks):
-                stride = stage.stride if bi == 0 else (1, 1, 1)
-                block = Bottleneck(
-                    cin, stage.channels, stride, f"encoder.stage{si}.block{bi}", seed, dtype,
-                )
-                self.blocks.append(block)
-                cin = block.out_channels
-        self.resize = nn.AdaptiveResize3d(cfg.hidden_spatial)
-        self.out_channels = cin
-
-    def forward(self, x, remember=True):
-        h = self.stem.forward(x, remember)
-        if self.pool is not None:
-            h = self.pool.forward(h, remember)
-        for block in self.blocks:
-            h = block.forward(h, remember)
-        return self.resize.forward(h, remember)
-
-    def backward(self, g):
-        g = self.resize.backward(g)
-        for block in reversed(self.blocks):
-            g = block.backward(g)
-        if self.pool is not None:
-            g = self.pool.backward(g)
-        return self.stem.backward(g)
+def build_encoder(cfg: EncoderConfig, seed: int, dtype) -> nn.Sequential:
+    """Stem, optional max pool, the bottleneck stages, then the resize."""
+    layers = [conv_norm_relu(
+        cfg.in_channels, cfg.stem.channels, cfg.stem.kernel, cfg.stem.stride,
+        tuple(k // 2 for k in cfg.stem.kernel), "encoder.stem", seed, dtype,
+    )]
+    if cfg.stem.pool:
+        layers.append(nn.MaxPool3d(3, stride=2, padding=1))
+    cin = cfg.stem.channels
+    for si, stage in enumerate(cfg.stages):
+        for bi in range(stage.blocks):
+            stride = stage.stride if bi == 0 else (1, 1, 1)
+            layers.append(Bottleneck(
+                cin, stage.channels, stride, f"encoder.stage{si}.block{bi}", seed, dtype,
+            ))
+            cin = stage.channels * EXPANSION
+    layers.append(nn.AdaptiveResize3d(cfg.hidden_spatial))
+    return nn.Sequential(*layers)
 
 
 class UpBlock(nn.Module):
     """deconv up, norm+relu, concat the saved skip, fuse back down."""
 
     def __init__(self, cin, cout, name, seed, dtype):
-        self.deconv = nn.Deconv3d(
-            cin, cout, 2, stride=2, name=f"{name}.deconv", seed=seed, dtype=dtype
+        self.up = nn.Sequential(
+            nn.Deconv3d(cin, cout, 2, stride=2, name=f"{name}.deconv", seed=seed, dtype=dtype),
+            nn.BatchNorm3d(cout, name=f"{name}.norm", dtype=dtype),
+            nn.ReLU(),
         )
-        self.norm = nn.BatchNorm3d(cout, name=f"{name}.norm", dtype=dtype)
-        self.relu = nn.ReLU()
-        self.fuse = ConvNormRelu(
-            2 * cout, cout, 3, 1, 1, f"{name}.fuse", seed, dtype
-        )
+        self.fuse = conv_norm_relu(2 * cout, cout, 3, 1, 1, f"{name}.fuse", seed, dtype)
         self.cout = cout
 
     def forward(self, x, skip, remember=True):
-        up = self.relu.forward(
-            self.norm.forward(self.deconv.forward(x, remember), remember), remember
-        )
+        up = self.up.forward(x, remember)
         return self.fuse.forward(nn.concat_channels([up, skip]), remember)
 
     def backward(self, g):
-        g = self.fuse.backward(g)
-        g_up, g_skip = nn.split_channels(g, [self.cout, self.cout])
-        g_x = self.deconv.backward(self.norm.backward(self.relu.backward(g_up)))
-        return g_x, g_skip
+        g_up, g_skip = nn.split_channels(self.fuse.backward(g), [self.cout, self.cout])
+        return self.up.backward(g_up), g_skip
 
 
 class Decoder(nn.Module):
     def __init__(self, cfg: DecoderConfig, in_channels: int, hidden_spatial, seed: int, dtype):
-        self.cfg = cfg
         ch = cfg.channels
         factor = 2 ** (cfg.levels - 1)
         if any(d % factor for d in hidden_spatial):
@@ -301,11 +268,9 @@ class Decoder(nn.Module):
                 f"hidden volume {hidden_spatial} is not divisible by 2^{cfg.levels - 1}; "
                 f"the up path could not restore it"
             )
-        self.entry = ConvNormRelu(
-            in_channels, ch[0], 1, 1, 0, "decoder.entry", seed, dtype
-        )
+        self.entry = conv_norm_relu(in_channels, ch[0], 1, 1, 0, "decoder.entry", seed, dtype)
         self.downs = [
-            ConvNormRelu(ch[i - 1], ch[i], 3, 2, 1, f"decoder.down{i}", seed, dtype)
+            conv_norm_relu(ch[i - 1], ch[i], 3, 2, 1, f"decoder.down{i}", seed, dtype)
             for i in range(1, cfg.levels)
         ]
         self.ups = [
@@ -326,21 +291,20 @@ class Decoder(nn.Module):
 
     def backward(self, g):
         g = self.head.backward(self.sigmoid.backward(g))
-        # ups[j] consumed feats[levels-2-j] as its skip, and each feats[i]
-        # with i < levels-1 feeds both the next down and one up block, so
-        # its gradient has two contributions.
-        skip_grads = {}
-        for j in range(len(self.ups) - 1, -1, -1):
-            g, g_skip = self.ups[j].backward(g)
-            skip_grads[self.cfg.levels - 2 - j] = g_skip
-        for i in range(self.cfg.levels - 1, 0, -1):
-            g = self.downs[i - 1].backward(g)
-            g = g + skip_grads[i - 1]
+        # ups[j] took feats[levels-2-j] as its skip, so walking the ups
+        # backward yields skip gradients shallowest first; each down's input
+        # also fed one up block, so its gradient gains that skip gradient
+        skip_grads = []
+        for up in reversed(self.ups):
+            g, g_skip = up.backward(g)
+            skip_grads.append(g_skip)
+        for down, g_skip in zip(reversed(self.downs), reversed(skip_grads)):
+            g = down.backward(g) + g_skip
         return self.entry.backward(g)
 
 
 class E2VModel(nn.Module):
-    """The full reconstruction network with hand-threaded backward.
+    """The full reconstruction network: encoder chain, then UNet decoder.
 
     forward() takes a batch of event-frame stacks shaped (N, 1, D, H, W)
     and returns per-cell occupancy probabilities shaped (N, R, R, R).
@@ -353,8 +317,8 @@ class E2VModel(nn.Module):
         self.dec_cfg = dec_cfg
         self.seed = seed
         self.dtype = np.dtype(dtype)
-        self.encoder = Encoder(enc_cfg, seed, dtype)
-        self.decoder = Decoder(dec_cfg, self.encoder.out_channels, enc_cfg.hidden_spatial, seed, dtype)
+        self.encoder = build_encoder(enc_cfg, seed, dtype)
+        self.decoder = Decoder(dec_cfg, enc_cfg.out_channels, enc_cfg.hidden_spatial, seed, dtype)
         names = [p.name for p in self.parameters()] + [n for n, _ in self.buffers()]
         dupes = {n for n in names if names.count(n) > 1}
         if dupes:

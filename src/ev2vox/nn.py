@@ -2,8 +2,10 @@
 
 Tensors are plain numpy arrays shaped (N, C, D, H, W), float32 by default
 with a float64 mode for gradient verification. There is no autodiff tape:
-each layer caches what its own backward needs during forward, and model
-code threads gradients through layers by hand in reverse order.
+each layer caches what its own backward needs during forward, and a
+``Sequential`` chain runs its layers' backwards in reverse order, so a
+block writes out only what a chain cannot express (a residual add, a
+concatenation).
 
 The convolution engine works channels-first: per sample and depth chunk,
 the kernel reshaped to (cout, cin*kd*kh*kw) multiplies a patch matrix with
@@ -40,6 +42,10 @@ from .rng import ParameterRng
 # Byte budget of one materialized patch matrix; convs chunk over output
 # depth to meet it, down to one depth plane per chunk.
 MAX_PATCH_BYTES = 256 * 2**20
+
+# BatchNorm3d's variance floor and running-statistics momentum
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
 
 
 def as_triple(v) -> tuple[int, int, int]:
@@ -117,6 +123,23 @@ class Module:
 
     def eval(self):
         return self.train(False)
+
+
+class Sequential(Module):
+    """Layers run in order forward and in reverse backward; empty is the identity."""
+
+    def __init__(self, *layers: Module):
+        self.layers = list(layers)
+
+    def forward(self, x: np.ndarray, remember: bool = True) -> np.ndarray:
+        for layer in self.layers:
+            x = layer.forward(x, remember)
+        return x
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        for layer in reversed(self.layers):
+            grad_out = layer.backward(grad_out)
+        return grad_out
 
 
 @dataclass
@@ -273,7 +296,14 @@ def conv3d_core_weight_grad(x, grad_out, stride, padding, kernel):
 
 
 class Conv3d(Module):
-    """3D cross-correlation with optional bias."""
+    """3D cross-correlation with bias.
+
+    ``kind`` names the ``LayerSpec`` kind and fixes the weight layout:
+    (out_channels, in_channels, kd, kh, kw) here, channel axes swapped for
+    ``Deconv3d``. Each class keeps its own ``forward``/``backward``.
+    """
+
+    kind = "conv3d"
 
     def __init__(
         self,
@@ -282,58 +312,58 @@ class Conv3d(Module):
         kernel,
         stride=1,
         padding=0,
-        bias: bool = True,
         name: str = "conv",
         seed: int = 0,
         dtype=np.float32,
     ):
         kernel = as_triple(kernel)
         self.spec = LayerSpec(
-            "conv3d", kernel, as_triple(stride), as_triple(padding),
+            self.kind, kernel, as_triple(stride), as_triple(padding),
             in_channels, out_channels,
         )
         fan_in = in_channels * kernel[0] * kernel[1] * kernel[2]
         bound = np.sqrt(6.0 / fan_in)
         rng = ParameterRng(seed, f"{name}.weight")
         w = rng.uniform(out_channels * fan_in, -bound, bound).astype(dtype)
-        self.weight = Parameter(
-            w.reshape(out_channels, in_channels, *kernel), f"{name}.weight"
-        )
-        self.bias = (
-            Parameter(np.zeros(out_channels, dtype=dtype), f"{name}.bias", decay=False)
-            if bias
-            else None
-        )
+        channels = (in_channels, out_channels)
+        if self.kind == "conv3d":
+            channels = channels[::-1]
+        self.weight = Parameter(w.reshape(*channels, *kernel), f"{name}.weight")
+        self.bias = Parameter(np.zeros(out_channels, dtype=dtype), f"{name}.bias", decay=False)
         self._x = None
 
-    def forward(self, x: np.ndarray, remember: bool = True) -> np.ndarray:
-        _require_rank5(x, "conv3d")
+    def _cache_input(self, x: np.ndarray, remember: bool) -> None:
+        _require_rank5(x, self.kind)
         if x.shape[1] != self.spec.in_channels:
             raise ShapeMismatch(
-                f"conv3d expects {self.spec.in_channels} channels, got {x.shape[1]}"
+                f"{self.kind} expects {self.spec.in_channels} channels, got {x.shape[1]}"
             )
         self._x = x if remember else None
+
+    def _cached_input(self) -> np.ndarray:
+        if self._x is None:
+            raise ShapeMismatch(f"{self.kind} backward called without a cached forward")
+        return self._x
+
+    def forward(self, x: np.ndarray, remember: bool = True) -> np.ndarray:
+        self._cache_input(x, remember)
         y = conv3d_core_forward(x, self.weight.value, self.spec.stride, self.spec.padding)
-        if self.bias is not None:
-            y += self.bias.value[None, :, None, None, None]
+        y += self.bias.value[None, :, None, None, None]
         return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x is None:
-            raise ShapeMismatch("conv3d backward called without a cached forward")
-        x = self._x
+        x = self._cached_input()
         self.weight.grad += conv3d_core_weight_grad(
             x, grad_out, self.spec.stride, self.spec.padding, self.spec.kernel
         )
-        if self.bias is not None:
-            self.bias.grad += grad_out.sum(axis=(0, 2, 3, 4))
+        self.bias.grad += grad_out.sum(axis=(0, 2, 3, 4))
         return conv3d_core_input_grad(
             grad_out, self.weight.value, self.spec.stride, self.spec.padding,
             x.shape[2:],
         )
 
 
-class Deconv3d(Module):
+class Deconv3d(Conv3d):
     """Transposed 3D convolution (the adjoint of Conv3d's forward).
 
     Weight layout is (in_channels, out_channels, kd, kh, kw), which is
@@ -342,65 +372,23 @@ class Deconv3d(Module):
     forward exchanged.
     """
 
-    def __init__(
-        self,
-        in_channels: int,
-        out_channels: int,
-        kernel,
-        stride=1,
-        padding=0,
-        bias: bool = True,
-        name: str = "deconv",
-        seed: int = 0,
-        dtype=np.float32,
-    ):
-        kernel = as_triple(kernel)
-        self.spec = LayerSpec(
-            "deconv3d", kernel, as_triple(stride), as_triple(padding),
-            in_channels, out_channels,
-        )
-        fan_in = in_channels * kernel[0] * kernel[1] * kernel[2]
-        bound = np.sqrt(6.0 / fan_in)
-        rng = ParameterRng(seed, f"{name}.weight")
-        w = rng.uniform(
-            in_channels * out_channels * kernel[0] * kernel[1] * kernel[2],
-            -bound,
-            bound,
-        ).astype(dtype)
-        self.weight = Parameter(
-            w.reshape(in_channels, out_channels, *kernel), f"{name}.weight"
-        )
-        self.bias = (
-            Parameter(np.zeros(out_channels, dtype=dtype), f"{name}.bias", decay=False)
-            if bias
-            else None
-        )
-        self._x = None
+    kind = "deconv3d"
 
     def forward(self, x: np.ndarray, remember: bool = True) -> np.ndarray:
-        _require_rank5(x, "deconv3d")
-        if x.shape[1] != self.spec.in_channels:
-            raise ShapeMismatch(
-                f"deconv3d expects {self.spec.in_channels} channels, got {x.shape[1]}"
-            )
-        self._x = x if remember else None
+        self._cache_input(x, remember)
         out_dims = self.spec.out_dims(x.shape[2:])
         y = conv3d_core_input_grad(
             x, self.weight.value, self.spec.stride, self.spec.padding, out_dims
         )
-        if self.bias is not None:
-            y += self.bias.value[None, :, None, None, None]
+        y += self.bias.value[None, :, None, None, None]
         return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x is None:
-            raise ShapeMismatch("deconv3d backward called without a cached forward")
-        x = self._x
+        x = self._cached_input()
         self.weight.grad += conv3d_core_weight_grad(
             grad_out, x, self.spec.stride, self.spec.padding, self.spec.kernel
         )
-        if self.bias is not None:
-            self.bias.grad += grad_out.sum(axis=(0, 2, 3, 4))
+        self.bias.grad += grad_out.sum(axis=(0, 2, 3, 4))
         return conv3d_core_forward(
             grad_out, self.weight.value, self.spec.stride, self.spec.padding
         )
@@ -410,22 +398,14 @@ class BatchNorm3d(Module):
     """Per-channel standardization over (N, D, H, W) with affine output.
 
     Train mode uses batch statistics and updates running averages with
-    momentum 0.1; eval mode applies the stored running statistics.
+    momentum ``BN_MOMENTUM``; eval mode applies the stored running
+    statistics.
     """
 
     buffer_names = ("running_mean", "running_var")
 
-    def __init__(
-        self,
-        channels: int,
-        eps: float = 1e-5,
-        momentum: float = 0.1,
-        name: str = "norm",
-        dtype=np.float32,
-    ):
+    def __init__(self, channels: int, name: str = "norm", dtype=np.float32):
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
         self.gain = Parameter(np.ones(channels, dtype=dtype), f"{name}.gain", decay=False)
         self.shift = Parameter(np.zeros(channels, dtype=dtype), f"{name}.shift", decay=False)
         self.running_mean = np.zeros(channels, dtype=np.float32)
@@ -447,17 +427,17 @@ class BatchNorm3d(Module):
             var = x.var(axis=axes, mean=mean)
             mean = mean.reshape(-1)
             self.running_mean = (
-                (1.0 - self.momentum) * self.running_mean
-                + self.momentum * mean.astype(np.float64)
+                (1.0 - BN_MOMENTUM) * self.running_mean
+                + BN_MOMENTUM * mean.astype(np.float64)
             ).astype(np.float32)
             self.running_var = (
-                (1.0 - self.momentum) * self.running_var
-                + self.momentum * var.astype(np.float64)
+                (1.0 - BN_MOMENTUM) * self.running_var
+                + BN_MOMENTUM * var.astype(np.float64)
             ).astype(np.float32)
         else:
             mean = self.running_mean.astype(x.dtype)
             var = self.running_var.astype(x.dtype)
-        ivar = 1.0 / np.sqrt(var + self.eps)
+        ivar = 1.0 / np.sqrt(var + BN_EPS)
         xhat = x - mean[None, :, None, None, None]
         xhat *= ivar[None, :, None, None, None]
         gain = self.gain.value[None, :, None, None, None]

@@ -33,6 +33,8 @@ from .events import EventStream, from_arrays
 
 DEFAULT_CONTRAST = 0.2
 LOG_EPS = 1e-3
+# triangles tested against every ray at once by the mesh raycaster
+TRIANGLE_CHUNK = 512
 
 # direction (unit), weight -- all with zero y-component, see module docstring
 _LIGHTS = (
@@ -169,7 +171,7 @@ def _sphere_hits(o, d, center, radius):
     return t
 
 
-def _triangle_hits(o, d, vertices, triangles, chunk=512):
+def _triangle_hits(o, d, vertices, triangles):
     """Nearest triangle intersection per ray (Moller-Trumbore), plus the
     index of the winning triangle; inf / -1 where missed."""
     n = d.shape[0]
@@ -177,8 +179,8 @@ def _triangle_hits(o, d, vertices, triangles, chunk=512):
     best_tri = np.full(n, -1, dtype=np.int64)
     eps = 1e-12
     rows = np.arange(n)
-    for lo in range(0, len(triangles), chunk):
-        tri = triangles[lo:lo + chunk]
+    for lo in range(0, len(triangles), TRIANGLE_CHUNK):
+        tri = triangles[lo:lo + TRIANGLE_CHUNK]
         a = vertices[tri[:, 0]]
         e1 = vertices[tri[:, 1]] - a
         e2 = vertices[tri[:, 2]] - a
@@ -257,7 +259,7 @@ def _cylinder_hits(o, d, cyl: Cylinder):
     return t, normal_kind
 
 
-def render_frame(scene: Scene, pose: Pose, cam: CameraIntrinsics, lights=_LIGHTS) -> np.ndarray:
+def render_frame(scene: Scene, pose: Pose, cam: CameraIntrinsics) -> np.ndarray:
     """Raycast one frame: nearest-hit Lambertian shading, white background.
 
     Returns an (H, W) float64 image in [0, 1]; row 0 is the top of the
@@ -337,7 +339,7 @@ def render_frame(scene: Scene, pose: Pose, cam: CameraIntrinsics, lights=_LIGHTS
     if np.any(hit):
         shade = np.zeros(hit.sum())
         n = best_normal[hit]
-        for direction, weight in lights:
+        for direction, weight in _LIGHTS:
             shade += weight * np.maximum(0.0, n @ np.asarray(direction))
         img[hit] = np.clip(best_albedo[hit] * shade, 0.0, 1.0)
     return img.reshape(h, w)
@@ -347,7 +349,6 @@ def video_to_events(
     frames: np.ndarray,
     fps: float,
     contrast: float = DEFAULT_CONTRAST,
-    eps_log: float = LOG_EPS,
 ) -> EventStream:
     """Contrast-threshold event synthesis from an intensity video.
 
@@ -369,7 +370,7 @@ def video_to_events(
     duration = n / fps
     dt = 1.0 / fps
 
-    log_frames = np.log(frames + eps_log)
+    log_frames = np.log(frames + LOG_EPS)
     ref = log_frames[0].reshape(-1).copy()
     npix = h * w
     pix = np.arange(npix)

@@ -26,6 +26,9 @@ from .errors import (
 )
 from .model import E2VModel, bce_loss, frames_to_input, model_config_dict
 
+# samples per inference batch in evaluate()
+EVAL_BATCH = 5
+
 
 @dataclass(frozen=True)
 class AdamWConfig:
@@ -312,7 +315,6 @@ def evaluate(
     dataset,
     threshold: float = 0.3,
     distance: float = 0.20,
-    batch_size: int = 5,
 ) -> EvalReport:
     """Score (frames, occupancy, category) samples with the model in
     inference mode; means are reported per category plus a sample-weighted
@@ -321,8 +323,8 @@ def evaluate(
     model.eval()
     cats = [s[2] if len(s) > 2 else "all" for s in dataset]
     per_sample = []
-    for lo in range(0, len(dataset), batch_size):
-        chunk = dataset[lo:lo + batch_size]
+    for lo in range(0, len(dataset), EVAL_BATCH):
+        chunk = dataset[lo:lo + EVAL_BATCH]
         x = frames_to_input(
             [np.asarray(getattr(s[0], "frames", s[0])) for s in chunk], dtype=model.dtype
         )

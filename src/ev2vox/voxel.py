@@ -32,6 +32,8 @@ from .errors import (
 )
 
 VOX1_MAGIC = b"E2VVOX1\x00"
+# voxelize's fine-lattice subdivisions per output cell; must be odd
+SUPERSAMPLE = 5
 
 
 @dataclass
@@ -214,7 +216,6 @@ def voxelize(
     mesh: TriMesh,
     resolution: int,
     fill_interior: bool = True,
-    supersample: int = 5,
 ) -> VoxelGrid:
     """Convert a normalized mesh into a binary occupancy grid.
 
@@ -222,7 +223,7 @@ def voxelize(
     (at least 4 samples per cell diagonal). With ``fill_interior`` the
     exterior is flood filled from the grid boundary and the complement is
     kept. Marking, filling, and complementing happen on a finer lattice
-    (``supersample`` subdivisions per cell, odd so cell centers are fine
+    (``SUPERSAMPLE`` subdivisions per cell, odd so cell centers are fine
     cell centers) and each output cell takes the value of the fine cell
     containing its center; working at the output resolution directly would
     count every surface-touching cell as occupied and inflate thin or
@@ -239,12 +240,9 @@ def voxelize(
     if not fill_interior:
         return VoxelGrid(resolution, _surface_cells(mesh, resolution))
 
-    if supersample < 1 or supersample % 2 == 0:
-        raise ResolutionZero(f"supersample must be a positive odd integer, got {supersample}")
-    fine_r = resolution * supersample
-    fine = _fill_exterior(_surface_cells(mesh, fine_r))
-    half = supersample // 2
-    coarse = fine[half::supersample, half::supersample, half::supersample]
+    fine = _fill_exterior(_surface_cells(mesh, resolution * SUPERSAMPLE))
+    half = SUPERSAMPLE // 2
+    coarse = fine[half::SUPERSAMPLE, half::SUPERSAMPLE, half::SUPERSAMPLE]
     return VoxelGrid(resolution, coarse.copy())
 
 

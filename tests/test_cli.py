@@ -173,6 +173,31 @@ class TestConfig:
         cfg = write_config(tmp_path / "c.json", {"metrics": {"threshold": "high"}})
         assert cli.main(["generate", "--toy", "--config", cfg, "--out", str(tmp_path / "d")]) == 2
 
+    @pytest.mark.parametrize("override,key", [
+        ({"model": {"encoder": {"stem": {"pool": "false"}}}}, "encoder.stem.pool"),
+        ({"model": {"encoder": {"stem": {"channels": 8.0}}}}, "encoder.stem.channels"),
+        ({"model": {"decoder": {"channels": [16, 32.5]}}}, "decoder.channels"),
+        ({"model": {"seed": True}}, "model.seed"),
+        ({"generate": {"count": 2.5}}, "generate.count"),
+        ({"generate": {"ratios": [8, 1, 1.0]}}, "generate.ratios"),
+        ({"trainer": {"run": {"epochs": 2.5}}}, "trainer.run.epochs"),
+        ({"binning": {"target_height": 32.0}}, "binning.target_height"),
+    ])
+    def test_wrong_value_type_exits_2(self, tmp_path, capsys, override, key):
+        cfg = write_config(tmp_path / "c.json", override)
+        out = tmp_path / "d"
+        assert cli.main(["generate", "--toy", "--config", cfg, "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_float_epochs_train_exits_2(self, pipeline, tmp_path):
+        cfg = write_config(tmp_path / "c.json", {"trainer": {"run": {"epochs": 2.5}}})
+        code = cli.main(
+            ["train", "--toy", "--config", cfg, "--manifest", str(pipeline["manifest"]),
+             "--out", str(tmp_path / "run")]
+        )
+        assert code == 2
+
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
         out = tmp_path / "d"
         assert cli.main(["generate", "--toy", "--seed", "-1", "--out", str(out)]) == 2
@@ -230,6 +255,19 @@ class TestPreprocess:
         assert cli.main(args + ["--threads", "0"]) == 2
         monkeypatch.setenv("E2V_THREADS", "two")
         assert cli.main(args) == 2
+
+
+# a truncated sidecar, one without a model, and bytes that are not text
+DAMAGED_SIDECARS = [b'{"config": {"encoder": {"st', b"{}", b"[]", b'{"config": 3}', b"\xff\xfe"]
+
+
+def damaged_run(pipeline, tmp_path, sidecar: bytes) -> Path:
+    """A run directory holding the pipeline's checkpoint beside ``sidecar``."""
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "model.ckpt").write_bytes((pipeline["run"] / "model.ckpt").read_bytes())
+    (run / "model.ckpt.json").write_bytes(sidecar)
+    return run
 
 
 class TestTrainEval:
@@ -309,6 +347,16 @@ class TestTrainEval:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("sidecar", DAMAGED_SIDECARS)
+    def test_eval_damaged_sidecar_exits_3(self, pipeline, tmp_path, capsys, sidecar):
+        run = damaged_run(pipeline, tmp_path, sidecar)
+        code = cli.main(
+            ["eval", "--toy", "--config", pipeline["cfg"],
+             "--manifest", str(pipeline["manifest"]), "--out", str(run)]
+        )
+        assert code == 3
+        assert "model.ckpt" in capsys.readouterr().err
+
     def test_eval_without_checkpoint_exits_3(self, pipeline, tmp_path):
         code = cli.main(
             ["eval", "--toy", "--config", pipeline["cfg"],
@@ -360,6 +408,19 @@ class TestExport:
         assert code == 0
         mesh = parse_obj(out.read_text())
         assert len(mesh.vertices) % 8 == 0 and len(mesh.vertices) > 0
+
+    @pytest.mark.parametrize("sidecar", DAMAGED_SIDECARS)
+    def test_export_damaged_sidecar_exits_3(self, pipeline, tmp_path, capsys, sidecar):
+        run = damaged_run(pipeline, tmp_path, sidecar)
+        out = tmp_path / "pred.obj"
+        code = cli.main(
+            ["export", str(run / "model.ckpt"), "s0000",
+             "--toy", "--config", pipeline["cfg"],
+             "--manifest", str(pipeline["manifest"]), "--out", str(out)]
+        )
+        assert code == 3
+        assert "model.ckpt" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_sample_id_exits_3(self, pipeline, tmp_path):
         code = cli.main(

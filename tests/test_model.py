@@ -315,11 +315,13 @@ class TestState:
     def test_train_eval_reach_every_batchnorm(self):
         from ev2vox import nn
         m = M.build_model(M.EncoderConfig.toy(), M.DecoderConfig.toy(), seed=0)
-        enc, dec = m.encoder, m.decoder
+        stem, *blocks, _ = m.encoder.layers
+        dec = m.decoder
         norms = (
-            [enc.stem.norm]
-            + [getattr(b, a) for b in enc.blocks for a in ("norm1", "norm2", "norm3", "proj_norm")]
-            + [dec.entry.norm, dec.downs[0].norm, dec.ups[0].norm, dec.ups[0].fuse.norm]
+            [stem.layers[1]]
+            + [n for b in blocks for n in (*b.main.layers[1::3], b.shortcut.layers[1])]
+            + [dec.entry.layers[1], dec.downs[0].layers[1], dec.ups[0].up.layers[1],
+               dec.ups[0].fuse.layers[1]]
         )
         walked = [mod for mod in m.modules() if isinstance(mod, nn.BatchNorm3d)]
         assert walked == norms

@@ -414,8 +414,10 @@ class TestDeconv3d:
 
     def test_adjoint_identity_with_conv(self):
         rng = np.random.default_rng(3)
-        conv = nn.Conv3d(2, 3, 2, stride=2, name="c", seed=1, dtype=np.float64, bias=False)
-        dc = nn.Deconv3d(3, 2, 2, stride=2, name="d", seed=2, dtype=np.float64, bias=False)
+        conv = nn.Conv3d(2, 3, 2, stride=2, name="c", seed=1, dtype=np.float64)
+        dc = nn.Deconv3d(3, 2, 2, stride=2, name="d", seed=2, dtype=np.float64)
+        conv.bias.value[...] = 0.0
+        dc.bias.value[...] = 0.0
         dc.weight.value = conv.weight.value  # shared kernel, layouts coincide
         x = rng.normal(size=(2, 2, 4, 4, 4))
         y = rng.normal(size=(2, 3, 2, 2, 2))
@@ -426,7 +428,8 @@ class TestDeconv3d:
     def test_deconv_forward_equals_conv_input_grad(self):
         rng = np.random.default_rng(4)
         dc = nn.Deconv3d(3, 2, (3, 2, 2), stride=(1, 2, 2), padding=(1, 0, 0),
-                         name="d", seed=5, dtype=np.float64, bias=False)
+                         name="d", seed=5, dtype=np.float64)
+        dc.bias.value[...] = 0.0
         g = rng.normal(size=(1, 3, 4, 3, 3))
         out_dims = dc.spec.out_dims((4, 3, 3))
         want = nn.conv3d_core_input_grad(
@@ -438,7 +441,8 @@ class TestDeconv3d:
     def test_unit_stride_matches_reference(self, kernel, padding):
         rng = np.random.default_rng(12)
         dc = nn.Deconv3d(3, 2, kernel, stride=1, padding=padding,
-                         name="d", seed=5, dtype=np.float64, bias=False)
+                         name="d", seed=5, dtype=np.float64)
+        dc.bias.value[...] = 0.0
         x = rng.normal(size=(2, 3, 4, 5, 6))
         want = ref_conv_input_grad(x, dc.weight.value, (1, 1, 1), (padding,) * 3,
                                    dc.spec.out_dims(x.shape[2:]))
@@ -715,6 +719,49 @@ class TestAdaptiveResize:
         gx = layer.backward(g)
         np.testing.assert_array_equal(gx, g)
         assert not np.shares_memory(gx, g)
+
+
+class TestSequential:
+    def test_empty_is_identity(self):
+        x = np.random.default_rng(0).normal(size=(1, 2, 3, 3, 3))
+        seq = nn.Sequential()
+        assert seq.forward(x) is x
+        assert seq.backward(x) is x
+        assert seq.parameters() == [] and seq.buffers() == []
+
+    def test_runs_layers_in_order_and_backward_in_reverse(self):
+        rng = np.random.default_rng(1)
+        conv = nn.Conv3d(2, 3, 3, padding=1, name="c", seed=2, dtype=np.float64)
+        resize = nn.AdaptiveResize3d((2, 3, 5))
+        x = rng.normal(size=(1, 2, 4, 4, 4))
+        seq = nn.Sequential(conv, resize)
+        y = seq.forward(x)
+        np.testing.assert_array_equal(y, resize.forward(conv.forward(x)))
+        g = rng.normal(size=y.shape)
+        np.testing.assert_array_equal(seq.backward(g), conv.backward(resize.backward(g)))
+
+    @pytest.mark.parametrize("seed", range(N_GRAD_SEEDS))
+    def test_gradcheck_conv_norm_relu(self, seed):
+        # eval mode: batch statistics would cancel the conv bias, whose
+        # gradient is then zero and has no relative error to measure
+        rng = np.random.default_rng(300 + seed)
+        bn = nn.BatchNorm3d(3, name="b", dtype=np.float64)
+        bn.running_mean[...] = rng.normal(size=3)
+        bn.running_var[...] = rng.uniform(0.5, 2.0, size=3)
+        seq = nn.Sequential(
+            nn.Conv3d(2, 3, 3, padding=1, name="c", seed=seed, dtype=np.float64), bn, nn.ReLU()
+        ).eval()
+        check_layer(seq, rng.normal(size=(2, 2, 3, 4, 4)), rng)
+
+    @pytest.mark.parametrize("seed", range(N_GRAD_SEEDS))
+    def test_gradcheck_norm_relu_conv_train(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        seq = nn.Sequential(
+            nn.BatchNorm3d(2, name="b", dtype=np.float64),
+            nn.ReLU(),
+            nn.Conv3d(2, 3, 3, padding=1, name="c", seed=seed, dtype=np.float64),
+        )
+        check_layer(seq, rng.normal(size=(2, 2, 3, 4, 4)), rng)
 
 
 class TestConcatSplit:
