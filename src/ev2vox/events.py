@@ -46,23 +46,12 @@ _RECORD_DTYPE = np.dtype(
 )
 
 
-@dataclass(frozen=True)
-class Event:
-    """One sensor event: pixel column x, pixel row y, time t, polarity p."""
-
-    x: int
-    y: int
-    t: float
-    p: int
-
-
 @dataclass
 class EventStream:
     """A validated, time-ordered event sequence with sensor geometry.
 
     Arrays are kept column-wise (t, x, y, p) rather than as a list of
-    records; ``events`` materializes Event objects when object access
-    is more convenient than array access.
+    records.
     """
 
     sensor_width: int
@@ -75,13 +64,6 @@ class EventStream:
 
     def __len__(self) -> int:
         return self.t.shape[0]
-
-    @property
-    def events(self) -> list[Event]:
-        return [
-            Event(int(xi), int(yi), float(ti), int(pi))
-            for ti, xi, yi, pi in zip(self.t, self.x, self.y, self.p)
-        ]
 
 
 @dataclass(frozen=True)
@@ -198,7 +180,7 @@ def from_arrays(
 
 
 def validate_stream(raw_events, sensor_width: int, sensor_height: int, duration: float) -> EventStream:
-    """Build a validated EventStream from Event records (or (x,y,t,p) tuples).
+    """Build a validated EventStream from (x, y, t, p) records.
 
     Input order is preserved; any invariant violation raises the matching
     error with the index of the first offending record.
@@ -210,10 +192,7 @@ def validate_stream(raw_events, sensor_width: int, sensor_height: int, duration:
     y = np.empty(n, dtype=np.int64)
     p = np.empty(n, dtype=np.int64)
     for i, ev in enumerate(records):
-        if isinstance(ev, Event):
-            x[i], y[i], t[i], p[i] = ev.x, ev.y, ev.t, ev.p
-        else:
-            x[i], y[i], t[i], p[i] = ev
+        x[i], y[i], t[i], p[i] = ev
     return from_arrays(t, x, y, p, sensor_width, sensor_height, duration)
 
 

@@ -17,13 +17,14 @@ _MASK = (1 << 64) - 1
 
 
 def _finalize(z: np.ndarray) -> np.ndarray:
-    """splitmix64 output function on a uint64 array."""
+    """splitmix64 output function, applied in place to a uint64 array."""
+    tmp = np.empty_like(z)
     with np.errstate(over="ignore"):
-        z = z ^ (z >> np.uint64(30))
-        z = z * np.uint64(_MIX1)
-        z = z ^ (z >> np.uint64(27))
-        z = z * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
+        z ^= np.right_shift(z, np.uint64(30), out=tmp)
+        z *= np.uint64(_MIX1)
+        z ^= np.right_shift(z, np.uint64(27), out=tmp)
+        z *= np.uint64(_MIX2)
+        z ^= np.right_shift(z, np.uint64(31), out=tmp)
     return z
 
 
@@ -36,15 +37,16 @@ def stream_key(seed: int, name: str) -> int:
     k = (seed & _MASK) ^ 0x5851F42D4C957F2D
     for b in name.encode("utf-8"):
         k = ((k ^ b) * _GOLDEN + 0x14057B7EF767814F) & _MASK
-        k = int(_finalize(np.uint64(k) + np.uint64(0)))
+        k = int(_finalize(np.array([k], dtype=np.uint64))[0])
     return k & _MASK
 
 
 def raw_uint64(key: int, start: int, count: int) -> np.ndarray:
     """Values ``start .. start+count-1`` of the stream, as uint64."""
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    state = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        state = np.uint64(key) + idx * np.uint64(_GOLDEN)
+        state *= np.uint64(_GOLDEN)
+        state += np.uint64(key)
     return _finalize(state)
 
 
@@ -55,8 +57,12 @@ def uniform(key: int, start: int, count: int, low: float, high: float) -> np.nda
     platform with IEEE doubles.
     """
     bits = raw_uint64(key, start, count)
-    u = (bits >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-    return low + (high - low) * u
+    bits >>= np.uint64(11)
+    u = bits.astype(np.float64)
+    u *= 2.0 ** -53
+    u *= high - low
+    u += low
+    return u
 
 
 class ParameterRng:

@@ -8,6 +8,12 @@ analytic primitives (or a normalized triangle mesh) against a white
 background; the fixed directional lights all lie in the x-z plane so a
 scene mirrored in that plane photographs as the mirrored image.
 
+A mesh is raycast by screen tiles. Each triangle's projected pixel
+bounding box, grown by one pixel, bins it into TILE x TILE tiles, and each
+tile runs the Moller-Trumbore test on its own rays against its candidates
+only. The image is the one a test of every ray against every triangle
+would give, byte for byte; ``render_frame`` says why.
+
 Event synthesis follows the usual contrast-threshold model: per pixel,
 log intensity is tracked against a reference level that advances by the
 threshold C each time an event fires, with event timestamps linearly
@@ -33,8 +39,10 @@ from .events import EventStream, from_arrays
 
 DEFAULT_CONTRAST = 0.2
 LOG_EPS = 1e-3
-# triangles tested against every ray at once by the mesh raycaster
+# triangles tested against a tile's rays at once by the mesh raycaster
 TRIANGLE_CHUNK = 512
+# side in pixels of the square screen tiles the mesh raycaster bins into
+TILE = 8
 
 # direction (unit), weight -- all with zero y-component, see module docstring
 _LIGHTS = (
@@ -208,6 +216,39 @@ def _triangle_hits(o, d, vertices, triangles):
     return best_t, best_tri
 
 
+def _mesh_hits(o, d, vertices, triangles, pose: Pose, cam: CameraIntrinsics):
+    """``_triangle_hits`` over a frame's rays, run per screen tile on the
+    triangles whose grown pixel bounding box overlaps the tile (see
+    ``render_frame``). ``d`` holds the rays in row-major pixel order."""
+    h, w = cam.height, cam.width
+    rel = vertices - o
+    depth = rel @ pose.forward
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cols = (rel @ pose.right) / depth * cam.f_pix + (w / 2.0 - 0.5)
+        rows = (h / 2.0 - 0.5) - (rel @ pose.up) / depth * cam.f_pix
+    behind = (depth[triangles] <= 1e-6).any(axis=1)
+    col_lo = np.where(behind, -np.inf, cols[triangles].min(axis=1) - 1.0)
+    col_hi = np.where(behind, np.inf, cols[triangles].max(axis=1) + 1.0)
+    row_lo = np.where(behind, -np.inf, rows[triangles].min(axis=1) - 1.0)
+    row_hi = np.where(behind, np.inf, rows[triangles].max(axis=1) + 1.0)
+
+    best_t = np.full(d.shape[0], np.inf)
+    best_tri = np.full(d.shape[0], -1, dtype=np.int64)
+    for r0 in range(0, h, TILE):
+        r1 = min(r0 + TILE, h)
+        in_rows = np.flatnonzero((row_lo <= r1 - 1) & (row_hi >= r0))
+        for c0 in range(0, w, TILE):
+            c1 = min(c0 + TILE, w)
+            cand = in_rows[(col_lo[in_rows] <= c1 - 1) & (col_hi[in_rows] >= c0)]
+            if cand.size == 0:
+                continue
+            rays = (np.arange(r0, r1)[:, None] * w + np.arange(c0, c1)[None, :]).ravel()
+            t, local = _triangle_hits(o, d[rays], vertices, triangles[cand])
+            best_t[rays] = t
+            best_tri[rays] = np.where(local >= 0, cand[local], -1)
+    return best_t, best_tri
+
+
 def _box_hits(o, d, center, half):
     lo = np.asarray(center) - np.asarray(half)
     hi = np.asarray(center) + np.asarray(half)
@@ -264,6 +305,19 @@ def render_frame(scene: Scene, pose: Pose, cam: CameraIntrinsics) -> np.ndarray:
 
     Returns an (H, W) float64 image in [0, 1]; row 0 is the top of the
     image and column 0 the left edge as seen by the camera.
+
+    A mesh goes through ``_mesh_hits``: each triangle is projected through
+    the pose and intrinsics and binned into the screen tiles its pixel
+    bounding box, grown by one pixel, overlaps; a triangle with a vertex at
+    camera depth <= 1e-6 goes to every tile. Each tile then runs
+    ``_triangle_hits`` on its rays and its candidates. The image equals
+    the brute-force one (every ray against every triangle) byte for byte:
+    a ray can only hit a triangle whose projection holds its pixel center,
+    so no tile misses a hit; candidates keep ascending index order, so a
+    tie in depth still goes to the lowest triangle index; and each
+    ray-triangle pair runs the same arithmetic. The one assumption is that
+    BLAS gives the same bits for each element of ``d @ q.T`` whatever the
+    block shape, which the mesh digests in ``bench/reference.json`` check.
     """
     h, w = cam.height, cam.width
     us = (np.arange(w) + 0.5 - w / 2.0) / cam.f_pix
@@ -291,7 +345,7 @@ def render_frame(scene: Scene, pose: Pose, cam: CameraIntrinsics) -> np.ndarray:
         # wants them); the world picture is that cube centered on the origin
         verts = scene.mesh.vertices - 0.5
         tris = scene.mesh.triangles
-        t, tri_idx = _triangle_hits(o, d, verts, tris)
+        t, tri_idx = _mesh_hits(o, d, verts, tris, pose, cam)
         face_n = np.cross(
             verts[tris[:, 1]] - verts[tris[:, 0]],
             verts[tris[:, 2]] - verts[tris[:, 0]],
@@ -482,6 +536,10 @@ def generate_sample(
 
 
 def scene_to_dict(scene: Scene) -> dict:
+    """The JSON form of a primitive scene; raises InvalidSceneSpec for a
+    mesh scene, which has none."""
+    if scene.mesh is not None:
+        raise InvalidSceneSpec("a mesh scene has no JSON form")
     prims = []
     for p in scene.primitives:
         if isinstance(p, Sphere):

@@ -165,23 +165,32 @@ def _sample_triangles(vertices: np.ndarray, triangles: np.ndarray, spacing: floa
     Each triangle is sampled on a barycentric lattice fine enough that
     neighboring samples are at most ``spacing`` apart along both edge
     directions, so no cell the triangle passes through is missed at the
-    matching grid pitch.
+    matching grid pitch. Triangles that need the same number of steps
+    share one lattice, broadcast over the whole group; the points come
+    out grouped by step count, not in triangle order.
     """
-    chunks = []
     a = vertices[triangles[:, 0]]
-    b = vertices[triangles[:, 1]]
-    c = vertices[triangles[:, 2]]
-    nb = np.ceil(np.linalg.norm(b - a, axis=1) / spacing).astype(int)
-    nc = np.ceil(np.linalg.norm(c - a, axis=1) / spacing).astype(int)
+    e1 = vertices[triangles[:, 1]] - a
+    e2 = vertices[triangles[:, 2]] - a
+    nb = np.ceil(np.linalg.norm(e1, axis=1) / spacing).astype(int)
+    nc = np.ceil(np.linalg.norm(e2, axis=1) / spacing).astype(int)
     steps = np.maximum(np.maximum(nb, nc), 1)
-    for t in range(len(triangles)):
-        n = int(steps[t])
+    pts = np.empty((((steps + 1) * (steps + 2) // 2).sum(), 3))
+    pos = 0
+    for n in np.unique(steps):
+        group = np.flatnonzero(steps == n)
         i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
         keep = (i + j) <= n
-        u = (i[keep] / n)[:, None]
-        v = (j[keep] / n)[:, None]
-        chunks.append(a[t] + u * (b[t] - a[t]) + v * (c[t] - a[t]))
-    return np.concatenate(chunks, axis=0)
+        u = (i[keep] / n)[None, :, None]
+        v = (j[keep] / n)[None, :, None]
+        size = len(group) * u.shape[1]
+        out = pts[pos:pos + size].reshape(len(group), -1, 3)
+        # a + u*e1 + v*e2 with the per-triangle rounding, written in place
+        np.multiply(u, e1[group, None], out=out)
+        out += a[group, None]
+        out += v * e2[group, None]
+        pos += size
+    return pts
 
 
 def _surface_cells(mesh: TriMesh, resolution: int) -> np.ndarray:

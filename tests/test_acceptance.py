@@ -298,7 +298,8 @@ def test_criterion_5_event_synthesis(announce):
         for seed in range(5):
             vid = np.random.default_rng(seed).uniform(0.05, 1.0, size=(10, 8, 8))
             s = video_to_events(vid, fps=60.0)
-            validate_stream(list(s.events), s.sensor_width, s.sensor_height, s.duration)
+            records = list(zip(s.x, s.y, s.t, s.p))
+            validate_stream(records, s.sensor_width, s.sensor_height, s.duration)
 
     run_criterion(announce, 5, "event-synthesis properties", 30.0, body)
 

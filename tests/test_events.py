@@ -36,7 +36,7 @@ class TestValidateStream:
     def test_decreasing_timestamps_rejected(self):
         with pytest.raises(NonMonotoneTimestamp):
             ev.validate_stream(
-                [ev.Event(0, 0, 0.1, 1), ev.Event(0, 0, 0.05, 1)], 8, 8, 1.0
+                [(0, 0, 0.1, 1), (0, 0, 0.05, 1)], 8, 8, 1.0
             )
 
     def test_equal_timestamps_allowed(self):
@@ -45,21 +45,21 @@ class TestValidateStream:
 
     def test_coordinate_bounds(self):
         with pytest.raises(OutOfBoundsCoordinate):
-            ev.validate_stream([ev.Event(8, 0, 0.0, 1)], 8, 8, 1.0)
+            ev.validate_stream([(8, 0, 0.0, 1)], 8, 8, 1.0)
         with pytest.raises(OutOfBoundsCoordinate):
-            ev.validate_stream([ev.Event(0, -1, 0.0, 1)], 8, 8, 1.0)
+            ev.validate_stream([(0, -1, 0.0, 1)], 8, 8, 1.0)
 
     def test_polarity_domain(self):
         with pytest.raises(InvalidPolarity):
-            ev.validate_stream([ev.Event(0, 0, 0.0, 0)], 8, 8, 1.0)
+            ev.validate_stream([(0, 0, 0.0, 0)], 8, 8, 1.0)
         with pytest.raises(InvalidPolarity):
-            ev.validate_stream([ev.Event(0, 0, 0.0, 2)], 8, 8, 1.0)
+            ev.validate_stream([(0, 0, 0.0, 2)], 8, 8, 1.0)
 
     def test_timestamp_range(self):
         with pytest.raises(TimestampOutOfRange):
-            ev.validate_stream([ev.Event(0, 0, 1.5, 1)], 8, 8, 1.0)
+            ev.validate_stream([(0, 0, 1.5, 1)], 8, 8, 1.0)
         with pytest.raises(TimestampOutOfRange):
-            ev.validate_stream([ev.Event(0, 0, -0.1, 1)], 8, 8, 1.0)
+            ev.validate_stream([(0, 0, -0.1, 1)], 8, 8, 1.0)
 
     def test_random_uniform_times_within_duration(self):
         rng = np.random.default_rng(0)
@@ -69,14 +69,14 @@ class TestValidateStream:
         p = rng.choice([-1, 1], size=1000)
         s = ev.from_arrays(t, x, y, p, 256, 256, 0.5)
         assert len(s) == 1000
-        assert s.events[0].t == pytest.approx(t[0])
+        assert s.t[0] == pytest.approx(t[0])
 
     def test_order_preserved(self):
         s = ev.validate_stream(
-            [ev.Event(1, 2, 0.1, 1), ev.Event(3, 4, 0.1, -1)], 8, 8, 1.0
+            [(1, 2, 0.1, 1), (3, 4, 0.1, -1)], 8, 8, 1.0
         )
-        assert [e.x for e in s.events] == [1, 3]
-        assert [e.p for e in s.events] == [1, -1]
+        assert s.x.tolist() == [1, 3]
+        assert s.p.tolist() == [1, -1]
 
 
 class TestBinningConfig:
@@ -109,14 +109,14 @@ class TestUniformBinning:
             assert stack.depth == 100
 
     def test_single_event_lands_in_frame_zero(self):
-        s = ev.validate_stream([ev.Event(3, 4, 0.001, 1)], 16, 16, 0.5)
+        s = ev.validate_stream([(3, 4, 0.001, 1)], 16, 16, 0.5)
         stack = ev.bin_to_frames(s, ev.BinningConfig(window=0.005))
         assert stack.frames[0, 4, 3] == 1
         assert stack.frames.sum() == 1
 
     def test_opposite_polarities_same_cell_give_one(self):
         s = ev.validate_stream(
-            [ev.Event(2, 2, 0.001, 1), ev.Event(2, 2, 0.002, -1)], 8, 8, 0.01
+            [(2, 2, 0.001, 1), (2, 2, 0.002, -1)], 8, 8, 0.01
         )
         stack = ev.bin_to_frames(s, ev.BinningConfig(window=0.005))
         assert stack.frames[0, 2, 2] == 1
@@ -242,7 +242,7 @@ class TestDownscale:
             ev.downscale_frames(ev.FrameStack(frames, 0.1), 4)
 
     def test_binning_applies_config_target(self):
-        s = ev.validate_stream([ev.Event(7, 3, 0.01, 1)], 16, 16, 0.1)
+        s = ev.validate_stream([(7, 3, 0.01, 1)], 16, 16, 0.1)
         cfg = ev.BinningConfig(window=0.05, target_height=8, target_width=8)
         stack = ev.bin_to_frames(s, cfg)
         assert stack.frames.shape == (2, 8, 8)
@@ -276,7 +276,7 @@ class TestEvt1Format:
         assert path.stat().st_size == 32
 
     def test_record_layout(self, tmp_path):
-        s = ev.validate_stream([ev.Event(5, 6, 0.125, -1)], 16, 16, 1.0)
+        s = ev.validate_stream([(5, 6, 0.125, -1)], 16, 16, 1.0)
         path = tmp_path / "one.evt1"
         ev.write_evt1(s, path)
         blob = path.read_bytes()
@@ -305,7 +305,7 @@ class TestEvt1Format:
             ev.read_evt1(path)
 
     def test_truncated_rejected(self, tmp_path):
-        s = ev.validate_stream([ev.Event(0, 0, 0.0, 1)], 8, 8, 0.1)
+        s = ev.validate_stream([(0, 0, 0.0, 1)], 8, 8, 0.1)
         path = tmp_path / "x.evt1"
         ev.write_evt1(s, path)
         blob = path.read_bytes()

@@ -14,7 +14,7 @@ from ev2vox.errors import (
     TimeOutOfRange,
 )
 from ev2vox.events import validate_stream
-from ev2vox.voxel import uv_sphere_mesh
+from ev2vox.voxel import TriMesh, uv_sphere_mesh
 
 
 class TestTrajectoryConfig:
@@ -200,6 +200,102 @@ class TestRenderFrame:
         assert agree.mean() > 0.98
 
 
+def rotated_sphere(seed, **kwargs):
+    """``uv_sphere_mesh`` turned by a seeded uniformly random rotation."""
+    mesh = uv_sphere_mesh(**kwargs)
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    q = q * np.sign(np.diag(r))
+    return TriMesh((mesh.vertices - 0.5) @ q.T + 0.5, mesh.triangles)
+
+
+def brute_force_hits(o, d, vertices, triangles, pose, cam):
+    """Every ray against every triangle: the oracle for the tiled raycaster."""
+    return sim._triangle_hits(o, d, vertices, triangles)
+
+
+def render_against_brute_force(monkeypatch, scene, pose, cam):
+    """Render tiled and brute force; assert equal images and equal winning
+    triangle per ray, and return the winners."""
+    tiled = sim._mesh_hits
+    calls = []
+
+    def spy(*args):
+        got = tiled(*args)
+        calls.append((got, brute_force_hits(*args)))
+        return got
+
+    monkeypatch.setattr(sim, "_mesh_hits", spy)
+    img = sim.render_frame(scene, pose, cam)
+    [((got_t, got_tri), (want_t, want_tri))] = calls
+    monkeypatch.setattr(sim, "_mesh_hits", lambda *args: (want_t, want_tri))
+    expect = sim.render_frame(scene, pose, cam)
+    np.testing.assert_array_equal(got_tri, want_tri)
+    np.testing.assert_array_equal(got_t, want_t)
+    np.testing.assert_array_equal(img, expect)
+    assert (want_tri >= 0).any()
+    return want_tri.reshape(cam.height, cam.width)
+
+
+class TestTiledMeshRaycaster:
+    @pytest.mark.parametrize("seed, time", [(0, 0.0), (1, 0.13), (2, 0.37)])
+    def test_rotated_sphere_matches_brute_force(self, monkeypatch, seed, time):
+        scene = sim.Scene(mesh=rotated_sphere(seed))
+        pose = sim.camera_pose(sim.TrajectoryConfig(), time)
+        render_against_brute_force(monkeypatch, scene, pose, sim.CameraIntrinsics())
+
+    def test_resolution_not_a_multiple_of_the_tile(self, monkeypatch):
+        cam = sim.CameraIntrinsics(width=37, height=23)
+        assert cam.width % sim.TILE and cam.height % sim.TILE
+        scene = sim.Scene(mesh=rotated_sphere(3))
+        pose = sim.camera_pose(sim.TrajectoryConfig(), 0.21)
+        render_against_brute_force(monkeypatch, scene, pose, cam)
+
+    def test_camera_inside_the_bounding_box(self, monkeypatch):
+        # the camera sits inside the sphere, so part of the mesh is behind
+        # it; a floor quad under the camera runs from behind it into view
+        sphere = rotated_sphere(4, n_lat=24, n_lon=48)
+        floor = np.array([[-1.0, -1.0, -0.05], [1.0, -1.0, -0.05],
+                          [1.0, 1.0, -0.05], [-1.0, 1.0, -0.05]]) + 0.5
+        n = len(sphere.vertices)
+        mesh = TriMesh(
+            np.concatenate([sphere.vertices, floor]),
+            np.concatenate([sphere.triangles, [[n, n + 1, n + 2], [n, n + 2, n + 3]]]),
+        )
+        pose = sim.look_at_pose([0.3, 0.1, 0.0])
+        depth = (mesh.vertices - 0.5 - pose.position) @ pose.forward
+        assert (depth <= 1e-6).any() and (depth > 1e-6).any()
+        winners = render_against_brute_force(
+            monkeypatch, sim.Scene(mesh=mesh), pose, sim.CameraIntrinsics(width=32, height=32)
+        )
+        floor_tris = len(sphere.triangles) + np.arange(2)
+        assert np.isin(winners, floor_tris).any()
+
+    def test_repeated_triangle_lowest_index_wins(self, monkeypatch):
+        sphere = rotated_sphere(5, n_lat=24, n_lon=48)
+        n = len(sphere.triangles)
+        repeated = np.arange(0, n, 3)
+        mesh = TriMesh(sphere.vertices,
+                       np.concatenate([sphere.triangles, sphere.triangles[repeated]]))
+        pose = sim.camera_pose(sim.TrajectoryConfig(), 0.05)
+        winners = render_against_brute_force(
+            monkeypatch, sim.Scene(mesh=mesh), pose, sim.CameraIntrinsics(width=32, height=32)
+        )
+        assert winners.max() < n
+        assert np.isin(winners, repeated).any()
+
+    def test_mesh_and_primitive_in_one_scene(self, monkeypatch):
+        scene = sim.Scene(
+            primitives=[sim.Box((0.3, 0.1, 0.1), (0.15, 0.2, 0.1), albedo=0.6)],
+            mesh=rotated_sphere(6, diameter=0.7, n_lat=24, n_lon=48),
+        )
+        pose = sim.look_at_pose([4.0, 0.5, 0.3])
+        cam = sim.CameraIntrinsics(width=40, height=40)
+        render_against_brute_force(monkeypatch, scene, pose, cam)
+        img = sim.render_frame(scene, pose, cam)
+        no_box = sim.render_frame(sim.Scene(mesh=scene.mesh), pose, cam)
+        assert not np.array_equal(img, no_box)
+
+
 class TestVideoToEvents:
     def test_contrast_must_be_positive(self):
         with pytest.raises(ContrastNonPositive):
@@ -259,8 +355,9 @@ class TestVideoToEvents:
         frames = rng.uniform(0.05, 1.0, size=(12, 6, 5))
         stream = sim.video_to_events(frames, fps=60.0)
         assert len(stream) > 0
+        records = list(zip(stream.x, stream.y, stream.t, stream.p))
         rebuilt = validate_stream(
-            list(stream.events), stream.sensor_width, stream.sensor_height, stream.duration
+            records, stream.sensor_width, stream.sensor_height, stream.duration
         )
         assert len(rebuilt) == len(stream)
 
@@ -391,6 +488,11 @@ class TestSceneJson:
     def test_rejects_bad_specs(self, spec):
         with pytest.raises(InvalidSceneSpec):
             sim.scene_from_dict(spec)
+
+    def test_mesh_scene_has_no_json_form(self):
+        scene = sim.Scene(mesh=uv_sphere_mesh(n_lat=4, n_lon=8))
+        with pytest.raises(InvalidSceneSpec):
+            sim.scene_to_dict(scene)
 
     def test_empty_spec_gives_empty_scene(self):
         scene = sim.scene_from_dict({})

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -143,7 +144,51 @@ class TestNormalizeMesh:
             vx.normalize_mesh(vx.TriMesh(verts, tris))
 
 
+def sample_triangles_loop(vertices, triangles, spacing):
+    """One barycentric lattice per triangle: the oracle for the grouped
+    sampler in ``voxel._sample_triangles``."""
+    chunks = []
+    a = vertices[triangles[:, 0]]
+    b = vertices[triangles[:, 1]]
+    c = vertices[triangles[:, 2]]
+    nb = np.ceil(np.linalg.norm(b - a, axis=1) / spacing).astype(int)
+    nc = np.ceil(np.linalg.norm(c - a, axis=1) / spacing).astype(int)
+    steps = np.maximum(np.maximum(nb, nc), 1)
+    for t in range(len(triangles)):
+        n = int(steps[t])
+        i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+        keep = (i + j) <= n
+        u = (i[keep] / n)[:, None]
+        v = (j[keep] / n)[:, None]
+        chunks.append(a[t] + u * (b[t] - a[t]) + v * (c[t] - a[t]))
+    return np.concatenate(chunks, axis=0)
+
+
 class TestVoxelize:
+    def test_grouped_sampling_matches_per_triangle_loop(self):
+        sphere = vx.uv_sphere_mesh(n_lat=6, n_lon=9)
+        n = len(sphere.vertices)
+        extra = np.array([[0.1, 0.2, 0.3], [0.9, 0.15, 0.4], [0.12, 0.8, 0.35]])
+        mesh = vx.TriMesh(
+            np.concatenate([sphere.vertices, extra]),
+            # a long sliver, and a degenerate triangle (one point) last
+            np.concatenate([sphere.triangles, [[n, n + 1, n + 2], [n, n, n]]]),
+        )
+        spacing = math.sqrt(3.0) / (4.0 * 20)
+        e = mesh.vertices[mesh.triangles] - mesh.vertices[mesh.triangles[:, :1]]
+        steps = np.ceil(np.linalg.norm(e, axis=2).max(axis=1) / spacing)
+        assert steps[-1] == 0 and len(np.unique(steps)) > 3
+        got = vx._sample_triangles(mesh.vertices, mesh.triangles, spacing)
+        want = sample_triangles_loop(mesh.vertices, mesh.triangles, spacing)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(np.unique(got, axis=0), np.unique(want, axis=0))
+
+    def test_sphere_vox1_bytes_pinned(self, tmp_path):
+        path = tmp_path / "sphere.vox"
+        vx.write_vox1(vx.voxelize(vx.uv_sphere_mesh(), 32), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "d00885c83019c99e817e32e6a6f0e0a06536763ff4548477f3a90448ac34fa60"
+
     def test_unit_cube_fills_grid(self):
         grid = vx.voxelize(vx.unit_cube_mesh(), 4, fill_interior=True)
         assert grid.count() == 64
