@@ -29,9 +29,11 @@ from .errors import (
     ConfigError,
     DataError,
     EmptyDataset,
+    FormatError,
     InvalidSceneSpec,
     IoFailure,
     PipelineError,
+    require_float,
     require_int,
     require_ints,
 )
@@ -229,14 +231,17 @@ def _merge_strict(base: dict, override: dict, prefix: str = "") -> dict:
 
     Silent typo absorption is the main reproducibility hazard, so any key
     that does not exist in the defaults is an error, with its full dotted
-    path in the message. Lists and scalars replace; dicts merge.
+    path in the message. Lists and scalars replace; dicts merge, and only
+    with dicts.
     """
     merged = dict(base)
     for key, value in override.items():
         dotted = f"{prefix}{key}"
         if key not in base:
             raise ConfigError(f"unknown config key {dotted!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        if isinstance(base[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{dotted} must be an object, got {value!r}")
             merged[key] = _merge_strict(base[key], value, prefix=dotted + ".")
         else:
             merged[key] = value
@@ -265,25 +270,27 @@ def load_run_config(path: str | None, toy: bool = False, seed: int | None = None
         for key in ("target_height", "target_width"):
             if binning[key] is not None:
                 require_int(binning[key], f"binning.{key}")
+        binning = {**binning, "window": require_float(binning["window"], "binning.window")}
         scenes = gen["scenes"]
         return RunConfig(
             binning=BinningConfig(**binning),
             encoder=EncoderConfig.from_dict(merged["model"]["encoder"]),
             decoder=DecoderConfig.from_dict(merged["model"]["decoder"]),
             model_seed=require_int(merged["model"]["seed"], "model.seed"),
-            optimizer=AdamWConfig(**merged["trainer"]["optimizer"]),
-            # every TrainRun field is an integer
+            # every AdamWConfig field is a number, every TrainRun field an integer
+            optimizer=AdamWConfig(**{k: require_float(v, f"trainer.optimizer.{k}")
+                                     for k, v in merged["trainer"]["optimizer"].items()}),
             run=TrainRun(**{k: require_int(v, f"trainer.run.{k}")
                             for k, v in merged["trainer"]["run"].items()}),
-            threshold=float(merged["metrics"]["threshold"]),
-            distance=float(merged["metrics"]["distance"]),
+            threshold=require_float(merged["metrics"]["threshold"], "metrics.threshold"),
+            distance=require_float(merged["metrics"]["distance"], "metrics.distance"),
             generate=GenerateConfig(
                 count=require_int(gen["count"], "generate.count"),
                 resolution=require_int(gen["resolution"], "generate.resolution"),
                 ratios=require_ints(gen["ratios"], "generate.ratios"),
                 width=require_int(gen["width"], "generate.width"),
                 height=require_int(gen["height"], "generate.height"),
-                contrast=float(gen["contrast"]),
+                contrast=require_float(gen["contrast"], "generate.contrast"),
                 scenes=None if scenes is None else tuple(scenes),
             ),
         )
@@ -413,8 +420,13 @@ def cmd_preprocess(cfg: RunConfig, manifest_path: str, out_dir: str | None, thre
     def one(entry: ManifestEntry) -> None:
         stream = read_evt1(manifest.root / entry.events)
         stack = bin_to_frames(stream, cfg.binning)
-        np.save(cache / f"{entry.sample_id}.frames.npy", stack.frames)
+        path = cache / f"{entry.sample_id}.frames.npy"
+        try:
+            np.save(path, stack.frames)
+        except OSError as exc:
+            raise IoFailure(f"cannot write {path}: {exc}") from exc
         meta = {
+            "binning": dataclasses.asdict(cfg.binning),
             "window": stack.window,
             "shape": list(stack.frames.shape),
             "source": entry.events,
@@ -432,11 +444,25 @@ def cmd_preprocess(cfg: RunConfig, manifest_path: str, out_dir: str | None, thre
     return len(manifest.entries)
 
 
+def _cached_binning(cache_dir: Path, sample_id: str) -> dict | None:
+    """The binning settings a cached frame stack's sidecar records, if any."""
+    try:
+        meta = json.loads((cache_dir / f"{sample_id}.frames.json").read_text())
+    except (OSError, ValueError):
+        return None
+    return meta.get("binning") if isinstance(meta, dict) else None
+
+
 def _frames(cfg: RunConfig, manifest: Manifest, entry: ManifestEntry, cache_dir: Path):
-    """The entry's cached frame stack, or its events binned afresh."""
+    """The entry's cached frame stack if ``cfg.binning`` made it, else its
+    events binned afresh. A cache that cannot be read is a FormatError."""
     cached = cache_dir / f"{entry.sample_id}.frames.npy"
-    if cached.is_file():
-        return np.load(cached)
+    current = _cached_binning(cache_dir, entry.sample_id) == dataclasses.asdict(cfg.binning)
+    if current and cached.is_file():
+        try:
+            return np.load(cached)
+        except (ValueError, EOFError, OSError) as exc:
+            raise FormatError(f"{cached}: damaged frame cache ({exc})") from exc
     return bin_to_frames(read_evt1(manifest.root / entry.events), cfg.binning).frames
 
 

@@ -29,8 +29,9 @@ class InternalError(PipelineError):
     """A library invariant was violated; indicates a bug."""
 
 
-# JSON gives 2.5 for a count and "false" for a flag; int() would round the
-# one and bool() read the other as True, so config readers check instead.
+# JSON gives 2.5 for a count, "false" for a flag and true for a rate; int()
+# would round the first, bool() read the second as True and float() the third
+# as 1.0, so config readers check instead.
 
 
 def require_int(value, what: str) -> int:
@@ -38,6 +39,13 @@ def require_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def require_float(value, what: str) -> float:
+    """``value`` as a float if it is an int or float (a bool is not), else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 def require_ints(values, what: str) -> tuple[int, ...]:
@@ -136,10 +144,6 @@ class ZeroBatchVolume(InternalError):
 
 class ChannelMismatch(ConfigError):
     """Adjacent layers disagree about channel counts."""
-
-
-class NonFiniteTensor(InternalError):
-    """A NaN or infinity appeared where finite values are guaranteed."""
 
 
 # Training

@@ -278,6 +278,12 @@ class Decoder(nn.Module):
             for i in range(cfg.levels - 1, 0, -1)
         ]
         self.head = nn.Conv3d(ch[0], 1, 1, name="decoder.head.conv", seed=seed, dtype=dtype)
+        # the head is the one conv that feeds no norm, so it alone needs an
+        # offset; assigning it right after the head keeps this entry's CKP1
+        # name and position
+        self.head_bias = nn.Parameter(
+            np.zeros(1, dtype=dtype), "decoder.head.conv.bias", decay=False
+        )
         self.sigmoid = nn.Sigmoid()
 
     def forward(self, hidden, remember=True):
@@ -287,10 +293,14 @@ class Decoder(nn.Module):
         h = feats[-1]
         for up, skip in zip(self.ups, reversed(feats[:-1])):
             h = up.forward(h, skip, remember)
-        return self.sigmoid.forward(self.head.forward(h, remember), remember)
+        logits = self.head.forward(h, remember)
+        logits += self.head_bias.value[None, :, None, None, None]
+        return self.sigmoid.forward(logits, remember)
 
     def backward(self, g):
-        g = self.head.backward(self.sigmoid.backward(g))
+        g = self.sigmoid.backward(g)
+        self.head_bias.grad += g.sum(axis=(0, 2, 3, 4))
+        g = self.head.backward(g)
         # ups[j] took feats[levels-2-j] as its skip, so walking the ups
         # backward yields skip gradients shallowest first; each down's input
         # also fed one up block, so its gradient gains that skip gradient
@@ -348,7 +358,23 @@ class E2VModel(nn.Module):
         return [(p.name, p.value) for p in self.parameters()] + self.buffers()
 
     def load_state(self, entries: dict[str, np.ndarray]):
-        """Install parameter and buffer values from a checkpoint dict."""
+        """Install parameter and buffer values from a checkpoint dict.
+
+        Checkpoints from before convs lost their bias carry one for every
+        conv; a conv's bias b only shifts the batch mean of the norm that
+        follows it, so it is folded into that norm's running mean (rm - b).
+        """
+        entries = dict(entries)
+        for seq in self.modules():
+            if not isinstance(seq, nn.Sequential):
+                continue
+            for conv, norm in zip(seq.layers, seq.layers[1:]):
+                if not (isinstance(conv, nn.Conv3d) and isinstance(norm, nn.BatchNorm3d)):
+                    continue
+                bias = conv.weight.name.removesuffix("weight") + "bias"
+                mean = f"{norm.name}.running_mean"
+                if bias in entries and np.shape(entries[bias]) == np.shape(entries.get(mean)):
+                    entries[mean] = entries[mean] - entries.pop(bias)
         own = {p.name: p for p in self.parameters()}
         buf_names = {name for name, _ in self.buffers()}
         expected = set(own) | buf_names

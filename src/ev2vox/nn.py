@@ -71,7 +71,7 @@ class Parameter:
         self.value = value
         self.grad = np.zeros_like(value)
         self.name = name
-        # weight decay is skipped for norm gains/shifts and biases
+        # weight decay is skipped for norm gains/shifts and the head's offset
         self.decay = decay
 
     def zero_grad(self) -> None:
@@ -296,7 +296,11 @@ def conv3d_core_weight_grad(x, grad_out, stride, padding, kernel):
 
 
 class Conv3d(Module):
-    """3D cross-correlation with bias.
+    """3D cross-correlation with no additive term.
+
+    Every conv but the decoder head feeds a batch norm, whose mean
+    subtraction cancels any per-channel offset; the head's offset is a
+    ``Decoder`` parameter.
 
     ``kind`` names the ``LayerSpec`` kind and fixes the weight layout:
     (out_channels, in_channels, kd, kh, kw) here, channel axes swapped for
@@ -329,7 +333,6 @@ class Conv3d(Module):
         if self.kind == "conv3d":
             channels = channels[::-1]
         self.weight = Parameter(w.reshape(*channels, *kernel), f"{name}.weight")
-        self.bias = Parameter(np.zeros(out_channels, dtype=dtype), f"{name}.bias", decay=False)
         self._x = None
 
     def _cache_input(self, x: np.ndarray, remember: bool) -> None:
@@ -347,16 +350,13 @@ class Conv3d(Module):
 
     def forward(self, x: np.ndarray, remember: bool = True) -> np.ndarray:
         self._cache_input(x, remember)
-        y = conv3d_core_forward(x, self.weight.value, self.spec.stride, self.spec.padding)
-        y += self.bias.value[None, :, None, None, None]
-        return y
+        return conv3d_core_forward(x, self.weight.value, self.spec.stride, self.spec.padding)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         x = self._cached_input()
         self.weight.grad += conv3d_core_weight_grad(
             x, grad_out, self.spec.stride, self.spec.padding, self.spec.kernel
         )
-        self.bias.grad += grad_out.sum(axis=(0, 2, 3, 4))
         return conv3d_core_input_grad(
             grad_out, self.weight.value, self.spec.stride, self.spec.padding,
             x.shape[2:],
@@ -377,18 +377,15 @@ class Deconv3d(Conv3d):
     def forward(self, x: np.ndarray, remember: bool = True) -> np.ndarray:
         self._cache_input(x, remember)
         out_dims = self.spec.out_dims(x.shape[2:])
-        y = conv3d_core_input_grad(
+        return conv3d_core_input_grad(
             x, self.weight.value, self.spec.stride, self.spec.padding, out_dims
         )
-        y += self.bias.value[None, :, None, None, None]
-        return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         x = self._cached_input()
         self.weight.grad += conv3d_core_weight_grad(
             grad_out, x, self.spec.stride, self.spec.padding, self.spec.kernel
         )
-        self.bias.grad += grad_out.sum(axis=(0, 2, 3, 4))
         return conv3d_core_forward(
             grad_out, self.weight.value, self.spec.stride, self.spec.padding
         )

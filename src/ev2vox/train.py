@@ -125,7 +125,7 @@ def adamw_step(params, state: OptState, cfg: AdamWConfig) -> None:
     """One decoupled-weight-decay Adam update; zeroes gradients afterwards.
 
     Decay applies only to parameters flagged for it (conv/deconv weights);
-    biases and norm gains/shifts are excluded.
+    norm gains/shifts and the head's logit offset are excluded.
     """
     state.check(params)
     state.step += 1

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import shutil
 from collections import Counter
 from pathlib import Path
 
@@ -182,6 +183,12 @@ class TestConfig:
         ({"generate": {"ratios": [8, 1, 1.0]}}, "generate.ratios"),
         ({"trainer": {"run": {"epochs": 2.5}}}, "trainer.run.epochs"),
         ({"binning": {"target_height": 32.0}}, "binning.target_height"),
+        ({"metrics": {"threshold": True}}, "metrics.threshold"),
+        ({"metrics": {"distance": "0.2"}}, "metrics.distance"),
+        ({"binning": {"window": True}}, "binning.window"),
+        ({"trainer": {"optimizer": {"lr": True}}}, "trainer.optimizer.lr"),
+        ({"generate": {"contrast": True}}, "generate.contrast"),
+        ({"trainer": {"run": 3}}, "trainer.run"),
     ])
     def test_wrong_value_type_exits_2(self, tmp_path, capsys, override, key):
         cfg = write_config(tmp_path / "c.json", override)
@@ -255,6 +262,37 @@ class TestPreprocess:
         assert cli.main(args + ["--threads", "0"]) == 2
         monkeypatch.setenv("E2V_THREADS", "two")
         assert cli.main(args) == 2
+
+    def test_truncated_cache_exits_3(self, pipeline, tmp_path, capsys):
+        data = copy_dataset(pipeline, tmp_path)
+        entry = cli.load_manifest(data / "manifest.json").for_split("train")[0]
+        cached = data / "cache" / f"{entry.sample_id}.frames.npy"
+        cached.write_bytes(cached.read_bytes()[:100])
+        code = cli.main(["train", "--toy", "--config", pipeline["cfg"],
+                         "--manifest", str(data / "manifest.json"), "--out", str(tmp_path / "run")])
+        assert code == 3
+        assert str(cached) in capsys.readouterr().err
+
+    def test_cache_is_used_only_for_its_binning(self, pipeline, tmp_path):
+        data = copy_dataset(pipeline, tmp_path)
+        manifest = cli.load_manifest(data / "manifest.json")
+        entry = manifest.entries[0]
+        # a stack without events marks the cached copy; binning afresh finds events
+        np.save(data / "cache" / f"{entry.sample_id}.frames.npy", np.zeros((10, 32, 32), np.uint8))
+        same = cli.load_run_config(pipeline["cfg"], toy=True)
+        assert not cli._frames(same, manifest, entry, data / "cache").any()
+        finer = cli.load_run_config(
+            write_config(tmp_path / "c.json", {"binning": {"window": 0.025}}), toy=True
+        )
+        frames = cli._frames(finer, manifest, entry, data / "cache")
+        assert frames.shape == (20, 32, 32) and frames.any()
+
+
+def copy_dataset(pipeline, tmp_path) -> Path:
+    """The pipeline's dataset and frame cache, without its run, in tmp_path."""
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data, ignore=shutil.ignore_patterns("run"))
+    return data
 
 
 # a truncated sidecar, one without a model, and bytes that are not text

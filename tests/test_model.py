@@ -1,11 +1,13 @@
 """Tests for the encoder-decoder assembly, the loss, and state handling."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
 from ev2vox import model as M
+from ev2vox import nn
 from ev2vox.checkpoint import save_checkpoint
 from ev2vox.errors import (
     CheckpointMismatch,
@@ -121,7 +123,7 @@ class TestShapes:
     def test_zeroed_head_gives_exact_half(self):
         m = M.build_model(*micro_configs(), seed=5)
         m.decoder.head.weight.value[...] = 0.0
-        m.decoder.head.bias.value[...] = 0.0
+        m.decoder.head_bias.value[...] = 0.0
         x = np.random.default_rng(2).random((1, 1, 6, 16, 16)).astype(np.float32)
         probs = m.forward(x, remember=False)
         assert np.all(probs == 0.5)
@@ -193,11 +195,11 @@ class TestBceLoss:
 
 def expected_toy_count():
     """Closed-form parameter count for the toy config, summed by hand from
-    the layer table: conv contributes kd*kh*kw*Cin*Cout + Cout, a norm 2C,
-    a deconv kd*kh*kw*Cin*Cout + Cout."""
+    the layer table: a conv or deconv contributes kd*kh*kw*Cin*Cout, a norm
+    2C, and the head's logit offset 1."""
 
     def conv(k, cin, cout):
-        return k ** 3 * cin * cout + cout
+        return k ** 3 * cin * cout
 
     def block(cin, w):
         cout = 4 * w
@@ -213,9 +215,9 @@ def expected_toy_count():
     total += block(32, 16)                   # stage 1 (strided, projects)
     total += conv(1, 64, 16) + 2 * 16        # decoder entry
     total += conv(3, 16, 32) + 2 * 32        # down
-    total += 2 ** 3 * 32 * 16 + 16 + 2 * 16  # deconv up
+    total += conv(2, 32, 16) + 2 * 16        # deconv up
     total += conv(3, 32, 16) + 2 * 16        # fuse after concat
-    total += conv(1, 16, 1)                  # head
+    total += conv(1, 16, 1) + 1              # head and its offset
     return total
 
 
@@ -224,15 +226,32 @@ class TestCountParameters:
         m = M.build_model(M.EncoderConfig.toy(), M.DecoderConfig.toy(), seed=0)
         assert M.count_parameters(m) == expected_toy_count()
 
-    def test_single_conv_counts_weight_plus_bias(self):
+    def test_single_conv_counts_weight_only(self):
         from ev2vox import nn
         conv = nn.Conv3d(1, 1, 1, name="solo", seed=0)
-        assert sum(p.value.size for p in conv.parameters()) == 2
+        assert sum(p.value.size for p in conv.parameters()) == 1
 
     def test_registry_names_unique(self):
         m = M.build_model(M.EncoderConfig.toy(), M.DecoderConfig.toy(), seed=0)
         names = [p.name for p in m.parameters()] + [n for n, _ in m.buffers()]
         assert len(names) == len(set(names))
+
+
+@pytest.mark.parametrize("configs,paired", [
+    ((M.EncoderConfig.toy(), M.DecoderConfig.toy()), 13),
+    ((M.EncoderConfig.paper(), M.DecoderConfig.paper()), 162),
+])
+def test_convs_followed_by_norm_own_one_parameter(configs, paired):
+    # batch norm subtracts the batch mean, so a bias before it would be dead
+    m = M.build_model(*configs, seed=0)
+    convs = [
+        conv
+        for seq in m.modules() if isinstance(seq, nn.Sequential)
+        for conv, norm in zip(seq.layers, seq.layers[1:])
+        if isinstance(conv, nn.Conv3d) and isinstance(norm, nn.BatchNorm3d)
+    ]
+    assert len(convs) == paired
+    assert all(conv.parameters() == [conv.weight] for conv in convs)
 
 
 class TestDeterminism:
@@ -306,11 +325,37 @@ class TestState:
         # attribute order is checkpoint order; this digest pins both
         m = M.build_model(M.EncoderConfig.toy(), M.DecoderConfig.toy(), seed=0)
         entries = m.state_entries()
-        assert len(entries) == 80
+        assert len(entries) == 67
         path = tmp_path / "toy.ckpt"
         save_checkpoint(path, entries)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "f6881a854e10ac88004d3102d538b0e8bc1b9ed938d702d63e5ad86dac5e50da"
+        assert digest == "ced5bc37aecc1e34d735086ad930158e19773be2b97b5655c7901496e6e6309d"
+
+    def test_parent_format_entries_load_with_biases_folded(self):
+        # a checkpoint from when every conv had a bias: each conv that feeds
+        # a norm gets a random bias b, and that norm's running mean gains b,
+        # which leaves the eval-mode output unchanged
+        m = M.build_model(*micro_configs(), seed=3)
+        rng = np.random.default_rng(0)
+        x = rng.random((2, 1, 6, 16, 16)).astype(np.float32)
+        m.train().forward(x, remember=False)
+        legacy = {name: value.copy() for name, value in m.state_entries()}
+        for name, value in m.state_entries():
+            prefix = name.removesuffix(".weight")
+            if prefix != name and prefix != "decoder.head.conv":
+                b = rng.normal(size=value.shape[1 if "deconv" in prefix else 0])
+                legacy[f"{prefix}.bias"] = b.astype(np.float32)
+                mean = re.sub(r"(de)?conv(\d?)$", r"norm\2", prefix) + ".running_mean"
+                legacy[mean] = legacy[mean] + legacy[f"{prefix}.bias"]
+        assert len(legacy) == len(m.state_entries()) + 13
+        other = M.build_model(*micro_configs(), seed=77)
+        other.load_state(legacy)
+        for (ka, va), (kb, vb) in zip(m.state_entries(), other.state_entries()):
+            assert ka == kb
+            np.testing.assert_allclose(vb, va, rtol=0, atol=1e-5)
+        want = m.eval().forward(x, remember=False)
+        got = other.eval().forward(x, remember=False)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
 
     def test_train_eval_reach_every_batchnorm(self):
         from ev2vox import nn

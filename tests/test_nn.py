@@ -15,7 +15,7 @@ N_GRAD_SEEDS = 20
 POINTWISE_AND_K3 = [(1, 1, 0), (1, 2, 0), (3, 1, 1)]
 
 
-def loop_conv3d(x, weight, bias, stride, padding):
+def loop_conv3d(x, weight, stride, padding):
     """Seven nested loops, the slowest possible convolution."""
     n, cin, d, h, w = x.shape
     cout, _, kd, kh, kw = weight.shape
@@ -40,7 +40,7 @@ def loop_conv3d(x, weight, bias, stride, padding):
                                             xp[ni, ci, dd * sd + a, hh * sh + b, ww * sw + c]
                                             * weight[co, ci, a, b, c]
                                         )
-                        y[ni, co, dd, hh, ww] = acc + (bias[co] if bias is not None else 0.0)
+                        y[ni, co, dd, hh, ww] = acc
     return y
 
 
@@ -158,7 +158,7 @@ class TestConv3d:
         x = rng.normal(size=(1, 2, 3, 4, 4))
         conv = nn.Conv3d(2, 3, 2, stride=stride, padding=padding, name="c", dtype=np.float64)
         got = conv.forward(x)
-        want = loop_conv3d(x, conv.weight.value, conv.bias.value, stride, padding)
+        want = loop_conv3d(x, conv.weight.value, stride, padding)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("kernel,stride,padding", POINTWISE_AND_K3)
@@ -167,8 +167,7 @@ class TestConv3d:
         x = rng.normal(size=(2, 2, 3, 4, 4))
         conv = nn.Conv3d(2, 3, kernel, stride=stride, padding=padding, name="c", dtype=np.float64)
         got = conv.forward(x)
-        want = loop_conv3d(x, conv.weight.value, conv.bias.value,
-                           conv.spec.stride, conv.spec.padding)
+        want = loop_conv3d(x, conv.weight.value, conv.spec.stride, conv.spec.padding)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_zero_grad_out(self):
@@ -178,7 +177,6 @@ class TestConv3d:
         gx = conv.backward(np.zeros_like(y))
         assert not gx.any()
         assert not conv.weight.grad.any()
-        assert not conv.bias.grad.any()
 
     def test_scalar_weight_gradient_is_input(self):
         conv = nn.Conv3d(1, 1, 1, name="c", dtype=np.float64)
@@ -341,7 +339,7 @@ class TestConvLowering:
         monkeypatch.setattr(nn, "conv3d_core_input_grad", ref_conv_input_grad)
         monkeypatch.setattr(nn, "conv3d_core_weight_grad", ref_conv_weight_grad)
         want = step()
-        assert len(got) == len(want) == 56  # output, input grad, 54 parameter grads
+        assert len(got) == len(want) == 43  # output, input grad, 41 parameter grads
         for a, b in zip(got, want):
             np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
 
@@ -398,7 +396,6 @@ class TestConvLowering:
 class TestDeconv3d:
     def test_impulse_response_copies_kernel(self):
         dc = nn.Deconv3d(1, 1, 2, stride=2, name="d", dtype=np.float64)
-        dc.bias.value[...] = 0.0
         x = np.zeros((1, 1, 2, 2, 2))
         x[0, 0, 1, 0, 1] = 1.0
         y = dc.forward(x)
@@ -416,8 +413,6 @@ class TestDeconv3d:
         rng = np.random.default_rng(3)
         conv = nn.Conv3d(2, 3, 2, stride=2, name="c", seed=1, dtype=np.float64)
         dc = nn.Deconv3d(3, 2, 2, stride=2, name="d", seed=2, dtype=np.float64)
-        conv.bias.value[...] = 0.0
-        dc.bias.value[...] = 0.0
         dc.weight.value = conv.weight.value  # shared kernel, layouts coincide
         x = rng.normal(size=(2, 2, 4, 4, 4))
         y = rng.normal(size=(2, 3, 2, 2, 2))
@@ -429,7 +424,6 @@ class TestDeconv3d:
         rng = np.random.default_rng(4)
         dc = nn.Deconv3d(3, 2, (3, 2, 2), stride=(1, 2, 2), padding=(1, 0, 0),
                          name="d", seed=5, dtype=np.float64)
-        dc.bias.value[...] = 0.0
         g = rng.normal(size=(1, 3, 4, 3, 3))
         out_dims = dc.spec.out_dims((4, 3, 3))
         want = nn.conv3d_core_input_grad(
@@ -442,7 +436,6 @@ class TestDeconv3d:
         rng = np.random.default_rng(12)
         dc = nn.Deconv3d(3, 2, kernel, stride=1, padding=padding,
                          name="d", seed=5, dtype=np.float64)
-        dc.bias.value[...] = 0.0
         x = rng.normal(size=(2, 3, 4, 5, 6))
         want = ref_conv_input_grad(x, dc.weight.value, (1, 1, 1), (padding,) * 3,
                                    dc.spec.out_dims(x.shape[2:]))
@@ -742,8 +735,6 @@ class TestSequential:
 
     @pytest.mark.parametrize("seed", range(N_GRAD_SEEDS))
     def test_gradcheck_conv_norm_relu(self, seed):
-        # eval mode: batch statistics would cancel the conv bias, whose
-        # gradient is then zero and has no relative error to measure
         rng = np.random.default_rng(300 + seed)
         bn = nn.BatchNorm3d(3, name="b", dtype=np.float64)
         bn.running_mean[...] = rng.normal(size=3)
@@ -751,6 +742,18 @@ class TestSequential:
         seq = nn.Sequential(
             nn.Conv3d(2, 3, 3, padding=1, name="c", seed=seed, dtype=np.float64), bn, nn.ReLU()
         ).eval()
+        check_layer(seq, rng.normal(size=(2, 2, 3, 4, 4)), rng)
+
+    @pytest.mark.parametrize("seed", range(N_GRAD_SEEDS))
+    def test_gradcheck_conv_norm_relu_train(self, seed):
+        # batch statistics: every parameter, the conv's included, has a
+        # gradient that finite differences can measure
+        rng = np.random.default_rng(300 + seed)
+        seq = nn.Sequential(
+            nn.Conv3d(2, 3, 3, padding=1, name="c", seed=seed, dtype=np.float64),
+            nn.BatchNorm3d(3, name="b", dtype=np.float64),
+            nn.ReLU(),
+        )
         check_layer(seq, rng.normal(size=(2, 2, 3, 4, 4)), rng)
 
     @pytest.mark.parametrize("seed", range(N_GRAD_SEEDS))
@@ -801,7 +804,7 @@ class TestInitialization:
         bound = np.sqrt(6.0 / (4 * 27))
         assert np.abs(conv.weight.value).max() <= bound
         assert np.abs(conv.weight.value).max() > 0.5 * bound
-        assert not conv.bias.value.any()
+        assert conv.parameters() == [conv.weight]
 
     def test_zero_grad(self):
         conv = nn.Conv3d(1, 1, 1, name="c", dtype=np.float64)
