@@ -10,6 +10,7 @@ stored in float32 throughout the package.
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import numpy as np
 
@@ -43,6 +44,15 @@ def save_checkpoint(path: str | os.PathLike, entries) -> None:
             fh.write(b"".join(chunks))
     except OSError as exc:
         raise IoFailure(f"cannot write checkpoint {path}: {exc}") from exc
+
+
+def write_text(path: str | os.PathLike, text: str) -> None:
+    """Write a text artifact, such as a checkpoint's JSON sidecar; an OSError
+    is an IoFailure, as in save_checkpoint."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def load_checkpoint(path: str | os.PathLike) -> dict[str, np.ndarray]:

@@ -24,28 +24,26 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import write_text
+from .config import from_json
 from .errors import (
     CheckpointMismatch,
     ConfigError,
     DataError,
     EmptyDataset,
     FormatError,
-    InvalidSceneSpec,
     IoFailure,
     PipelineError,
-    require_float,
-    require_int,
-    require_ints,
 )
 from .events import BinningConfig, bin_to_frames, read_evt1, write_evt1
 from .model import (
     DecoderConfig,
     E2VModel,
     EncoderConfig,
+    ModelConfig,
     build_model,
     frames_to_input,
-    model_config_dict,
-    model_from_config_dict,
+    read_model_config,
 )
 from .sim import (
     Box,
@@ -106,7 +104,7 @@ def save_manifest(manifest: Manifest, path: Path) -> None:
             for e in manifest.entries
         ]
     }
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def load_manifest(path: str | os.PathLike) -> Manifest:
@@ -164,14 +162,14 @@ class GenerateConfig:
 
     def __post_init__(self):
         if self.count < 1:
-            raise ConfigError(f"generate.count must be positive, got {self.count}")
+            raise ConfigError(f"count must be positive, got {self.count}")
         if self.resolution < 1:
-            raise ConfigError(f"generate.resolution must be positive, got {self.resolution}")
+            raise ConfigError(f"resolution must be positive, got {self.resolution}")
         if len(self.ratios) != 3 or any(r < 0 for r in self.ratios) or sum(self.ratios) == 0:
-            raise ConfigError(f"generate.ratios must be three nonnegative weights, got {self.ratios}")
+            raise ConfigError(f"ratios must be three nonnegative weights, got {self.ratios}")
         if self.scenes is not None and self.count != len(self.scenes):
             raise ConfigError(
-                f"generate.count {self.count} does not match {len(self.scenes)} explicit scenes"
+                f"count {self.count} does not match {len(self.scenes)} explicit scenes"
             )
 
 
@@ -192,37 +190,25 @@ class RunConfig:
 
 def _default_config_dict(toy: bool) -> dict:
     if toy:
-        binning = {"window": 0.05, "mode": "uniform", "target_height": 32, "target_width": 32}
+        binning = BinningConfig(window=0.05, target_height=32, target_width=32)
         encoder, decoder = EncoderConfig.toy(), DecoderConfig.toy()
         optimizer = AdamWConfig.toy()
         run = TrainRun(epochs=100, batch_size=5, seed=0, checkpoint_every=50)
     else:
-        binning = {"window": 0.005, "mode": "uniform", "target_height": None, "target_width": None}
+        binning = BinningConfig(window=0.005)
         encoder, decoder = EncoderConfig.paper(), DecoderConfig.paper()
         optimizer = AdamWConfig()
         run = TrainRun()
     return {
-        "binning": binning,
-        "model": {
-            "encoder": encoder.to_dict(),
-            "decoder": decoder.to_dict(),
-            "seed": 0,
-        },
+        "binning": dataclasses.asdict(binning),
+        "model": dataclasses.asdict(ModelConfig(encoder, decoder, seed=0)),
         "trainer": {
             "optimizer": dataclasses.asdict(optimizer),
             "run": dataclasses.asdict(run),
         },
         "metrics": {"threshold": 0.3, "distance": 0.20},
-        "generate": {
-            "count": 10,
-            # labels must land at the model's output resolution
-            "resolution": 8 if toy else 32,
-            "ratios": [8, 1, 1],
-            "width": 64,
-            "height": 64,
-            "contrast": 0.2,
-            "scenes": None,
-        },
+        # labels must land at the model's output resolution
+        "generate": dataclasses.asdict(GenerateConfig(resolution=8 if toy else 32)),
     }
 
 
@@ -265,37 +251,19 @@ def load_run_config(path: str | None, toy: bool = False, seed: int | None = None
         merged = _merge_strict(merged, data)
     if seed is not None:
         merged["trainer"]["run"]["seed"] = seed
-    try:
-        binning, gen = merged["binning"], merged["generate"]
-        for key in ("target_height", "target_width"):
-            if binning[key] is not None:
-                require_int(binning[key], f"binning.{key}")
-        binning = {**binning, "window": require_float(binning["window"], "binning.window")}
-        scenes = gen["scenes"]
-        return RunConfig(
-            binning=BinningConfig(**binning),
-            encoder=EncoderConfig.from_dict(merged["model"]["encoder"]),
-            decoder=DecoderConfig.from_dict(merged["model"]["decoder"]),
-            model_seed=require_int(merged["model"]["seed"], "model.seed"),
-            # every AdamWConfig field is a number, every TrainRun field an integer
-            optimizer=AdamWConfig(**{k: require_float(v, f"trainer.optimizer.{k}")
-                                     for k, v in merged["trainer"]["optimizer"].items()}),
-            run=TrainRun(**{k: require_int(v, f"trainer.run.{k}")
-                            for k, v in merged["trainer"]["run"].items()}),
-            threshold=require_float(merged["metrics"]["threshold"], "metrics.threshold"),
-            distance=require_float(merged["metrics"]["distance"], "metrics.distance"),
-            generate=GenerateConfig(
-                count=require_int(gen["count"], "generate.count"),
-                resolution=require_int(gen["resolution"], "generate.resolution"),
-                ratios=require_ints(gen["ratios"], "generate.ratios"),
-                width=require_int(gen["width"], "generate.width"),
-                height=require_int(gen["height"], "generate.height"),
-                contrast=require_float(gen["contrast"], "generate.contrast"),
-                scenes=None if scenes is None else tuple(scenes),
-            ),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
+    model = from_json(ModelConfig, merged["model"], "model")
+    trainer, metrics = merged["trainer"], merged["metrics"]
+    return RunConfig(
+        binning=from_json(BinningConfig, merged["binning"], "binning"),
+        encoder=model.encoder,
+        decoder=model.decoder,
+        model_seed=model.seed,
+        optimizer=from_json(AdamWConfig, trainer["optimizer"], "trainer.optimizer"),
+        run=from_json(TrainRun, trainer["run"], "trainer.run"),
+        threshold=from_json(float, metrics["threshold"], "metrics.threshold"),
+        distance=from_json(float, metrics["distance"], "metrics.distance"),
+        generate=from_json(GenerateConfig, merged["generate"], "generate"),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +325,12 @@ def _scene_category(scene: Scene) -> str:
 def cmd_generate(cfg: RunConfig, seed: int, out_dir: str) -> Manifest:
     """Write EVT1/VOX1 pairs, per-sample sidecars, and a split manifest."""
     gen = cfg.generate
+    if gen.scenes is not None:
+        scenes = [scene_from_dict(s, f"generate.scenes[{i}]") for i, s in enumerate(gen.scenes)]
+        pairs = [(s, _scene_category(s)) for s in scenes]
+    else:
+        pairs = [_procedural_scene(seed, i) for i in range(gen.count)]
+
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -364,12 +338,6 @@ def cmd_generate(cfg: RunConfig, seed: int, out_dir: str) -> Manifest:
         raise IoFailure(f"cannot create output directory {out}: {exc}") from exc
     if not os.access(out, os.W_OK):
         raise IoFailure(f"output directory {out} is not writable")
-
-    if gen.scenes is not None:
-        scenes = [scene_from_dict(s) for s in gen.scenes]
-        pairs = [(s, _scene_category(s)) for s in scenes]
-    else:
-        pairs = [_procedural_scene(seed, i) for i in range(gen.count)]
 
     traj = TrajectoryConfig()
     cam = CameraIntrinsics(width=gen.width, height=gen.height)
@@ -389,7 +357,7 @@ def cmd_generate(cfg: RunConfig, seed: int, out_dir: str) -> Manifest:
             "contrast": gen.contrast,
             "resolution": gen.resolution,
         }
-        _write_text(out / f"{sid}.json", json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+        write_text(out / f"{sid}.json", json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
         entries.append(
             ManifestEntry(sid, category, f"{sid}.evt", f"{sid}.vox", assignment[sid])
         )
@@ -404,14 +372,14 @@ def cmd_generate(cfg: RunConfig, seed: int, out_dir: str) -> Manifest:
 # ---------------------------------------------------------------------------
 # preprocessing and dataset loading
 
-def _cache_dir(manifest: Manifest, out_dir: str | None) -> Path:
-    return Path(out_dir) if out_dir else manifest.root / "cache"
+def _cache_dir(manifest: Manifest) -> Path:
+    return manifest.root / "cache"
 
 
-def cmd_preprocess(cfg: RunConfig, manifest_path: str, out_dir: str | None, threads: int) -> int:
+def cmd_preprocess(cfg: RunConfig, manifest_path: str, threads: int) -> int:
     """Bin every event file into a cached frame stack plus a JSON sidecar."""
     manifest = load_manifest(manifest_path)
-    cache = _cache_dir(manifest, out_dir)
+    cache = _cache_dir(manifest)
     try:
         cache.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -431,7 +399,7 @@ def cmd_preprocess(cfg: RunConfig, manifest_path: str, out_dir: str | None, thre
             "shape": list(stack.frames.shape),
             "source": entry.events,
         }
-        _write_text(
+        write_text(
             cache / f"{entry.sample_id}.frames.json",
             json.dumps(meta, indent=2, sort_keys=True) + "\n",
         )
@@ -484,7 +452,7 @@ def _run_dir(manifest: Manifest, out_dir: str | None) -> Path:
 
 def cmd_train(cfg: RunConfig, manifest_path: str, out_dir: str | None) -> None:
     manifest = load_manifest(manifest_path)
-    dataset = _load_dataset(cfg, manifest, ("train",), _cache_dir(manifest, None))
+    dataset = _load_dataset(cfg, manifest, ("train",), _cache_dir(manifest))
     if not dataset:
         raise EmptyDataset(f"{manifest_path}: no train-split entries")
     model = build_model(cfg.encoder, cfg.decoder, seed=cfg.model_seed)
@@ -500,21 +468,16 @@ def cmd_train(cfg: RunConfig, manifest_path: str, out_dir: str | None) -> None:
     print(f"checkpoint: {result.checkpoint_path}")
 
 
-def _trained_config(sidecar: dict) -> dict | None:
-    """The sidecar's model config rebuilt through the config classes, which
-    drops keys older versions wrote; None if it does not describe a model."""
+def _trained_config(sidecar) -> ModelConfig | None:
+    """The model config a checkpoint sidecar records, None if it does not
+    describe a model; keys older versions wrote are dropped."""
     try:
-        d = sidecar["config"]
-        return model_config_dict(
-            EncoderConfig.from_dict(d["encoder"]),
-            DecoderConfig.from_dict(d["decoder"]),
-            int(d.get("seed", 0)),
-        )
-    except (KeyError, TypeError, ValueError, ConfigError):
+        return read_model_config(sidecar["config"])
+    except (KeyError, TypeError, ConfigError):
         return None
 
 
-def _trained_model(ckpt: Path, expected: dict | None = None) -> E2VModel:
+def _trained_model(ckpt: Path, expected: ModelConfig | None = None) -> E2VModel:
     """The model that a checkpoint's JSON sidecar describes, loaded from it.
 
     A missing sidecar is an IoFailure. One that is not JSON, describes no
@@ -534,7 +497,7 @@ def _trained_model(ckpt: Path, expected: dict | None = None) -> E2VModel:
         raise CheckpointMismatch(
             f"{ckpt}: checkpoint was trained with a different model configuration"
         )
-    model = model_from_config_dict(config)
+    model = build_model(config.encoder, config.decoder, seed=config.seed)
     load_training_checkpoint(ckpt, model)
     return model
 
@@ -546,9 +509,9 @@ def cmd_eval(cfg: RunConfig, manifest_path: str, out_dir: str | None) -> None:
     ckpt = run_dir / "model.ckpt"
     if not ckpt.is_file():
         raise IoFailure(f"checkpoint not found: {ckpt}")
-    model = _trained_model(ckpt, model_config_dict(cfg.encoder, cfg.decoder, cfg.model_seed))
+    model = _trained_model(ckpt, ModelConfig(cfg.encoder, cfg.decoder, cfg.model_seed))
 
-    cache = _cache_dir(manifest, None)
+    cache = _cache_dir(manifest)
     text_parts = []
     csv_lines = ["split,category,count,iou,fscore"]
     for split in manifest.splits_present():
@@ -558,8 +521,8 @@ def cmd_eval(cfg: RunConfig, manifest_path: str, out_dir: str | None) -> None:
         for row in report.csv_rows()[1:]:
             csv_lines.append(f"{split},{row}")
     text = "\n\n".join(text_parts) + "\n"
-    _write_text(run_dir / "report.txt", text)
-    _write_text(run_dir / "report.csv", "\n".join(csv_lines) + "\n")
+    write_text(run_dir / "report.txt", text)
+    write_text(run_dir / "report.csv", "\n".join(csv_lines) + "\n")
     print(text, end="")
     print(f"reports written to {run_dir}")
 
@@ -595,7 +558,7 @@ def _export_from_checkpoint(cfg: RunConfig, ckpt_path: str, sample_id: str,
     matches = [e for e in manifest.entries if e.sample_id == sample_id]
     if not matches:
         raise DataError(f"{manifest_path}: no sample with id {sample_id!r}")
-    frames = _frames(cfg, manifest, matches[0], _cache_dir(manifest, None))
+    frames = _frames(cfg, manifest, matches[0], _cache_dir(manifest))
     model = _trained_model(Path(ckpt_path))
     model.eval()
     probs = model.forward(frames_to_input([frames], dtype=model.dtype), remember=False)
@@ -616,19 +579,12 @@ def cmd_export(cfg: RunConfig, input_path: str, sample_id: str | None,
         grid = _export_from_checkpoint(cfg, input_path, sample_id, manifest_path)
     else:
         raise ConfigError(f"export input must be a .vox or .ckpt file, got {input_path!r}")
-    _write_text(Path(out_path), grid_to_obj(grid))
+    write_text(Path(out_path), grid_to_obj(grid))
     print(f"exported {grid.count()} voxels to {out_path}")
 
 
 # ---------------------------------------------------------------------------
 # plumbing
-
-def _write_text(path: Path, text: str) -> None:
-    try:
-        Path(path).write_text(text)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
-
 
 def _resolve_threads(value: int | None) -> int:
     if value is None:
@@ -652,11 +608,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_help):
+    def common(p, out_help=None):
         p.add_argument("--config", metavar="PATH", help="JSON run configuration")
         p.add_argument("--manifest", metavar="PATH", help="dataset manifest")
         p.add_argument("--seed", type=int, metavar="N", help="seed override")
-        p.add_argument("--out", metavar="DIR", help=out_help)
+        if out_help:
+            p.add_argument("--out", metavar="DIR", help=out_help)
         p.add_argument("--threads", type=int, metavar="N",
                        help="worker threads (default 1; E2V_THREADS as fallback)")
         p.add_argument("--toy", action="store_true",
@@ -664,8 +621,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="synthesize an event/voxel dataset")
     common(p, "dataset output directory")
-    p = sub.add_parser("preprocess", help="bin event files into cached frame stacks")
-    common(p, "cache directory (default: <manifest dir>/cache)")
+    p = sub.add_parser("preprocess", help="bin event files into <manifest dir>/cache")
+    common(p)
     p = sub.add_parser("train", help="train the reconstruction model")
     common(p, "run directory for checkpoints and logs (default: <manifest dir>/run)")
     p = sub.add_parser("eval", help="score a trained checkpoint per split")
@@ -688,7 +645,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif args.command == "preprocess":
         if args.manifest is None:
             raise ConfigError("preprocess needs --manifest")
-        cmd_preprocess(cfg, args.manifest, args.out, threads)
+        cmd_preprocess(cfg, args.manifest, threads)
     elif args.command == "train":
         if args.manifest is None:
             raise ConfigError("train needs --manifest")

@@ -29,37 +29,6 @@ class InternalError(PipelineError):
     """A library invariant was violated; indicates a bug."""
 
 
-# JSON gives 2.5 for a count, "false" for a flag and true for a rate; int()
-# would round the first, bool() read the second as True and float() the third
-# as 1.0, so config readers check instead.
-
-
-def require_int(value, what: str) -> int:
-    """``value`` if it is an int (a bool is not), else ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def require_float(value, what: str) -> float:
-    """``value`` as a float if it is an int or float (a bool is not), else ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
-def require_ints(values, what: str) -> tuple[int, ...]:
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"{what} must be a list of integers, got {values!r}")
-    return tuple(require_int(v, what) for v in values)
-
-
-def require_bool(value, what: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{what} must be true or false, got {value!r}")
-    return value
-
-
 # Event streams
 
 

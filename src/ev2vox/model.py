@@ -19,24 +19,30 @@ of its entries in a checkpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import nn
+from .config import from_json
 from .errors import (
     ChannelMismatch,
     CheckpointMismatch,
     ConfigError,
     ResolutionMismatch,
     ShapeMismatch,
-    require_bool,
-    require_int,
-    require_ints,
 )
 
 EXPANSION = 4
 LOSS_CLAMP = 1e-7
+
+
+def _check_positive(cfg, *names: str) -> None:
+    """ConfigError unless every named field (a count, or a tuple of them) is at least 1."""
+    for name in names:
+        value = getattr(cfg, name)
+        if min(value if isinstance(value, tuple) else (value,), default=1) < 1:
+            raise ConfigError(f"{name} must be at least 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -46,20 +52,27 @@ class StemConfig:
     channels: int = 64
     pool: bool = True
 
+    def __post_init__(self):
+        _check_positive(self, "kernel", "stride", "channels")
+
 
 @dataclass(frozen=True)
 class StageConfig:
     blocks: int
     channels: int  # bottleneck width; blocks emit EXPANSION * channels
-    stride: tuple[int, int, int] = (1, 1, 1)
+    stride: tuple[int, int, int]
+
+    def __post_init__(self):
+        _check_positive(self, "channels", "stride")
 
 
 @dataclass(frozen=True)
 class EncoderConfig:
+    """The encoder; its input always has one channel, the binned frames."""
+
     stem: StemConfig
     stages: tuple[StageConfig, ...]
     hidden_spatial: tuple[int, int, int] = (32, 32, 32)
-    in_channels: int = 1
 
     def __post_init__(self):
         if not self.stages:
@@ -97,47 +110,6 @@ class EncoderConfig:
             hidden_spatial=(8, 8, 8),
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "stem": {
-                "kernel": list(self.stem.kernel),
-                "stride": list(self.stem.stride),
-                "channels": self.stem.channels,
-                "pool": self.stem.pool,
-            },
-            "stages": [
-                {"blocks": s.blocks, "channels": s.channels, "stride": list(s.stride)}
-                for s in self.stages
-            ],
-            "hidden_spatial": list(self.hidden_spatial),
-            "in_channels": self.in_channels,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EncoderConfig":
-        _check_legacy_norm(d)
-        s = d["stem"]
-        stem = StemConfig(
-            kernel=require_ints(s["kernel"], "encoder.stem.kernel"),
-            stride=require_ints(s["stride"], "encoder.stem.stride"),
-            channels=require_int(s["channels"], "encoder.stem.channels"),
-            pool=require_bool(s["pool"], "encoder.stem.pool"),
-        )
-        stages = tuple(
-            StageConfig(
-                require_int(s["blocks"], "encoder.stages.blocks"),
-                require_int(s["channels"], "encoder.stages.channels"),
-                require_ints(s["stride"], "encoder.stages.stride"),
-            )
-            for s in d["stages"]
-        )
-        return cls(
-            stem=stem,
-            stages=stages,
-            hidden_spatial=require_ints(d["hidden_spatial"], "encoder.hidden_spatial"),
-            in_channels=require_int(d.get("in_channels", 1), "encoder.in_channels"),
-        )
-
 
 @dataclass(frozen=True)
 class DecoderConfig:
@@ -151,6 +123,7 @@ class DecoderConfig:
             raise ConfigError(
                 f"decoder channel schedule {self.channels} does not match {self.levels} levels"
             )
+        _check_positive(self, "channels")
 
     @classmethod
     def paper(cls) -> "DecoderConfig":
@@ -160,22 +133,38 @@ class DecoderConfig:
     def toy(cls) -> "DecoderConfig":
         return cls(levels=2, channels=(16, 32))
 
-    def to_dict(self) -> dict:
-        return {"levels": self.levels, "channels": list(self.channels)}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "DecoderConfig":
-        _check_legacy_norm(d)
-        return cls(
-            levels=require_int(d["levels"], "decoder.levels"),
-            channels=require_ints(d["channels"], "decoder.channels"),
-        )
+@dataclass(frozen=True)
+class ModelConfig:
+    """A run config's ``model`` section, and a checkpoint sidecar's ``config``."""
+
+    encoder: EncoderConfig
+    decoder: DecoderConfig
+    seed: int = 0
 
 
-def _check_legacy_norm(d: dict) -> None:
-    # sidecars written before the norm option was removed carry "norm": "batch"
-    if d.get("norm", "batch") != "batch":
-        raise ConfigError(f"unsupported norm {d['norm']!r}; every block uses batch norm")
+# keys that sidecars of older versions carry, each with the one value this
+# version implements (None: any value, since the key chose nothing)
+RETIRED_KEYS = {
+    "encoder": {"norm": "batch", "paper_scale": None, "in_channels": 1},
+    "decoder": {"norm": "batch"},
+}
+
+
+def read_model_config(d) -> ModelConfig:
+    """A sidecar's model config, read once the retired keys are dropped; a
+    retired key that asks for what this version lacks is a ConfigError."""
+    if isinstance(d, dict):
+        d = dict(d)
+        for part, retired in RETIRED_KEYS.items():
+            section = d.get(part)
+            if not isinstance(section, dict):
+                continue
+            for key, only in retired.items():
+                if key in section and only is not None and section[key] != only:
+                    raise ConfigError(f"config.{part}.{key} must be {only!r}, got {section[key]!r}")
+            d[part] = {k: v for k, v in section.items() if k not in retired}
+    return from_json(ModelConfig, d, "config")
 
 
 def conv_norm(cin, cout, kernel, stride, padding, name, seed, dtype, tag=""):
@@ -221,7 +210,7 @@ class Bottleneck(nn.Module):
 def build_encoder(cfg: EncoderConfig, seed: int, dtype) -> nn.Sequential:
     """Stem, optional max pool, the bottleneck stages, then the resize."""
     layers = [conv_norm_relu(
-        cfg.in_channels, cfg.stem.channels, cfg.stem.kernel, cfg.stem.stride,
+        1, cfg.stem.channels, cfg.stem.kernel, cfg.stem.stride,
         tuple(k // 2 for k in cfg.stem.kernel), "encoder.stem", seed, dtype,
     )]
     if cfg.stem.pool:
@@ -456,13 +445,9 @@ def frames_to_input(stacks, dtype=np.float32) -> np.ndarray:
 
 
 def model_config_dict(enc_cfg: EncoderConfig, dec_cfg: DecoderConfig, seed: int) -> dict:
-    return {"encoder": enc_cfg.to_dict(), "decoder": dec_cfg.to_dict(), "seed": seed}
+    return asdict(ModelConfig(enc_cfg, dec_cfg, seed))
 
 
 def model_from_config_dict(d: dict, dtype=np.float32) -> E2VModel:
-    return build_model(
-        EncoderConfig.from_dict(d["encoder"]),
-        DecoderConfig.from_dict(d["decoder"]),
-        seed=int(d.get("seed", 0)),
-        dtype=dtype,
-    )
+    cfg = read_model_config(d)
+    return build_model(cfg.encoder, cfg.decoder, seed=cfg.seed, dtype=dtype)

@@ -23,11 +23,12 @@ interpolated inside each inter-frame interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import voxel
+from .config import from_json
 from .errors import (
     ConfigError,
     ContrastNonPositive,
@@ -97,12 +98,20 @@ class Sphere:
     radius: float
     albedo: float = 0.9
 
+    def __post_init__(self):
+        if self.radius <= 0:
+            raise InvalidSceneSpec(f"radius must be positive, got {self.radius}")
+
 
 @dataclass(frozen=True)
 class Box:
     center: tuple[float, float, float]
     half_extents: tuple[float, float, float]
     albedo: float = 0.9
+
+    def __post_init__(self):
+        if any(e <= 0 for e in self.half_extents):
+            raise InvalidSceneSpec(f"half_extents must be positive, got {self.half_extents}")
 
 
 @dataclass(frozen=True)
@@ -114,6 +123,18 @@ class Cylinder:
     radius: float
     half_height: float
     albedo: float = 0.9
+
+    def __post_init__(self):
+        if self.axis not in (0, 1, 2):
+            raise InvalidSceneSpec(f"axis must be 0, 1, or 2, got {self.axis}")
+        if self.radius <= 0 or self.half_height <= 0:
+            raise InvalidSceneSpec(
+                f"radius and half_height must be positive, got {self.radius}, {self.half_height}"
+            )
+
+
+# the JSON "kind" of each primitive class
+PRIMITIVES = {"sphere": Sphere, "box": Box, "cylinder": Cylinder}
 
 
 @dataclass
@@ -540,64 +561,32 @@ def scene_to_dict(scene: Scene) -> dict:
     mesh scene, which has none."""
     if scene.mesh is not None:
         raise InvalidSceneSpec("a mesh scene has no JSON form")
-    prims = []
+    kinds = {cls: kind for kind, cls in PRIMITIVES.items()}
     for p in scene.primitives:
-        if isinstance(p, Sphere):
-            prims.append(
-                {"kind": "sphere", "center": list(p.center), "radius": p.radius,
-                 "albedo": p.albedo}
-            )
-        elif isinstance(p, Box):
-            prims.append(
-                {"kind": "box", "center": list(p.center),
-                 "half_extents": list(p.half_extents), "albedo": p.albedo}
-            )
-        elif isinstance(p, Cylinder):
-            prims.append(
-                {"kind": "cylinder", "center": list(p.center), "axis": p.axis,
-                 "radius": p.radius, "half_height": p.half_height, "albedo": p.albedo}
-            )
-        else:
+        if type(p) not in kinds:
             raise InvalidSceneSpec(f"unknown primitive {type(p).__name__}")
-    return {"primitives": prims}
+    return {"primitives": [{"kind": kinds[type(p)], **asdict(p)} for p in scene.primitives]}
 
 
-def scene_from_dict(spec: dict) -> Scene:
-    """Build a Scene from its JSON form; raises InvalidSceneSpec on nonsense."""
-    if not isinstance(spec, dict):
-        raise InvalidSceneSpec(f"scene spec must be an object, got {type(spec).__name__}")
-    prims = []
-    entries = spec.get("primitives", [])
-    if not isinstance(entries, list):
-        raise InvalidSceneSpec("'primitives' must be a list")
-    for i, entry in enumerate(entries):
-        try:
-            kind = entry["kind"]
-            albedo = float(entry.get("albedo", 0.9))
-            center = tuple(float(v) for v in entry["center"])
-            if kind == "sphere":
-                prim = Sphere(center, float(entry["radius"]), albedo)
-                if prim.radius <= 0:
-                    raise InvalidSceneSpec(f"primitive {i}: radius must be positive")
-            elif kind == "box":
-                half = tuple(float(v) for v in entry["half_extents"])
-                prim = Box(center, half, albedo)
-                if any(e <= 0 for e in prim.half_extents):
-                    raise InvalidSceneSpec(f"primitive {i}: half_extents must be positive")
-            elif kind == "cylinder":
-                prim = Cylinder(
-                    center, int(entry["axis"]),
-                    float(entry["radius"]), float(entry["half_height"]), albedo,
+@dataclass(frozen=True)
+class _SceneSpec:
+    primitives: tuple[dict, ...] = ()
+
+
+def scene_from_dict(spec: dict, where: str = "scene") -> Scene:
+    """Build a Scene from its JSON form, whose dotted path is ``where``;
+    raises InvalidSceneSpec on nonsense."""
+    try:
+        prims = []
+        for i, entry in enumerate(from_json(_SceneSpec, spec, where).primitives):
+            fields = dict(entry)
+            kind = fields.pop("kind", None)
+            cls = PRIMITIVES.get(kind) if isinstance(kind, str) else None
+            if cls is None:
+                raise InvalidSceneSpec(
+                    f"{where}.primitives[{i}].kind must be one of {sorted(PRIMITIVES)}, got {kind!r}"
                 )
-                if prim.axis not in (0, 1, 2):
-                    raise InvalidSceneSpec(f"primitive {i}: axis must be 0, 1, or 2")
-                if prim.radius <= 0 or prim.half_height <= 0:
-                    raise InvalidSceneSpec(f"primitive {i}: dimensions must be positive")
-            else:
-                raise InvalidSceneSpec(f"primitive {i}: unknown kind {kind!r}")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidSceneSpec(f"primitive {i}: {exc}") from exc
-        if len(prim.center) != 3:
-            raise InvalidSceneSpec(f"primitive {i}: center must have 3 components")
-        prims.append(prim)
+            prims.append(from_json(cls, fields, f"{where}.primitives[{i}]"))
+    except ConfigError as exc:
+        raise InvalidSceneSpec(str(exc)) from exc
     return Scene(primitives=prims)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import voxel
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint, write_text
 from .errors import (
     CheckpointMismatch,
     ConfigError,
@@ -183,15 +183,11 @@ def _save_training_checkpoint(out_dir, model, state, run, epoch_done, log):
         "seed": run.seed,
         "epoch": epoch_done,
     }
-    with open(path + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(out_dir, "metrics.csv"), "w") as fh:
-        fh.write("epoch,loss,iou\n")
-        for row in log:
-            # repr round-trips float64 exactly, so a reloaded log matches
-            # the in-memory one bit for bit
-            fh.write(f"{row[0]},{row[1]!r},{row[2]!r}\n")
+    write_text(path + ".json", json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    # repr round-trips float64 exactly, so a reloaded log matches the
+    # in-memory one bit for bit
+    rows = "".join(f"{row[0]},{row[1]!r},{row[2]!r}\n" for row in log)
+    write_text(os.path.join(out_dir, "metrics.csv"), "epoch,loss,iou\n" + rows)
     return path
 
 

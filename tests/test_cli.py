@@ -1,8 +1,14 @@
-"""End-to-end and unit tests for the command line pipeline."""
+"""End-to-end and unit tests for the command line pipeline.
 
+The ``pipeline`` fixture, one full toy run, lives in conftest.py.
+"""
+
+import dataclasses
 import hashlib
 import json
 import shutil
+import types
+import typing
 from collections import Counter
 from pathlib import Path
 
@@ -10,7 +16,9 @@ import numpy as np
 import pytest
 
 from ev2vox import cli
-from ev2vox.errors import ConfigError
+from ev2vox.events import BinningConfig
+from ev2vox.model import DecoderConfig, EncoderConfig, ModelConfig, StageConfig, StemConfig
+from ev2vox.train import AdamWConfig, TrainRun
 from ev2vox.voxel import VoxelGrid, parse_obj, write_vox1
 
 
@@ -27,31 +35,6 @@ def write_config(path, data):
     path = Path(path)
     path.write_text(json.dumps(data))
     return str(path)
-
-
-@pytest.fixture(scope="session")
-def pipeline(tmp_path_factory):
-    """One full toy run: generate 8 samples, preprocess, train, eval."""
-    root = tmp_path_factory.mktemp("pipeline")
-    cfg = write_config(root / "cfg.json", {"generate": {"count": 8}})
-    data = root / "data"
-    manifest = data / "manifest.json"
-    codes = {
-        "generate": cli.main(
-            ["generate", "--toy", "--config", cfg, "--seed", "7", "--out", str(data)]
-        ),
-        "preprocess": cli.main(
-            ["preprocess", "--toy", "--config", cfg, "--manifest", str(manifest)]
-        ),
-        "train": cli.main(
-            ["train", "--toy", "--config", cfg, "--manifest", str(manifest)]
-        ),
-        "eval": cli.main(
-            ["eval", "--toy", "--config", cfg, "--manifest", str(manifest)]
-        ),
-    }
-    return {"root": root, "cfg": cfg, "data": data, "manifest": manifest,
-            "run": data / "run", "codes": codes}
 
 
 class TestGenerate:
@@ -104,6 +87,21 @@ class TestGenerate:
         )
         assert cli.main(["generate", "--toy", "--config", cfg, "--out", str(tmp_path / "d")]) == 2
 
+    @pytest.mark.parametrize("field,value", [
+        ("axis", 1.7), ("radius", True), ("half_height", "0.2"), ("albdo", 0.5),
+    ])
+    def test_scene_value_of_wrong_type_or_name_exits_2(self, tmp_path, capsys, field, value):
+        cylinder = {"kind": "cylinder", "center": [0, 0, 0], "axis": 2,
+                    "radius": 0.2, "half_height": 0.2, field: value}
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"generate": {"count": 1, "scenes": [{"primitives": [cylinder]}]}},
+        )
+        out = tmp_path / "d"
+        assert cli.main(["generate", "--toy", "--config", cfg, "--out", str(out)]) == 2
+        assert f"generate.scenes[0].primitives[0].{field}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_count_scene_mismatch_exits_2(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json", {"generate": {"count": 3, "scenes": []}}
@@ -134,6 +132,54 @@ class TestSplitAssignment:
         a = cli.split_assignments(ids, (8, 1, 1), 0)
         b = cli.split_assignments(ids, (8, 1, 1), 1)
         assert a != b
+
+
+# every config dataclass, at the dotted path where a run config holds it
+CONFIG_SECTIONS = {
+    "binning": BinningConfig,
+    "model": ModelConfig,
+    "model.encoder": EncoderConfig,
+    "model.encoder.stem": StemConfig,
+    "model.encoder.stages[0]": StageConfig,
+    "model.decoder": DecoderConfig,
+    "trainer.optimizer": AdamWConfig,
+    "trainer.run": TrainRun,
+    "generate": cli.GenerateConfig,
+}
+
+
+def wrong_values(tp) -> list:
+    """JSON values that annotation ``tp`` refuses, near misses for scalars."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:  # X | None takes null, and refuses what X refuses
+        (inner,) = [a for a in args if a is not type(None)]
+        return wrong_values(inner)
+    if origin is tuple:
+        n = 1 if args[-1] is Ellipsis else len(args)
+        return ["x", [wrong_values(args[0])[0]] * n]
+    if dataclasses.is_dataclass(tp):
+        return [3]
+    return {bool: ["false", 1], int: [2.5, True], float: [True, "0.2"], str: [5], dict: [[1]]}[tp]
+
+
+def override_at(section: str, field: str, value) -> dict:
+    """A run config that sets ``field`` of the section at dotted path ``section``."""
+    if section == "model.encoder.stages[0]":
+        stage = {**dataclasses.asdict(EncoderConfig.toy().stages[0]), field: value}
+        section, field, value = "model.encoder", "stages", [stage]
+    tree = {field: value}
+    for part in reversed(section.split(".")):
+        tree = {part: tree}
+    return tree
+
+
+# a wrong-typed value for every field of every config dataclass
+FIELD_TYPE_CASES = [
+    (override_at(section, f.name, value), f"{section}.{f.name}")
+    for section, cls in CONFIG_SECTIONS.items()
+    for f in dataclasses.fields(cls)
+    for value in wrong_values(typing.get_type_hints(cls)[f.name])
+]
 
 
 class TestConfig:
@@ -189,13 +235,31 @@ class TestConfig:
         ({"trainer": {"optimizer": {"lr": True}}}, "trainer.optimizer.lr"),
         ({"generate": {"contrast": True}}, "generate.contrast"),
         ({"trainer": {"run": 3}}, "trainer.run"),
-    ])
+    ] + FIELD_TYPE_CASES)
     def test_wrong_value_type_exits_2(self, tmp_path, capsys, override, key):
         cfg = write_config(tmp_path / "c.json", override)
         out = tmp_path / "d"
         assert cli.main(["generate", "--toy", "--config", cfg, "--out", str(out)]) == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("model,key", [
+        ({"encoder": {"stem": {"kernel": [3, 3]}}}, "model.encoder.stem.kernel"),
+        ({"encoder": {"stem": {"stride": [1, 2]}}}, "model.encoder.stem.stride"),
+        ({"encoder": {"stem": {"channels": 0}}}, "model.encoder.stem: channels"),
+        ({"decoder": {"channels": [0, 32]}}, "model.decoder: channels"),
+        ({"encoder": {"stages": [{"blocks": 1, "channels": 8}]}}, "model.encoder.stages[0].stride"),
+        ({"encoder": {"in_channels": 2}}, "model.encoder.in_channels"),
+    ])
+    def test_bad_model_shape_exits_2(self, pipeline, tmp_path, capsys, model, key):
+        # unchecked, these ended training in a ShapeMismatch, ZeroDivisionError or KeyError
+        cfg = write_config(tmp_path / "c.json", {"model": model})
+        code = cli.main(
+            ["train", "--toy", "--config", cfg, "--manifest", str(pipeline["manifest"]),
+             "--out", str(tmp_path / "run")]
+        )
+        assert code == 2
+        assert key in capsys.readouterr().err
 
     def test_float_epochs_train_exits_2(self, pipeline, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"trainer": {"run": {"epochs": 2.5}}})
@@ -235,13 +299,14 @@ class TestPreprocess:
         assert meta["shape"] == [10, 32, 32]
 
     def test_thread_count_does_not_change_bytes(self, pipeline, tmp_path):
-        out2 = tmp_path / "cache2"
+        data = copy_dataset(pipeline, tmp_path)
+        shutil.rmtree(data / "cache")
         code = cli.main(
             ["preprocess", "--toy", "--config", pipeline["cfg"],
-             "--manifest", str(pipeline["manifest"]), "--out", str(out2), "--threads", "3"]
+             "--manifest", str(data / "manifest.json"), "--threads", "3"]
         )
         assert code == 0
-        assert tree_hash(out2) == tree_hash(pipeline["data"] / "cache")
+        assert tree_hash(data / "cache") == tree_hash(pipeline["data"] / "cache")
 
     def test_missing_manifest_exits_3_naming_path(self, tmp_path, capsys):
         missing = tmp_path / "nowhere" / "manifest.json"
@@ -250,12 +315,22 @@ class TestPreprocess:
 
     def test_env_thread_fallback(self, pipeline, tmp_path, monkeypatch):
         monkeypatch.setenv("E2V_THREADS", "2")
-        out = tmp_path / "cache_env"
+        data = copy_dataset(pipeline, tmp_path)
+        shutil.rmtree(data / "cache")
         code = cli.main(
             ["preprocess", "--toy", "--config", pipeline["cfg"],
-             "--manifest", str(pipeline["manifest"]), "--out", str(out)]
+             "--manifest", str(data / "manifest.json")]
         )
-        assert code == 0 and out.is_dir()
+        assert code == 0
+        assert tree_hash(data / "cache") == tree_hash(pipeline["data"] / "cache")
+
+    def test_out_option_exits_2(self, pipeline, tmp_path):
+        # train, eval and export read only <manifest dir>/cache
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["preprocess", "--toy", "--manifest", str(pipeline["manifest"]),
+                      "--out", str(tmp_path / "cache")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "cache").exists()
 
     def test_bad_thread_values_exit_2(self, pipeline, monkeypatch):
         args = ["preprocess", "--toy", "--manifest", str(pipeline["manifest"])]
@@ -360,12 +435,13 @@ class TestTrainEval:
         assert "configuration" in capsys.readouterr().err
 
     def test_eval_accepts_sidecar_with_retired_keys(self, pipeline, tmp_path):
-        # sidecars written before the norm option was removed carry these keys
+        # sidecars written before the norm and in_channels options were removed
+        # carry these keys
         run = tmp_path / "run"
         run.mkdir()
         (run / "model.ckpt").write_bytes((pipeline["run"] / "model.ckpt").read_bytes())
         sidecar = json.loads((pipeline["run"] / "model.ckpt.json").read_text())
-        sidecar["config"]["encoder"].update(norm="batch", paper_scale=False)
+        sidecar["config"]["encoder"].update(norm="batch", paper_scale=False, in_channels=1)
         sidecar["config"]["decoder"]["norm"] = "batch"
         (run / "model.ckpt.json").write_text(json.dumps(sidecar))
         code = cli.main(
@@ -377,13 +453,31 @@ class TestTrainEval:
 
     @pytest.mark.parametrize("section,key", [
         ("encoder", "norm"), ("decoder", "norm"), ("encoder", "paper_scale"),
+        ("encoder", "in_channels"),
     ])
-    def test_retired_model_keys_exit_2(self, pipeline, tmp_path, section, key):
-        cfg = write_config(tmp_path / "c.json", {"model": {section: {key: "batch"}}})
+    def test_retired_model_keys_exit_2(self, pipeline, tmp_path, capsys, section, key):
+        # each with the one value it could take
+        value = 1 if key == "in_channels" else "batch"
+        cfg = write_config(tmp_path / "c.json", {"model": {section: {key: value}}})
         code = cli.main(
             ["eval", "--toy", "--config", cfg, "--manifest", str(pipeline["manifest"])]
         )
         assert code == 2
+        assert f"model.{section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["model.ckpt.json", "metrics.csv"])
+    def test_unwritable_training_artifact_exits_3(self, pipeline, tmp_path, capsys, name):
+        cfg = write_config(
+            tmp_path / "c.json", {"trainer": {"run": {"epochs": 1, "checkpoint_every": 1}}}
+        )
+        run = tmp_path / "run"
+        (run / name).mkdir(parents=True)
+        code = cli.main(
+            ["train", "--toy", "--config", cfg, "--manifest", str(pipeline["manifest"]),
+             "--out", str(run)]
+        )
+        assert code == 3
+        assert str(run / name) in capsys.readouterr().err
 
     @pytest.mark.parametrize("sidecar", DAMAGED_SIDECARS)
     def test_eval_damaged_sidecar_exits_3(self, pipeline, tmp_path, capsys, sidecar):

@@ -1,6 +1,7 @@
 """Tests for the encoder-decoder assembly, the loss, and state handling."""
 
 import hashlib
+import json
 import re
 
 import numpy as np
@@ -47,20 +48,44 @@ class TestConfigs:
         assert M.DecoderConfig.paper().channels == (64, 128, 256)
 
     def test_config_dict_round_trip(self):
-        enc, dec = M.EncoderConfig.toy(), M.DecoderConfig.toy()
-        assert M.EncoderConfig.from_dict(enc.to_dict()) == enc
-        assert M.DecoderConfig.from_dict(dec.to_dict()) == dec
+        for enc, dec in ((M.EncoderConfig.toy(), M.DecoderConfig.toy()),
+                         (M.EncoderConfig.paper(), M.DecoderConfig.paper())):
+            # through JSON text, so tuples come back from lists
+            d = json.loads(json.dumps(M.model_config_dict(enc, dec, seed=3)))
+            assert M.read_model_config(d) == M.ModelConfig(enc, dec, seed=3)
 
     def test_legacy_norm_keys_accepted(self):
-        # configs written before the norm option was removed still load
+        # sidecars written before the norm and in_channels options were
+        # removed still load
         enc, dec = M.EncoderConfig.toy(), M.DecoderConfig.toy()
-        old_enc = {**enc.to_dict(), "norm": "batch", "paper_scale": False}
-        assert M.EncoderConfig.from_dict(old_enc) == enc
-        assert M.DecoderConfig.from_dict({**dec.to_dict(), "norm": "batch"}) == dec
+        d = M.model_config_dict(enc, dec, seed=0)
+        d["encoder"].update(norm="batch", paper_scale=False, in_channels=1)
+        d["decoder"]["norm"] = "batch"
+        assert M.read_model_config(d) == M.ModelConfig(enc, dec)
 
     def test_legacy_norm_none_rejected(self):
-        with pytest.raises(ConfigError):
-            M.DecoderConfig.from_dict({**M.DecoderConfig.toy().to_dict(), "norm": "none"})
+        d = M.model_config_dict(M.EncoderConfig.toy(), M.DecoderConfig.toy(), seed=0)
+        d["decoder"]["norm"] = "none"
+        with pytest.raises(ConfigError, match="config.decoder.norm"):
+            M.read_model_config(d)
+
+    def test_legacy_in_channels_other_than_one_rejected(self):
+        d = M.model_config_dict(M.EncoderConfig.toy(), M.DecoderConfig.toy(), seed=0)
+        d["encoder"]["in_channels"] = 2
+        with pytest.raises(ConfigError, match="config.encoder.in_channels"):
+            M.read_model_config(d)
+
+    @pytest.mark.parametrize("make", [
+        lambda: M.StemConfig(kernel=(3, 0, 3)),
+        lambda: M.StemConfig(stride=(1, 0, 1)),
+        lambda: M.StemConfig(channels=0),
+        lambda: M.StageConfig(1, 0, (1, 1, 1)),
+        lambda: M.StageConfig(1, 4, (2, 0, 2)),
+        lambda: M.DecoderConfig(levels=2, channels=(8, 0)),
+    ])
+    def test_shapes_below_one_rejected(self, make):
+        with pytest.raises(ConfigError, match="must be at least 1"):
+            make()
 
     def test_empty_stages_rejected(self):
         with pytest.raises(ConfigError):
@@ -69,7 +94,7 @@ class TestConfigs:
     def test_bad_hidden_rejected(self):
         with pytest.raises(ConfigError):
             M.EncoderConfig(
-                stem=M.StemConfig(), stages=(M.StageConfig(1, 4),),
+                stem=M.StemConfig(), stages=(M.StageConfig(1, 4, (1, 1, 1)),),
                 hidden_spatial=(0, 4, 4),
             )
 
@@ -80,7 +105,7 @@ class TestConfigs:
     def test_indivisible_hidden_rejected_at_build(self):
         enc = M.EncoderConfig(
             stem=M.StemConfig(kernel=(3, 3, 3), stride=(1, 1, 1), channels=4, pool=False),
-            stages=(M.StageConfig(1, 4),),
+            stages=(M.StageConfig(1, 4, (1, 1, 1)),),
             hidden_spatial=(5, 4, 4),
         )
         with pytest.raises(ConfigError):
@@ -132,7 +157,7 @@ class TestShapes:
         # every down halving is undone by the matching up level
         enc = M.EncoderConfig(
             stem=M.StemConfig(kernel=(3, 3, 3), stride=(1, 2, 2), channels=4, pool=False),
-            stages=(M.StageConfig(1, 4),),
+            stages=(M.StageConfig(1, 4, (1, 1, 1)),),
             hidden_spatial=(4, 8, 8),
         )
         m = M.build_model(enc, M.DecoderConfig(levels=2, channels=(4, 8)), seed=0)
