@@ -1,8 +1,14 @@
 """Command line pipeline: generate, preprocess, train, eval, export.
 
-The five subcommands share a JSON run configuration (strict about unknown
-keys) and a dataset manifest. Every command is deterministic given
-(config, seed); re-running writes byte-identical artifacts.
+The five subcommands share a run configuration and a dataset manifest.
+The run configuration is a ``RunConfig``: ``--toy`` picks the ``TOY``
+preset and its absence the ``FULL`` one, and a JSON file passed with
+``--config`` is read onto that preset. The file's sections are
+RunConfig's field tree (``binning``, ``model``, ``trainer.optimizer``,
+``trainer.run``, ``metrics``, ``generate``); a key it leaves out keeps the
+preset's value, and an unknown key is an error. Every command is
+deterministic given (config, seed); re-running writes byte-identical
+artifacts.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 internal
 invariant violation.
@@ -161,10 +167,11 @@ class GenerateConfig:
     scenes: tuple[dict, ...] | None = None
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ConfigError(f"count must be positive, got {self.count}")
-        if self.resolution < 1:
-            raise ConfigError(f"resolution must be positive, got {self.resolution}")
+        for name in ("count", "resolution", "width", "height"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if not self.contrast > 0:
+            raise ConfigError(f"contrast must be positive, got {self.contrast}")
         if len(self.ratios) != 3 or any(r < 0 for r in self.ratios) or sum(self.ratios) == 0:
             raise ConfigError(f"ratios must be three nonnegative weights, got {self.ratios}")
         if self.scenes is not None and self.count != len(self.scenes):
@@ -174,69 +181,58 @@ class GenerateConfig:
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Merged settings for binning, model, trainer, metrics, and generation."""
-
-    binning: BinningConfig
-    encoder: EncoderConfig
-    decoder: DecoderConfig
-    model_seed: int
+class TrainerConfig:
     optimizer: AdamWConfig
     run: TrainRun
-    threshold: float
-    distance: float
+
+
+@dataclass(frozen=True)
+class MetricsConfig:
+    threshold: float = 0.3
+    distance: float = 0.20
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Settings for binning, model, trainer, metrics and generation; this
+    field tree is the layout of a JSON run config."""
+
+    binning: BinningConfig
+    model: ModelConfig
+    trainer: TrainerConfig
+    metrics: MetricsConfig
     generate: GenerateConfig
 
-
-def _default_config_dict(toy: bool) -> dict:
-    if toy:
-        binning = BinningConfig(window=0.05, target_height=32, target_width=32)
-        encoder, decoder = EncoderConfig.toy(), DecoderConfig.toy()
-        optimizer = AdamWConfig.toy()
-        run = TrainRun(epochs=100, batch_size=5, seed=0, checkpoint_every=50)
-    else:
-        binning = BinningConfig(window=0.005)
-        encoder, decoder = EncoderConfig.paper(), DecoderConfig.paper()
-        optimizer = AdamWConfig()
-        run = TrainRun()
-    return {
-        "binning": dataclasses.asdict(binning),
-        "model": dataclasses.asdict(ModelConfig(encoder, decoder, seed=0)),
-        "trainer": {
-            "optimizer": dataclasses.asdict(optimizer),
-            "run": dataclasses.asdict(run),
-        },
-        "metrics": {"threshold": 0.3, "distance": 0.20},
-        # labels must land at the model's output resolution
-        "generate": dataclasses.asdict(GenerateConfig(resolution=8 if toy else 32)),
-    }
+    @property
+    def run(self) -> TrainRun:
+        # the benchmark (bench/workload.py) reads cfg.run for its call counts
+        return self.trainer.run
 
 
-def _merge_strict(base: dict, override: dict, prefix: str = "") -> dict:
-    """Recursively merge override into base, rejecting keys base lacks.
+TOY = RunConfig(
+    binning=BinningConfig(window=0.05, target_height=32, target_width=32),
+    model=ModelConfig(EncoderConfig.toy(), DecoderConfig.toy()),
+    trainer=TrainerConfig(
+        AdamWConfig.toy(), TrainRun(epochs=100, batch_size=5, checkpoint_every=50)
+    ),
+    metrics=MetricsConfig(),
+    # labels must land at the model's output resolution
+    generate=GenerateConfig(resolution=8),
+)
 
-    Silent typo absorption is the main reproducibility hazard, so any key
-    that does not exist in the defaults is an error, with its full dotted
-    path in the message. Lists and scalars replace; dicts merge, and only
-    with dicts.
-    """
-    merged = dict(base)
-    for key, value in override.items():
-        dotted = f"{prefix}{key}"
-        if key not in base:
-            raise ConfigError(f"unknown config key {dotted!r}")
-        if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{dotted} must be an object, got {value!r}")
-            merged[key] = _merge_strict(base[key], value, prefix=dotted + ".")
-        else:
-            merged[key] = value
-    return merged
+FULL = RunConfig(
+    binning=BinningConfig(window=0.005),
+    model=ModelConfig(EncoderConfig.paper(), DecoderConfig.paper()),
+    trainer=TrainerConfig(AdamWConfig(), TrainRun()),
+    metrics=MetricsConfig(),
+    generate=GenerateConfig(),
+)
 
 
 def load_run_config(path: str | None, toy: bool = False, seed: int | None = None) -> RunConfig:
-    """Build a RunConfig from defaults, an optional JSON file, and --seed."""
-    merged = _default_config_dict(toy)
+    """The --toy or full preset, with an optional JSON file read onto it
+    (a key the file leaves out keeps the preset's value) and --seed."""
+    cfg = TOY if toy else FULL
     if path is not None:
         try:
             text = Path(path).read_text()
@@ -246,24 +242,11 @@ def load_run_config(path: str | None, toy: bool = False, seed: int | None = None
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: config root must be a JSON object")
-        merged = _merge_strict(merged, data)
+        cfg = from_json(RunConfig, data, "", cfg)
     if seed is not None:
-        merged["trainer"]["run"]["seed"] = seed
-    model = from_json(ModelConfig, merged["model"], "model")
-    trainer, metrics = merged["trainer"], merged["metrics"]
-    return RunConfig(
-        binning=from_json(BinningConfig, merged["binning"], "binning"),
-        encoder=model.encoder,
-        decoder=model.decoder,
-        model_seed=model.seed,
-        optimizer=from_json(AdamWConfig, trainer["optimizer"], "trainer.optimizer"),
-        run=from_json(TrainRun, trainer["run"], "trainer.run"),
-        threshold=from_json(float, metrics["threshold"], "metrics.threshold"),
-        distance=from_json(float, metrics["distance"], "metrics.distance"),
-        generate=from_json(GenerateConfig, merged["generate"], "generate"),
-    )
+        run = dataclasses.replace(cfg.trainer.run, seed=seed)
+        cfg = dataclasses.replace(cfg, trainer=dataclasses.replace(cfg.trainer, run=run))
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -455,15 +438,20 @@ def cmd_train(cfg: RunConfig, manifest_path: str, out_dir: str | None) -> None:
     dataset = _load_dataset(cfg, manifest, ("train",), _cache_dir(manifest))
     if not dataset:
         raise EmptyDataset(f"{manifest_path}: no train-split entries")
-    model = build_model(cfg.encoder, cfg.decoder, seed=cfg.model_seed)
+    hidden, labels = cfg.model.encoder.hidden_spatial, dataset[0][1].resolution
+    if hidden != (labels,) * 3:
+        raise ConfigError(f"model.encoder.hidden_spatial {hidden} does not match "
+                          f"the train labels' resolution {labels} on every axis")
+    model = build_model(cfg.model.encoder, cfg.model.decoder, seed=cfg.model.seed)
     run_dir = _run_dir(manifest, out_dir)
     try:
         run_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoFailure(f"cannot create run directory {run_dir}: {exc}") from exc
-    result = train(dataset, model, cfg.run, cfg.optimizer, out_dir=str(run_dir))
+    run = cfg.trainer.run
+    result = train(dataset, model, run, cfg.trainer.optimizer, out_dir=str(run_dir))
     epoch, loss, iou_val = result.log[-1]
-    print(f"trained {cfg.run.epochs} epochs on {len(dataset)} samples; "
+    print(f"trained {run.epochs} epochs on {len(dataset)} samples; "
           f"final loss {loss:.4f}, train IoU {iou_val:.4f}")
     print(f"checkpoint: {result.checkpoint_path}")
 
@@ -509,14 +497,14 @@ def cmd_eval(cfg: RunConfig, manifest_path: str, out_dir: str | None) -> None:
     ckpt = run_dir / "model.ckpt"
     if not ckpt.is_file():
         raise IoFailure(f"checkpoint not found: {ckpt}")
-    model = _trained_model(ckpt, ModelConfig(cfg.encoder, cfg.decoder, cfg.model_seed))
+    model = _trained_model(ckpt, cfg.model)
 
     cache = _cache_dir(manifest)
     text_parts = []
     csv_lines = ["split,category,count,iou,fscore"]
     for split in manifest.splits_present():
         dataset = _load_dataset(cfg, manifest, (split,), cache)
-        report = evaluate(model, dataset, threshold=cfg.threshold, distance=cfg.distance)
+        report = evaluate(model, dataset, cfg.metrics.threshold, cfg.metrics.distance)
         text_parts.append(f"== {split} ==\n{report.text()}")
         for row in report.csv_rows()[1:]:
             csv_lines.append(f"{split},{row}")
@@ -562,7 +550,7 @@ def _export_from_checkpoint(cfg: RunConfig, ckpt_path: str, sample_id: str,
     model = _trained_model(Path(ckpt_path))
     model.eval()
     probs = model.forward(frames_to_input([frames], dtype=model.dtype), remember=False)
-    return binarize(ProbGrid(probs.shape[-1], probs[0]), cfg.threshold)
+    return binarize(ProbGrid(probs.shape[-1], probs[0]), cfg.metrics.threshold)
 
 
 def cmd_export(cfg: RunConfig, input_path: str, sample_id: str | None,

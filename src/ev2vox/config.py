@@ -36,27 +36,31 @@ def _require_scalar(tp, value, where: str):
     raise ConfigError(f"{where} must be {_SCALARS[tp]}, got {value!r}")
 
 
-def _require_dataclass(cls, value, where: str):
+def _require_dataclass(cls, value, where: str, base):
     if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be an object, got {value!r}")
+        raise ConfigError(f"{where or 'config'} must be an object, got {value!r}")
     fields = {f.name: f for f in dataclasses.fields(cls)}
+    prefix = f"{where}." if where else ""
     for key in value:
         if key not in fields:
-            raise ConfigError(f"unknown config key '{where}.{key}'")
+            raise ConfigError(f"unknown config key '{prefix}{key}'")
     hints = typing.get_type_hints(cls)
     kwargs = {}
     for name, f in fields.items():
         if name in value:
-            kwargs[name] = from_json(hints[name], value[name], f"{where}.{name}")
+            inner = getattr(base, name) if base is not None else None
+            kwargs[name] = from_json(hints[name], value[name], prefix + name, inner)
+        elif base is not None:
+            kwargs[name] = getattr(base, name)
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-            raise ConfigError(f"{where}.{name} is missing")
+            raise ConfigError(f"{prefix}{name} is missing")
     try:
         return cls(**kwargs)
     except ConfigError as exc:
-        raise type(exc)(f"{where}: {exc}") from exc
+        raise type(exc)(f"{where}: {exc}" if where else str(exc)) from exc
 
 
-def from_json(tp, value, where: str):
+def from_json(tp, value, where: str, base=None):
     """``value``, parsed JSON, read as the annotation ``tp``.
 
     ``tp`` is bool, int, float, str, dict (any object, kept as it is),
@@ -66,9 +70,13 @@ def from_json(tp, value, where: str):
     unknown key is an error. Each error is a ConfigError that names the
     dotted path of the bad value, e.g. ``model.encoder.stages[0].stride``;
     one raised by a dataclass's own checks is prefixed with its path.
+
+    ``base``, an instance of the dataclass ``tp``, is what the object is
+    read onto: a missing key keeps the base's value, and a nested dataclass
+    is read onto the base's field. Lists and scalars replace.
     """
     if dataclasses.is_dataclass(tp):
-        return _require_dataclass(tp, value, where)
+        return _require_dataclass(tp, value, where, base)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is types.UnionType:  # X | None
         if value is None:

@@ -19,7 +19,7 @@ of its entries in a checkpoint.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -309,15 +309,16 @@ class E2VModel(nn.Module):
     and returns per-cell occupancy probabilities shaped (N, R, R, R).
     backward() takes gradients of the loss with respect to those
     probabilities and accumulates parameter gradients in place.
+    ``config`` is the ModelConfig it was built from, which a checkpoint
+    sidecar records.
     """
 
-    def __init__(self, enc_cfg: EncoderConfig, dec_cfg: DecoderConfig, seed: int, dtype):
-        self.enc_cfg = enc_cfg
-        self.dec_cfg = dec_cfg
-        self.seed = seed
+    def __init__(self, config: ModelConfig, dtype):
+        self.config = config
         self.dtype = np.dtype(dtype)
-        self.encoder = build_encoder(enc_cfg, seed, dtype)
-        self.decoder = Decoder(dec_cfg, enc_cfg.out_channels, enc_cfg.hidden_spatial, seed, dtype)
+        enc, seed = config.encoder, config.seed
+        self.encoder = build_encoder(enc, seed, dtype)
+        self.decoder = Decoder(config.decoder, enc.out_channels, enc.hidden_spatial, seed, dtype)
         names = [p.name for p in self.parameters()] + [n for n, _ in self.buffers()]
         dupes = {n for n in names if names.count(n) > 1}
         if dupes:
@@ -325,9 +326,9 @@ class E2VModel(nn.Module):
 
     @property
     def resolution(self) -> int:
-        d, h, w = self.enc_cfg.hidden_spatial
+        d, h, w = hidden = self.config.encoder.hidden_spatial
         if not (d == h == w):
-            raise ConfigError(f"hidden volume {self.enc_cfg.hidden_spatial} is not cubic")
+            raise ConfigError(f"hidden volume {hidden} is not cubic")
         return d
 
     def forward(self, frames: np.ndarray, remember: bool = True) -> np.ndarray:
@@ -394,7 +395,7 @@ class E2VModel(nn.Module):
 
 def build_model(enc_cfg: EncoderConfig, dec_cfg: DecoderConfig, seed: int = 0,
                 dtype=np.float32) -> E2VModel:
-    return E2VModel(enc_cfg, dec_cfg, seed, dtype)
+    return E2VModel(ModelConfig(enc_cfg, dec_cfg, seed), dtype)
 
 
 def encode(model: E2VModel, frames: np.ndarray, remember: bool = False) -> np.ndarray:
@@ -444,10 +445,5 @@ def frames_to_input(stacks, dtype=np.float32) -> np.ndarray:
     return np.stack(arrs)[:, None].astype(dtype)
 
 
-def model_config_dict(enc_cfg: EncoderConfig, dec_cfg: DecoderConfig, seed: int) -> dict:
-    return asdict(ModelConfig(enc_cfg, dec_cfg, seed))
-
-
 def model_from_config_dict(d: dict, dtype=np.float32) -> E2VModel:
-    cfg = read_model_config(d)
-    return build_model(cfg.encoder, cfg.decoder, seed=cfg.seed, dtype=dtype)
+    return E2VModel(read_model_config(d), dtype)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .errors import (
     ShapeInconsistency,
     StateShapeMismatch,
 )
-from .model import E2VModel, bce_loss, frames_to_input, model_config_dict
+from .model import E2VModel, bce_loss, frames_to_input
 
 # samples per inference batch in evaluate()
 EVAL_BATCH = 5
@@ -102,7 +102,7 @@ class OptState:
         return state
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainRun:
     epochs: int = 100
     batch_size: int = 5
@@ -179,7 +179,7 @@ def _save_training_checkpoint(out_dir, model, state, run, epoch_done, log):
     path = os.path.join(out_dir, "model.ckpt")
     save_checkpoint(path, model.state_entries() + state.entries())
     sidecar = {
-        "config": model_config_dict(model.enc_cfg, model.dec_cfg, model.seed),
+        "config": asdict(model.config),
         "seed": run.seed,
         "epoch": epoch_done,
     }

@@ -1,16 +1,21 @@
-"""The bench tracer's layer contract, checked against the toy model.
+"""What the benchmark reads of the package, checked without running it.
 
 ``bench/tracer.py`` wraps each nn layer class's own ``forward`` and
-``backward`` and finds layers by walking a model's attributes. This test
-loads it by file path and checks both against one toy forward and backward.
+``backward`` and finds layers by walking a model's attributes; these tests
+load it by file path and check both against one toy forward and backward.
+It also wraps the functions it lists in ``FUNCTIONS`` wherever a module
+binds them, and ``bench/workload.py`` derives its expected call counts from
+the toy run config, so the names both read are pinned here too.
 """
 
+import importlib
 import importlib.util
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
+from ev2vox import cli
 from ev2vox import model as M
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -64,3 +69,21 @@ def test_tracer_sees_every_toy_layer_forward_and_backward():
     assert calls["model.forward_s"] == 1 and calls["model.backward_s"] == 1
     for group, count in groups.items():
         assert (calls[f"{group}.fwd_s"], calls[f"{group}.bwd_s"]) == (count, count), group
+
+
+def test_every_traced_function_resolves():
+    for modname, attr, _, _ in load_tracer().FUNCTIONS:
+        assert callable(getattr(importlib.import_module(modname), attr, None)), f"{modname}.{attr}"
+
+
+def test_cli_binds_build_model():
+    # the tracer counts model builds through each module's own binding
+    assert cli.build_model is M.build_model
+
+
+def test_toy_config_has_what_the_workload_reads():
+    cfg = cli.load_run_config(None, toy=True, seed=3)
+    run = cfg.run
+    assert run.seed == 3
+    for value in (run.epochs, run.batch_size, run.checkpoint_every, cfg.generate.count):
+        assert type(value) is int and value >= 1

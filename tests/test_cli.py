@@ -16,9 +16,7 @@ import numpy as np
 import pytest
 
 from ev2vox import cli
-from ev2vox.events import BinningConfig
-from ev2vox.model import DecoderConfig, EncoderConfig, ModelConfig, StageConfig, StemConfig
-from ev2vox.train import AdamWConfig, TrainRun
+from ev2vox.model import EncoderConfig
 from ev2vox.voxel import VoxelGrid, parse_obj, write_vox1
 
 
@@ -134,18 +132,24 @@ class TestSplitAssignment:
         assert a != b
 
 
-# every config dataclass, at the dotted path where a run config holds it
-CONFIG_SECTIONS = {
-    "binning": BinningConfig,
-    "model": ModelConfig,
-    "model.encoder": EncoderConfig,
-    "model.encoder.stem": StemConfig,
-    "model.encoder.stages[0]": StageConfig,
-    "model.decoder": DecoderConfig,
-    "trainer.optimizer": AdamWConfig,
-    "trainer.run": TrainRun,
-    "generate": cli.GenerateConfig,
-}
+def config_sections(cls, path=""):
+    """(dotted path, class) of ``cls`` and of every config dataclass in its
+    field tree, parents first; a tuple of dataclasses is walked at ``[0]``."""
+    yield path, cls
+    for name, tp in typing.get_type_hints(cls).items():
+        index = ""
+        if typing.get_origin(tp) is tuple:
+            tp, index = typing.get_args(tp)[0], "[0]"
+        if dataclasses.is_dataclass(tp):
+            yield from config_sections(tp, f"{path}.{name}{index}".lstrip("."))
+
+
+# every config dataclass, at the dotted path where a run config holds it.
+# pytest numbers parametrized cases by position; listing the root, trainer
+# and metrics sections last keeps the ids of the cases listed before them
+CONFIG_SECTIONS = dict(sorted(
+    config_sections(cli.RunConfig), key=lambda item: item[0] in ("", "trainer", "metrics")
+))
 
 
 def wrong_values(tp) -> list:
@@ -168,14 +172,14 @@ def override_at(section: str, field: str, value) -> dict:
         stage = {**dataclasses.asdict(EncoderConfig.toy().stages[0]), field: value}
         section, field, value = "model.encoder", "stages", [stage]
     tree = {field: value}
-    for part in reversed(section.split(".")):
+    for part in reversed(section.split(".") if section else []):
         tree = {part: tree}
     return tree
 
 
 # a wrong-typed value for every field of every config dataclass
 FIELD_TYPE_CASES = [
-    (override_at(section, f.name, value), f"{section}.{f.name}")
+    (override_at(section, f.name, value), f"{section}.{f.name}".lstrip("."))
     for section, cls in CONFIG_SECTIONS.items()
     for f in dataclasses.fields(cls)
     for value in wrong_values(typing.get_type_hints(cls)[f.name])
@@ -187,8 +191,16 @@ class TestConfig:
         toy = cli.load_run_config(None, toy=True)
         full = cli.load_run_config(None, toy=False)
         assert toy.binning.window == 0.05 and full.binning.window == 0.005
-        assert toy.encoder.stem.channels < full.encoder.stem.channels
-        assert toy.optimizer.lr > full.optimizer.lr
+        assert toy.model.encoder.stem.channels < full.model.encoder.stem.channels
+        assert toy.trainer.optimizer.lr > full.trainer.optimizer.lr
+
+    @pytest.mark.parametrize("preset", [True, False], ids=["toy", "full"])
+    def test_preset_round_trips_through_a_config_file(self, tmp_path, preset):
+        # the file layout is RunConfig's tree, and every key overrides the preset
+        cfg = cli.load_run_config(None, toy=preset)
+        path = write_config(tmp_path / "c.json", dataclasses.asdict(cfg))
+        for toy in (True, False):
+            assert cli.load_run_config(path, toy=toy) == cfg
 
     def test_seed_flag_overrides_run_seed(self):
         cfg = cli.load_run_config(None, toy=True, seed=11)
@@ -250,16 +262,30 @@ class TestConfig:
         ({"decoder": {"channels": [0, 32]}}, "model.decoder: channels"),
         ({"encoder": {"stages": [{"blocks": 1, "channels": 8}]}}, "model.encoder.stages[0].stride"),
         ({"encoder": {"in_channels": 2}}, "model.encoder.in_channels"),
+        # the train labels are 8^3
+        ({"encoder": {"hidden_spatial": [6, 6, 6]}}, "model.encoder.hidden_spatial"),
+        ({"encoder": {"hidden_spatial": [8, 8, 4]}}, "model.encoder.hidden_spatial"),
     ])
     def test_bad_model_shape_exits_2(self, pipeline, tmp_path, capsys, model, key):
-        # unchecked, these ended training in a ShapeMismatch, ZeroDivisionError or KeyError
+        # unchecked, these ended training in a ShapeMismatch, ZeroDivisionError,
+        # KeyError or, with an empty run directory left behind, ResolutionMismatch
         cfg = write_config(tmp_path / "c.json", {"model": model})
+        out = tmp_path / "run"
         code = cli.main(
             ["train", "--toy", "--config", cfg, "--manifest", str(pipeline["manifest"]),
-             "--out", str(tmp_path / "run")]
+             "--out", str(out)]
         )
         assert code == 2
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["width", "height", "contrast"])
+    def test_bad_camera_value_exits_2_before_writing(self, tmp_path, capsys, field):
+        cfg = write_config(tmp_path / "c.json", {"generate": {field: 0}})
+        out = tmp_path / "d"
+        assert cli.main(["generate", "--toy", "--config", cfg, "--out", str(out)]) == 2
+        assert f"generate: {field}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_float_epochs_train_exits_2(self, pipeline, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"trainer": {"run": {"epochs": 2.5}}})

@@ -1,5 +1,6 @@
 """Tests for the JSON reader that builds every config and scene dataclass."""
 
+import re
 from dataclasses import dataclass
 
 import pytest
@@ -66,3 +67,21 @@ def test_errors_name_the_dotted_path(change, message):
 def test_class_checks_keep_their_type_and_gain_the_path():
     with pytest.raises(ZeroWindow, match="^binning: binning window must be positive"):
         from_json(BinningConfig, {"window": 0}, "binning")
+
+
+def test_reads_onto_a_base():
+    base = from_json(Outer, GOOD, "cfg")
+    out = from_json(Outer, {"inner": {"scale": 3}, "items": []}, "", base)
+    # a missing key keeps the base's value, a nested object merges, a list replaces
+    assert out == Outer("a", Inner((1, 2), 3.0), (), 5, True, {"any": ["thing"]})
+    assert from_json(Outer, {}, "", base) == base
+
+
+@pytest.mark.parametrize("value,message", [
+    ([], "config must be an object"),
+    ({"nmae": "b"}, "unknown config key 'nmae'"),
+    ({"inner": {"size": [1]}}, "inner.size must have 2 items"),
+])
+def test_root_errors_name_the_bare_key(value, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        from_json(Outer, value, "", from_json(Outer, GOOD, "cfg"))

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -51,26 +52,26 @@ class TestConfigs:
         for enc, dec in ((M.EncoderConfig.toy(), M.DecoderConfig.toy()),
                          (M.EncoderConfig.paper(), M.DecoderConfig.paper())):
             # through JSON text, so tuples come back from lists
-            d = json.loads(json.dumps(M.model_config_dict(enc, dec, seed=3)))
+            d = json.loads(json.dumps(asdict(M.ModelConfig(enc, dec, seed=3))))
             assert M.read_model_config(d) == M.ModelConfig(enc, dec, seed=3)
 
     def test_legacy_norm_keys_accepted(self):
         # sidecars written before the norm and in_channels options were
         # removed still load
         enc, dec = M.EncoderConfig.toy(), M.DecoderConfig.toy()
-        d = M.model_config_dict(enc, dec, seed=0)
+        d = asdict(M.ModelConfig(enc, dec, seed=0))
         d["encoder"].update(norm="batch", paper_scale=False, in_channels=1)
         d["decoder"]["norm"] = "batch"
         assert M.read_model_config(d) == M.ModelConfig(enc, dec)
 
     def test_legacy_norm_none_rejected(self):
-        d = M.model_config_dict(M.EncoderConfig.toy(), M.DecoderConfig.toy(), seed=0)
+        d = asdict(M.ModelConfig(M.EncoderConfig.toy(), M.DecoderConfig.toy(), seed=0))
         d["decoder"]["norm"] = "none"
         with pytest.raises(ConfigError, match="config.decoder.norm"):
             M.read_model_config(d)
 
     def test_legacy_in_channels_other_than_one_rejected(self):
-        d = M.model_config_dict(M.EncoderConfig.toy(), M.DecoderConfig.toy(), seed=0)
+        d = asdict(M.ModelConfig(M.EncoderConfig.toy(), M.DecoderConfig.toy(), seed=0))
         d["encoder"]["in_channels"] = 2
         with pytest.raises(ConfigError, match="config.encoder.in_channels"):
             M.read_model_config(d)
@@ -305,7 +306,7 @@ class TestDeterminism:
     def test_config_dict_rebuild_matches(self):
         enc, dec = micro_configs()
         m = M.build_model(enc, dec, seed=13)
-        d = M.model_config_dict(enc, dec, seed=13)
+        d = asdict(M.ModelConfig(enc, dec, seed=13))
         m2 = M.model_from_config_dict(d)
         for pa, pb in zip(m.parameters(), m2.parameters()):
             np.testing.assert_array_equal(pa.value, pb.value)
