@@ -4,7 +4,7 @@ The full configuration stacks a deep bottleneck encoder (3/8/36/3 blocks,
 2048 output channels) on a three-level UNet decoder over a 32^3 volume.
 This script builds it, reports the parameter budget, and pushes one
 100-frame 256x256 input through to show every resolution the data visits.
-The forward pass took about 12 s with one BLAS thread and 10 s with two on
+The forward pass took about 13 s with one BLAS thread and 11 s with two on
 a 2-core x86-64 (AVX-512) machine; pass --skip-forward to only print the
 architecture.
 

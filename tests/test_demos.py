@@ -4,6 +4,8 @@ Demo 01 takes about a second. Demo 03 takes a few seconds against a copy
 of the toy pipeline's run directory: that run trained on the eight seed-7
 samples the demo rebuilds. Demo 02 is left out because it trains the toy
 model for about half a minute; 03 reads the checkpoint format it writes.
+Demo 04 runs with --skip-forward: it builds the paper model (about 4 s)
+but skips the paper-scale forward pass.
 """
 
 import os
@@ -15,17 +17,17 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 
 
-def run_demo(name: str, out_dir: Path) -> subprocess.CompletedProcess:
+def run_demo(name: str, cwd: Path, *args: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "OPENBLAS_NUM_THREADS": "1"}
     return subprocess.run(
-        [sys.executable, str(REPO / "demos" / name), str(out_dir)],
-        cwd=out_dir.parent, env=env, capture_output=True, text=True, timeout=300,
+        [sys.executable, str(REPO / "demos" / name), *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
     )
 
 
 def test_demo_01_simulate_and_bin(tmp_path):
     out = tmp_path / "out"
-    proc = run_demo("01_simulate_and_bin.py", out)
+    proc = run_demo("01_simulate_and_bin.py", tmp_path, str(out))
     assert proc.returncode == 0, proc.stderr
     assert (out / "orbit.evt").stat().st_size > 0
     assert "frame stack: (100, 64, 64)" in proc.stdout
@@ -34,8 +36,15 @@ def test_demo_01_simulate_and_bin(tmp_path):
 def test_demo_03_evaluate_and_export(pipeline, tmp_path):
     out = tmp_path / "run"
     shutil.copytree(pipeline["run"], out)
-    proc = run_demo("03_evaluate_and_export.py", out)
+    proc = run_demo("03_evaluate_and_export.py", tmp_path, str(out))
     assert proc.returncode == 0, proc.stderr
     assert "loaded checkpoint from epoch 100" in proc.stdout
     for name in ("recon", "truth"):
         assert (out / f"sample0_{name}.obj").stat().st_size > 0
+
+
+def test_demo_04_full_scale_shapes(tmp_path):
+    proc = run_demo("04_full_scale_shapes.py", tmp_path, "--skip-forward")
+    assert proc.returncode == 0, proc.stderr
+    assert "parameters: 120,032,257" in proc.stdout
+    assert "stage 2: 36 bottleneck blocks, 256->1024 channels" in proc.stdout

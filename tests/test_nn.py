@@ -392,6 +392,77 @@ class TestConvLowering:
         assert unchunked > budget  # the budget does force chunking here
         assert peak < budget + y.nbytes
 
+    @staticmethod
+    def _record_blocks(monkeypatch):
+        """Patch nn._blocks to log the block list of every call."""
+        calls = []
+        blocks = nn._blocks
+
+        def recording(*args):
+            calls.append(list(blocks(*args)))
+            return iter(calls[-1])
+
+        monkeypatch.setattr(nn, "_blocks", recording)
+        return calls
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("stride", [(1, 1, 1), (2, 2, 2), (1, 2, 2)])
+    @pytest.mark.parametrize("kernel", [3, 7])
+    def test_blocks_match_one_block(self, monkeypatch, kernel, stride, batch):
+        rng = np.random.default_rng(kernel + batch)
+        x = rng.normal(size=(batch, 2, 5, 9, 7))
+        w = rng.normal(size=(2, 2, kernel, kernel, kernel))
+        padding = (kernel // 2,) * 3
+        dims = x.shape[2:]
+
+        def routines():
+            y = nn.conv3d_core_forward(x, w, stride, padding)
+            g = np.random.default_rng(99).normal(size=y.shape)
+            return (y, nn.conv3d_core_input_grad(g, w, stride, padding, dims),
+                    nn.conv3d_core_weight_grad(x, g, stride, padding, w.shape[2:]))
+
+        one_block = routines()
+        # every routine here has 2*k^3 patch rows; the budget holds 14
+        # float64 columns of them, under one output plane at any stride
+        monkeypatch.setattr(nn, "MAX_PATCH_BYTES", 2 * kernel**3 * 8 * 14)
+        calls = self._record_blocks(monkeypatch)
+        blocked = routines()
+        assert len(calls) == 3
+        for blocks in calls:
+            slabs = [h1 - h0 for d0, d1, h0, h1 in blocks]
+            assert all(d1 - d0 == 1 for d0, d1, h0, h1 in blocks)
+            assert slabs[-1] < slabs[0]  # a ragged last slab
+        # y starts as np.empty: a block product that missed y would show here
+        for a, b in zip(one_block, blocked):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+    def test_budget_bounds_each_sample_block(self, monkeypatch):
+        # one h row of one sample's patches is 216 x 64 floats; a budget of
+        # under two rows makes one-row blocks, far under a whole plane
+        row = 216 * 64 * 4
+        budget = 100_000
+        monkeypatch.setattr(nn, "MAX_PATCH_BYTES", budget)
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(2, 8, 4, 16, 64)).astype(np.float32)
+        w = rng.normal(size=(2, 8, 3, 3, 3)).astype(np.float32)
+        y, peak = self._peak_bytes(nn.conv3d_core_forward, x, w, (1, 1, 1), (1, 1, 1))
+        padded = nn._pad_spatial(x, (1, 1, 1)).nbytes
+        ceiling = x.shape[0] * budget + y.nbytes + padded
+        assert x.shape[0] * 16 * row > ceiling  # blocks of whole planes overrun it
+        assert peak < ceiling
+
+    def test_toy_model_calls_get_one_block(self, monkeypatch):
+        # the per-sample budget leaves every toy GEMM its unblocked shape
+        from ev2vox import model as M
+        calls = self._record_blocks(monkeypatch)
+        rng = np.random.default_rng(6)
+        m = M.build_model(M.EncoderConfig.toy(), M.DecoderConfig.toy(), seed=0)
+        x = (rng.random((5, 1, 10, 32, 32)) < 0.1).astype(np.float32)
+        y = m.forward(x)
+        m.backward(rng.normal(size=y.shape).astype(np.float32))
+        assert len(calls) > 20
+        assert all(len(blocks) == 1 for blocks in calls)
+
 
 class TestDeconv3d:
     def test_impulse_response_copies_kernel(self):
@@ -704,6 +775,23 @@ class TestAdaptiveResize:
     @pytest.mark.parametrize("dims,target", [((5, 8, 7), (8, 3, 5)), ((3, 7, 8), (20, 5, 3))])
     def test_backward_all_axes_match_add_at(self, dims, target):
         self._check_backward((2, 3, *dims), target)
+
+    # target dims: identity, upsample, downsample and mixed axes
+    @pytest.mark.parametrize("target", [(5, 6, 7), (9, 11, 14), (3, 2, 4), (5, 13, 3)])
+    def test_forward_matches_fancy_index(self, target):
+        x = np.random.default_rng(16).normal(size=(2, 3, 5, 6, 7)).astype(np.float32)
+        layer = nn.AdaptiveResize3d(target)
+        di, hi, wi = layer._index_maps(x.shape[2:])
+        want = x[:, :, di[:, None, None], hi[None, :, None], wi[None, None, :]]
+        got = layer.forward(x)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, want)
+
+    def test_forward_identity_returns_a_copy(self):
+        x = np.ones((1, 2, 3, 4, 5))
+        y = nn.AdaptiveResize3d((3, 4, 5)).forward(x)
+        np.testing.assert_array_equal(y, x)
+        assert not np.shares_memory(y, x)
 
     def test_backward_identity_returns_a_copy(self):
         layer = nn.AdaptiveResize3d((3, 4, 5))
