@@ -34,7 +34,7 @@ for i in range(8):
 
 model = build_model(EncoderConfig.toy(), DecoderConfig.toy(), seed=0)
 print(f"\ntoy model: {count_parameters(model)} parameters, "
-      f"output {model.resolution}^3")
+      f"output volume {model.config.encoder.hidden_spatial}")
 
 run = TrainRun(epochs=200, batch_size=5, seed=0, checkpoint_every=100)
 t0 = time.perf_counter()

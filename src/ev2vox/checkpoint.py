@@ -5,16 +5,19 @@ length, the UTF-8 name bytes, a u8 rank, u32 dims, and the row-major
 float32 payload. Everything little-endian. Round-trips are bit-exact for
 float32 data, which is why optimizer state and running statistics are
 stored in float32 throughout the package.
+
+``save_checkpoint`` and ``load_checkpoint`` build and parse CKP1 bytes; the
+file itself is written and read through ``ev2vox.artifacts``.
 """
 
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, IoFailure
+from .artifacts import read, write
+from .errors import FormatError
 
 CKP1_MAGIC = b"E2VCKP1\x00"
 
@@ -39,35 +42,12 @@ def save_checkpoint(path: str | os.PathLike, entries) -> None:
         chunks.append(np.uint8(arr.ndim).tobytes())
         chunks.append(np.asarray(arr.shape, dtype="<u4").tobytes())
         chunks.append(arr.tobytes())
-    try:
-        with open(path, "wb") as fh:
-            fh.write(b"".join(chunks))
-    except OSError as exc:
-        raise IoFailure(f"cannot write checkpoint {path}: {exc}") from exc
-
-
-def write_text(path: str | os.PathLike, text: str) -> None:
-    """Write a text artifact, such as a checkpoint's JSON sidecar; an OSError
-    is an IoFailure, as in save_checkpoint."""
-    try:
-        Path(path).write_text(text)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write(path, b"".join(chunks))
 
 
 def load_checkpoint(path: str | os.PathLike) -> dict[str, np.ndarray]:
     """Read a CKP1 file into an insertion-ordered name->float32 array dict."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read checkpoint {path}: {exc}") from exc
-
-    if len(blob) < len(CKP1_MAGIC) + 4:
-        raise FormatError(f"{path}: truncated CKP1 header")
-    if blob[: len(CKP1_MAGIC)] != CKP1_MAGIC:
-        raise FormatError(f"{path}: bad magic, not a CKP1 file")
-
+    blob = read(path, CKP1_MAGIC, 4, "CKP1")
     count = int(np.frombuffer(blob, "<u4", 1, offset=len(CKP1_MAGIC))[0])
     pos = len(CKP1_MAGIC) + 4
     out: dict[str, np.ndarray] = {}

@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import json
+import io
 import math
 import os
 import sys
@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import write_text
+from .artifacts import make_dir, read, read_json, write, write_json
 from .config import from_json
 from .errors import (
     CheckpointMismatch,
@@ -62,7 +62,7 @@ from .sim import (
     scene_from_dict,
     scene_to_dict,
 )
-from .train import AdamWConfig, TrainRun, evaluate, load_training_checkpoint, train
+from .train import AdamWConfig, TrainRun, evaluate, restore_training_state, train
 from .voxel import ProbGrid, VoxelGrid, binarize, read_vox1, unit_cube_mesh, write_vox1
 
 SPLITS = ("train", "val", "test")
@@ -110,20 +110,13 @@ def save_manifest(manifest: Manifest, path: Path) -> None:
             for e in manifest.entries
         ]
     }
-    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, payload)
 
 
 def load_manifest(path: str | os.PathLike) -> Manifest:
     """Load and validate a manifest; fails fast on any missing file."""
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise IoFailure(f"manifest not found: {path} ({exc})") from exc
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    payload = read_json(path)
     if not isinstance(payload, dict) or not isinstance(payload.get("entries"), list):
         raise DataError(f"{path}: manifest must be an object with an 'entries' list")
     entries = []
@@ -235,13 +228,9 @@ def load_run_config(path: str | None, toy: bool = False, seed: int | None = None
     cfg = TOY if toy else FULL
     if path is not None:
         try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise ConfigError(f"config file not found: {path} ({exc})") from exc
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+            data = read_json(path)
+        except DataError as exc:
+            raise ConfigError(str(exc)) from exc
         cfg = from_json(RunConfig, data, "", cfg)
     if seed is not None:
         run = dataclasses.replace(cfg.trainer.run, seed=seed)
@@ -298,8 +287,6 @@ def _procedural_scene(seed: int, index: int) -> tuple[Scene, str]:
 
 
 def _scene_category(scene: Scene) -> str:
-    if scene.mesh is not None:
-        return "mesh"
     if len(scene.primitives) == 1:
         return type(scene.primitives[0]).__name__.lower()
     return "mixed"
@@ -315,12 +302,7 @@ def cmd_generate(cfg: RunConfig, seed: int, out_dir: str) -> Manifest:
         pairs = [_procedural_scene(seed, i) for i in range(gen.count)]
 
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(f"cannot create output directory {out}: {exc}") from exc
-    if not os.access(out, os.W_OK):
-        raise IoFailure(f"output directory {out} is not writable")
+    make_dir(out)
 
     traj = TrajectoryConfig()
     cam = CameraIntrinsics(width=gen.width, height=gen.height)
@@ -340,7 +322,7 @@ def cmd_generate(cfg: RunConfig, seed: int, out_dir: str) -> Manifest:
             "contrast": gen.contrast,
             "resolution": gen.resolution,
         }
-        write_text(out / f"{sid}.json", json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+        write_json(out / f"{sid}.json", sidecar)
         entries.append(
             ManifestEntry(sid, category, f"{sid}.evt", f"{sid}.vox", assignment[sid])
         )
@@ -363,29 +345,21 @@ def cmd_preprocess(cfg: RunConfig, manifest_path: str, threads: int) -> int:
     """Bin every event file into a cached frame stack plus a JSON sidecar."""
     manifest = load_manifest(manifest_path)
     cache = _cache_dir(manifest)
-    try:
-        cache.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(f"cannot create cache directory {cache}: {exc}") from exc
+    make_dir(cache)
 
     def one(entry: ManifestEntry) -> None:
         stream = read_evt1(manifest.root / entry.events)
         stack = bin_to_frames(stream, cfg.binning)
-        path = cache / f"{entry.sample_id}.frames.npy"
-        try:
-            np.save(path, stack.frames)
-        except OSError as exc:
-            raise IoFailure(f"cannot write {path}: {exc}") from exc
+        npy = io.BytesIO()
+        np.lib.format.write_array(npy, stack.frames)
+        write(cache / f"{entry.sample_id}.frames.npy", npy.getvalue())
         meta = {
             "binning": dataclasses.asdict(cfg.binning),
             "window": stack.window,
             "shape": list(stack.frames.shape),
             "source": entry.events,
         }
-        write_text(
-            cache / f"{entry.sample_id}.frames.json",
-            json.dumps(meta, indent=2, sort_keys=True) + "\n",
-        )
+        write_json(cache / f"{entry.sample_id}.frames.json", meta)
 
     # samples are independent, so worker count cannot change the output
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -398,8 +372,8 @@ def cmd_preprocess(cfg: RunConfig, manifest_path: str, threads: int) -> int:
 def _cached_binning(cache_dir: Path, sample_id: str) -> dict | None:
     """The binning settings a cached frame stack's sidecar records, if any."""
     try:
-        meta = json.loads((cache_dir / f"{sample_id}.frames.json").read_text())
-    except (OSError, ValueError):
+        meta = read_json(cache_dir / f"{sample_id}.frames.json")
+    except DataError:
         return None
     return meta.get("binning") if isinstance(meta, dict) else None
 
@@ -411,8 +385,8 @@ def _frames(cfg: RunConfig, manifest: Manifest, entry: ManifestEntry, cache_dir:
     current = _cached_binning(cache_dir, entry.sample_id) == dataclasses.asdict(cfg.binning)
     if current and cached.is_file():
         try:
-            return np.load(cached)
-        except (ValueError, EOFError, OSError) as exc:
+            return np.lib.format.read_array(io.BytesIO(read(cached)))
+        except (ValueError, EOFError) as exc:
             raise FormatError(f"{cached}: damaged frame cache ({exc})") from exc
     return bin_to_frames(read_evt1(manifest.root / entry.events), cfg.binning).frames
 
@@ -444,10 +418,7 @@ def cmd_train(cfg: RunConfig, manifest_path: str, out_dir: str | None) -> None:
                           f"the train labels' resolution {labels} on every axis")
     model = build_model(cfg.model.encoder, cfg.model.decoder, seed=cfg.model.seed)
     run_dir = _run_dir(manifest, out_dir)
-    try:
-        run_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(f"cannot create run directory {run_dir}: {exc}") from exc
+    make_dir(run_dir)
     run = cfg.trainer.run
     result = train(dataset, model, run, cfg.trainer.optimizer, out_dir=str(run_dir))
     epoch, loss, iou_val = result.log[-1]
@@ -468,17 +439,12 @@ def _trained_config(sidecar) -> ModelConfig | None:
 def _trained_model(ckpt: Path, expected: ModelConfig | None = None) -> E2VModel:
     """The model that a checkpoint's JSON sidecar describes, loaded from it.
 
-    A missing sidecar is an IoFailure. One that is not JSON, describes no
-    model, or describes another model than ``expected`` is a
-    CheckpointMismatch.
+    A missing sidecar is an IoFailure and one that is not JSON a
+    FormatError. One that describes no model, or another model than
+    ``expected``, is a CheckpointMismatch.
     """
     sidecar_path = Path(f"{ckpt}.json")
-    try:
-        config = _trained_config(json.loads(sidecar_path.read_text()))
-    except OSError as exc:
-        raise IoFailure(f"checkpoint sidecar not found: {sidecar_path} ({exc})") from exc
-    except ValueError as exc:  # not JSON, or not text
-        raise CheckpointMismatch(f"{sidecar_path}: unreadable checkpoint sidecar ({exc})") from exc
+    config = _trained_config(read_json(sidecar_path))
     if config is None:
         raise CheckpointMismatch(f"{sidecar_path}: sidecar does not describe a model")
     if expected is not None and config != expected:
@@ -486,7 +452,7 @@ def _trained_model(ckpt: Path, expected: ModelConfig | None = None) -> E2VModel:
             f"{ckpt}: checkpoint was trained with a different model configuration"
         )
     model = build_model(config.encoder, config.decoder, seed=config.seed)
-    load_training_checkpoint(ckpt, model)
+    restore_training_state(ckpt, model)
     return model
 
 
@@ -509,8 +475,8 @@ def cmd_eval(cfg: RunConfig, manifest_path: str, out_dir: str | None) -> None:
         for row in report.csv_rows()[1:]:
             csv_lines.append(f"{split},{row}")
     text = "\n\n".join(text_parts) + "\n"
-    write_text(run_dir / "report.txt", text)
-    write_text(run_dir / "report.csv", "\n".join(csv_lines) + "\n")
+    write(run_dir / "report.txt", text)
+    write(run_dir / "report.csv", "\n".join(csv_lines) + "\n")
     print(text, end="")
     print(f"reports written to {run_dir}")
 
@@ -567,7 +533,7 @@ def cmd_export(cfg: RunConfig, input_path: str, sample_id: str | None,
         grid = _export_from_checkpoint(cfg, input_path, sample_id, manifest_path)
     else:
         raise ConfigError(f"export input must be a .vox or .ckpt file, got {input_path!r}")
-    write_text(Path(out_path), grid_to_obj(grid))
+    write(out_path, grid_to_obj(grid))
     print(f"exported {grid.count()} voxels to {out_path}")
 
 
@@ -596,36 +562,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_help=None):
+    # each subcommand takes only the flags it reads
+    def command(name, help, out_help=None, manifest=True, seed=False):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", metavar="PATH", help="JSON run configuration")
-        p.add_argument("--manifest", metavar="PATH", help="dataset manifest")
-        p.add_argument("--seed", type=int, metavar="N", help="seed override")
+        if manifest:
+            p.add_argument("--manifest", metavar="PATH", help="dataset manifest")
+        if seed:
+            p.add_argument("--seed", type=int, metavar="N", help="seed override")
         if out_help:
             p.add_argument("--out", metavar="DIR", help=out_help)
-        p.add_argument("--threads", type=int, metavar="N",
-                       help="worker threads (default 1; E2V_THREADS as fallback)")
         p.add_argument("--toy", action="store_true",
                        help="desk-scale defaults instead of full-scale ones")
+        return p
 
-    p = sub.add_parser("generate", help="synthesize an event/voxel dataset")
-    common(p, "dataset output directory")
-    p = sub.add_parser("preprocess", help="bin event files into <manifest dir>/cache")
-    common(p)
-    p = sub.add_parser("train", help="train the reconstruction model")
-    common(p, "run directory for checkpoints and logs (default: <manifest dir>/run)")
-    p = sub.add_parser("eval", help="score a trained checkpoint per split")
-    common(p, "run directory holding model.ckpt (default: <manifest dir>/run)")
-    p = sub.add_parser("export", help="write an OBJ cube mesh from a voxel grid")
+    command("generate", "synthesize an event/voxel dataset", "dataset output directory",
+            manifest=False, seed=True)
+    p = command("preprocess", "bin event files into <manifest dir>/cache")
+    p.add_argument("--threads", type=int, metavar="N",
+                   help="worker threads (default 1; E2V_THREADS as fallback)")
+    command("train", "train the reconstruction model",
+            "run directory for checkpoints and logs (default: <manifest dir>/run)", seed=True)
+    command("eval", "score a trained checkpoint per split",
+            "run directory holding model.ckpt (default: <manifest dir>/run)")
+    p = command("export", "write an OBJ cube mesh from a voxel grid", "OBJ output path")
     p.add_argument("input", help="a .vox file, or a .ckpt checkpoint")
     p.add_argument("sample", nargs="?", default=None,
                    help="sample id to reconstruct (checkpoint input only)")
-    common(p, "OBJ output path")
     return parser
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    threads = _resolve_threads(args.threads)
-    cfg = load_run_config(args.config, toy=args.toy, seed=args.seed)
+    cfg = load_run_config(args.config, toy=args.toy, seed=getattr(args, "seed", None))
     if args.command == "generate":
         if args.out is None:
             raise ConfigError("generate needs --out for the dataset directory")
@@ -633,7 +601,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif args.command == "preprocess":
         if args.manifest is None:
             raise ConfigError("preprocess needs --manifest")
-        cmd_preprocess(cfg, args.manifest, threads)
+        cmd_preprocess(cfg, args.manifest, _resolve_threads(args.threads))
     elif args.command == "train":
         if args.manifest is None:
             raise ConfigError("train needs --manifest")

@@ -1,4 +1,4 @@
-"""Event data model, stream validation, frame binning, and the EVT1 file format.
+"""Event data model, stream validation, frame binning, and the EVT1 byte format.
 
 An event is a record (x, y, t, p): a pixel location, a timestamp in
 seconds, and the polarity of the brightness change that fired it. Streams
@@ -17,20 +17,24 @@ window; polarity is discarded. Two windowing modes exist:
   while t_i - t_j <= dt; the first overflow starts a new window at i.
   Quiet gaps therefore produce no frames and the frame count is
   data-dependent.
+
+``write_evt1`` and ``read_evt1`` build and parse EVT1 bytes; the file
+itself is written and read through ``ev2vox.artifacts``.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import read, write
 from .errors import (
+    DataError,
     FormatError,
     InvalidPolarity,
-    IoFailure,
     NonDivisibleDimensions,
     NonMonotoneTimestamp,
     OutOfBoundsCoordinate,
@@ -131,9 +135,14 @@ def from_arrays(
 ) -> EventStream:
     """Validate column arrays and wrap them in an EventStream.
 
-    Checks every stream invariant: monotone timestamps, in-bounds
-    coordinates, polarity in {-1, +1}, timestamps within [0, T].
+    Checks every stream invariant: a sensor of at least 1x1 pixels, a
+    finite duration T >= 0, monotone timestamps, in-bounds coordinates,
+    polarity in {-1, +1}, timestamps within [0, T].
     """
+    if not (sensor_width >= 1 and sensor_height >= 1):
+        raise OutOfBoundsCoordinate(f"a {sensor_width}x{sensor_height} sensor has no pixel")
+    if not (math.isfinite(duration) and duration >= 0):
+        raise TimestampOutOfRange(f"duration {duration} is not a finite time >= 0")
     t = np.asarray(t, dtype=np.float64)
     x = np.asarray(x)
     y = np.asarray(y)
@@ -278,28 +287,12 @@ def write_evt1(stream: EventStream, path: str | os.PathLike) -> None:
     records["x"] = stream.x
     records["y"] = stream.y
     records["p"] = stream.p
-    try:
-        with open(path, "wb") as fh:
-            fh.write(EVT1_MAGIC)
-            fh.write(header.tobytes())
-            fh.write(records.tobytes())
-    except OSError as exc:
-        raise IoFailure(f"cannot write event file {path}: {exc}") from exc
+    write(path, b"".join((EVT1_MAGIC, header.data, records.data)))
 
 
 def read_evt1(path: str | os.PathLike) -> EventStream:
-    """Read and fully validate an EVT1 file."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read event file {path}: {exc}") from exc
-
-    if len(blob) < len(EVT1_MAGIC) + _HEADER_DTYPE.itemsize:
-        raise FormatError(f"{path}: truncated EVT1 header")
-    if blob[: len(EVT1_MAGIC)] != EVT1_MAGIC:
-        raise FormatError(f"{path}: bad magic, not an EVT1 file")
-
+    """Read and fully validate an EVT1 file; every error names the file."""
+    blob = read(path, EVT1_MAGIC, _HEADER_DTYPE.itemsize, "EVT1")
     header = np.frombuffer(
         blob, dtype=_HEADER_DTYPE, count=1, offset=len(EVT1_MAGIC)
     )[0]
@@ -312,12 +305,15 @@ def read_evt1(path: str | os.PathLike) -> EventStream:
             f"found {len(body)}"
         )
     records = np.frombuffer(body, dtype=_RECORD_DTYPE, count=count)
-    return from_arrays(
-        records["t"].copy(),
-        records["x"].copy(),
-        records["y"].copy(),
-        records["p"].copy(),
-        int(header["m"]),
-        int(header["n"]),
-        float(header["t"]),
-    )
+    try:
+        return from_arrays(
+            records["t"].copy(),
+            records["x"].copy(),
+            records["y"].copy(),
+            records["p"].copy(),
+            int(header["m"]),
+            int(header["n"]),
+            float(header["t"]),
+        )
+    except DataError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc

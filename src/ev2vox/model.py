@@ -324,13 +324,6 @@ class E2VModel(nn.Module):
         if dupes:
             raise ChannelMismatch(f"duplicate state names in model: {sorted(dupes)}")
 
-    @property
-    def resolution(self) -> int:
-        d, h, w = hidden = self.config.encoder.hidden_spatial
-        if not (d == h == w):
-            raise ConfigError(f"hidden volume {hidden} is not cubic")
-        return d
-
     def forward(self, frames: np.ndarray, remember: bool = True) -> np.ndarray:
         hidden = self.encoder.forward(frames, remember)
         vol = self.decoder.forward(hidden, remember)

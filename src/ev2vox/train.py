@@ -9,14 +9,14 @@ never having stopped.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import voxel
-from .checkpoint import load_checkpoint, save_checkpoint, write_text
+from .artifacts import make_dir, read, read_json, write, write_json
+from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import (
     CheckpointMismatch,
     ConfigError,
@@ -175,7 +175,7 @@ class TrainResult:
 
 
 def _save_training_checkpoint(out_dir, model, state, run, epoch_done, log):
-    os.makedirs(out_dir, exist_ok=True)
+    make_dir(out_dir)
     path = os.path.join(out_dir, "model.ckpt")
     save_checkpoint(path, model.state_entries() + state.entries())
     sidecar = {
@@ -183,38 +183,39 @@ def _save_training_checkpoint(out_dir, model, state, run, epoch_done, log):
         "seed": run.seed,
         "epoch": epoch_done,
     }
-    write_text(path + ".json", json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    write_json(path + ".json", sidecar)
     # repr round-trips float64 exactly, so a reloaded log matches the
     # in-memory one bit for bit
     rows = "".join(f"{row[0]},{row[1]!r},{row[2]!r}\n" for row in log)
-    write_text(os.path.join(out_dir, "metrics.csv"), "epoch,loss,iou\n" + rows)
+    write(os.path.join(out_dir, "metrics.csv"), "epoch,loss,iou\n" + rows)
     return path
 
 
-def load_training_checkpoint(path, model):
-    """Restore model and optimizer from a checkpoint written by train()."""
+def restore_training_state(path, model) -> OptState:
+    """Load a checkpoint written by train() into ``model``; return its
+    optimizer state."""
     entries = load_checkpoint(path)
     model_entries = {k: v for k, v in entries.items() if not k.startswith("opt.")}
     model.load_state(model_entries)
     opt_entries = {k: v for k, v in entries.items() if k.startswith("opt.")}
     if "opt.step" not in opt_entries:
         raise CheckpointMismatch("checkpoint has no optimizer state")
-    state = OptState.from_entries(model.parameters(), opt_entries)
-    with open(str(path) + ".json") as fh:
-        sidecar = json.load(fh)
-    return state, sidecar
+    return OptState.from_entries(model.parameters(), opt_entries)
+
+
+def load_training_checkpoint(path, model):
+    """Restore model and optimizer from a checkpoint written by train();
+    return the optimizer state and the checkpoint's JSON sidecar."""
+    return restore_training_state(path, model), read_json(f"{path}.json")
 
 
 def load_metric_log(out_dir) -> list[tuple[int, float, float]]:
-    rows = []
     path = os.path.join(out_dir, "metrics.csv")
-    with open(path) as fh:
-        header = fh.readline()
-        if header.strip() != "epoch,loss,iou":
-            raise CheckpointMismatch(f"unexpected metric log header in {path}")
-        for line in fh:
-            e, l, i = line.strip().split(",")
-            rows.append((int(e), float(l), float(i)))
+    blob = read(path, b"epoch,loss,iou\n", kind="metric log")
+    rows = []
+    for line in blob.decode("utf-8").splitlines()[1:]:
+        e, l, i = line.split(",")
+        rows.append((int(e), float(l), float(i)))
     return rows
 
 

@@ -6,6 +6,9 @@ index along x. Meshes are normalized into the same cube before
 voxelization. Metrics follow the occupancy conventions used throughout
 the package: strict thresholds, and empty-vs-empty comparisons count as
 perfect agreement.
+
+``write_vox1`` and ``read_vox1`` build and parse VOX1 bytes; the file
+itself is written and read through ``ev2vox.artifacts``.
 """
 
 from __future__ import annotations
@@ -18,12 +21,12 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
+from .artifacts import read, write
 from .errors import (
     DegenerateExtent,
     EmptyMesh,
     FormatError,
     IndexOutOfRange,
-    IoFailure,
     MalformedLine,
     NonPositiveDistance,
     ResolutionMismatch,
@@ -315,26 +318,12 @@ def write_vox1(grid: VoxelGrid, path: str | os.PathLike) -> None:
         raise FormatError("VOX1 stores the resolution as u16")
     bits = grid.occupancy.ravel(order="F").astype(np.uint8)
     packed = np.packbits(bits, bitorder="little")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(VOX1_MAGIC)
-            fh.write(np.uint16(grid.resolution).tobytes())
-            fh.write(packed.tobytes())
-    except OSError as exc:
-        raise IoFailure(f"cannot write voxel file {path}: {exc}") from exc
+    write(path, VOX1_MAGIC + np.uint16(grid.resolution).tobytes() + packed.tobytes())
 
 
 def read_vox1(path: str | os.PathLike) -> VoxelGrid:
     """Read a VOX1 file, rejecting bad magic, truncation, or trailing bytes."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read voxel file {path}: {exc}") from exc
-    if len(blob) < len(VOX1_MAGIC) + 2:
-        raise FormatError(f"{path}: truncated VOX1 header")
-    if blob[: len(VOX1_MAGIC)] != VOX1_MAGIC:
-        raise FormatError(f"{path}: bad magic, not a VOX1 file")
+    blob = read(path, VOX1_MAGIC, 2, "VOX1")
     r = int(np.frombuffer(blob, "<u2", count=1, offset=len(VOX1_MAGIC))[0])
     if r == 0:
         raise FormatError(f"{path}: resolution 0")

@@ -6,6 +6,7 @@ The ``pipeline`` fixture, one full toy run, lives in conftest.py.
 import dataclasses
 import hashlib
 import json
+import math
 import shutil
 import types
 import typing
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from ev2vox import cli
+from ev2vox.events import EventStream, write_evt1
 from ev2vox.model import EncoderConfig
 from ev2vox.voxel import VoxelGrid, parse_obj, write_vox1
 
@@ -223,6 +225,13 @@ class TestConfig:
         assert cli.main(["generate", "--config", str(path), "--out", str(tmp_path / "d")]) == 2
         assert "1:13" in capsys.readouterr().err
 
+    def test_non_utf8_config_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"trainer": "\xff"}')
+        assert cli.main(["generate", "--config", str(path), "--out", str(tmp_path / "d")]) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_missing_config_file_exits_2(self, tmp_path):
         assert cli.main(
             ["generate", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "d")]
@@ -357,6 +366,18 @@ class TestPreprocess:
                       "--out", str(tmp_path / "cache")])
         assert exc.value.code == 2
         assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("width,height,duration", [(32, 32, -1.0), (32, 32, math.nan), (0, 0, 0.5)],
+                             ids=["negative-duration", "nan-duration", "zero-sensor"])
+    def test_bad_event_header_exits_3_naming_file(self, pipeline, tmp_path, capsys,
+                                                  width, height, duration):
+        # a header with zero events, which no record check would catch
+        data = copy_dataset(pipeline, tmp_path)
+        bad = data / "s0000.evt"
+        empty = np.empty(0)
+        write_evt1(EventStream(width, height, duration, empty, empty, empty, empty), bad)
+        assert cli.main(["preprocess", "--toy", "--manifest", str(data / "manifest.json")]) == 3
+        assert str(bad) in capsys.readouterr().err
 
     def test_bad_thread_values_exit_2(self, pipeline, monkeypatch):
         args = ["preprocess", "--toy", "--manifest", str(pipeline["manifest"])]
@@ -604,7 +625,41 @@ class TestExport:
         ) == 3
 
 
+class TestFlags:
+    # (subcommand with its positionals, a flag that subcommand does not read)
+    REMOVED = [
+        (["generate"], ["--manifest", "m.json"]),
+        (["generate"], ["--threads", "2"]),
+        (["preprocess"], ["--seed", "1"]),
+        (["train"], ["--threads", "2"]),
+        (["eval"], ["--threads", "2"]),
+        (["eval"], ["--seed", "1"]),
+        (["export", "g.vox"], ["--threads", "2"]),
+        (["export", "g.vox"], ["--seed", "1"]),
+    ]
+
+    @pytest.mark.parametrize("command,flag", REMOVED, ids=[f"{c[0]}{f[0]}" for c, f in REMOVED])
+    def test_unread_flag_is_a_usage_error(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(command + ["--toy"] + flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    def test_train_ignores_thread_env(self, pipeline, tmp_path, monkeypatch):
+        monkeypatch.setenv("E2V_THREADS", "two")
+        cfg = write_config(tmp_path / "c.json", {"trainer": {"run": {"epochs": 1}}})
+        code = cli.main(["train", "--toy", "--config", cfg,
+                         "--manifest", str(pipeline["manifest"]), "--out", str(tmp_path / "run")])
+        assert code == 0
+
+
 class TestManifestLoading:
+    def test_non_utf8_manifest_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(b'{"entries": ["\xe9"]}')
+        assert cli.main(["preprocess", "--toy", "--manifest", str(path)]) == 3
+        assert str(path) in capsys.readouterr().err
+
     def test_duplicate_id_rejected(self, tmp_path):
         (tmp_path / "a.evt").write_bytes(b"")
         path = tmp_path / "manifest.json"

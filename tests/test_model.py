@@ -165,10 +165,6 @@ class TestShapes:
         hidden = np.random.default_rng(3).random((1, 16, 4, 8, 8)).astype(np.float32)
         assert M.decode(m, hidden).shape == (1, 4, 8, 8)
 
-    def test_resolution_property(self):
-        m = M.build_model(*micro_configs(), seed=0)
-        assert m.resolution == 4
-
 
 class TestBceLoss:
     def test_perfect_prediction_is_tiny(self):
