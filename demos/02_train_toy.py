@@ -4,9 +4,10 @@ Eight procedural scenes are rendered to event streams, binned into
 (10, 32, 32) frame stacks, and paired with 8^3 occupancy labels. The toy
 encoder-decoder (about 47k parameters) then memorizes them with AdamW.
 Expect the loss to drop under 0.05 and training IoU to saturate near 1.0
-in about a quarter minute of CPU time.
+in about a quarter minute of CPU time. An epoch count after the output
+directory replaces the 200 epochs, for a quicker run.
 
-Run:  python3 demos/02_train_toy.py [out_dir]
+Run:  python3 demos/02_train_toy.py [out_dir] [epochs]
 """
 
 import sys
@@ -20,6 +21,7 @@ from ev2vox.sim import generate_sample
 from ev2vox.train import AdamWConfig, TrainRun, train
 
 out_dir = Path(sys.argv[1] if len(sys.argv) > 1 else "demo_out")
+epochs = int(sys.argv[2]) if len(sys.argv) > 2 else 200
 out_dir.mkdir(parents=True, exist_ok=True)
 
 print("generating 8 procedural samples...")
@@ -36,7 +38,7 @@ model = build_model(EncoderConfig.toy(), DecoderConfig.toy(), seed=0)
 print(f"\ntoy model: {count_parameters(model)} parameters, "
       f"output volume {model.config.encoder.hidden_spatial}")
 
-run = TrainRun(epochs=200, batch_size=5, seed=0, checkpoint_every=100)
+run = TrainRun(epochs=epochs, batch_size=5, seed=0, checkpoint_every=100)
 t0 = time.perf_counter()
 result = train(dataset, model, run, AdamWConfig.toy(), out_dir=str(out_dir))
 print(f"trained {run.epochs} epochs in {time.perf_counter() - t0:.1f} s")

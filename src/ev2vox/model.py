@@ -168,18 +168,21 @@ def read_model_config(d) -> ModelConfig:
 
 
 def conv_norm(cin, cout, kernel, stride, padding, name, seed, dtype, tag=""):
-    """[conv, batch norm], named ``{name}.conv{tag}`` and ``{name}.norm{tag}``."""
+    """[conv, batch norm], named ``{name}.conv{tag}`` and ``{name}.norm{tag}``.
+
+    The norm works in place: its input is the conv's fresh output.
+    """
     return [
         nn.Conv3d(cin, cout, kernel, stride=stride, padding=padding,
                   name=f"{name}.conv{tag}", seed=seed, dtype=dtype),
-        nn.BatchNorm3d(cout, name=f"{name}.norm{tag}", dtype=dtype),
+        nn.BatchNorm3d(cout, name=f"{name}.norm{tag}", dtype=dtype, inplace=True),
     ]
 
 
 def conv_norm_relu(cin, cout, kernel, stride, padding, name, seed, dtype) -> nn.Sequential:
     """conv -> norm -> relu, the workhorse unit of both halves."""
     layers = conv_norm(cin, cout, kernel, stride, padding, name, seed, dtype)
-    return nn.Sequential(*layers, nn.ReLU())
+    return nn.Sequential(*layers, nn.ReLU(inplace=True))
 
 
 class Bottleneck(nn.Module):
@@ -188,19 +191,24 @@ class Bottleneck(nn.Module):
     def __init__(self, cin, width, stride, name, seed, dtype):
         cout = width * EXPANSION
         self.main = nn.Sequential(
-            *conv_norm(cin, width, 1, 1, 0, name, seed, dtype, tag="1"), nn.ReLU(),
-            *conv_norm(width, width, 3, stride, 1, name, seed, dtype, tag="2"), nn.ReLU(),
+            *conv_norm(cin, width, 1, 1, 0, name, seed, dtype, tag="1"),
+            nn.ReLU(inplace=True),
+            *conv_norm(width, width, 3, stride, 1, name, seed, dtype, tag="2"),
+            nn.ReLU(inplace=True),
             *conv_norm(width, cout, 1, 1, 0, name, seed, dtype, tag="3"),
         )
         project = cin != cout or tuple(stride) != (1, 1, 1)
         self.shortcut = nn.Sequential(
             *(conv_norm(cin, cout, 1, stride, 0, f"{name}.proj", seed, dtype) if project else [])
         )
-        self.relu = nn.ReLU()
+        self.relu = nn.ReLU(inplace=True)
 
     def forward(self, x, remember=True):
+        # main's output is a fresh norm output, so the sum and the ReLU
+        # reuse it; x itself is only read
         h = self.main.forward(x, remember)
-        return self.relu.forward(h + self.shortcut.forward(x, remember), remember)
+        h += self.shortcut.forward(x, remember)
+        return self.relu.forward(h, remember)
 
     def backward(self, g):
         g = self.relu.backward(g)
@@ -233,8 +241,8 @@ class UpBlock(nn.Module):
     def __init__(self, cin, cout, name, seed, dtype):
         self.up = nn.Sequential(
             nn.Deconv3d(cin, cout, 2, stride=2, name=f"{name}.deconv", seed=seed, dtype=dtype),
-            nn.BatchNorm3d(cout, name=f"{name}.norm", dtype=dtype),
-            nn.ReLU(),
+            nn.BatchNorm3d(cout, name=f"{name}.norm", dtype=dtype, inplace=True),
+            nn.ReLU(inplace=True),
         )
         self.fuse = conv_norm_relu(2 * cout, cout, 3, 1, 1, f"{name}.fuse", seed, dtype)
         self.cout = cout

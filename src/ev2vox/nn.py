@@ -26,6 +26,17 @@ one plane. The forward and the weight gradient copy every block into one
 buffer made for the largest, so a call faults in no fresh pages per block
 and no buffer outlives its call.
 
+Batch norm walks the channels in slabs of at most ``BN_SLAB_BYTES``, so
+its statistics, normalization, gain and shift each read a slab while it
+is in cache; the sums keep numpy's whole-tensor order, so the bytes are
+those of ``x.mean`` and ``x.var(mean=)``. A layer never writes into its
+input unless it is built with ``inplace=True``: ``BatchNorm3d`` then puts
+xhat (when remembering) or its output in the input's buffer, and ``ReLU``
+its output. Only the model builders set it, on layers whose input is a
+fresh array nothing else holds (a conv's output, a norm's output, a
+residual sum); a standalone layer keeps its input, which the gradient
+checks reuse across calls.
+
 Every layer, and every block built from layers, is a ``Module``. A module
 holds no registry: its parameters, buffers and submodules are found by
 walking its instance attributes (and lists of them) in insertion order.
@@ -55,6 +66,12 @@ MAX_PATCH_BYTES = 8 * 2**20
 # BatchNorm3d's variance floor and running-statistics momentum
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
+
+# Byte budget of one BatchNorm3d channel slab (at least one channel): its
+# statistics, normalization, gain and shift run while it is in cache. On
+# (1, 256, 25, 64, 64) float32, slabs of 256 KiB, 1, 2 and 8 MiB took 70,
+# 75, 95 and 111 ms against a 2 MiB per-core L2.
+BN_SLAB_BYTES = 2**20
 
 
 def as_triple(v) -> tuple[int, int, int]:
@@ -198,15 +215,11 @@ class LayerSpec:
 # Convolution core
 
 
-def _pad_spatial(x: np.ndarray, padding, value: float = 0.0) -> np.ndarray:
+def _pad_spatial(x: np.ndarray, padding) -> np.ndarray:
     pd, ph, pw = padding
     if pd == ph == pw == 0:
         return x
-    return np.pad(
-        x,
-        ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)),
-        constant_values=value,
-    )
+    return np.pad(x, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
 
 
 def _blocks(rows: int, out_dims, itemsize: int):
@@ -337,6 +350,22 @@ def conv3d_core_weight_grad(x, grad_out, stride, padding, kernel):
 # Layers
 
 
+def _channel_sums(a: np.ndarray, whole: bool) -> np.ndarray:
+    """Per-channel sums over (N, D, H, W) of a channel slab, in whole-tensor order.
+
+    numpy sums a rank-5 tensor of several channels sample by sample, each
+    sample's (D, H, W) run pairwise, so a slab of some of the channels adds
+    its samples' sums in that order. A ``whole`` slab, every channel, is
+    summed directly: with one channel numpy merges the samples into one run.
+    """
+    if whole:
+        return np.add.reduce(a, axis=(0, 2, 3, 4))
+    sums = np.add.reduce(a[0], axis=(1, 2, 3))
+    for sample in a[1:]:
+        sums += np.add.reduce(sample, axis=(1, 2, 3))
+    return sums
+
+
 class Conv3d(Module):
     """3D cross-correlation with no additive term.
 
@@ -438,33 +467,64 @@ class BatchNorm3d(Module):
 
     Train mode uses batch statistics and updates running averages with
     momentum ``BN_MOMENTUM``; eval mode applies the stored running
-    statistics.
+    statistics. The forward runs in channel slabs of ``BN_SLAB_BYTES``.
+    With ``inplace`` the input's buffer takes xhat (``remember``) or else
+    the output.
     """
 
     buffer_names = ("running_mean", "running_var")
 
-    def __init__(self, channels: int, name: str = "norm", dtype=np.float32):
+    def __init__(self, channels: int, name: str = "norm", dtype=np.float32,
+                 inplace: bool = False):
         self.channels = channels
         self.gain = Parameter(np.ones(channels, dtype=dtype), f"{name}.gain", decay=False)
         self.shift = Parameter(np.zeros(channels, dtype=dtype), f"{name}.shift", decay=False)
         self.running_mean = np.zeros(channels, dtype=np.float32)
         self.running_var = np.ones(channels, dtype=np.float32)
         self.name = name
+        self.inplace = inplace
         self._cache = None
 
     def forward(self, x: np.ndarray, remember: bool = True) -> np.ndarray:
         _require_rank5(x, "norm")
-        if x.shape[1] != self.channels:
-            raise ShapeMismatch(f"norm expects {self.channels} channels, got {x.shape[1]}")
-        axes = (0, 2, 3, 4)
-        m = x.shape[0] * x.shape[2] * x.shape[3] * x.shape[4]
+        n, c = x.shape[:2]
+        if c != self.channels:
+            raise ShapeMismatch(f"norm expects {self.channels} channels, got {c}")
+        m = x.size // c
         if m == 0:
             raise ZeroBatchVolume("norm received an empty reduction volume")
+        step = max(1, BN_SLAB_BYTES // (m * x.itemsize))
+        out_dtype = np.result_type(x, self.gain.value)
+        xhat = x if self.inplace else np.empty(x.shape, x.dtype)
+        y = xhat if not remember and out_dtype == x.dtype else np.empty(x.shape, out_dtype)
         if self.training:
-            # handing var the mean spares it a second pass over x
-            mean = x.mean(axis=axes, keepdims=True)
-            var = x.var(axis=axes, mean=mean)
-            mean = mean.reshape(-1)
+            # numpy's x.mean and x.var(mean=) divide by an intp count
+            count = np.intp(m)
+            mean = np.empty(c, x.dtype)
+            var = np.empty(c, x.dtype)
+            ivar = np.empty(c, x.dtype)
+            squares = np.empty((n, min(c, step), *x.shape[2:]), x.dtype)
+        else:
+            mean = self.running_mean.astype(x.dtype)
+            var = self.running_var.astype(x.dtype)
+            ivar = 1.0 / np.sqrt(var + BN_EPS)
+        per_channel = (None, slice(None), None, None, None)
+        for c0 in range(0, c, step):
+            cs = slice(c0, c0 + step)
+            xs, hs, ys = x[:, cs], xhat[:, cs], y[:, cs]
+            if self.training:
+                whole = xs.shape[1] == c
+                mean[cs] = _channel_sums(xs, whole) / count
+                np.subtract(xs, mean[cs][per_channel], out=hs)
+                sq = np.square(hs, out=squares[:, : hs.shape[1]])
+                var[cs] = _channel_sums(sq, whole) / count
+                ivar[cs] = 1.0 / np.sqrt(var[cs] + BN_EPS)
+            else:
+                np.subtract(xs, mean[cs][per_channel], out=hs)
+            hs *= ivar[cs][per_channel]
+            np.multiply(self.gain.value[cs][per_channel], hs, out=ys)
+            ys += self.shift.value[cs][per_channel]
+        if self.training:
             self.running_mean = (
                 (1.0 - BN_MOMENTUM) * self.running_mean
                 + BN_MOMENTUM * mean.astype(np.float64)
@@ -473,21 +533,7 @@ class BatchNorm3d(Module):
                 (1.0 - BN_MOMENTUM) * self.running_var
                 + BN_MOMENTUM * var.astype(np.float64)
             ).astype(np.float32)
-        else:
-            mean = self.running_mean.astype(x.dtype)
-            var = self.running_var.astype(x.dtype)
-        ivar = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = x - mean[None, :, None, None, None]
-        xhat *= ivar[None, :, None, None, None]
-        gain = self.gain.value[None, :, None, None, None]
         self._cache = (xhat, ivar, m) if remember else None
-        if remember or np.result_type(xhat, gain) != xhat.dtype:
-            y = gain * xhat
-        else:
-            # nothing keeps xhat and the output has its dtype: reuse it in place
-            y = xhat
-            y *= gain
-        y += self.shift.value[None, :, None, None, None]
         return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -513,12 +559,15 @@ class BatchNorm3d(Module):
 
 
 class ReLU(Module):
-    def __init__(self):
+    """max(x, 0); with ``inplace`` (set by builders only) it overwrites its input."""
+
+    def __init__(self, inplace: bool = False):
+        self.inplace = inplace
         self._mask = None
 
     def forward(self, x: np.ndarray, remember: bool = True) -> np.ndarray:
         self._mask = (x > 0) if remember else None
-        return np.maximum(x, 0)
+        return np.maximum(x, 0, out=x if self.inplace else None)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -541,8 +590,48 @@ class Sigmoid(Module):
         return grad_out * self._y * (1.0 - self._y)
 
 
+def _max_pass(x, arg, axis, kernel, stride, padding, size, scale, remember):
+    """Max over one axis's ``kernel`` taps at ``stride``, first of tied taps winning.
+
+    A tap that lands in the padding is skipped for that output: its -inf
+    could never win. Strict > never takes NaN, and a window with nothing
+    above -inf keeps -inf. With ``remember`` the result carries the winning
+    tap's index times ``scale`` (the tap count of the passes before) plus
+    ``arg``, the winner's offset from those passes (None in the first).
+    """
+    shape = x.shape[:axis] + (size,) + x.shape[axis + 1 :]
+    y = np.full(shape, -np.inf, dtype=x.dtype)
+    better = np.empty(shape, dtype=bool)
+    out_arg = np.zeros(shape, dtype=np.int16) if remember else None
+    for t in range(kernel):
+        # outputs o whose tap reads o*stride + t - padding inside x
+        lo = max(0, -((t - padding) // stride))
+        hi = min(size, (x.shape[axis] - 1 - t + padding) // stride + 1)
+        if lo >= hi:
+            continue
+        src = lo * stride + t - padding
+        into = (slice(None),) * axis + (slice(lo, hi),)
+        taps = (slice(None),) * axis + (slice(src, src + (hi - lo - 1) * stride + 1, stride),)
+        plane, yo, bo = x[taps], y[into], better[into]
+        np.greater(plane, yo, out=bo)
+        np.copyto(yo, plane, where=bo)
+        if remember:
+            if arg is None:
+                np.copyto(out_arg[into], t * scale, where=bo)
+            else:
+                np.add(arg[taps], t * scale, out=out_arg[into], where=bo)
+    return y, out_arg
+
+
 class MaxPool3d(Module):
-    """Max pooling with -inf padding and first-window-position tie-breaks."""
+    """Max pooling with -inf padding and first-window-position tie-breaks.
+
+    The forward takes three 1-D passes, along w, then h, then d, each over
+    clipped slices of the unpadded input. Every pass keeps the first of
+    tied taps and never takes NaN, so the last pass picks the
+    lexicographically first (a, b, c) window offset holding the maximum:
+    the value and the tie-break of a scan over all kd*kh*kw taps.
+    """
 
     def __init__(self, kernel, stride=None, padding=0):
         kernel = as_triple(kernel)
@@ -552,27 +641,14 @@ class MaxPool3d(Module):
 
     def forward(self, x: np.ndarray, remember: bool = True) -> np.ndarray:
         _require_rank5(x, "maxpool3d")
-        kd, kh, kw = self.spec.kernel
-        sd, sh, sw = self.spec.stride
-        do, ho, wo = self.spec.out_dims(x.shape[2:])
-        xp = _pad_spatial(x, self.spec.padding, value=-np.inf)
-        y = np.full((x.shape[0], x.shape[1], do, ho, wo), -np.inf, dtype=x.dtype)
-        better = np.empty(y.shape, dtype=bool)
-        arg = np.zeros(y.shape, dtype=np.int16) if remember else None
-        offset = 0
-        for a in range(kd):
-            dsl = slice(a, a + (do - 1) * sd + 1, sd)
-            for b in range(kh):
-                hsl = slice(b, b + (ho - 1) * sh + 1, sh)
-                for c in range(kw):
-                    wsl = slice(c, c + (wo - 1) * sw + 1, sw)
-                    plane = xp[:, :, dsl, hsl, wsl]
-                    # strict > keeps the first of tied positions and never takes NaN
-                    np.greater(plane, y, out=better)
-                    np.copyto(y, plane, where=better)
-                    if remember:
-                        np.copyto(arg, offset, where=better)
-                    offset += 1
+        out_dims = self.spec.out_dims(x.shape[2:])
+        kernel = self.spec.kernel
+        y, arg = x, None
+        for i in (2, 1, 0):
+            y, arg = _max_pass(
+                y, arg, i + 2, kernel[i], self.spec.stride[i], self.spec.padding[i],
+                out_dims[i], math.prod(kernel[i + 1 :]), remember,
+            )
         self._cache = (arg, x.shape) if remember else None
         return y
 
@@ -608,9 +684,13 @@ class AdaptiveResize3d(Module):
     """Nearest-neighbor resize to a fixed spatial target.
 
     Output cell i along an axis reads source cell floor(i * D / D').
-    The forward gathers with one ``np.take`` per resized axis. The map is
-    monotone, so the backward pass sums each source cell's run of output
-    cells with one ``np.add.reduceat`` per resized axis.
+    The forward gathers with one ``np.take`` per resized axis, innermost
+    first: the element-wise gather along w runs before an upsample grows
+    the outer axes, and the later gathers copy whole rows and planes (the
+    paper's 4x8x8 -> 32^3 resize makes 8 and 32 MiB intermediates, not 16
+    and 64). The map is monotone, so the backward pass sums each source
+    cell's run of output cells with one ``np.add.reduceat`` per resized
+    axis.
     """
 
     def __init__(self, target):
@@ -626,7 +706,7 @@ class AdaptiveResize3d(Module):
     def forward(self, x: np.ndarray, remember: bool = True) -> np.ndarray:
         _require_rank5(x, "adaptive_resize")
         y = x
-        for axis, idx in enumerate(self._index_maps(x.shape[2:]), start=2):
+        for axis, idx in reversed(list(enumerate(self._index_maps(x.shape[2:]), start=2))):
             if len(idx) != x.shape[axis]:  # an axis that keeps its size is left alone
                 y = np.take(y, idx, axis=axis)
         self._cache = x.shape if remember else None

@@ -1,11 +1,11 @@
 """The demos run end to end, each in a fresh interpreter.
 
-Demo 01 takes about a second. Demo 03 takes a few seconds against a copy
+Demo 01 takes about a second. Demo 02 trains the toy model for 3 epochs
+instead of its default 200 (about half a minute), which still runs every
+step and writes a checkpoint. Demo 03 takes a few seconds against a copy
 of the toy pipeline's run directory: that run trained on the eight seed-7
-samples the demo rebuilds. Demo 02 is left out because it trains the toy
-model for about half a minute; 03 reads the checkpoint format it writes.
-Demo 04 runs with --skip-forward: it builds the paper model (about 4 s)
-but skips the paper-scale forward pass.
+samples the demo rebuilds. Demo 04 runs with --skip-forward: it builds
+the paper model (about 4 s) but skips the paper-scale forward pass.
 """
 
 import os
@@ -31,6 +31,15 @@ def test_demo_01_simulate_and_bin(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (out / "orbit.evt").stat().st_size > 0
     assert "frame stack: (100, 64, 64)" in proc.stdout
+
+
+def test_demo_02_train_toy(tmp_path):
+    out = tmp_path / "out"
+    proc = run_demo("02_train_toy.py", tmp_path, str(out), "3")
+    assert proc.returncode == 0, proc.stderr
+    assert "output volume (8, 8, 8)" in proc.stdout
+    assert "trained 3 epochs" in proc.stdout
+    assert (out / "model.ckpt").stat().st_size > 0
 
 
 def test_demo_03_evaluate_and_export(pipeline, tmp_path):

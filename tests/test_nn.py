@@ -8,7 +8,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ev2vox import checkpoint as ckp
 from ev2vox import nn
 from ev2vox.errors import FormatError, ShapeMismatch, ZeroBatchVolume
-from gradcheck import check_layer, numeric_grad_full, rel_err
+from gradcheck import check_layer
 
 N_GRAD_SEEDS = 20
 # kernel, stride, padding: the 1x1x1 fast path at both strides and a 3x3x3
