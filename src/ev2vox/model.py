@@ -168,21 +168,18 @@ def read_model_config(d) -> ModelConfig:
 
 
 def conv_norm(cin, cout, kernel, stride, padding, name, seed, dtype, tag=""):
-    """[conv, batch norm], named ``{name}.conv{tag}`` and ``{name}.norm{tag}``.
-
-    The norm works in place: its input is the conv's fresh output.
-    """
+    """[conv, batch norm], named ``{name}.conv{tag}`` and ``{name}.norm{tag}``."""
     return [
         nn.Conv3d(cin, cout, kernel, stride=stride, padding=padding,
                   name=f"{name}.conv{tag}", seed=seed, dtype=dtype),
-        nn.BatchNorm3d(cout, name=f"{name}.norm{tag}", dtype=dtype, inplace=True),
+        nn.BatchNorm3d(cout, name=f"{name}.norm{tag}", dtype=dtype),
     ]
 
 
 def conv_norm_relu(cin, cout, kernel, stride, padding, name, seed, dtype) -> nn.Sequential:
     """conv -> norm -> relu, the workhorse unit of both halves."""
     layers = conv_norm(cin, cout, kernel, stride, padding, name, seed, dtype)
-    return nn.Sequential(*layers, nn.ReLU(inplace=True))
+    return nn.Sequential(*layers, nn.ReLU())
 
 
 class Bottleneck(nn.Module):
@@ -191,17 +188,15 @@ class Bottleneck(nn.Module):
     def __init__(self, cin, width, stride, name, seed, dtype):
         cout = width * EXPANSION
         self.main = nn.Sequential(
-            *conv_norm(cin, width, 1, 1, 0, name, seed, dtype, tag="1"),
-            nn.ReLU(inplace=True),
-            *conv_norm(width, width, 3, stride, 1, name, seed, dtype, tag="2"),
-            nn.ReLU(inplace=True),
+            *conv_norm(cin, width, 1, 1, 0, name, seed, dtype, tag="1"), nn.ReLU(),
+            *conv_norm(width, width, 3, stride, 1, name, seed, dtype, tag="2"), nn.ReLU(),
             *conv_norm(width, cout, 1, 1, 0, name, seed, dtype, tag="3"),
         )
         project = cin != cout or tuple(stride) != (1, 1, 1)
         self.shortcut = nn.Sequential(
             *(conv_norm(cin, cout, 1, stride, 0, f"{name}.proj", seed, dtype) if project else [])
         )
-        self.relu = nn.ReLU(inplace=True)
+        self.relu = nn.ReLU()
 
     def forward(self, x, remember=True):
         # main's output is a fresh norm output, so the sum and the ReLU
@@ -241,8 +236,8 @@ class UpBlock(nn.Module):
     def __init__(self, cin, cout, name, seed, dtype):
         self.up = nn.Sequential(
             nn.Deconv3d(cin, cout, 2, stride=2, name=f"{name}.deconv", seed=seed, dtype=dtype),
-            nn.BatchNorm3d(cout, name=f"{name}.norm", dtype=dtype, inplace=True),
-            nn.ReLU(inplace=True),
+            nn.BatchNorm3d(cout, name=f"{name}.norm", dtype=dtype),
+            nn.ReLU(),
         )
         self.fuse = conv_norm_relu(2 * cout, cout, 3, 1, 1, f"{name}.fuse", seed, dtype)
         self.cout = cout

@@ -26,16 +26,14 @@ one plane. The forward and the weight gradient copy every block into one
 buffer made for the largest, so a call faults in no fresh pages per block
 and no buffer outlives its call.
 
-Batch norm walks the channels in slabs of at most ``BN_SLAB_BYTES``, so
-its statistics, normalization, gain and shift each read a slab while it
-is in cache; the sums keep numpy's whole-tensor order, so the bytes are
-those of ``x.mean`` and ``x.var(mean=)``. A layer never writes into its
-input unless it is built with ``inplace=True``: ``BatchNorm3d`` then puts
-xhat (when remembering) or its output in the input's buffer, and ``ReLU``
-its output. Only the model builders set it, on layers whose input is a
-fresh array nothing else holds (a conv's output, a norm's output, a
-residual sum); a standalone layer keeps its input, which the gradient
-checks reuse across calls.
+Batch norm and ReLU write into their input's buffer: batch norm puts xhat
+there (and, unless it remembers, its output too), ReLU its output. Every
+model caller hands them a fresh array that nothing else holds (a conv's
+output, a norm's output, a residual sum); a caller that reads its input
+again afterwards passes a copy. Batch norm subtracts the mean once, in
+place, and squares the deviations into one scratch array whose mean is
+the variance, so its statistics are the bytes of ``x.mean`` and
+``x.var(mean=)``.
 
 Every layer, and every block built from layers, is a ``Module``. A module
 holds no registry: its parameters, buffers and submodules are found by
@@ -66,12 +64,6 @@ MAX_PATCH_BYTES = 8 * 2**20
 # BatchNorm3d's variance floor and running-statistics momentum
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
-
-# Byte budget of one BatchNorm3d channel slab (at least one channel): its
-# statistics, normalization, gain and shift run while it is in cache. On
-# (1, 256, 25, 64, 64) float32, slabs of 256 KiB, 1, 2 and 8 MiB took 70,
-# 75, 95 and 111 ms against a 2 MiB per-core L2.
-BN_SLAB_BYTES = 2**20
 
 
 def as_triple(v) -> tuple[int, int, int]:
@@ -350,22 +342,6 @@ def conv3d_core_weight_grad(x, grad_out, stride, padding, kernel):
 # Layers
 
 
-def _channel_sums(a: np.ndarray, whole: bool) -> np.ndarray:
-    """Per-channel sums over (N, D, H, W) of a channel slab, in whole-tensor order.
-
-    numpy sums a rank-5 tensor of several channels sample by sample, each
-    sample's (D, H, W) run pairwise, so a slab of some of the channels adds
-    its samples' sums in that order. A ``whole`` slab, every channel, is
-    summed directly: with one channel numpy merges the samples into one run.
-    """
-    if whole:
-        return np.add.reduce(a, axis=(0, 2, 3, 4))
-    sums = np.add.reduce(a[0], axis=(1, 2, 3))
-    for sample in a[1:]:
-        sums += np.add.reduce(sample, axis=(1, 2, 3))
-    return sums
-
-
 class Conv3d(Module):
     """3D cross-correlation with no additive term.
 
@@ -467,64 +443,38 @@ class BatchNorm3d(Module):
 
     Train mode uses batch statistics and updates running averages with
     momentum ``BN_MOMENTUM``; eval mode applies the stored running
-    statistics. The forward runs in channel slabs of ``BN_SLAB_BYTES``.
-    With ``inplace`` the input's buffer takes xhat (``remember``) or else
-    the output.
+    statistics. The input's buffer takes xhat, and the output too unless
+    ``remember`` keeps xhat for the backward or the parameters are wider
+    than the input.
     """
 
     buffer_names = ("running_mean", "running_var")
 
-    def __init__(self, channels: int, name: str = "norm", dtype=np.float32,
-                 inplace: bool = False):
+    def __init__(self, channels: int, name: str = "norm", dtype=np.float32):
         self.channels = channels
         self.gain = Parameter(np.ones(channels, dtype=dtype), f"{name}.gain", decay=False)
         self.shift = Parameter(np.zeros(channels, dtype=dtype), f"{name}.shift", decay=False)
         self.running_mean = np.zeros(channels, dtype=np.float32)
         self.running_var = np.ones(channels, dtype=np.float32)
         self.name = name
-        self.inplace = inplace
         self._cache = None
 
     def forward(self, x: np.ndarray, remember: bool = True) -> np.ndarray:
         _require_rank5(x, "norm")
-        n, c = x.shape[:2]
-        if c != self.channels:
-            raise ShapeMismatch(f"norm expects {self.channels} channels, got {c}")
-        m = x.size // c
+        if x.shape[1] != self.channels:
+            raise ShapeMismatch(f"norm expects {self.channels} channels, got {x.shape[1]}")
+        axes = (0, 2, 3, 4)
+        m = x.shape[0] * x.shape[2] * x.shape[3] * x.shape[4]
         if m == 0:
             raise ZeroBatchVolume("norm received an empty reduction volume")
-        step = max(1, BN_SLAB_BYTES // (m * x.itemsize))
-        out_dtype = np.result_type(x, self.gain.value)
-        xhat = x if self.inplace else np.empty(x.shape, x.dtype)
-        y = xhat if not remember and out_dtype == x.dtype else np.empty(x.shape, out_dtype)
-        if self.training:
-            # numpy's x.mean and x.var(mean=) divide by an intp count
-            count = np.intp(m)
-            mean = np.empty(c, x.dtype)
-            var = np.empty(c, x.dtype)
-            ivar = np.empty(c, x.dtype)
-            squares = np.empty((n, min(c, step), *x.shape[2:]), x.dtype)
-        else:
-            mean = self.running_mean.astype(x.dtype)
-            var = self.running_var.astype(x.dtype)
-            ivar = 1.0 / np.sqrt(var + BN_EPS)
         per_channel = (None, slice(None), None, None, None)
-        for c0 in range(0, c, step):
-            cs = slice(c0, c0 + step)
-            xs, hs, ys = x[:, cs], xhat[:, cs], y[:, cs]
-            if self.training:
-                whole = xs.shape[1] == c
-                mean[cs] = _channel_sums(xs, whole) / count
-                np.subtract(xs, mean[cs][per_channel], out=hs)
-                sq = np.square(hs, out=squares[:, : hs.shape[1]])
-                var[cs] = _channel_sums(sq, whole) / count
-                ivar[cs] = 1.0 / np.sqrt(var[cs] + BN_EPS)
-            else:
-                np.subtract(xs, mean[cs][per_channel], out=hs)
-            hs *= ivar[cs][per_channel]
-            np.multiply(self.gain.value[cs][per_channel], hs, out=ys)
-            ys += self.shift.value[cs][per_channel]
+        mean = x.mean(axis=axes) if self.training else self.running_mean.astype(x.dtype)
+        xhat = np.subtract(x, mean[per_channel], out=x)
+        squares = None
         if self.training:
+            # the mean of the squared deviations is x.var(mean=), bit for bit
+            squares = np.square(xhat)
+            var = squares.mean(axis=axes)
             self.running_mean = (
                 (1.0 - BN_MOMENTUM) * self.running_mean
                 + BN_MOMENTUM * mean.astype(np.float64)
@@ -533,6 +483,19 @@ class BatchNorm3d(Module):
                 (1.0 - BN_MOMENTUM) * self.running_var
                 + BN_MOMENTUM * var.astype(np.float64)
             ).astype(np.float32)
+        else:
+            var = self.running_var.astype(x.dtype)
+        ivar = 1.0 / np.sqrt(var + BN_EPS)
+        xhat *= ivar[per_channel]
+        gain = self.gain.value[per_channel]
+        if np.result_type(xhat, gain) != xhat.dtype:
+            y = gain * xhat
+        elif remember:
+            # xhat stays for the backward; the squares' buffer, if any, is free
+            y = np.multiply(gain, xhat, out=squares)
+        else:
+            y = np.multiply(gain, xhat, out=xhat)
+        y += self.shift.value[per_channel]
         self._cache = (xhat, ivar, m) if remember else None
         return y
 
@@ -559,15 +522,14 @@ class BatchNorm3d(Module):
 
 
 class ReLU(Module):
-    """max(x, 0); with ``inplace`` (set by builders only) it overwrites its input."""
+    """max(x, 0), written into the input's buffer."""
 
-    def __init__(self, inplace: bool = False):
-        self.inplace = inplace
+    def __init__(self):
         self._mask = None
 
     def forward(self, x: np.ndarray, remember: bool = True) -> np.ndarray:
         self._mask = (x > 0) if remember else None
-        return np.maximum(x, 0, out=x if self.inplace else None)
+        return np.maximum(x, 0, out=x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -598,11 +560,15 @@ def _max_pass(x, arg, axis, kernel, stride, padding, size, scale, remember):
     above -inf keeps -inf. With ``remember`` the result carries the winning
     tap's index times ``scale`` (the tap count of the passes before) plus
     ``arg``, the winner's offset from those passes (None in the first).
+    Tap t's offsets lie in [t*scale, (t+1)*scale), above every earlier
+    tap's, so the winner's is the largest of those its taps won with: a
+    maximum over offsets masked to zero, with no branch per element.
     """
     shape = x.shape[:axis] + (size,) + x.shape[axis + 1 :]
     y = np.full(shape, -np.inf, dtype=x.dtype)
     better = np.empty(shape, dtype=bool)
     out_arg = np.zeros(shape, dtype=np.int16) if remember else None
+    offset = np.empty(shape, dtype=np.int16) if remember else None
     for t in range(kernel):
         # outputs o whose tap reads o*stride + t - padding inside x
         lo = max(0, -((t - padding) // stride))
@@ -615,11 +581,14 @@ def _max_pass(x, arg, axis, kernel, stride, padding, size, scale, remember):
         plane, yo, bo = x[taps], y[into], better[into]
         np.greater(plane, yo, out=bo)
         np.copyto(yo, plane, where=bo)
-        if remember:
+        if remember and (t or arg is not None):
+            oo = offset[into]
             if arg is None:
-                np.copyto(out_arg[into], t * scale, where=bo)
+                np.multiply(bo, np.int16(t * scale), out=oo)
             else:
-                np.add(arg[taps], t * scale, out=out_arg[into], where=bo)
+                np.add(arg[taps], np.int16(t * scale), out=oo)
+                oo *= bo
+            np.maximum(out_arg[into], oo, out=out_arg[into])
     return y, out_arg
 
 

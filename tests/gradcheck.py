@@ -67,9 +67,10 @@ def check_layer(layer, x: np.ndarray, rng, tol: float = DEFAULT_TOL, h: float = 
     analytic gradient is exactly backward(projection). Coordinates whose
     central difference crosses a ReLU kink are left out on both sides; every
     gradient keeps at least one coordinate, and nine in ten coordinates
-    overall must remain.
+    overall must remain. Every forward gets a copy of ``x``: batch norm and
+    ReLU write into their input.
     """
-    y = layer.forward(x, remember=True)
+    y = layer.forward(x.copy(), remember=True)
     proj = rng.normal(size=y.shape)
 
     for p in layer.parameters():
@@ -91,7 +92,7 @@ def check_layer(layer, x: np.ndarray, rng, tol: float = DEFAULT_TOL, h: float = 
 
     def objective():
         signs.append([])
-        return float((layer.forward(x, remember=False) * proj).sum())
+        return float((layer.forward(x.copy(), remember=False) * proj).sum())
 
     errs = {}
     kept = total = 0

@@ -197,14 +197,15 @@ def test_criterion_3_gradient_suite(announce):
         for seed in range(20):
             rng = np.random.default_rng((seed, 1))
             for label, layer, x in _layer_cases(seed):
-                y = layer.forward(x, remember=True)
+                # batch norm and ReLU write into their input
+                y = layer.forward(x.copy(), remember=True)
                 proj = rng.normal(size=y.shape)
                 for p in layer.parameters():
                     p.zero_grad()
                 ana_x = layer.backward(proj)
 
                 def objective():
-                    return float((layer.forward(x, remember=False) * proj).sum())
+                    return float((layer.forward(x.copy(), remember=False) * proj).sum())
 
                 err = rel_err(ana_x, numeric_grad_full(objective, x))
                 assert err < 1e-6, f"{label} input grad err {err:.2e} at seed {seed}"
