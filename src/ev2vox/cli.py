@@ -32,15 +32,7 @@ import numpy as np
 
 from .artifacts import make_dir, read, read_json, write, write_json
 from .config import from_json
-from .errors import (
-    CheckpointMismatch,
-    ConfigError,
-    DataError,
-    EmptyDataset,
-    FormatError,
-    IoFailure,
-    PipelineError,
-)
+from .errors import ConfigError, DataError, FormatError, IoFailure, PipelineError
 from .events import BinningConfig, bin_to_frames, read_evt1, write_evt1
 from .model import (
     DecoderConfig,
@@ -411,7 +403,7 @@ def cmd_train(cfg: RunConfig, manifest_path: str, out_dir: str | None) -> None:
     manifest = load_manifest(manifest_path)
     dataset = _load_dataset(cfg, manifest, ("train",), _cache_dir(manifest))
     if not dataset:
-        raise EmptyDataset(f"{manifest_path}: no train-split entries")
+        raise DataError(f"{manifest_path}: no train-split entries")
     hidden, labels = cfg.model.encoder.hidden_spatial, dataset[0][1].resolution
     if hidden != (labels,) * 3:
         raise ConfigError(f"model.encoder.hidden_spatial {hidden} does not match "
@@ -441,14 +433,14 @@ def _trained_model(ckpt: Path, expected: ModelConfig | None = None) -> E2VModel:
 
     A missing sidecar is an IoFailure and one that is not JSON a
     FormatError. One that describes no model, or another model than
-    ``expected``, is a CheckpointMismatch.
+    ``expected``, is a DataError.
     """
     sidecar_path = Path(f"{ckpt}.json")
     config = _trained_config(read_json(sidecar_path))
     if config is None:
-        raise CheckpointMismatch(f"{sidecar_path}: sidecar does not describe a model")
+        raise DataError(f"{sidecar_path}: sidecar does not describe a model")
     if expected is not None and config != expected:
-        raise CheckpointMismatch(
+        raise DataError(
             f"{ckpt}: checkpoint was trained with a different model configuration"
         )
     model = build_model(config.encoder, config.decoder, seed=config.seed)

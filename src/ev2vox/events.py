@@ -31,16 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import read, write
-from .errors import (
-    DataError,
-    FormatError,
-    InvalidPolarity,
-    NonDivisibleDimensions,
-    NonMonotoneTimestamp,
-    OutOfBoundsCoordinate,
-    TimestampOutOfRange,
-    ZeroWindow,
-)
+from .errors import ConfigError, DataError, FormatError
 
 EVT1_MAGIC = b"E2VEVT1\x00"
 
@@ -86,26 +77,26 @@ class BinningConfig:
 
     def __post_init__(self):
         if not (self.window > 0.0):
-            raise ZeroWindow(f"binning window must be positive, got {self.window}")
+            raise ConfigError(f"binning window must be positive, got {self.window}")
         if self.mode not in ("uniform", "anchored"):
-            raise ZeroWindow(f"unknown binning mode {self.mode!r}")
+            raise ConfigError(f"unknown binning mode {self.mode!r}")
         if (self.target_height is None) != (self.target_width is None):
-            raise NonDivisibleDimensions(
+            raise ConfigError(
                 "target_height and target_width must be given together"
             )
+        if self.target_height is not None and min(self.target_height, self.target_width) < 1:
+            raise ConfigError("target dimensions must be positive")
 
     def downscale_factor(self, sensor_width: int, sensor_height: int) -> int:
         """Integer factor mapping the sensor size to the target size."""
-        if self.target_width is None or self.target_height is None:
+        if self.target_width is None:
             return 1
-        if self.target_width <= 0 or self.target_height <= 0:
-            raise NonDivisibleDimensions("target dimensions must be positive")
         if (
             sensor_width % self.target_width
             or sensor_height % self.target_height
             or sensor_width // self.target_width != sensor_height // self.target_height
         ):
-            raise NonDivisibleDimensions(
+            raise ConfigError(
                 f"cannot map {sensor_width}x{sensor_height} frames onto "
                 f"{self.target_width}x{self.target_height} with one integer factor"
             )
@@ -140,21 +131,21 @@ def from_arrays(
     polarity in {-1, +1}, timestamps within [0, T].
     """
     if not (sensor_width >= 1 and sensor_height >= 1):
-        raise OutOfBoundsCoordinate(f"a {sensor_width}x{sensor_height} sensor has no pixel")
+        raise DataError(f"a {sensor_width}x{sensor_height} sensor has no pixel")
     if not (math.isfinite(duration) and duration >= 0):
-        raise TimestampOutOfRange(f"duration {duration} is not a finite time >= 0")
+        raise DataError(f"duration {duration} is not a finite time >= 0")
     t = np.asarray(t, dtype=np.float64)
     x = np.asarray(x)
     y = np.asarray(y)
     p = np.asarray(p)
     if not (t.shape == x.shape == y.shape == p.shape) or t.ndim != 1:
-        raise OutOfBoundsCoordinate("event columns must be equal-length 1-D arrays")
+        raise DataError("event columns must be equal-length 1-D arrays")
 
     if len(t):
         dt = np.diff(t)
         if np.any(dt < 0):
             i = int(np.argmax(dt < 0))
-            raise NonMonotoneTimestamp(
+            raise DataError(
                 f"timestamp decreases at index {i + 1}: {t[i]} -> {t[i + 1]}"
             )
         xi = x.astype(np.int64)
@@ -162,18 +153,18 @@ def from_arrays(
         bad = (xi < 0) | (xi >= sensor_width) | (yi < 0) | (yi >= sensor_height)
         if np.any(bad):
             i = int(np.argmax(bad))
-            raise OutOfBoundsCoordinate(
+            raise DataError(
                 f"event {i} at ({xi[i]}, {yi[i]}) outside "
                 f"{sensor_width}x{sensor_height} sensor"
             )
         pi = p.astype(np.int64)
         if np.any((pi != 1) & (pi != -1)):
             i = int(np.argmax((pi != 1) & (pi != -1)))
-            raise InvalidPolarity(f"event {i} has polarity {pi[i]}, expected +1 or -1")
+            raise DataError(f"event {i} has polarity {pi[i]}, expected +1 or -1")
         if np.any(t < 0) or np.any(t > duration):
             bad_t = (t < 0) | (t > duration)
             i = int(np.argmax(bad_t))
-            raise TimestampOutOfRange(
+            raise DataError(
                 f"event {i} at t={t[i]} outside [0, {duration}]"
             )
 
@@ -252,12 +243,12 @@ def bin_to_frames(stream: EventStream, cfg: BinningConfig) -> FrameStack:
 def downscale_frames(stack: FrameStack, factor: int) -> FrameStack:
     """OR-pool each frame over factor x factor blocks (binary max-pool)."""
     if factor < 1:
-        raise NonDivisibleDimensions(f"downscale factor must be >= 1, got {factor}")
+        raise ConfigError(f"downscale factor must be >= 1, got {factor}")
     d, h, w = stack.frames.shape
     if factor == 1:
         return FrameStack(frames=stack.frames.copy(), window=stack.window)
     if h % factor or w % factor:
-        raise NonDivisibleDimensions(
+        raise ConfigError(
             f"frame size {h}x{w} not divisible by factor {factor}"
         )
     pooled = (

@@ -25,13 +25,7 @@ import numpy as np
 
 from . import nn
 from .config import from_json
-from .errors import (
-    ChannelMismatch,
-    CheckpointMismatch,
-    ConfigError,
-    ResolutionMismatch,
-    ShapeMismatch,
-)
+from .errors import ConfigError, DataError, InternalError
 
 EXPANSION = 4
 LOSS_CLAMP = 1e-7
@@ -325,7 +319,7 @@ class E2VModel(nn.Module):
         names = [p.name for p in self.parameters()] + [n for n, _ in self.buffers()]
         dupes = {n for n in names if names.count(n) > 1}
         if dupes:
-            raise ChannelMismatch(f"duplicate state names in model: {sorted(dupes)}")
+            raise ConfigError(f"duplicate state names in model: {sorted(dupes)}")
 
     def forward(self, frames: np.ndarray, remember: bool = True) -> np.ndarray:
         hidden = self.encoder.forward(frames, remember)
@@ -368,13 +362,13 @@ class E2VModel(nn.Module):
         if expected != got:
             missing = sorted(expected - got)
             extra = sorted(got - expected)
-            raise CheckpointMismatch(
+            raise DataError(
                 f"checkpoint does not match model: missing {missing[:4]}, unexpected {extra[:4]}"
             )
         for name, p in own.items():
             value = entries[name]
             if value.shape != p.value.shape:
-                raise CheckpointMismatch(
+                raise DataError(
                     f"{name}: checkpoint shape {value.shape} != model shape {p.value.shape}"
                 )
             p.value = value.astype(self.dtype)
@@ -383,7 +377,7 @@ class E2VModel(nn.Module):
                 name, old = f"{m.name}.{attr}", getattr(m, attr)
                 value = entries[name]
                 if value.size != old.size:
-                    raise CheckpointMismatch(
+                    raise DataError(
                         f"{name}: checkpoint has {value.size} values, model expects {old.size}"
                     )
                 setattr(m, attr, value.astype(np.float32).reshape(old.shape))
@@ -414,11 +408,11 @@ def bce_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     pred = np.asarray(pred)
     target = np.asarray(target)
     if pred.shape != target.shape:
-        raise ResolutionMismatch(
+        raise DataError(
             f"prediction shape {pred.shape} != target shape {target.shape}"
         )
     if pred.size == 0:
-        raise ShapeMismatch("cannot take a loss over zero voxels")
+        raise InternalError("cannot take a loss over zero voxels")
     p = np.clip(pred.astype(np.float64), LOSS_CLAMP, 1.0 - LOSS_CLAMP)
     v = target.astype(np.float64)
     n = p.size
@@ -432,12 +426,16 @@ def count_parameters(model: E2VModel) -> int:
 
 
 def frames_to_input(stacks, dtype=np.float32) -> np.ndarray:
-    """Stack FrameStack objects into a model input batch (N, 1, D, H, W)."""
+    """Stack FrameStack objects into a model input batch (N, 1, D, H, W).
+    A stack with a zero-sized axis (events that span no frame) is a
+    DataError."""
     arrs = [np.asarray(getattr(s, "frames", s)) for s in stacks]
     first = arrs[0].shape
     for a in arrs[1:]:
         if a.shape != first:
-            raise ShapeMismatch(f"frame stacks disagree in shape: {first} vs {a.shape}")
+            raise InternalError(f"frame stacks disagree in shape: {first} vs {a.shape}")
+    if 0 in first:
+        raise DataError(f"frame stack has a zero-sized axis {first}")
     return np.stack(arrs)[:, None].astype(dtype)
 
 

@@ -51,7 +51,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit
 
-from .errors import ShapeMismatch, ZeroBatchVolume
+from .errors import InternalError
 from .rng import ParameterRng
 
 # Byte budget of one sample's patch block, sized for cache: a conv takes
@@ -71,15 +71,15 @@ def as_triple(v) -> tuple[int, int, int]:
         return (v, v, v)
     t = tuple(int(a) for a in v)
     if len(t) != 3:
-        raise ShapeMismatch(f"expected an int or 3-tuple, got {v!r}")
+        raise InternalError(f"expected an int or 3-tuple, got {v!r}")
     return t
 
 
 def _require_rank5(x: np.ndarray, context: str) -> None:
     if x.ndim != 5:
-        raise ShapeMismatch(f"{context}: expected rank-5 tensor, got shape {x.shape}")
+        raise InternalError(f"{context}: expected rank-5 tensor, got shape {x.shape}")
     if x.size == 0:
-        raise ZeroBatchVolume(f"{context}: tensor has a zero-sized axis {x.shape}")
+        raise InternalError(f"{context}: tensor has a zero-sized axis {x.shape}")
 
 
 class Parameter:
@@ -181,7 +181,7 @@ class LayerSpec:
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
-            raise ShapeMismatch(f"unknown layer kind {self.kind!r}")
+            raise InternalError(f"unknown layer kind {self.kind!r}")
 
     def out_dims(self, in_dims: tuple[int, int, int]) -> tuple[int, int, int]:
         if self.kind == "adaptive_resize":
@@ -197,7 +197,7 @@ class LayerSpec:
                 for d, k, s, p in zip(in_dims, self.kernel, self.stride, self.padding)
             )
         if any(d <= 0 for d in out):
-            raise ShapeMismatch(
+            raise InternalError(
                 f"{self.kind} with kernel={self.kernel} stride={self.stride} "
                 f"padding={self.padding} maps {in_dims} to non-positive dims {out}"
             )
@@ -272,7 +272,7 @@ def conv3d_core_forward(x, weight, stride, padding):
     n, cin, d, h, w = x.shape
     cout, cin_w, kd, kh, kw = weight.shape
     if cin != cin_w:
-        raise ShapeMismatch(f"input has {cin} channels, kernel expects {cin_w}")
+        raise InternalError(f"input has {cin} channels, kernel expects {cin_w}")
     spec = LayerSpec("conv3d", (kd, kh, kw), stride, padding)
     out_dims = spec.out_dims((d, h, w))
     xp = _pad_spatial(x, padding)
@@ -290,7 +290,7 @@ def conv3d_core_input_grad(grad_out, weight, stride, padding, in_dims):
     n, cout, do, ho, wo = grad_out.shape
     cout_w, cin, kd, kh, kw = weight.shape
     if cout != cout_w:
-        raise ShapeMismatch(f"grad has {cout} channels, kernel expects {cout_w}")
+        raise InternalError(f"grad has {cout} channels, kernel expects {cout_w}")
     if tuple(stride) == (1, 1, 1):
         # the adjoint of a unit-stride conv is a unit-stride conv of the
         # gradient with the flipped, channel-swapped kernel at padding
@@ -326,7 +326,7 @@ def conv3d_core_weight_grad(x, grad_out, stride, padding, kernel):
     n, cin, d, h, w = x.shape
     n_g, cout, do, ho, wo = grad_out.shape
     if n != n_g:
-        raise ShapeMismatch("input and gradient batch sizes differ")
+        raise InternalError("input and gradient batch sizes differ")
     xp = _pad_spatial(x, padding)
     k = cin * math.prod(kernel)
     gw = np.zeros((cout, k), dtype=np.result_type(x, grad_out))
@@ -385,14 +385,14 @@ class Conv3d(Module):
     def _cache_input(self, x: np.ndarray, remember: bool) -> None:
         _require_rank5(x, self.kind)
         if x.shape[1] != self.spec.in_channels:
-            raise ShapeMismatch(
+            raise InternalError(
                 f"{self.kind} expects {self.spec.in_channels} channels, got {x.shape[1]}"
             )
         self._x = x if remember else None
 
     def _cached_input(self) -> np.ndarray:
         if self._x is None:
-            raise ShapeMismatch(f"{self.kind} backward called without a cached forward")
+            raise InternalError(f"{self.kind} backward called without a cached forward")
         return self._x
 
     def forward(self, x: np.ndarray, remember: bool = True) -> np.ndarray:
@@ -462,11 +462,9 @@ class BatchNorm3d(Module):
     def forward(self, x: np.ndarray, remember: bool = True) -> np.ndarray:
         _require_rank5(x, "norm")
         if x.shape[1] != self.channels:
-            raise ShapeMismatch(f"norm expects {self.channels} channels, got {x.shape[1]}")
+            raise InternalError(f"norm expects {self.channels} channels, got {x.shape[1]}")
         axes = (0, 2, 3, 4)
         m = x.shape[0] * x.shape[2] * x.shape[3] * x.shape[4]
-        if m == 0:
-            raise ZeroBatchVolume("norm received an empty reduction volume")
         per_channel = (None, slice(None), None, None, None)
         mean = x.mean(axis=axes) if self.training else self.running_mean.astype(x.dtype)
         xhat = np.subtract(x, mean[per_channel], out=x)
@@ -501,7 +499,7 @@ class BatchNorm3d(Module):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
-            raise ShapeMismatch("norm backward called without a cached forward")
+            raise InternalError("norm backward called without a cached forward")
         xhat, ivar, m = self._cache
         axes = (0, 2, 3, 4)
         dshift = grad_out.sum(axis=axes)
@@ -533,7 +531,7 @@ class ReLU(Module):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
-            raise ShapeMismatch("relu backward called without a cached forward")
+            raise InternalError("relu backward called without a cached forward")
         return grad_out * self._mask
 
 
@@ -548,7 +546,7 @@ class Sigmoid(Module):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._y is None:
-            raise ShapeMismatch("sigmoid backward called without a cached forward")
+            raise InternalError("sigmoid backward called without a cached forward")
         return grad_out * self._y * (1.0 - self._y)
 
 
@@ -623,7 +621,7 @@ class MaxPool3d(Module):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
-            raise ShapeMismatch("maxpool3d backward called without a cached forward")
+            raise InternalError("maxpool3d backward called without a cached forward")
         arg, in_shape = self._cache
         kd, kh, kw = self.spec.kernel
         sd, sh, sw = self.spec.stride
@@ -683,7 +681,7 @@ class AdaptiveResize3d(Module):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
-            raise ShapeMismatch("adaptive_resize backward called without a cached forward")
+            raise InternalError("adaptive_resize backward called without a cached forward")
         in_shape = self._cache
         g = grad_out
         for axis, idx in enumerate(self._index_maps(in_shape[2:]), start=2):
@@ -707,7 +705,7 @@ def concat_channels(parts: list[np.ndarray]) -> np.ndarray:
 
 def split_channels(grad: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
     if sum(sizes) != grad.shape[1]:
-        raise ShapeMismatch(
+        raise InternalError(
             f"cannot split {grad.shape[1]} channels into {sizes}"
         )
     edges = np.cumsum(sizes)[:-1]

@@ -29,13 +29,7 @@ import numpy as np
 
 from . import voxel
 from .config import from_json
-from .errors import (
-    ConfigError,
-    ContrastNonPositive,
-    FrameDimMismatch,
-    InvalidSceneSpec,
-    TimeOutOfRange,
-)
+from .errors import ConfigError, DataError, InternalError
 from .events import EventStream, from_arrays
 
 DEFAULT_CONTRAST = 0.2
@@ -100,7 +94,7 @@ class Sphere:
 
     def __post_init__(self):
         if self.radius <= 0:
-            raise InvalidSceneSpec(f"radius must be positive, got {self.radius}")
+            raise ConfigError(f"radius must be positive, got {self.radius}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +105,7 @@ class Box:
 
     def __post_init__(self):
         if any(e <= 0 for e in self.half_extents):
-            raise InvalidSceneSpec(f"half_extents must be positive, got {self.half_extents}")
+            raise ConfigError(f"half_extents must be positive, got {self.half_extents}")
 
 
 @dataclass(frozen=True)
@@ -126,9 +120,9 @@ class Cylinder:
 
     def __post_init__(self):
         if self.axis not in (0, 1, 2):
-            raise InvalidSceneSpec(f"axis must be 0, 1, or 2, got {self.axis}")
+            raise ConfigError(f"axis must be 0, 1, or 2, got {self.axis}")
         if self.radius <= 0 or self.half_height <= 0:
-            raise InvalidSceneSpec(
+            raise ConfigError(
                 f"radius and half_height must be positive, got {self.radius}, {self.half_height}"
             )
 
@@ -175,7 +169,7 @@ def camera_pose(cfg: TrajectoryConfig, t: float) -> Pose:
     2*pi*revolutions over the full duration.
     """
     if not (0.0 <= t <= cfg.duration):
-        raise TimeOutOfRange(f"t={t} outside [0, {cfg.duration}]")
+        raise InternalError(f"t={t} outside [0, {cfg.duration}]")
     frac = t / cfg.duration
     z = cfg.z_start + (cfg.z_end - cfg.z_start) * frac
     r = cfg.r_min + (cfg.r_max - cfg.r_min) * (1.0 - abs(z) / abs(cfg.z_start))
@@ -407,7 +401,7 @@ def render_frame(scene: Scene, pose: Pose, cam: CameraIntrinsics) -> np.ndarray:
             normals[~side, prim.axis] = kind[~side]
             consider(t, normals, prim.albedo)
         else:
-            raise InvalidSceneSpec(f"unknown primitive {type(prim).__name__}")
+            raise ConfigError(f"unknown primitive {type(prim).__name__}")
 
     img = np.ones(d.shape[0])
     hit = np.isfinite(best_t)
@@ -435,12 +429,12 @@ def video_to_events(
     row-major pixel index, and the stream duration is frame_count/fps.
     """
     if contrast <= 0:
-        raise ContrastNonPositive(f"contrast threshold must be positive, got {contrast}")
+        raise ConfigError(f"contrast threshold must be positive, got {contrast}")
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 3:
-        raise FrameDimMismatch(f"expected (frames, H, W), got shape {frames.shape}")
+        raise DataError(f"expected (frames, H, W), got shape {frames.shape}")
     if frames.shape[0] < 2:
-        raise FrameDimMismatch(f"need at least 2 frames, got {frames.shape[0]}")
+        raise DataError(f"need at least 2 frames, got {frames.shape[0]}")
     n, h, w = frames.shape
     duration = n / fps
     dt = 1.0 / fps
@@ -532,7 +526,7 @@ def occupancy_label(scene: Scene, resolution: int) -> voxel.VoxelGrid:
                     r2 = r2 + (grids[i] - prim.center[i]) ** 2
             occ |= along & (r2 <= prim.radius ** 2)
         else:
-            raise InvalidSceneSpec(f"unknown primitive {type(prim).__name__}")
+            raise ConfigError(f"unknown primitive {type(prim).__name__}")
     return voxel.VoxelGrid(r, occ)
 
 
@@ -557,14 +551,14 @@ def generate_sample(
 
 
 def scene_to_dict(scene: Scene) -> dict:
-    """The JSON form of a primitive scene; raises InvalidSceneSpec for a
+    """The JSON form of a primitive scene; raises ConfigError for a
     mesh scene, which has none."""
     if scene.mesh is not None:
-        raise InvalidSceneSpec("a mesh scene has no JSON form")
+        raise ConfigError("a mesh scene has no JSON form")
     kinds = {cls: kind for kind, cls in PRIMITIVES.items()}
     for p in scene.primitives:
         if type(p) not in kinds:
-            raise InvalidSceneSpec(f"unknown primitive {type(p).__name__}")
+            raise ConfigError(f"unknown primitive {type(p).__name__}")
     return {"primitives": [{"kind": kinds[type(p)], **asdict(p)} for p in scene.primitives]}
 
 
@@ -575,18 +569,15 @@ class _SceneSpec:
 
 def scene_from_dict(spec: dict, where: str = "scene") -> Scene:
     """Build a Scene from its JSON form, whose dotted path is ``where``;
-    raises InvalidSceneSpec on nonsense."""
-    try:
-        prims = []
-        for i, entry in enumerate(from_json(_SceneSpec, spec, where).primitives):
-            fields = dict(entry)
-            kind = fields.pop("kind", None)
-            cls = PRIMITIVES.get(kind) if isinstance(kind, str) else None
-            if cls is None:
-                raise InvalidSceneSpec(
-                    f"{where}.primitives[{i}].kind must be one of {sorted(PRIMITIVES)}, got {kind!r}"
-                )
-            prims.append(from_json(cls, fields, f"{where}.primitives[{i}]"))
-    except ConfigError as exc:
-        raise InvalidSceneSpec(str(exc)) from exc
+    raises ConfigError on nonsense."""
+    prims = []
+    for i, entry in enumerate(from_json(_SceneSpec, spec, where).primitives):
+        fields = dict(entry)
+        kind = fields.pop("kind", None)
+        cls = PRIMITIVES.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            raise ConfigError(
+                f"{where}.primitives[{i}].kind must be one of {sorted(PRIMITIVES)}, got {kind!r}"
+            )
+        prims.append(from_json(cls, fields, f"{where}.primitives[{i}]"))
     return Scene(primitives=prims)

@@ -17,13 +17,7 @@ import numpy as np
 from . import voxel
 from .artifacts import make_dir, read, read_json, write, write_json
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import (
-    CheckpointMismatch,
-    ConfigError,
-    EmptyDataset,
-    ShapeInconsistency,
-    StateShapeMismatch,
-)
+from .errors import ConfigError, DataError, InternalError
 from .model import E2VModel, bce_loss, frames_to_input
 
 # samples per inference batch in evaluate()
@@ -71,7 +65,7 @@ class OptState:
                 got = store.get(p.name)
                 if got is None or got.shape != p.value.shape:
                     have = None if got is None else got.shape
-                    raise StateShapeMismatch(
+                    raise InternalError(
                         f"optimizer {label} for {p.name}: state shape {have} "
                         f"does not match parameter shape {p.value.shape}"
                     )
@@ -85,16 +79,21 @@ class OptState:
 
     @classmethod
     def from_entries(cls, params, entries):
+        """The state that ``entries``, read from a checkpoint, hold for
+        ``params``; a missing or misshapen entry is a DataError."""
         state = cls(params)
-        state.step = int(entries["opt.step"])
+        step = np.asarray(entries["opt.step"])
+        if step.size != 1 or not np.isfinite(step).all():
+            raise DataError(f"opt.step must be one finite count, got {step.ravel()[:4].tolist()}")
+        state.step = int(step.item())
         for p in params:
             for store, prefix in ((state.m, "opt.m/"), (state.v, "opt.v/")):
                 key = prefix + p.name
                 if key not in entries:
-                    raise StateShapeMismatch(f"checkpoint is missing {key}")
+                    raise DataError(f"checkpoint is missing {key}")
                 arr = entries[key]
                 if arr.shape != p.value.shape:
-                    raise StateShapeMismatch(
+                    raise DataError(
                         f"{key}: checkpoint shape {arr.shape} != parameter "
                         f"shape {p.value.shape}"
                     )
@@ -154,14 +153,14 @@ def _as_occupancy(sample_target) -> np.ndarray:
 
 def _validate_dataset(dataset):
     if len(dataset) == 0:
-        raise EmptyDataset("training requires at least one sample")
+        raise DataError("training requires at least one sample")
     first_frames = np.asarray(getattr(dataset[0][0], "frames", dataset[0][0])).shape
     first_target = _as_occupancy(dataset[0][1]).shape
     for i, (frames, target, *_rest) in enumerate(dataset):
         fs = np.asarray(getattr(frames, "frames", frames)).shape
         ts = _as_occupancy(target).shape
         if fs != first_frames or ts != first_target:
-            raise ShapeInconsistency(
+            raise DataError(
                 f"sample {i} has shapes {fs}/{ts}, expected {first_frames}/{first_target}"
             )
 
@@ -193,14 +192,18 @@ def _save_training_checkpoint(out_dir, model, state, run, epoch_done, log):
 
 def restore_training_state(path, model) -> OptState:
     """Load a checkpoint written by train() into ``model``; return its
-    optimizer state."""
+    optimizer state. Entries that do not fit the model are a DataError
+    that names ``path``."""
     entries = load_checkpoint(path)
     model_entries = {k: v for k, v in entries.items() if not k.startswith("opt.")}
-    model.load_state(model_entries)
     opt_entries = {k: v for k, v in entries.items() if k.startswith("opt.")}
-    if "opt.step" not in opt_entries:
-        raise CheckpointMismatch("checkpoint has no optimizer state")
-    return OptState.from_entries(model.parameters(), opt_entries)
+    try:
+        model.load_state(model_entries)
+        if "opt.step" not in opt_entries:
+            raise DataError("checkpoint has no optimizer state")
+        return OptState.from_entries(model.parameters(), opt_entries)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def load_training_checkpoint(path, model):

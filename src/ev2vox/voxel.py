@@ -22,17 +22,7 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .artifacts import read, write
-from .errors import (
-    DegenerateExtent,
-    EmptyMesh,
-    FormatError,
-    IndexOutOfRange,
-    MalformedLine,
-    NonPositiveDistance,
-    ResolutionMismatch,
-    ResolutionZero,
-    ThresholdOutOfRange,
-)
+from .errors import ConfigError, DataError, FormatError
 
 VOX1_MAGIC = b"E2VVOX1\x00"
 # voxelize's fine-lattice subdivisions per output cell; must be odd
@@ -48,10 +38,10 @@ class VoxelGrid:
 
     def __post_init__(self):
         if self.resolution <= 0:
-            raise ResolutionZero(f"grid resolution must be positive, got {self.resolution}")
+            raise ConfigError(f"grid resolution must be positive, got {self.resolution}")
         expected = (self.resolution,) * 3
         if self.occupancy.shape != expected:
-            raise ResolutionMismatch(
+            raise DataError(
                 f"occupancy shape {self.occupancy.shape} does not match R={self.resolution}"
             )
         self.occupancy = self.occupancy.astype(bool)
@@ -74,7 +64,7 @@ class ProbGrid:
     def __post_init__(self):
         expected = (self.resolution,) * 3
         if self.values.shape != expected:
-            raise ResolutionMismatch(
+            raise DataError(
                 f"value shape {self.values.shape} does not match R={self.resolution}"
             )
 
@@ -113,23 +103,23 @@ def parse_obj(text: str) -> TriMesh:
         keyword = parts[0]
         if keyword == "v":
             if len(parts) < 4:
-                raise MalformedLine(f"line {lineno}: vertex needs 3 coordinates: {raw!r}")
+                raise DataError(f"line {lineno}: vertex needs 3 coordinates: {raw!r}")
             try:
                 vertices.append((float(parts[1]), float(parts[2]), float(parts[3])))
             except ValueError as exc:
-                raise MalformedLine(f"line {lineno}: non-numeric vertex: {raw!r}") from exc
+                raise DataError(f"line {lineno}: non-numeric vertex: {raw!r}") from exc
         elif keyword == "f":
             if len(parts) < 4:
-                raise MalformedLine(f"line {lineno}: face needs at least 3 indices: {raw!r}")
+                raise DataError(f"line {lineno}: face needs at least 3 indices: {raw!r}")
             corners = []
             for token in parts[1:]:
                 head = token.split("/", 1)[0]
                 try:
                     idx = int(head)
                 except ValueError as exc:
-                    raise MalformedLine(f"line {lineno}: bad face index {token!r}") from exc
+                    raise DataError(f"line {lineno}: bad face index {token!r}") from exc
                 if idx == 0:
-                    raise IndexOutOfRange(f"line {lineno}: OBJ indices are 1-based")
+                    raise DataError(f"line {lineno}: OBJ indices are 1-based")
                 corners.append(len(vertices) + idx if idx < 0 else idx - 1)
             for a, b in zip(corners[1:-1], corners[2:]):
                 tri = (corners[0], a, b)
@@ -137,11 +127,11 @@ def parse_obj(text: str) -> TriMesh:
                     triangles.append(tri)
 
     if not triangles:
-        raise EmptyMesh("OBJ contains no (non-degenerate) faces")
+        raise DataError("OBJ contains no (non-degenerate) faces")
     tri_arr = np.asarray(triangles, dtype=np.int64)
     if tri_arr.min() < 0 or tri_arr.max() >= len(vertices):
         bad = tri_arr[(tri_arr < 0) | (tri_arr >= len(vertices))][0]
-        raise IndexOutOfRange(
+        raise DataError(
             f"face references vertex {bad + 1} but only {len(vertices)} exist"
         )
     return TriMesh(np.asarray(vertices, dtype=np.float64), tri_arr)
@@ -151,12 +141,12 @@ def normalize_mesh(mesh: TriMesh) -> TriMesh:
     """Uniformly scale and translate so the bounding box is centered in the
     unit cube with its longest extent exactly 1."""
     if mesh.vertices.size == 0 or mesh.triangles.size == 0:
-        raise EmptyMesh("cannot normalize an empty mesh")
+        raise DataError("cannot normalize an empty mesh")
     lo = mesh.vertices.min(axis=0)
     hi = mesh.vertices.max(axis=0)
     longest = float((hi - lo).max())
     if longest <= 0.0:
-        raise DegenerateExtent("mesh bounding box has zero extent on every axis")
+        raise DataError("mesh bounding box has zero extent on every axis")
     center = (lo + hi) / 2.0
     verts = (mesh.vertices - center) / longest + 0.5
     return TriMesh(verts, mesh.triangles.copy())
@@ -245,9 +235,9 @@ def voxelize(
     output resolution.
     """
     if resolution <= 0:
-        raise ResolutionZero(f"voxelize needs a positive resolution, got {resolution}")
+        raise ConfigError(f"voxelize needs a positive resolution, got {resolution}")
     if mesh.triangles.size == 0:
-        raise EmptyMesh("cannot voxelize a mesh with no triangles")
+        raise DataError("cannot voxelize a mesh with no triangles")
 
     if not fill_interior:
         return VoxelGrid(resolution, _surface_cells(mesh, resolution))
@@ -261,7 +251,7 @@ def voxelize(
 def binarize(grid: ProbGrid, threshold: float) -> VoxelGrid:
     """Occupied where probability strictly exceeds the threshold."""
     if not (0.0 < threshold < 1.0):
-        raise ThresholdOutOfRange(f"threshold must lie in (0, 1), got {threshold}")
+        raise ConfigError(f"threshold must lie in (0, 1), got {threshold}")
     return VoxelGrid(grid.resolution, grid.values > threshold)
 
 
@@ -271,7 +261,7 @@ def iou(pred: ProbGrid | VoxelGrid, gt: VoxelGrid, threshold: float = 0.3) -> fl
     Both grids empty counts as perfect agreement (1.0).
     """
     if pred.resolution != gt.resolution:
-        raise ResolutionMismatch(
+        raise DataError(
             f"prediction R={pred.resolution} vs ground truth R={gt.resolution}"
         )
     pred_occ = pred.occupancy if isinstance(pred, VoxelGrid) else binarize(pred, threshold).occupancy
@@ -296,7 +286,7 @@ def fscore(rec: PointSet, gt: PointSet, distance: float = 0.20) -> float:
     fraction. Both sets empty gives 1.0, exactly one empty gives 0.0.
     """
     if not (distance > 0.0):
-        raise NonPositiveDistance(f"distance tolerance must be positive, got {distance}")
+        raise ConfigError(f"distance tolerance must be positive, got {distance}")
     nr, ng = len(rec.points), len(gt.points)
     if nr == 0 and ng == 0:
         return 1.0

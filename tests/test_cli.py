@@ -17,7 +17,16 @@ import numpy as np
 import pytest
 
 from ev2vox import cli
-from ev2vox.events import EventStream, write_evt1
+from ev2vox.checkpoint import load_checkpoint, save_checkpoint
+from ev2vox.errors import (
+    ConfigError,
+    DataError,
+    FormatError,
+    InternalError,
+    IoFailure,
+    PipelineError,
+)
+from ev2vox.events import EventStream, read_evt1, write_evt1
 from ev2vox.model import EncoderConfig
 from ev2vox.voxel import VoxelGrid, parse_obj, write_vox1
 
@@ -276,8 +285,9 @@ class TestConfig:
         ({"encoder": {"hidden_spatial": [8, 8, 4]}}, "model.encoder.hidden_spatial"),
     ])
     def test_bad_model_shape_exits_2(self, pipeline, tmp_path, capsys, model, key):
-        # unchecked, these ended training in a ShapeMismatch, ZeroDivisionError,
-        # KeyError or, with an empty run directory left behind, ResolutionMismatch
+        # unchecked, these ended training in an internal shape error, a
+        # ZeroDivisionError, a KeyError or, with an empty run directory left
+        # behind, a prediction/target shape mismatch
         cfg = write_config(tmp_path / "c.json", {"model": model})
         out = tmp_path / "run"
         code = cli.main(
@@ -379,6 +389,19 @@ class TestPreprocess:
         assert cli.main(["preprocess", "--toy", "--manifest", str(data / "manifest.json")]) == 3
         assert str(bad) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", [0, -32], ids=["zero", "negative"])
+    def test_binning_target_below_1_exits_2_before_writing(self, pipeline, tmp_path, capsys,
+                                                           target):
+        data = copy_dataset(pipeline, tmp_path)
+        shutil.rmtree(data / "cache")
+        cfg = write_config(tmp_path / "c.json",
+                           {"binning": {"target_height": target, "target_width": target}})
+        code = cli.main(["preprocess", "--toy", "--config", cfg,
+                         "--manifest", str(data / "manifest.json")])
+        assert code == 2
+        assert "binning: target dimensions must be positive" in capsys.readouterr().err
+        assert not (data / "cache").exists()
+
     def test_bad_thread_values_exit_2(self, pipeline, monkeypatch):
         args = ["preprocess", "--toy", "--manifest", str(pipeline["manifest"])]
         assert cli.main(args + ["--threads", "0"]) == 2
@@ -427,6 +450,28 @@ def damaged_run(pipeline, tmp_path, sidecar: bytes) -> Path:
     run.mkdir()
     (run / "model.ckpt").write_bytes((pipeline["run"] / "model.ckpt").read_bytes())
     (run / "model.ckpt.json").write_bytes(sidecar)
+    return run
+
+
+# (entry, replacement): an optimizer moment left out, one of the wrong
+# shape, and a step counter of two values
+DAMAGED_CHECKPOINTS = [
+    pytest.param("opt.m/encoder.stem.conv.weight", None, id="missing-moment"),
+    pytest.param("opt.v/encoder.stem.conv.weight", np.zeros(3, np.float32), id="misshapen-moment"),
+    pytest.param("opt.step", np.ones(2, np.float32), id="two-steps"),
+]
+
+
+def damaged_checkpoint_run(pipeline, tmp_path, key: str, value) -> Path:
+    """A run directory holding the pipeline's sidecar beside its checkpoint
+    with entry ``key`` dropped (``value`` None) or replaced by ``value``."""
+    run = damaged_run(pipeline, tmp_path, (pipeline["run"] / "model.ckpt.json").read_bytes())
+    entries = load_checkpoint(run / "model.ckpt")
+    if value is None:
+        del entries[key]
+    else:
+        entries[key] = value
+    save_checkpoint(run / "model.ckpt", entries)
     return run
 
 
@@ -536,6 +581,17 @@ class TestTrainEval:
         assert code == 3
         assert "model.ckpt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", DAMAGED_CHECKPOINTS)
+    def test_eval_damaged_checkpoint_exits_3(self, pipeline, tmp_path, capsys, key, value):
+        run = damaged_checkpoint_run(pipeline, tmp_path, key, value)
+        code = cli.main(
+            ["eval", "--toy", "--config", pipeline["cfg"],
+             "--manifest", str(pipeline["manifest"]), "--out", str(run)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "model.ckpt" in err and key in err
+
     def test_eval_without_checkpoint_exits_3(self, pipeline, tmp_path):
         code = cli.main(
             ["eval", "--toy", "--config", pipeline["cfg"],
@@ -550,6 +606,23 @@ class TestTrainEval:
         assert cli.main(
             ["train", "--toy", "--config", cfg, "--manifest", str(data / "manifest.json")]
         ) == 3
+
+    def test_train_on_events_spanning_no_frame_exits_3(self, pipeline, tmp_path, capsys):
+        # a stream of duration 0 bins to a stack of no frames
+        data = tmp_path / "data"
+        data.mkdir()
+        sensor = read_evt1(pipeline["data"] / "s0000.evt")
+        empty = np.empty(0)
+        write_evt1(EventStream(sensor.sensor_width, sensor.sensor_height, 0.0,
+                               empty, empty, empty, empty), data / "a.evt")
+        shutil.copy(pipeline["data"] / "s0000.vox", data / "a.vox")
+        entry = {"id": "a", "category": "x", "events": "a.evt", "label": "a.vox",
+                 "split": "train"}
+        (data / "manifest.json").write_text(json.dumps({"entries": [entry]}))
+        code = cli.main(["train", "--toy", "--config", pipeline["cfg"],
+                         "--manifest", str(data / "manifest.json"), "--out", str(tmp_path / "run")])
+        assert code == 3
+        assert "data error: frame stack has a zero-sized axis" in capsys.readouterr().err
 
 
 class TestExport:
@@ -599,6 +672,20 @@ class TestExport:
         )
         assert code == 3
         assert "model.ckpt" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", DAMAGED_CHECKPOINTS)
+    def test_export_damaged_checkpoint_exits_3(self, pipeline, tmp_path, capsys, key, value):
+        run = damaged_checkpoint_run(pipeline, tmp_path, key, value)
+        out = tmp_path / "pred.obj"
+        code = cli.main(
+            ["export", str(run / "model.ckpt"), "s0000",
+             "--toy", "--config", pipeline["cfg"],
+             "--manifest", str(pipeline["manifest"]), "--out", str(out)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "model.ckpt" in err and key in err
         assert not out.exists()
 
     def test_unknown_sample_id_exits_3(self, pipeline, tmp_path):
@@ -653,6 +740,30 @@ class TestFlags:
         assert code == 0
 
 
+# each family's exit code and stderr prefix; anything else is a traceback
+EXIT_CODES = [
+    (ConfigError, 2, "config error:"),
+    (DataError, 3, "data error:"),
+    (FormatError, 3, "data error:"),
+    (IoFailure, 3, "data error:"),
+    (InternalError, 4, "internal error:"),
+    (PipelineError, 4, "internal error:"),
+    (RuntimeError, 4, "Traceback"),
+]
+
+
+@pytest.mark.parametrize("error,code,prefix", EXIT_CODES,
+                         ids=[error.__name__ for error, _, _ in EXIT_CODES])
+def test_error_family_sets_exit_code(monkeypatch, capsys, error, code, prefix):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "_dispatch", fail)
+    assert cli.main(["eval", "--manifest", "manifest.json"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and "boom" in err
+
+
 class TestManifestLoading:
     def test_non_utf8_manifest_exits_3(self, tmp_path, capsys):
         path = tmp_path / "manifest.json"
@@ -666,7 +777,7 @@ class TestManifestLoading:
         entry = {"id": "a", "category": "x", "events": "a.evt", "label": "a.evt",
                  "split": "train"}
         path.write_text(json.dumps({"entries": [entry, entry]}))
-        with pytest.raises(Exception, match="duplicate"):
+        with pytest.raises(DataError, match="duplicate sample id 'a'"):
             cli.load_manifest(path)
 
     def test_missing_referenced_file_fails_fast(self, tmp_path):
@@ -675,7 +786,7 @@ class TestManifestLoading:
             {"id": "a", "category": "x", "events": "a.evt", "label": "a.vox",
              "split": "train"}
         ]}))
-        with pytest.raises(Exception, match="missing file"):
+        with pytest.raises(DataError, match="missing file"):
             cli.load_manifest(path)
 
     def test_unknown_split_rejected(self, tmp_path):
@@ -685,7 +796,7 @@ class TestManifestLoading:
             {"id": "a", "category": "x", "events": "a.evt", "label": "a.evt",
              "split": "holdout"}
         ]}))
-        with pytest.raises(Exception, match="split"):
+        with pytest.raises(DataError, match="unknown split 'holdout'"):
             cli.load_manifest(path)
 
 

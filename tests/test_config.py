@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import pytest
 
 from ev2vox.config import from_json
-from ev2vox.errors import ConfigError, ZeroWindow
+from ev2vox.errors import ConfigError
 from ev2vox.events import BinningConfig
 
 
@@ -65,7 +65,7 @@ def test_errors_name_the_dotted_path(change, message):
 
 
 def test_class_checks_keep_their_type_and_gain_the_path():
-    with pytest.raises(ZeroWindow, match="^binning: binning window must be positive"):
+    with pytest.raises(ConfigError, match="^binning: binning window must be positive"):
         from_json(BinningConfig, {"window": 0}, "binning")
 
 

@@ -6,15 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ev2vox import events as ev
-from ev2vox.errors import (
-    FormatError,
-    InvalidPolarity,
-    NonDivisibleDimensions,
-    NonMonotoneTimestamp,
-    OutOfBoundsCoordinate,
-    TimestampOutOfRange,
-    ZeroWindow,
-)
+from ev2vox.errors import ConfigError, DataError, FormatError
 
 
 def make_stream(ts, xs=None, ys=None, ps=None, m=16, n=16, duration=1.0):
@@ -34,7 +26,7 @@ class TestValidateStream:
         assert s.sensor_width == 256 and s.duration == 0.5
 
     def test_decreasing_timestamps_rejected(self):
-        with pytest.raises(NonMonotoneTimestamp):
+        with pytest.raises(DataError, match="timestamp decreases at index 1"):
             ev.validate_stream(
                 [(0, 0, 0.1, 1), (0, 0, 0.05, 1)], 8, 8, 1.0
             )
@@ -44,21 +36,21 @@ class TestValidateStream:
         assert len(s) == 3
 
     def test_coordinate_bounds(self):
-        with pytest.raises(OutOfBoundsCoordinate):
+        with pytest.raises(DataError, match="outside 8x8 sensor"):
             ev.validate_stream([(8, 0, 0.0, 1)], 8, 8, 1.0)
-        with pytest.raises(OutOfBoundsCoordinate):
+        with pytest.raises(DataError, match="outside 8x8 sensor"):
             ev.validate_stream([(0, -1, 0.0, 1)], 8, 8, 1.0)
 
     def test_polarity_domain(self):
-        with pytest.raises(InvalidPolarity):
+        with pytest.raises(DataError, match=r"expected \+1 or -1"):
             ev.validate_stream([(0, 0, 0.0, 0)], 8, 8, 1.0)
-        with pytest.raises(InvalidPolarity):
+        with pytest.raises(DataError, match=r"expected \+1 or -1"):
             ev.validate_stream([(0, 0, 0.0, 2)], 8, 8, 1.0)
 
     def test_timestamp_range(self):
-        with pytest.raises(TimestampOutOfRange):
+        with pytest.raises(DataError, match=r"outside \[0, 1.0\]"):
             ev.validate_stream([(0, 0, 1.5, 1)], 8, 8, 1.0)
-        with pytest.raises(TimestampOutOfRange):
+        with pytest.raises(DataError, match=r"outside \[0, 1.0\]"):
             ev.validate_stream([(0, 0, -0.1, 1)], 8, 8, 1.0)
 
     def test_random_uniform_times_within_duration(self):
@@ -81,18 +73,18 @@ class TestValidateStream:
 
 class TestBinningConfig:
     def test_zero_window_rejected(self):
-        with pytest.raises(ZeroWindow):
+        with pytest.raises(ConfigError, match="binning window must be positive"):
             ev.BinningConfig(window=0.0)
-        with pytest.raises(ZeroWindow):
+        with pytest.raises(ConfigError, match="binning window must be positive"):
             ev.BinningConfig(window=-0.5)
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ZeroWindow):
+        with pytest.raises(ConfigError, match="unknown binning mode 'sliding'"):
             ev.BinningConfig(window=0.1, mode="sliding")
 
     def test_target_dims_must_divide(self):
         cfg = ev.BinningConfig(window=0.1, target_height=100, target_width=100)
-        with pytest.raises(NonDivisibleDimensions):
+        with pytest.raises(ConfigError, match="with one integer factor"):
             cfg.downscale_factor(512, 512)
 
     def test_target_dims_factor(self):
@@ -238,7 +230,7 @@ class TestDownscale:
 
     def test_non_divisible_rejected(self):
         frames = np.zeros((1, 6, 6), dtype=np.uint8)
-        with pytest.raises(NonDivisibleDimensions):
+        with pytest.raises(ConfigError, match="not divisible by factor 4"):
             ev.downscale_frames(ev.FrameStack(frames, 0.1), 4)
 
     def test_binning_applies_config_target(self):

@@ -12,10 +12,9 @@ from ev2vox import model as M
 from ev2vox import nn
 from ev2vox.checkpoint import save_checkpoint
 from ev2vox.errors import (
-    CheckpointMismatch,
     ConfigError,
-    ResolutionMismatch,
-    ShapeMismatch,
+    DataError,
+    InternalError,
 )
 from gradcheck import numeric_grad_coords, rel_err
 
@@ -138,12 +137,12 @@ class TestShapes:
 
     def test_encode_wrong_rank_raises(self):
         m = M.build_model(*micro_configs(), seed=0)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InternalError, match="expected rank-5 tensor"):
             M.encode(m, np.zeros((1, 6, 16, 16), dtype=np.float32))
 
     def test_encode_wrong_channels_raises(self):
         m = M.build_model(*micro_configs(), seed=0)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InternalError, match="expects 1 channels, got 2"):
             M.encode(m, np.zeros((1, 2, 6, 16, 16), dtype=np.float32))
 
     def test_zeroed_head_gives_exact_half(self):
@@ -206,7 +205,7 @@ class TestBceLoss:
         assert rel_err(grad.ravel()[coords], num) < 1e-8
 
     def test_shape_mismatch_raises(self):
-        with pytest.raises(ResolutionMismatch):
+        with pytest.raises(DataError, match="prediction shape \\(2, 4, 4, 4\\) != target shape"):
             M.bce_loss(np.zeros((2, 4, 4, 4)), np.zeros((2, 8, 8, 8)))
 
     def test_saturated_inputs_stay_finite(self):
@@ -325,14 +324,14 @@ class TestState:
         m = M.build_model(*micro_configs(), seed=3)
         entries = dict(m.state_entries())
         entries.pop(next(iter(entries)))
-        with pytest.raises(CheckpointMismatch):
+        with pytest.raises(DataError, match="checkpoint does not match model: missing"):
             m.load_state(entries)
 
     def test_extra_key_raises(self):
         m = M.build_model(*micro_configs(), seed=3)
         entries = dict(m.state_entries())
         entries["bogus.weight"] = np.zeros(3, dtype=np.float32)
-        with pytest.raises(CheckpointMismatch):
+        with pytest.raises(DataError, match="unexpected \\['bogus.weight'\\]"):
             m.load_state(entries)
 
     def test_wrong_shape_raises(self):
@@ -340,7 +339,7 @@ class TestState:
         entries = {k: v.copy() for k, v in m.state_entries()}
         name = m.parameters()[0].name
         entries[name] = np.zeros((1, 1, 1, 1, 1), dtype=np.float32)
-        with pytest.raises(CheckpointMismatch):
+        with pytest.raises(DataError, match=rf"{name}: checkpoint shape \(1, 1, 1, 1, 1\)"):
             m.load_state(entries)
 
     def test_checkpoint_bytes_pinned(self, tmp_path):
@@ -403,7 +402,7 @@ class TestState:
         assert batch.shape == (2, 1, 3, 4, 4) and batch.dtype == np.float32
 
     def test_frames_to_input_rejects_ragged(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InternalError, match="frame stacks disagree in shape"):
             M.frames_to_input([np.ones((3, 4, 4)), np.ones((2, 4, 4))])
 
 

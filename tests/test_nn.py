@@ -7,7 +7,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ev2vox import checkpoint as ckp
 from ev2vox import nn
-from ev2vox.errors import FormatError, ShapeMismatch, ZeroBatchVolume
+from ev2vox.errors import FormatError, InternalError
 from gradcheck import check_layer
 
 N_GRAD_SEEDS = 20
@@ -129,11 +129,11 @@ class TestLayerSpec:
 
     def test_non_positive_dims_rejected(self):
         spec = nn.LayerSpec("conv3d", (5, 5, 5))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InternalError, match="to non-positive dims"):
             spec.out_dims((3, 3, 3))
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InternalError, match="unknown layer kind 'pool9d'"):
             nn.LayerSpec("pool9d")
 
 
@@ -202,7 +202,7 @@ class TestConv3d:
 
     def test_channel_mismatch_rejected(self):
         conv = nn.Conv3d(2, 3, 2, name="c")
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InternalError, match="expects 2 channels, got 4"):
             conv.forward(np.zeros((1, 4, 3, 3, 3), dtype=np.float32))
 
     @pytest.mark.parametrize("seed", range(N_GRAD_SEEDS))
@@ -599,7 +599,7 @@ class TestBatchNorm:
 
     def test_zero_volume_rejected(self):
         bn = nn.BatchNorm3d(2, name="n")
-        with pytest.raises(ZeroBatchVolume):
+        with pytest.raises(InternalError, match="zero-sized axis"):
             bn.forward(np.zeros((0, 2, 3, 3, 3), dtype=np.float32))
 
     @pytest.mark.parametrize("seed", range(N_GRAD_SEEDS))
@@ -877,7 +877,7 @@ class TestConcatSplit:
         np.testing.assert_array_equal(gb, b)
 
     def test_bad_split_rejected(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InternalError, match=r"cannot split 4 channels into \[2, 3\]"):
             nn.split_channels(np.zeros((1, 4, 1, 1, 1)), [2, 3])
 
 

@@ -5,12 +5,7 @@ import pytest
 
 from ev2vox import train as T
 from ev2vox import voxel
-from ev2vox.errors import (
-    ConfigError,
-    EmptyDataset,
-    ShapeInconsistency,
-    StateShapeMismatch,
-)
+from ev2vox.errors import ConfigError, DataError, InternalError
 from ev2vox.model import DecoderConfig, EncoderConfig, build_model
 from ev2vox.nn import Parameter
 
@@ -94,14 +89,14 @@ class TestAdamWStep:
         p = scalar_param(1.0)
         state = T.OptState([p])
         state.m["w"] = np.zeros(2, dtype=np.float32)
-        with pytest.raises(StateShapeMismatch):
+        with pytest.raises(InternalError, match="optimizer m for w: state shape \\(2,\\)"):
             T.adamw_step([p], state, T.AdamWConfig())
 
     def test_missing_state_raises(self):
         p = scalar_param(1.0)
         q = scalar_param(1.0, name="other")
         state = T.OptState([p])
-        with pytest.raises(StateShapeMismatch):
+        with pytest.raises(InternalError, match="optimizer m for other: state shape None"):
             T.adamw_step([q], state, T.AdamWConfig())
 
     def test_state_entries_round_trip(self):
@@ -137,13 +132,13 @@ def toy_model(seed=0):
 
 class TestTrainLoop:
     def test_empty_dataset_raises(self):
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(DataError, match="training requires at least one sample"):
             T.train([], toy_model(), T.TrainRun(epochs=1), T.AdamWConfig.toy())
 
     def test_inconsistent_shapes_raise(self):
         data = toy_dataset(2)
         bad = [(data[0][0], data[0][1]), (data[1][0][:5], data[1][1])]
-        with pytest.raises(ShapeInconsistency):
+        with pytest.raises(DataError, match="sample 1 has shapes"):
             T.train(bad, toy_model(), T.TrainRun(epochs=1), T.AdamWConfig.toy())
 
     def test_one_step_per_epoch_when_batch_covers_dataset(self):

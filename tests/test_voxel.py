@@ -7,15 +7,9 @@ from scipy import ndimage
 
 from ev2vox import voxel as vx
 from ev2vox.errors import (
-    DegenerateExtent,
-    EmptyMesh,
+    ConfigError,
+    DataError,
     FormatError,
-    IndexOutOfRange,
-    MalformedLine,
-    NonPositiveDistance,
-    ResolutionMismatch,
-    ResolutionZero,
-    ThresholdOutOfRange,
 )
 
 
@@ -87,23 +81,23 @@ class TestParseObj:
         assert len(mesh.triangles) == 1
 
     def test_non_numeric_vertex(self):
-        with pytest.raises(MalformedLine):
+        with pytest.raises(DataError, match="line 1: non-numeric vertex"):
             vx.parse_obj("v a b c\n")
 
     def test_face_index_out_of_range(self):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(DataError, match="face references vertex 4 but only 3 exist"):
             vx.parse_obj("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 4\n")
 
     def test_zero_index_rejected(self):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(DataError, match="line 4: OBJ indices are 1-based"):
             vx.parse_obj("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 0 1 2\n")
 
     def test_no_faces_rejected(self):
-        with pytest.raises(EmptyMesh):
+        with pytest.raises(DataError, match="OBJ contains no \\(non-degenerate\\) faces"):
             vx.parse_obj("v 0 0 0\nv 1 0 0\n")
 
     def test_degenerate_faces_skipped(self):
-        with pytest.raises(EmptyMesh):
+        with pytest.raises(DataError, match="OBJ contains no \\(non-degenerate\\) faces"):
             vx.parse_obj("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 1 2\n")
 
 
@@ -140,7 +134,7 @@ class TestNormalizeMesh:
     def test_degenerate_rejected(self):
         verts = np.zeros((4, 3))
         tris = np.array([[0, 1, 2]])
-        with pytest.raises(DegenerateExtent):
+        with pytest.raises(DataError, match="zero extent on every axis"):
             vx.normalize_mesh(vx.TriMesh(verts, tris))
 
 
@@ -217,7 +211,7 @@ class TestVoxelize:
         assert holes == 1
 
     def test_resolution_zero_rejected(self):
-        with pytest.raises(ResolutionZero):
+        with pytest.raises(ConfigError, match="voxelize needs a positive resolution, got 0"):
             vx.voxelize(vx.unit_cube_mesh(), 0)
 
     def test_surface_only_sphere_is_hollow(self):
@@ -247,7 +241,7 @@ class TestBinarize:
     def test_threshold_domain(self):
         g = vx.ProbGrid(2, np.zeros((2, 2, 2)))
         for t in (0.0, 1.0, -0.5, 1.5):
-            with pytest.raises(ThresholdOutOfRange):
+            with pytest.raises(ConfigError, match=r"threshold must lie in \(0, 1\)"):
                 vx.binarize(g, t)
 
 
@@ -292,7 +286,7 @@ class TestIoU:
         assert vx.iou(a, a) == 1.0
 
     def test_resolution_mismatch(self):
-        with pytest.raises(ResolutionMismatch):
+        with pytest.raises(DataError, match="prediction R=4 vs ground truth R=8"):
             vx.iou(vx.ProbGrid(4, np.zeros((4, 4, 4))), vx.VoxelGrid.empty(8), 0.3)
 
     def test_matches_brute_force(self):
@@ -366,7 +360,7 @@ class TestFScore:
 
     def test_non_positive_distance(self):
         p = vx.PointSet(np.zeros((1, 3)))
-        with pytest.raises(NonPositiveDistance):
+        with pytest.raises(ConfigError, match="distance tolerance must be positive"):
             vx.fscore(p, p, 0.0)
 
     def test_matches_brute_force(self):
