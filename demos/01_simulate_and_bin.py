@@ -38,13 +38,13 @@ write_evt1(stream, evt_path)
 print(f"  wrote {evt_path} ({evt_path.stat().st_size} bytes)")
 
 print("\nbinning with a 5 ms uniform window...")
-stack = bin_to_frames(stream, BinningConfig(window=0.005))
-print(f"  frame stack: {stack.frames.shape} "
-      f"(mean fill {stack.frames.mean():.3f})")
+frames = bin_to_frames(stream, BinningConfig(window=0.005))
+print(f"  frame stack: {frames.shape} "
+      f"(mean fill {frames.mean():.3f})")
 
 # a frame is binary: 1 where the pixel fired at least once in the window;
 # a single 5 ms slice is sparse, so show every pixel that ever fired
-ever = stack.frames.max(axis=0)
+ever = frames.max(axis=0)
 print("\npixels active in any frame, downsampled to 32x32, '#' = active:")
 coarse = ever.reshape(32, 2, 32, 2).max(axis=(1, 3))
 for row in coarse:

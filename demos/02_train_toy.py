@@ -30,7 +30,7 @@ dataset = []
 for i in range(8):
     scene, kind = _procedural_scene(7, i)
     stream, label = generate_sample(scene, resolution=8)
-    dataset.append((bin_to_frames(stream, binning).frames, label, kind))
+    dataset.append((bin_to_frames(stream, binning), label, kind))
     print(f"  s{i}: {kind:<9} {len(stream):>6} events, "
           f"{label.count():>3} occupied cells")
 

@@ -12,12 +12,14 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from ev2vox.cli import _procedural_scene, grid_to_obj
 from ev2vox.events import BinningConfig, bin_to_frames
-from ev2vox.model import frames_to_input, model_from_config_dict
+from ev2vox.model import E2VModel, frames_to_input, read_model_config
 from ev2vox.sim import generate_sample
 from ev2vox.train import evaluate, load_training_checkpoint
-from ev2vox.voxel import ProbGrid, binarize
+from ev2vox.voxel import binarize
 
 out_dir = Path(sys.argv[1] if len(sys.argv) > 1 else "demo_out")
 ckpt = out_dir / "model.ckpt"
@@ -25,7 +27,7 @@ if not ckpt.is_file():
     sys.exit(f"no checkpoint at {ckpt}; run demos/02_train_toy.py first")
 
 sidecar = json.loads((out_dir / "model.ckpt.json").read_text())
-model = model_from_config_dict(sidecar["config"])
+model = E2VModel(read_model_config(sidecar["config"]), np.float32)
 load_training_checkpoint(ckpt, model)
 print(f"loaded checkpoint from epoch {sidecar['epoch']}")
 
@@ -35,7 +37,7 @@ dataset = []
 for i in range(8):
     scene, kind = _procedural_scene(7, i)
     stream, label = generate_sample(scene, resolution=8)
-    dataset.append((bin_to_frames(stream, binning).frames, label, kind))
+    dataset.append((bin_to_frames(stream, binning), label, kind))
 
 report = evaluate(model, dataset, threshold=0.3, distance=0.20)
 print()
@@ -44,7 +46,7 @@ print(report.text())
 model.eval()
 frames, label, kind = dataset[0]
 probs = model.forward(frames_to_input([frames], dtype=model.dtype), remember=False)
-pred = binarize(ProbGrid(probs.shape[-1], probs[0]), 0.3)
+pred = binarize(probs[0], 0.3)
 
 for name, grid in (("recon", pred), ("truth", label)):
     path = out_dir / f"sample0_{name}.obj"

@@ -55,7 +55,7 @@ from .sim import (
     scene_to_dict,
 )
 from .train import AdamWConfig, TrainRun, evaluate, restore_training_state, train
-from .voxel import ProbGrid, VoxelGrid, binarize, read_vox1, unit_cube_mesh, write_vox1
+from .voxel import VoxelGrid, binarize, read_vox1, unit_cube_mesh, write_vox1
 
 SPLITS = ("train", "val", "test")
 
@@ -175,6 +175,12 @@ class TrainerConfig:
 class MetricsConfig:
     threshold: float = 0.3
     distance: float = 0.20
+
+    def __post_init__(self):
+        if not 0.0 < self.threshold < 1.0:
+            raise ConfigError(f"threshold must lie in (0, 1), got {self.threshold}")
+        if not self.distance > 0.0:
+            raise ConfigError(f"distance must be positive, got {self.distance}")
 
 
 @dataclass(frozen=True)
@@ -341,14 +347,14 @@ def cmd_preprocess(cfg: RunConfig, manifest_path: str, threads: int) -> int:
 
     def one(entry: ManifestEntry) -> None:
         stream = read_evt1(manifest.root / entry.events)
-        stack = bin_to_frames(stream, cfg.binning)
+        frames = bin_to_frames(stream, cfg.binning)
         npy = io.BytesIO()
-        np.lib.format.write_array(npy, stack.frames)
+        np.lib.format.write_array(npy, frames)
         write(cache / f"{entry.sample_id}.frames.npy", npy.getvalue())
         meta = {
             "binning": dataclasses.asdict(cfg.binning),
-            "window": stack.window,
-            "shape": list(stack.frames.shape),
+            "window": cfg.binning.window,
+            "shape": list(frames.shape),
             "source": entry.events,
         }
         write_json(cache / f"{entry.sample_id}.frames.json", meta)
@@ -370,21 +376,27 @@ def _cached_binning(cache_dir: Path, sample_id: str) -> dict | None:
     return meta.get("binning") if isinstance(meta, dict) else None
 
 
-def _frames(cfg: RunConfig, manifest: Manifest, entry: ManifestEntry, cache_dir: Path):
-    """The entry's cached frame stack if ``cfg.binning`` made it, else its
-    events binned afresh. A cache that cannot be read is a FormatError."""
+def _frames(cfg: RunConfig, manifest: Manifest, entry: ManifestEntry,
+            cache_dir: Path) -> np.ndarray:
+    """The entry's (D, H, W) uint8 frame stack: the cached one if
+    ``cfg.binning`` made it, else its events binned afresh. A cache that
+    cannot be read, or holds any other array, is a FormatError."""
     cached = cache_dir / f"{entry.sample_id}.frames.npy"
     current = _cached_binning(cache_dir, entry.sample_id) == dataclasses.asdict(cfg.binning)
     if current and cached.is_file():
         try:
-            return np.lib.format.read_array(io.BytesIO(read(cached)))
+            frames = np.lib.format.read_array(io.BytesIO(read(cached)))
         except (ValueError, EOFError) as exc:
             raise FormatError(f"{cached}: damaged frame cache ({exc})") from exc
-    return bin_to_frames(read_evt1(manifest.root / entry.events), cfg.binning).frames
+        if frames.ndim != 3 or frames.dtype != np.uint8:
+            raise FormatError(f"{cached}: damaged frame cache (a {frames.dtype} array of "
+                              f"shape {frames.shape}, not (D, H, W) uint8)")
+        return frames
+    return bin_to_frames(read_evt1(manifest.root / entry.events), cfg.binning)
 
 
 def _load_dataset(cfg: RunConfig, manifest: Manifest, splits, cache_dir: Path):
-    """Assemble (frames, occupancy, category) samples for the given splits."""
+    """Assemble (frames, label, category) samples for the given splits."""
     return [
         (_frames(cfg, manifest, e, cache_dir), read_vox1(manifest.root / e.label), e.category)
         for e in manifest.entries
@@ -508,7 +520,7 @@ def _export_from_checkpoint(cfg: RunConfig, ckpt_path: str, sample_id: str,
     model = _trained_model(Path(ckpt_path))
     model.eval()
     probs = model.forward(frames_to_input([frames], dtype=model.dtype), remember=False)
-    return binarize(ProbGrid(probs.shape[-1], probs[0]), cfg.metrics.threshold)
+    return binarize(probs[0], cfg.metrics.threshold)
 
 
 def cmd_export(cfg: RunConfig, input_path: str, sample_id: str | None,

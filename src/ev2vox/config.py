@@ -9,6 +9,7 @@ The writers are ``dataclasses.asdict``. Range checks stay in each class's
 from __future__ import annotations
 
 import dataclasses
+import math
 import types
 import typing
 
@@ -28,10 +29,17 @@ _SCALARS = {
 
 def _require_scalar(tp, value, where: str):
     """``value`` if it is a ``tp`` (never a bool, unless ``tp`` is bool); a
-    float field also takes an integer, as a float."""
+    float field also takes an integer, as a float. A float must be finite:
+    Python's json reads NaN and Infinity, and an integer past the float
+    range counts as infinite."""
     if tp is float and type(value) is int:
-        return float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
     if isinstance(value, tp) and (tp is bool or not isinstance(value, bool)):
+        if tp is float and not math.isfinite(value):
+            raise ConfigError(f"{where} must be finite, got {value!r}")
         return value
     raise ConfigError(f"{where} must be {_SCALARS[tp]}, got {value!r}")
 

@@ -5,9 +5,10 @@ seconds, and the polarity of the brightness change that fired it. Streams
 carry the sensor geometry and a total duration so every record can be
 checked against its bounds.
 
-Binning converts a stream into a stack of binary event frames. A frame
-cell is 1 when at least one event hit that pixel inside the frame's time
-window; polarity is discarded. Two windowing modes exist:
+Binning converts a stream into a frame stack: a (D, H, W) uint8 array of
+binary event frames. A frame cell is 1 when at least one event hit that
+pixel inside the frame's time window; polarity is discarded. Two
+windowing modes exist:
 
 - ``uniform``: frame k covers t in [k*dt, (k+1)*dt) and exactly
   ceil(T/dt) frames are emitted, empty ones included. An event with
@@ -103,18 +104,6 @@ class BinningConfig:
         return sensor_width // self.target_width
 
 
-@dataclass
-class FrameStack:
-    """Ordered binary event frames, shape (D, H, W), values in {0, 1}."""
-
-    frames: np.ndarray
-    window: float
-
-    @property
-    def depth(self) -> int:
-        return self.frames.shape[0]
-
-
 def from_arrays(
     t: np.ndarray,
     x: np.ndarray,
@@ -200,8 +189,9 @@ def _uniform_frame_count(duration: float, window: float) -> int:
     return int(math.ceil(duration / window))
 
 
-def bin_to_frames(stream: EventStream, cfg: BinningConfig) -> FrameStack:
-    """Accumulate a stream into binary event frames per the configured mode.
+def bin_to_frames(stream: EventStream, cfg: BinningConfig) -> np.ndarray:
+    """Accumulate a stream into a (D, H, W) uint8 frame stack per the
+    configured mode.
 
     Uniform mode always emits ceil(T/dt) frames. Anchored mode emits one
     frame per occupied window and none for quiet gaps. When the config
@@ -233,30 +223,29 @@ def bin_to_frames(stream: EventStream, cfg: BinningConfig) -> FrameStack:
             np.stack(planes) if planes else np.zeros((0, h, w), dtype=np.uint8)
         )
 
-    stack = FrameStack(frames=frames, window=cfg.window)
     factor = cfg.downscale_factor(w, h)
     if factor != 1:
-        stack = downscale_frames(stack, factor)
-    return stack
+        frames = downscale_frames(frames, factor)
+    return frames
 
 
-def downscale_frames(stack: FrameStack, factor: int) -> FrameStack:
-    """OR-pool each frame over factor x factor blocks (binary max-pool)."""
+def downscale_frames(frames: np.ndarray, factor: int) -> np.ndarray:
+    """OR-pool each frame of a (D, H, W) stack over factor x factor blocks
+    (binary max-pool)."""
     if factor < 1:
         raise ConfigError(f"downscale factor must be >= 1, got {factor}")
-    d, h, w = stack.frames.shape
+    d, h, w = frames.shape
     if factor == 1:
-        return FrameStack(frames=stack.frames.copy(), window=stack.window)
+        return frames.copy()
     if h % factor or w % factor:
         raise ConfigError(
             f"frame size {h}x{w} not divisible by factor {factor}"
         )
-    pooled = (
-        stack.frames.reshape(d, h // factor, factor, w // factor, factor)
+    return (
+        frames.reshape(d, h // factor, factor, w // factor, factor)
         .max(axis=(2, 4))
         .astype(np.uint8)
     )
-    return FrameStack(frames=pooled, window=stack.window)
 
 
 def write_evt1(stream: EventStream, path: str | os.PathLike) -> None:

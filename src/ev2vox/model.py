@@ -426,18 +426,13 @@ def count_parameters(model: E2VModel) -> int:
 
 
 def frames_to_input(stacks, dtype=np.float32) -> np.ndarray:
-    """Stack FrameStack objects into a model input batch (N, 1, D, H, W).
+    """Stack (D, H, W) frame arrays into a model input batch (N, 1, D, H, W).
     A stack with a zero-sized axis (events that span no frame) is a
     DataError."""
-    arrs = [np.asarray(getattr(s, "frames", s)) for s in stacks]
-    first = arrs[0].shape
-    for a in arrs[1:]:
+    first = stacks[0].shape
+    for a in stacks[1:]:
         if a.shape != first:
             raise InternalError(f"frame stacks disagree in shape: {first} vs {a.shape}")
     if 0 in first:
         raise DataError(f"frame stack has a zero-sized axis {first}")
-    return np.stack(arrs)[:, None].astype(dtype)
-
-
-def model_from_config_dict(d: dict, dtype=np.float32) -> E2VModel:
-    return E2VModel(read_model_config(d), dtype)
+    return np.stack(stacks)[:, None].astype(dtype)

@@ -146,19 +146,14 @@ def adamw_step(params, state: OptState, cfg: AdamWConfig) -> None:
         p.zero_grad()
 
 
-def _as_occupancy(sample_target) -> np.ndarray:
-    occ = getattr(sample_target, "occupancy", sample_target)
-    return np.asarray(occ)
-
-
 def _validate_dataset(dataset):
     if len(dataset) == 0:
         raise DataError("training requires at least one sample")
-    first_frames = np.asarray(getattr(dataset[0][0], "frames", dataset[0][0])).shape
-    first_target = _as_occupancy(dataset[0][1]).shape
+    first_frames = dataset[0][0].shape
+    first_target = dataset[0][1].occupancy.shape
     for i, (frames, target, *_rest) in enumerate(dataset):
-        fs = np.asarray(getattr(frames, "frames", frames)).shape
-        ts = _as_occupancy(target).shape
+        fs = frames.shape
+        ts = target.occupancy.shape
         if fs != first_frames or ts != first_target:
             raise DataError(
                 f"sample {i} has shapes {fs}/{ts}, expected {first_frames}/{first_target}"
@@ -232,7 +227,8 @@ def train(
     opt_state: OptState | None = None,
     log: list[tuple[int, float, float]] | None = None,
 ) -> TrainResult:
-    """Optimize the model on (frames, occupancy) pairs.
+    """Optimize the model on samples (frames, label[, category]): a
+    (D, H, W) frame array and a ``voxel.VoxelGrid``.
 
     Each epoch shuffles with a generator seeded by (run.seed, epoch), so
     restarting from a checkpoint at start_epoch continues the exact
@@ -247,8 +243,7 @@ def train(
     n = len(dataset)
     ckpt_path = None
 
-    frames = [np.asarray(getattr(s[0], "frames", s[0])) for s in dataset]
-    targets = [_as_occupancy(s[1]).astype(np.float64) for s in dataset]
+    targets = [s[1].occupancy.astype(np.float64) for s in dataset]
 
     model.train()
     for epoch in range(start_epoch, run.epochs):
@@ -257,17 +252,15 @@ def train(
         iou_sum = 0.0
         for lo in range(0, n, run.batch_size):
             batch = order[lo:lo + run.batch_size]
-            x = frames_to_input([frames[i] for i in batch], dtype=model.dtype)
+            x = frames_to_input([dataset[i][0] for i in batch], dtype=model.dtype)
             y = np.stack([targets[i] for i in batch])
             probs = model.forward(x)
             loss, grad = bce_loss(probs, y)
             model.backward(grad)
             adamw_step(params, state, opt)
             loss_sum += loss * len(batch)
-            for j in range(len(batch)):
-                pg = voxel.ProbGrid(probs.shape[-1], probs[j])
-                gt = voxel.VoxelGrid(y.shape[-1], y[j] > 0.5)
-                iou_sum += voxel.iou(pg, gt, threshold=0.3)
+            for j, i in enumerate(batch):
+                iou_sum += voxel.iou(voxel.binarize(probs[j], 0.3), dataset[i][1])
         rows.append((epoch, loss_sum / n, iou_sum / n))
         if out_dir is not None and (
             (epoch + 1) % run.checkpoint_every == 0 or epoch == run.epochs - 1
@@ -316,8 +309,9 @@ def evaluate(
     threshold: float = 0.3,
     distance: float = 0.20,
 ) -> EvalReport:
-    """Score (frames, occupancy, category) samples with the model in
-    inference mode; means are reported per category plus a sample-weighted
+    """Score samples (frames, label[, category]), as ``train`` takes them,
+    with the model in inference mode; a sample without a category counts
+    as "all". Means are reported per category plus a sample-weighted
     Overall row."""
     _validate_dataset(dataset)
     model.eval()
@@ -325,17 +319,12 @@ def evaluate(
     per_sample = []
     for lo in range(0, len(dataset), EVAL_BATCH):
         chunk = dataset[lo:lo + EVAL_BATCH]
-        x = frames_to_input(
-            [np.asarray(getattr(s[0], "frames", s[0])) for s in chunk], dtype=model.dtype
-        )
+        x = frames_to_input([s[0] for s in chunk], dtype=model.dtype)
         probs = model.forward(x, remember=False)
         for j, sample in enumerate(chunk):
-            r = probs.shape[-1]
-            gt = voxel.VoxelGrid(r, _as_occupancy(sample[1]) > 0.5)
-            pg = voxel.ProbGrid(r, probs[j])
-            score_i = voxel.iou(pg, gt, threshold=threshold)
-            pred_pts = voxel.voxel_to_points(voxel.binarize(pg, threshold))
-            gt_pts = voxel.voxel_to_points(gt)
+            pred, gt = voxel.binarize(probs[j], threshold), sample[1]
+            score_i = voxel.iou(pred, gt)
+            pred_pts, gt_pts = voxel.voxel_to_points(pred), voxel.voxel_to_points(gt)
             score_f = voxel.fscore(pred_pts, gt_pts, distance=distance)
             per_sample.append((score_i, score_f))
 

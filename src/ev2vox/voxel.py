@@ -3,7 +3,9 @@
 Grids live on the unit cube [0,1]^3: cell (i,j,k) of a resolution-R grid
 spans [i/R, (i+1)/R) x [j/R, (j+1)/R) x [k/R, (k+1)/R) with the first
 index along x. Meshes are normalized into the same cube before
-voxelization. Metrics follow the occupancy conventions used throughout
+voxelization. A prediction is a plain (R, R, R) array of occupancy
+probabilities, which ``binarize`` turns into a grid, and a point set is a
+(P, 3) array. Metrics follow the occupancy conventions used throughout
 the package: strict thresholds, and empty-vs-empty comparisons count as
 perfect agreement.
 
@@ -55,33 +57,11 @@ class VoxelGrid:
 
 
 @dataclass
-class ProbGrid:
-    """Per-cell occupancy probabilities in [0, 1], values[x, y, z]."""
-
-    resolution: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        expected = (self.resolution,) * 3
-        if self.values.shape != expected:
-            raise DataError(
-                f"value shape {self.values.shape} does not match R={self.resolution}"
-            )
-
-
-@dataclass
 class TriMesh:
     """Triangle mesh: vertices (V, 3) and triangles (F, 3) vertex indices."""
 
     vertices: np.ndarray
     triangles: np.ndarray
-
-
-@dataclass
-class PointSet:
-    """Points inside the unit cube, shape (P, 3)."""
-
-    points: np.ndarray
 
 
 def parse_obj(text: str) -> TriMesh:
@@ -248,15 +228,16 @@ def voxelize(
     return VoxelGrid(resolution, coarse.copy())
 
 
-def binarize(grid: ProbGrid, threshold: float) -> VoxelGrid:
-    """Occupied where probability strictly exceeds the threshold."""
+def binarize(probs: np.ndarray, threshold: float) -> VoxelGrid:
+    """Occupied where an (R, R, R) probability array strictly exceeds the
+    threshold."""
     if not (0.0 < threshold < 1.0):
         raise ConfigError(f"threshold must lie in (0, 1), got {threshold}")
-    return VoxelGrid(grid.resolution, grid.values > threshold)
+    return VoxelGrid(probs.shape[0], probs > threshold)
 
 
-def iou(pred: ProbGrid | VoxelGrid, gt: VoxelGrid, threshold: float = 0.3) -> float:
-    """Intersection over union of thresholded prediction and ground truth.
+def iou(pred: VoxelGrid, gt: VoxelGrid) -> float:
+    """Intersection over union of a predicted and a ground-truth grid.
 
     Both grids empty counts as perfect agreement (1.0).
     """
@@ -264,22 +245,22 @@ def iou(pred: ProbGrid | VoxelGrid, gt: VoxelGrid, threshold: float = 0.3) -> fl
         raise DataError(
             f"prediction R={pred.resolution} vs ground truth R={gt.resolution}"
         )
-    pred_occ = pred.occupancy if isinstance(pred, VoxelGrid) else binarize(pred, threshold).occupancy
-    inter = np.logical_and(pred_occ, gt.occupancy).sum()
-    union = np.logical_or(pred_occ, gt.occupancy).sum()
+    inter = np.logical_and(pred.occupancy, gt.occupancy).sum()
+    union = np.logical_or(pred.occupancy, gt.occupancy).sum()
     if union == 0:
         return 1.0
     return float(inter) / float(union)
 
 
-def voxel_to_points(grid: VoxelGrid) -> PointSet:
-    """One point per occupied cell, at the cell center."""
+def voxel_to_points(grid: VoxelGrid) -> np.ndarray:
+    """One point per occupied cell, at the cell center, as a (P, 3) array."""
     idx = np.argwhere(grid.occupancy)
-    return PointSet((idx + 0.5) / grid.resolution)
+    return (idx + 0.5) / grid.resolution
 
 
-def fscore(rec: PointSet, gt: PointSet, distance: float = 0.20) -> float:
-    """Harmonic mean of precision and recall at a distance tolerance.
+def fscore(rec: np.ndarray, gt: np.ndarray, distance: float = 0.20) -> float:
+    """Harmonic mean of precision and recall at a distance tolerance, for
+    two (P, 3) point arrays.
 
     Precision is the fraction of reconstructed points strictly within
     ``distance`` of some ground-truth point; recall is the symmetric
@@ -287,13 +268,13 @@ def fscore(rec: PointSet, gt: PointSet, distance: float = 0.20) -> float:
     """
     if not (distance > 0.0):
         raise ConfigError(f"distance tolerance must be positive, got {distance}")
-    nr, ng = len(rec.points), len(gt.points)
+    nr, ng = len(rec), len(gt)
     if nr == 0 and ng == 0:
         return 1.0
     if nr == 0 or ng == 0:
         return 0.0
-    d_rec, _ = cKDTree(gt.points).query(rec.points)
-    d_gt, _ = cKDTree(rec.points).query(gt.points)
+    d_rec, _ = cKDTree(gt).query(rec)
+    d_gt, _ = cKDTree(rec).query(gt)
     precision = float(np.mean(d_rec < distance))
     recall = float(np.mean(d_gt < distance))
     if precision + recall == 0.0:

@@ -48,8 +48,8 @@ from ev2vox.train import (
     train,
 )
 from ev2vox.voxel import (
-    ProbGrid,
     VoxelGrid,
+    binarize,
     fscore,
     iou,
     parse_obj,
@@ -96,8 +96,8 @@ def test_criterion_1_frame_count(announce):
             y = rng.integers(0, 64, n_events)
             p = rng.choice([-1, 1], n_events)
             stream = from_arrays(t, x, y, p, 64, 64, duration=0.5)
-            stack = bin_to_frames(stream, BinningConfig(window=0.005, mode="uniform"))
-            assert stack.depth == 100, f"{n_events} events gave {stack.depth} frames"
+            frames = bin_to_frames(stream, BinningConfig(window=0.005, mode="uniform"))
+            assert len(frames) == 100, f"{n_events} events gave {len(frames)} frames"
 
     run_criterion(announce, 1, "frame-count fidelity", 1.0, body)
 
@@ -239,19 +239,19 @@ def test_criterion_4_metric_oracles(announce):
             inter = int(np.sum(pred_occ & gt))
             union = int(np.sum(pred_occ | gt))
             expect = 1.0 if union == 0 else inter / union
-            got = iou(ProbGrid(8, probs), VoxelGrid(8, gt), threshold=thr)
+            got = iou(binarize(probs, thr), VoxelGrid(8, gt))
             assert got == expect, f"IoU mismatch on case {case}"
 
             d = float(rng.uniform(0.05, 0.5))
             rec = voxel_to_points(VoxelGrid(8, pred_occ))
             ref = voxel_to_points(VoxelGrid(8, gt))
             got_f = fscore(rec, ref, distance=d)
-            if len(rec.points) == 0 or len(ref.points) == 0:
-                both_empty = len(rec.points) == 0 and len(ref.points) == 0
+            if len(rec) == 0 or len(ref) == 0:
+                both_empty = len(rec) == 0 and len(ref) == 0
                 assert got_f == (1.0 if both_empty else 0.0)
                 continue
             dists = np.linalg.norm(
-                rec.points[:, None, :] - ref.points[None, :, :], axis=2
+                rec[:, None, :] - ref[None, :, :], axis=2
             )
             precision = float(np.mean(dists.min(axis=1) < d))
             recall = float(np.mean(dists.min(axis=0) < d))
@@ -311,7 +311,7 @@ def _procedural_dataset(seed=7, count=8):
     for i in range(count):
         scene, kind = _procedural_scene(seed, i)
         stream, label = generate_sample(scene, resolution=8)
-        dataset.append((bin_to_frames(stream, binning).frames, label, kind))
+        dataset.append((bin_to_frames(stream, binning), label, kind))
     return dataset
 
 
@@ -349,7 +349,7 @@ def test_criterion_7_determinism(announce, tmp_path):
         # identical seeds -> identical CKP1 bytes and metric logs
         rng = np.random.default_rng(0)
         data = [((rng.random((6, 16, 16)) < 0.05).astype(np.uint8),
-                 (rng.random((8, 8, 8)) < 0.3))
+                 VoxelGrid(8, rng.random((8, 8, 8)) < 0.3))
                 for _ in range(4)]
         run = TrainRun(epochs=4, batch_size=2, seed=1, checkpoint_every=4)
         artifacts = []

@@ -98,6 +98,7 @@ class TestGenerate:
 
     @pytest.mark.parametrize("field,value", [
         ("axis", 1.7), ("radius", True), ("half_height", "0.2"), ("albdo", 0.5),
+        ("center", [math.nan, 0, 0]),
     ])
     def test_scene_value_of_wrong_type_or_name_exits_2(self, tmp_path, capsys, field, value):
         cylinder = {"kind": "cylinder", "center": [0, 0, 0], "axis": 2,
@@ -188,13 +189,26 @@ def override_at(section: str, field: str, value) -> dict:
     return tree
 
 
+def field_cases(values_of) -> list:
+    """(run config, dotted key) for each value ``values_of(annotation)``
+    gives for every field of every config dataclass."""
+    return [
+        (override_at(section, f.name, value), f"{section}.{f.name}".lstrip("."))
+        for section, cls in CONFIG_SECTIONS.items()
+        for f in dataclasses.fields(cls)
+        for value in values_of(typing.get_type_hints(cls)[f.name])
+    ]
+
+
 # a wrong-typed value for every field of every config dataclass
-FIELD_TYPE_CASES = [
-    (override_at(section, f.name, value), f"{section}.{f.name}".lstrip("."))
-    for section, cls in CONFIG_SECTIONS.items()
-    for f in dataclasses.fields(cls)
-    for value in wrong_values(typing.get_type_hints(cls)[f.name])
-]
+FIELD_TYPE_CASES = field_cases(wrong_values)
+
+# what Python's json reads but no float field takes: NaN, the infinities and
+# an integer past the float range. Listed after FIELD_TYPE_CASES, so the
+# numbered ids of those cases stay as they were
+NON_FINITE_CASES = field_cases(
+    lambda tp: [math.nan, math.inf, -math.inf, 10 ** 400] if tp is float else []
+)
 
 
 class TestConfig:
@@ -265,7 +279,10 @@ class TestConfig:
         ({"trainer": {"optimizer": {"lr": True}}}, "trainer.optimizer.lr"),
         ({"generate": {"contrast": True}}, "generate.contrast"),
         ({"trainer": {"run": 3}}, "trainer.run"),
-    ] + FIELD_TYPE_CASES)
+    ] + FIELD_TYPE_CASES + NON_FINITE_CASES + [
+        ({"metrics": {"threshold": 1.5}}, "metrics: threshold must lie in (0, 1)"),
+        ({"metrics": {"distance": 0}}, "metrics: distance must be positive"),
+    ])
     def test_wrong_value_type_exits_2(self, tmp_path, capsys, override, key):
         cfg = write_config(tmp_path / "c.json", override)
         out = tmp_path / "d"
@@ -330,15 +347,27 @@ class TestConfig:
         assert "seed must be non-negative" in capsys.readouterr().err
 
 
+# caches that parse but hold no (D, H, W) uint8 stack
+DAMAGED_CACHES = [
+    pytest.param(np.zeros((10, 32), np.uint8), id="2d"),
+    pytest.param(np.zeros((4, 10, 32, 32), np.uint8), id="4d"),
+    pytest.param(np.full((10, 32, 32), "1"), id="str"),
+    pytest.param(np.full((10, 32, 32), 0.5), id="float64"),
+]
+
+
 class TestPreprocess:
     def test_cache_contents(self, pipeline):
         assert pipeline["codes"]["preprocess"] == 0
         cache = pipeline["data"] / "cache"
-        frames = np.load(cache / "s0000.frames.npy")
-        # toy binning: 0.5 s over 0.05 s windows, OR-pooled to 32x32
-        assert frames.shape == (10, 32, 32)
-        assert frames.dtype == np.uint8
-        assert set(np.unique(frames)) <= {0, 1}
+        stacks = sorted(cache.glob("*.frames.npy"))
+        assert len(stacks) == 8
+        for path in stacks:
+            frames = np.load(path)
+            # toy binning: 0.5 s over 0.05 s windows, OR-pooled to 32x32
+            assert frames.shape == (10, 32, 32)
+            assert frames.dtype == np.uint8 and frames.flags.c_contiguous
+            assert set(np.unique(frames)) <= {0, 1}
         meta = json.loads((cache / "s0000.frames.json").read_text())
         assert meta["window"] == 0.05
         assert meta["shape"] == [10, 32, 32]
@@ -415,6 +444,26 @@ class TestPreprocess:
         cached.write_bytes(cached.read_bytes()[:100])
         code = cli.main(["train", "--toy", "--config", pipeline["cfg"],
                          "--manifest", str(data / "manifest.json"), "--out", str(tmp_path / "run")])
+        assert code == 3
+        assert str(cached) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "eval", "export"])
+    @pytest.mark.parametrize("array", DAMAGED_CACHES)
+    def test_damaged_cache_exits_3(self, pipeline, tmp_path, capsys, command, array):
+        data = copy_dataset(pipeline, tmp_path)
+        entry = cli.load_manifest(data / "manifest.json").for_split("train")[0]
+        cached = data / "cache" / f"{entry.sample_id}.frames.npy"
+        np.save(cached, array)
+        run = tmp_path / "run"
+        shutil.copytree(pipeline["run"], run)
+        args = {
+            "train": ["train", "--out", str(tmp_path / "retrain")],
+            "eval": ["eval", "--out", str(run)],
+            "export": ["export", str(run / "model.ckpt"), entry.sample_id,
+                       "--out", str(tmp_path / "x.obj")],
+        }[command]
+        code = cli.main(args + ["--toy", "--config", pipeline["cfg"],
+                                "--manifest", str(data / "manifest.json")])
         assert code == 3
         assert str(cached) in capsys.readouterr().err
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -98,39 +99,39 @@ class TestUniformBinning:
             ts = [0.25] * count
             s = make_stream(ts, m=256, n=256, duration=0.5)
             stack = ev.bin_to_frames(s, ev.BinningConfig(window=0.005))
-            assert stack.depth == 100
+            assert len(stack) == 100
 
     def test_single_event_lands_in_frame_zero(self):
         s = ev.validate_stream([(3, 4, 0.001, 1)], 16, 16, 0.5)
         stack = ev.bin_to_frames(s, ev.BinningConfig(window=0.005))
-        assert stack.frames[0, 4, 3] == 1
-        assert stack.frames.sum() == 1
+        assert stack[0, 4, 3] == 1
+        assert stack.sum() == 1
 
     def test_opposite_polarities_same_cell_give_one(self):
         s = ev.validate_stream(
             [(2, 2, 0.001, 1), (2, 2, 0.002, -1)], 8, 8, 0.01
         )
         stack = ev.bin_to_frames(s, ev.BinningConfig(window=0.005))
-        assert stack.frames[0, 2, 2] == 1
-        assert stack.frames.sum() == 1
+        assert stack[0, 2, 2] == 1
+        assert stack.sum() == 1
 
     def test_boundary_event_joins_upper_frame(self):
         # windows are half-open: t = k*dt belongs to frame k
         s = make_stream([0.25], duration=1.0)
         stack = ev.bin_to_frames(s, ev.BinningConfig(window=0.25))
-        assert stack.depth == 4
-        assert stack.frames[1, 0, 0] == 1
+        assert len(stack) == 4
+        assert stack[1, 0, 0] == 1
 
     def test_final_timestamp_clamps_to_last_frame(self):
         s = make_stream([1.0], duration=1.0)
         stack = ev.bin_to_frames(s, ev.BinningConfig(window=0.25))
-        assert stack.frames[3, 0, 0] == 1
+        assert stack[3, 0, 0] == 1
 
     def test_empty_windows_emitted(self):
         s = make_stream([0.9], duration=1.0)
         stack = ev.bin_to_frames(s, ev.BinningConfig(window=0.25))
-        assert stack.depth == 4
-        assert stack.frames[:3].sum() == 0
+        assert len(stack) == 4
+        assert stack[:3].sum() == 0
 
     @given(
         n=st.integers(0, 50),
@@ -145,14 +146,14 @@ class TestUniformBinning:
         y = rng.integers(0, 16, size=n)
         s = ev.from_arrays(t, x, y, np.ones(n), 16, 16, 1.0)
         stack = ev.bin_to_frames(s, ev.BinningConfig(window=window))
-        assert stack.depth == math.ceil(1.0 / window)
+        assert len(stack) == math.ceil(1.0 / window)
         # frame totals equal distinct pixels hit per window
-        depth = stack.depth
+        depth = len(stack)
         k = np.minimum((t // window).astype(int), depth - 1)
         for f in range(depth):
             hit = {(int(a), int(b)) for a, b in zip(x[k == f], y[k == f])}
-            assert stack.frames[f].sum() == len(hit)
-        assert set(np.unique(stack.frames)) <= {0, 1}
+            assert stack[f].sum() == len(hit)
+        assert set(np.unique(stack)) <= {0, 1}
 
 
 class TestAnchoredBinning:
@@ -161,17 +162,17 @@ class TestAnchoredBinning:
         xs = [0, 1, 2, 3, 4]
         s = make_stream(ts, xs=xs, ys=[0] * 5, duration=0.05)
         stack = ev.bin_to_frames(s, ev.BinningConfig(window=0.005, mode="anchored"))
-        assert stack.depth == 3
-        assert stack.frames[0, 0, 0] == 1 and stack.frames[0, 0, 1] == 1
-        assert stack.frames[0].sum() == 2
-        assert stack.frames[1, 0, 2] == 1 and stack.frames[1].sum() == 1
-        assert stack.frames[2, 0, 3] == 1 and stack.frames[2, 0, 4] == 1
-        assert stack.frames[2].sum() == 2
+        assert len(stack) == 3
+        assert stack[0, 0, 0] == 1 and stack[0, 0, 1] == 1
+        assert stack[0].sum() == 2
+        assert stack[1, 0, 2] == 1 and stack[1].sum() == 1
+        assert stack[2, 0, 3] == 1 and stack[2, 0, 4] == 1
+        assert stack[2].sum() == 2
 
     def test_empty_stream_gives_zero_frames(self):
         s = make_stream([], duration=0.5)
         stack = ev.bin_to_frames(s, ev.BinningConfig(window=0.005, mode="anchored"))
-        assert stack.depth == 0
+        assert len(stack) == 0
 
     def test_agreement_with_uniform_on_aligned_fixture(self):
         # anchors line up with the uniform boundaries when each window's
@@ -187,58 +188,83 @@ class TestAnchoredBinning:
         s = make_stream(ts, xs=xs, duration=1.0)
         uni = ev.bin_to_frames(s, ev.BinningConfig(window=window, mode="uniform"))
         anc = ev.bin_to_frames(s, ev.BinningConfig(window=window, mode="anchored"))
-        assert uni.depth == anc.depth == 4
-        np.testing.assert_array_equal(uni.frames, anc.frames)
+        assert len(uni) == len(anc) == 4
+        np.testing.assert_array_equal(uni, anc)
 
 
 class TestDownscale:
     def test_single_bit_survives(self):
         frames = np.zeros((1, 2, 2), dtype=np.uint8)
         frames[0, 1, 0] = 1
-        out = ev.downscale_frames(ev.FrameStack(frames, 0.1), 2)
-        assert out.frames.shape == (1, 1, 1)
-        assert out.frames[0, 0, 0] == 1
+        out = ev.downscale_frames(frames, 2)
+        assert out.shape == (1, 1, 1)
+        assert out[0, 0, 0] == 1
 
     def test_all_zero_stays_zero(self):
         frames = np.zeros((2, 512, 512), dtype=np.uint8)
-        out = ev.downscale_frames(ev.FrameStack(frames, 0.1), 2)
-        assert out.frames.shape == (2, 256, 256)
-        assert out.frames.sum() == 0
+        out = ev.downscale_frames(frames, 2)
+        assert out.shape == (2, 256, 256)
+        assert out.sum() == 0
 
     def test_matches_block_max_oracle(self):
         rng = np.random.default_rng(3)
         frames = (rng.uniform(size=(3, 16, 16)) < 0.3).astype(np.uint8)
-        out = ev.downscale_frames(ev.FrameStack(frames, 0.1), 2)
+        out = ev.downscale_frames(frames, 2)
         for d in range(3):
             for i in range(8):
                 for j in range(8):
                     block = frames[d, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
-                    assert out.frames[d, i, j] == block.max()
+                    assert out[d, i, j] == block.max()
 
     def test_factor_one_identity(self):
         frames = (np.arange(8).reshape(2, 2, 2) % 2).astype(np.uint8)
-        out = ev.downscale_frames(ev.FrameStack(frames, 0.1), 1)
-        np.testing.assert_array_equal(out.frames, frames)
+        out = ev.downscale_frames(frames, 1)
+        np.testing.assert_array_equal(out, frames)
 
     def test_composition(self):
         rng = np.random.default_rng(5)
         frames = (rng.uniform(size=(2, 8, 8)) < 0.4).astype(np.uint8)
-        stack = ev.FrameStack(frames, 0.1)
-        twice = ev.downscale_frames(ev.downscale_frames(stack, 2), 2)
-        once = ev.downscale_frames(stack, 4)
-        np.testing.assert_array_equal(twice.frames, once.frames)
+        twice = ev.downscale_frames(ev.downscale_frames(frames, 2), 2)
+        once = ev.downscale_frames(frames, 4)
+        np.testing.assert_array_equal(twice, once)
 
     def test_non_divisible_rejected(self):
         frames = np.zeros((1, 6, 6), dtype=np.uint8)
         with pytest.raises(ConfigError, match="not divisible by factor 4"):
-            ev.downscale_frames(ev.FrameStack(frames, 0.1), 4)
+            ev.downscale_frames(frames, 4)
 
     def test_binning_applies_config_target(self):
         s = ev.validate_stream([(7, 3, 0.01, 1)], 16, 16, 0.1)
         cfg = ev.BinningConfig(window=0.05, target_height=8, target_width=8)
         stack = ev.bin_to_frames(s, cfg)
-        assert stack.frames.shape == (2, 8, 8)
-        assert stack.frames[0, 1, 3] == 1
+        assert stack.shape == (2, 8, 8)
+        assert stack[0, 1, 3] == 1
+
+
+# sha256 of the frame bytes of one seeded 64x48 stream, 3000 events over
+# 0.5 s, binned at 10 ms; binning uses no BLAS, so these hold on any host
+BINNING_DIGESTS = [
+    pytest.param(ev.BinningConfig(window=0.01), (50, 48, 64),
+                 "3c889abcb19fe5a54bedd2c6d9b9c51b71f1863983fce1ea70ecaf4f878f18f7", id="uniform"),
+    pytest.param(ev.BinningConfig(window=0.01, mode="anchored"), (50, 48, 64),
+                 "26b41c74a6602eac5d386751af7fff000c4a52cc0cdc435bb905cdf164dcdfb5", id="anchored"),
+    pytest.param(ev.BinningConfig(window=0.01, target_height=12, target_width=16), (50, 12, 16),
+                 "ab59814f877618a1384de76d3297c9b2ccfccf52571fbe791927629084e38ba5", id="downscaled"),
+]
+
+
+@pytest.mark.parametrize("cfg,shape,digest", BINNING_DIGESTS)
+def test_binning_bytes_are_pinned(cfg, shape, digest):
+    rng = np.random.default_rng(2024)
+    n = 3000
+    t = np.sort(rng.uniform(0.0, 0.5, n))
+    x = rng.integers(0, 64, n)
+    y = rng.integers(0, 48, n)
+    p = rng.choice([-1, 1], n)
+    frames = ev.bin_to_frames(ev.from_arrays(t, x, y, p, 64, 48, 0.5), cfg)
+    assert frames.shape == shape and frames.dtype == np.uint8
+    assert frames.flags.c_contiguous
+    assert hashlib.sha256(frames.tobytes()).hexdigest() == digest
 
 
 class TestEvt1Format:

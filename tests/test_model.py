@@ -302,7 +302,7 @@ class TestDeterminism:
         enc, dec = micro_configs()
         m = M.build_model(enc, dec, seed=13)
         d = asdict(M.ModelConfig(enc, dec, seed=13))
-        m2 = M.model_from_config_dict(d)
+        m2 = M.E2VModel(M.read_model_config(d), np.float32)
         for pa, pb in zip(m.parameters(), m2.parameters()):
             np.testing.assert_array_equal(pa.value, pb.value)
 

@@ -112,8 +112,8 @@ class TestAdamWStep:
 
 
 def toy_dataset(n, seed=0, depth=10, side=32, r=8):
-    """Procedural (frames, occupancy) pairs: random sparse frames and a
-    solid ball whose radius varies per sample."""
+    """Procedural (frames, label) pairs: random sparse frames and a solid
+    ball whose radius varies per sample."""
     rng = np.random.default_rng(seed)
     out = []
     axes = (np.arange(r) + 0.5) / r - 0.5
@@ -122,7 +122,7 @@ def toy_dataset(n, seed=0, depth=10, side=32, r=8):
         frames = (rng.random((depth, side, side)) < 0.05).astype(np.uint8)
         radius = 0.25 + 0.15 * (i % 4) / 3.0
         occ = xs ** 2 + ys ** 2 + zs ** 2 <= radius ** 2
-        out.append((frames, occ))
+        out.append((frames, voxel.VoxelGrid(r, occ)))
     return out
 
 
@@ -247,8 +247,8 @@ class FakeModel:
 class TestEvaluate:
     def test_perfect_predictions_score_one(self):
         data = toy_dataset(3, r=4)
-        samples = [(f, occ, "ball") for f, occ in data]
-        fake = FakeModel(np.stack([occ.astype(np.float64) for _, occ in data]))
+        samples = [(f, label, "ball") for f, label in data]
+        fake = FakeModel(np.stack([label.occupancy.astype(np.float64) for _, label in data]))
         report = T.evaluate(fake, samples, threshold=0.3, distance=0.2)
         assert len(report.rows) == 1
         assert report.rows[0].iou == 1.0 and report.rows[0].fscore == 1.0
@@ -257,29 +257,23 @@ class TestEvaluate:
     def test_means_match_per_sample_metrics(self):
         rng = np.random.default_rng(9)
         frames = np.zeros((2, 4, 4), dtype=np.uint8)
-        gts = [rng.random((4, 4, 4)) > 0.5 for _ in range(2)]
+        gts = [voxel.VoxelGrid(4, rng.random((4, 4, 4)) > 0.5) for _ in range(2)]
         preds = [rng.uniform(0, 1, (4, 4, 4)) for _ in range(2)]
         samples = [(frames, g, "solo") for g in gts]
         report = T.evaluate(FakeModel(np.stack(preds)), samples, threshold=0.3)
 
         expect_iou = []
         expect_f = []
-        for p, g in zip(preds, gts):
-            pg = voxel.ProbGrid(4, p)
-            gt = voxel.VoxelGrid(4, g)
-            expect_iou.append(voxel.iou(pg, gt, threshold=0.3))
-            expect_f.append(
-                voxel.fscore(
-                    voxel.voxel_to_points(voxel.binarize(pg, 0.3)),
-                    voxel.voxel_to_points(gt),
-                )
-            )
+        for p, gt in zip(preds, gts):
+            pred = voxel.binarize(p, 0.3)
+            expect_iou.append(voxel.iou(pred, gt))
+            expect_f.append(voxel.fscore(voxel.voxel_to_points(pred), voxel.voxel_to_points(gt)))
         assert report.rows[0].iou == pytest.approx(np.mean(expect_iou))
         assert report.rows[0].fscore == pytest.approx(np.mean(expect_f))
 
     def test_overall_is_sample_weighted(self):
         frames = np.zeros((2, 4, 4), dtype=np.uint8)
-        full = np.ones((4, 4, 4), dtype=bool)
+        full = voxel.VoxelGrid(4, np.ones((4, 4, 4), dtype=bool))
         probs = []
         samples = []
         # one "good" category sample scoring 1.0, three "bad" scoring 0.0
@@ -297,7 +291,7 @@ class TestEvaluate:
 
     def test_report_text_names_thresholds(self):
         frames = np.zeros((2, 4, 4), dtype=np.uint8)
-        gt = np.ones((4, 4, 4), dtype=bool)
+        gt = voxel.VoxelGrid(4, np.ones((4, 4, 4), dtype=bool))
         report = T.evaluate(
             FakeModel(np.ones((1, 4, 4, 4)) * 0.8),
             [(frames, gt, "cube")],
@@ -313,6 +307,6 @@ class TestEvaluate:
 
     def test_unlabeled_samples_fall_into_all(self):
         frames = np.zeros((2, 4, 4), dtype=np.uint8)
-        gt = np.ones((4, 4, 4), dtype=bool)
+        gt = voxel.VoxelGrid(4, np.ones((4, 4, 4), dtype=bool))
         report = T.evaluate(FakeModel(np.full((1, 4, 4, 4), 0.9)), [(frames, gt)])
         assert report.rows[0].category == "all"

@@ -13,8 +13,8 @@ from ev2vox.errors import (
 )
 
 
-def random_prob_grid(rng, r=8):
-    return vx.ProbGrid(r, rng.uniform(size=(r, r, r)))
+def random_probs(rng, r=8):
+    return rng.uniform(size=(r, r, r))
 
 
 def random_voxel_grid(rng, r=8, density=0.4):
@@ -222,24 +222,22 @@ class TestVoxelize:
 
 class TestBinarize:
     def test_all_above(self):
-        g = vx.ProbGrid(4, np.full((4, 4, 4), 0.9))
-        assert vx.binarize(g, 0.3).count() == 64
+        assert vx.binarize(np.full((4, 4, 4), 0.9), 0.3).count() == 64
 
     def test_strict_inequality_at_threshold(self):
-        g = vx.ProbGrid(2, np.full((2, 2, 2), 0.3))
-        assert vx.binarize(g, 0.3).count() == 0
+        assert vx.binarize(np.full((2, 2, 2), 0.3), 0.3).count() == 0
 
     def test_matches_per_cell_loop(self):
         rng = np.random.default_rng(1)
-        g = random_prob_grid(rng)
+        g = random_probs(rng)
         out = vx.binarize(g, 0.3)
         for i in range(8):
             for j in range(8):
                 for k in range(8):
-                    assert out.occupancy[i, j, k] == (g.values[i, j, k] > 0.3)
+                    assert out.occupancy[i, j, k] == (g[i, j, k] > 0.3)
 
     def test_threshold_domain(self):
-        g = vx.ProbGrid(2, np.zeros((2, 2, 2)))
+        g = np.zeros((2, 2, 2))
         for t in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(ConfigError, match=r"threshold must lie in \(0, 1\)"):
                 vx.binarize(g, t)
@@ -249,15 +247,15 @@ class TestIoU:
     def test_perfect_match(self):
         rng = np.random.default_rng(2)
         gt = random_voxel_grid(rng)
-        pred = vx.ProbGrid(8, gt.occupancy.astype(float) * 0.9 + 0.05)
-        assert vx.iou(pred, gt, 0.3) == 1.0
+        pred = vx.binarize(gt.occupancy.astype(float) * 0.9 + 0.05, 0.3)
+        assert vx.iou(pred, gt) == 1.0
 
     def test_disjoint_single_cells(self):
         gt = vx.VoxelGrid.empty(4)
         gt.occupancy[0, 0, 0] = True
         vals = np.zeros((4, 4, 4))
         vals[3, 3, 3] = 1.0
-        assert vx.iou(vx.ProbGrid(4, vals), gt, 0.3) == 0.0
+        assert vx.iou(vx.binarize(vals, 0.3), gt) == 0.0
 
     def test_half_overlap(self):
         gt = vx.VoxelGrid.empty(4)
@@ -265,18 +263,18 @@ class TestIoU:
         vals = np.zeros((4, 4, 4))
         vals[0, 0, 0] = 1.0
         vals[1, 0, 0] = 1.0
-        assert vx.iou(vx.ProbGrid(4, vals), gt, 0.3) == pytest.approx(0.5)
+        assert vx.iou(vx.binarize(vals, 0.3), gt) == pytest.approx(0.5)
 
     def test_empty_vs_empty_is_one(self):
         gt = vx.VoxelGrid.empty(4)
-        pred = vx.ProbGrid(4, np.zeros((4, 4, 4)))
-        assert vx.iou(pred, gt, 0.3) == 1.0
+        pred = vx.binarize(np.zeros((4, 4, 4)), 0.3)
+        assert vx.iou(pred, gt) == 1.0
 
     def test_empty_vs_nonempty_is_zero(self):
         gt = vx.VoxelGrid.empty(4)
         gt.occupancy[1, 1, 1] = True
-        pred = vx.ProbGrid(4, np.zeros((4, 4, 4)))
-        assert vx.iou(pred, gt, 0.3) == 0.0
+        pred = vx.binarize(np.zeros((4, 4, 4)), 0.3)
+        assert vx.iou(pred, gt) == 0.0
 
     def test_symmetry_and_self(self):
         rng = np.random.default_rng(3)
@@ -287,89 +285,89 @@ class TestIoU:
 
     def test_resolution_mismatch(self):
         with pytest.raises(DataError, match="prediction R=4 vs ground truth R=8"):
-            vx.iou(vx.ProbGrid(4, np.zeros((4, 4, 4))), vx.VoxelGrid.empty(8), 0.3)
+            vx.iou(vx.VoxelGrid.empty(4), vx.VoxelGrid.empty(8))
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            pred = random_prob_grid(rng)
+            probs = random_probs(rng)
             gt = random_voxel_grid(rng, density=rng.uniform(0, 0.8))
-            got = vx.iou(pred, gt, 0.3)
-            want = brute_force_iou(pred.values, gt.occupancy, 0.3)
+            got = vx.iou(vx.binarize(probs, 0.3), gt)
+            want = brute_force_iou(probs, gt.occupancy, 0.3)
             assert got == pytest.approx(want, abs=1e-12)
 
 
 class TestVoxelToPoints:
     def test_empty(self):
-        assert len(vx.voxel_to_points(vx.VoxelGrid.empty(4)).points) == 0
+        assert len(vx.voxel_to_points(vx.VoxelGrid.empty(4))) == 0
 
     def test_single_cell_center(self):
         g = vx.VoxelGrid.empty(32)
         g.occupancy[0, 0, 0] = True
-        pts = vx.voxel_to_points(g).points
+        pts = vx.voxel_to_points(g)
         np.testing.assert_allclose(pts, [[1 / 64, 1 / 64, 1 / 64]])
 
     def test_count_matches_popcount(self):
         rng = np.random.default_rng(5)
         g = random_voxel_grid(rng)
-        assert len(vx.voxel_to_points(g).points) == g.count()
+        assert len(vx.voxel_to_points(g)) == g.count()
 
     def test_points_in_unit_cube(self):
         rng = np.random.default_rng(6)
         g = random_voxel_grid(rng)
-        pts = vx.voxel_to_points(g).points
+        pts = vx.voxel_to_points(g)
         assert np.all(pts > 0) and np.all(pts < 1)
 
 
 class TestFScore:
     def test_identical_sets(self):
         rng = np.random.default_rng(7)
-        pts = vx.PointSet(rng.uniform(size=(15, 3)))
+        pts = rng.uniform(size=(15, 3))
         assert vx.fscore(pts, pts, 0.2) == 1.0
 
     def test_hand_computed_pair(self):
-        a = vx.PointSet(np.array([[0.1, 0.5, 0.5]]))
-        b = vx.PointSet(np.array([[0.4, 0.5, 0.5]]))
+        a = np.array([[0.1, 0.5, 0.5]])
+        b = np.array([[0.4, 0.5, 0.5]])
         assert vx.fscore(a, b, 0.2) == 0.0
         assert vx.fscore(a, b, 0.4) == 1.0
 
     def test_strict_inequality(self):
-        a = vx.PointSet(np.array([[0.0, 0.0, 0.0]]))
-        b = vx.PointSet(np.array([[0.2, 0.0, 0.0]]))
+        a = np.array([[0.0, 0.0, 0.0]])
+        b = np.array([[0.2, 0.0, 0.0]])
         assert vx.fscore(a, b, 0.2) == 0.0
 
     def test_empty_conventions(self):
-        e = vx.PointSet(np.zeros((0, 3)))
-        p = vx.PointSet(np.array([[0.5, 0.5, 0.5]]))
+        e = np.zeros((0, 3))
+        p = np.array([[0.5, 0.5, 0.5]])
         assert vx.fscore(e, e, 0.2) == 1.0
         assert vx.fscore(e, p, 0.2) == 0.0
         assert vx.fscore(p, e, 0.2) == 0.0
 
     def test_symmetry(self):
         rng = np.random.default_rng(8)
-        a = vx.PointSet(rng.uniform(size=(10, 3)))
-        b = vx.PointSet(rng.uniform(size=(17, 3)))
+        a = rng.uniform(size=(10, 3))
+        b = rng.uniform(size=(17, 3))
         assert vx.fscore(a, b, 0.2) == pytest.approx(vx.fscore(b, a, 0.2), abs=1e-15)
 
     def test_monotone_in_distance(self):
         rng = np.random.default_rng(9)
-        a = vx.PointSet(rng.uniform(size=(12, 3)))
-        b = vx.PointSet(rng.uniform(size=(12, 3)))
+        a = rng.uniform(size=(12, 3))
+        b = rng.uniform(size=(12, 3))
         scores = [vx.fscore(a, b, d) for d in (0.05, 0.1, 0.2, 0.4, 0.8)]
         assert all(s1 <= s2 for s1, s2 in zip(scores, scores[1:]))
 
     def test_non_positive_distance(self):
-        p = vx.PointSet(np.zeros((1, 3)))
+        p = np.zeros((1, 3))
         with pytest.raises(ConfigError, match="distance tolerance must be positive"):
             vx.fscore(p, p, 0.0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
-            a = vx.PointSet(rng.uniform(size=(rng.integers(0, 25), 3)))
-            b = vx.PointSet(rng.uniform(size=(rng.integers(0, 25), 3)))
+            a = rng.uniform(size=(rng.integers(0, 25), 3))
+            b = rng.uniform(size=(rng.integers(0, 25), 3))
             got = vx.fscore(a, b, 0.2)
-            want = brute_force_fscore(a.points, b.points, 0.2)
+            want = brute_force_fscore(a, b, 0.2)
             assert got == pytest.approx(want, abs=1e-12)
 
 
