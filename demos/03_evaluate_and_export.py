@@ -8,15 +8,12 @@ ground truth as OBJ cube meshes for a mesh viewer.
 Run:  python3 demos/03_evaluate_and_export.py [out_dir]
 """
 
-import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from ev2vox.cli import _procedural_scene, grid_to_obj
 from ev2vox.events import BinningConfig, bin_to_frames
-from ev2vox.model import E2VModel, frames_to_input, read_model_config
+from ev2vox.model import frames_to_input
 from ev2vox.sim import generate_sample
 from ev2vox.train import evaluate, load_training_checkpoint
 from ev2vox.voxel import binarize
@@ -26,9 +23,7 @@ ckpt = out_dir / "model.ckpt"
 if not ckpt.is_file():
     sys.exit(f"no checkpoint at {ckpt}; run demos/02_train_toy.py first")
 
-sidecar = json.loads((out_dir / "model.ckpt.json").read_text())
-model = E2VModel(read_model_config(sidecar["config"]), np.float32)
-load_training_checkpoint(ckpt, model)
+model, _, sidecar = load_training_checkpoint(ckpt)
 print(f"loaded checkpoint from epoch {sidecar['epoch']}")
 
 print("rebuilding the training samples...")

@@ -34,15 +34,7 @@ from .artifacts import make_dir, read, read_json, write, write_json
 from .config import from_json
 from .errors import ConfigError, DataError, FormatError, IoFailure, PipelineError
 from .events import BinningConfig, bin_to_frames, read_evt1, write_evt1
-from .model import (
-    DecoderConfig,
-    E2VModel,
-    EncoderConfig,
-    ModelConfig,
-    build_model,
-    frames_to_input,
-    read_model_config,
-)
+from .model import DecoderConfig, EncoderConfig, ModelConfig, build_model, frames_to_input
 from .sim import (
     Box,
     CameraIntrinsics,
@@ -54,7 +46,7 @@ from .sim import (
     scene_from_dict,
     scene_to_dict,
 )
-from .train import AdamWConfig, TrainRun, evaluate, restore_training_state, train
+from .train import AdamWConfig, TrainRun, evaluate, load_training_checkpoint, train
 from .voxel import VoxelGrid, binarize, read_vox1, unit_cube_mesh, write_vox1
 
 SPLITS = ("train", "val", "test")
@@ -346,8 +338,8 @@ def cmd_preprocess(cfg: RunConfig, manifest_path: str, threads: int) -> int:
     make_dir(cache)
 
     def one(entry: ManifestEntry) -> None:
-        stream = read_evt1(manifest.root / entry.events)
-        frames = bin_to_frames(stream, cfg.binning)
+        events = manifest.root / entry.events
+        frames = bin_to_frames(read_evt1(events), cfg.binning)
         npy = io.BytesIO()
         np.lib.format.write_array(npy, frames)
         write(cache / f"{entry.sample_id}.frames.npy", npy.getvalue())
@@ -356,6 +348,7 @@ def cmd_preprocess(cfg: RunConfig, manifest_path: str, threads: int) -> int:
             "window": cfg.binning.window,
             "shape": list(frames.shape),
             "source": entry.events,
+            "events_sha256": _sha256(events),
         }
         write_json(cache / f"{entry.sample_id}.frames.json", meta)
 
@@ -367,23 +360,27 @@ def cmd_preprocess(cfg: RunConfig, manifest_path: str, threads: int) -> int:
     return len(manifest.entries)
 
 
-def _cached_binning(cache_dir: Path, sample_id: str) -> dict | None:
-    """The binning settings a cached frame stack's sidecar records, if any."""
-    try:
-        meta = read_json(cache_dir / f"{sample_id}.frames.json")
-    except DataError:
-        return None
-    return meta.get("binning") if isinstance(meta, dict) else None
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(read(path)).hexdigest()
 
 
 def _frames(cfg: RunConfig, manifest: Manifest, entry: ManifestEntry,
             cache_dir: Path) -> np.ndarray:
-    """The entry's (D, H, W) uint8 frame stack: the cached one if
-    ``cfg.binning`` made it, else its events binned afresh. A cache that
-    cannot be read, or holds any other array, is a FormatError."""
+    """The entry's (D, H, W) uint8 frame stack: the cached one if its
+    sidecar records ``cfg.binning`` and the digest of the entry's events as
+    they are now, else those events binned afresh. A cache that cannot be
+    read, holds any other array, or holds another shape than its sidecar
+    records, is a FormatError."""
+    events = manifest.root / entry.events
     cached = cache_dir / f"{entry.sample_id}.frames.npy"
-    current = _cached_binning(cache_dir, entry.sample_id) == dataclasses.asdict(cfg.binning)
-    if current and cached.is_file():
+    try:
+        meta = read_json(cache_dir / f"{entry.sample_id}.frames.json")
+    except DataError:
+        meta = {}
+    meta = meta if isinstance(meta, dict) else {}
+    current = (meta.get("binning") == dataclasses.asdict(cfg.binning) and cached.is_file()
+               and meta.get("events_sha256") == _sha256(events))
+    if current:
         try:
             frames = np.lib.format.read_array(io.BytesIO(read(cached)))
         except (ValueError, EOFError) as exc:
@@ -391,8 +388,11 @@ def _frames(cfg: RunConfig, manifest: Manifest, entry: ManifestEntry,
         if frames.ndim != 3 or frames.dtype != np.uint8:
             raise FormatError(f"{cached}: damaged frame cache (a {frames.dtype} array of "
                               f"shape {frames.shape}, not (D, H, W) uint8)")
+        if list(frames.shape) != meta.get("shape"):
+            raise FormatError(f"{cached}: damaged frame cache (shape {frames.shape}, but "
+                              f"its sidecar records {meta.get('shape')})")
         return frames
-    return bin_to_frames(read_evt1(manifest.root / entry.events), cfg.binning)
+    return bin_to_frames(read_evt1(events), cfg.binning)
 
 
 def _load_dataset(cfg: RunConfig, manifest: Manifest, splits, cache_dir: Path):
@@ -431,35 +431,6 @@ def cmd_train(cfg: RunConfig, manifest_path: str, out_dir: str | None) -> None:
     print(f"checkpoint: {result.checkpoint_path}")
 
 
-def _trained_config(sidecar) -> ModelConfig | None:
-    """The model config a checkpoint sidecar records, None if it does not
-    describe a model; keys older versions wrote are dropped."""
-    try:
-        return read_model_config(sidecar["config"])
-    except (KeyError, TypeError, ConfigError):
-        return None
-
-
-def _trained_model(ckpt: Path, expected: ModelConfig | None = None) -> E2VModel:
-    """The model that a checkpoint's JSON sidecar describes, loaded from it.
-
-    A missing sidecar is an IoFailure and one that is not JSON a
-    FormatError. One that describes no model, or another model than
-    ``expected``, is a DataError.
-    """
-    sidecar_path = Path(f"{ckpt}.json")
-    config = _trained_config(read_json(sidecar_path))
-    if config is None:
-        raise DataError(f"{sidecar_path}: sidecar does not describe a model")
-    if expected is not None and config != expected:
-        raise DataError(
-            f"{ckpt}: checkpoint was trained with a different model configuration"
-        )
-    model = build_model(config.encoder, config.decoder, seed=config.seed)
-    restore_training_state(ckpt, model)
-    return model
-
-
 def cmd_eval(cfg: RunConfig, manifest_path: str, out_dir: str | None) -> None:
     """Score every split present and write report.txt / report.csv."""
     manifest = load_manifest(manifest_path)
@@ -467,7 +438,7 @@ def cmd_eval(cfg: RunConfig, manifest_path: str, out_dir: str | None) -> None:
     ckpt = run_dir / "model.ckpt"
     if not ckpt.is_file():
         raise IoFailure(f"checkpoint not found: {ckpt}")
-    model = _trained_model(ckpt, cfg.model)
+    model = load_training_checkpoint(ckpt, cfg.model)[0]
 
     cache = _cache_dir(manifest)
     text_parts = []
@@ -517,7 +488,7 @@ def _export_from_checkpoint(cfg: RunConfig, ckpt_path: str, sample_id: str,
     if not matches:
         raise DataError(f"{manifest_path}: no sample with id {sample_id!r}")
     frames = _frames(cfg, manifest, matches[0], _cache_dir(manifest))
-    model = _trained_model(Path(ckpt_path))
+    model = load_training_checkpoint(ckpt_path)[0]
     model.eval()
     probs = model.forward(frames_to_input([frames], dtype=model.dtype), remember=False)
     return binarize(probs[0], cfg.metrics.threshold)

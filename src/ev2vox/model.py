@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .config import from_json
 from .errors import ConfigError, DataError, InternalError
 
 EXPANSION = 4
@@ -130,35 +129,15 @@ class DecoderConfig:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """A run config's ``model`` section, and a checkpoint sidecar's ``config``."""
+    """A run config's ``model`` section, and a checkpoint sidecar's ``config``.
+
+    Both are read with ``config.from_json``, so a key that is not a field
+    here is refused; a sidecar that carries one describes no model.
+    """
 
     encoder: EncoderConfig
     decoder: DecoderConfig
     seed: int = 0
-
-
-# keys that sidecars of older versions carry, each with the one value this
-# version implements (None: any value, since the key chose nothing)
-RETIRED_KEYS = {
-    "encoder": {"norm": "batch", "paper_scale": None, "in_channels": 1},
-    "decoder": {"norm": "batch"},
-}
-
-
-def read_model_config(d) -> ModelConfig:
-    """A sidecar's model config, read once the retired keys are dropped; a
-    retired key that asks for what this version lacks is a ConfigError."""
-    if isinstance(d, dict):
-        d = dict(d)
-        for part, retired in RETIRED_KEYS.items():
-            section = d.get(part)
-            if not isinstance(section, dict):
-                continue
-            for key, only in retired.items():
-                if key in section and only is not None and section[key] != only:
-                    raise ConfigError(f"config.{part}.{key} must be {only!r}, got {section[key]!r}")
-            d[part] = {k: v for k, v in section.items() if k not in retired}
-    return from_json(ModelConfig, d, "config")
 
 
 def conv_norm(cin, cout, kernel, stride, padding, name, seed, dtype, tag=""):
@@ -338,23 +317,9 @@ class E2VModel(nn.Module):
         return [(p.name, p.value) for p in self.parameters()] + self.buffers()
 
     def load_state(self, entries: dict[str, np.ndarray]):
-        """Install parameter and buffer values from a checkpoint dict.
-
-        Checkpoints from before convs lost their bias carry one for every
-        conv; a conv's bias b only shifts the batch mean of the norm that
-        follows it, so it is folded into that norm's running mean (rm - b).
-        """
-        entries = dict(entries)
-        for seq in self.modules():
-            if not isinstance(seq, nn.Sequential):
-                continue
-            for conv, norm in zip(seq.layers, seq.layers[1:]):
-                if not (isinstance(conv, nn.Conv3d) and isinstance(norm, nn.BatchNorm3d)):
-                    continue
-                bias = conv.weight.name.removesuffix("weight") + "bias"
-                mean = f"{norm.name}.running_mean"
-                if bias in entries and np.shape(entries[bias]) == np.shape(entries.get(mean)):
-                    entries[mean] = entries[mean] - entries.pop(bias)
+        """Install parameter and buffer values from a checkpoint dict, which
+        must hold exactly the model's parameters and buffers, each of its
+        shape; anything else is a DataError."""
         own = {p.name: p for p in self.parameters()}
         buf_names = {name for name, _ in self.buffers()}
         expected = set(own) | buf_names

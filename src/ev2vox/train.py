@@ -1,10 +1,14 @@
 """AdamW optimization, the training loop, and per-category evaluation.
 
-Checkpoints carry the model parameters, the norm running statistics, and
-the optimizer moments, so a resumed run continues bit-for-bit where the
-interrupted one stopped. The shuffle order is drawn from a generator
-seeded with (seed, epoch), which is what makes resumption equivalent to
-never having stopped.
+A trained model is three files in a run directory, written and read only
+here: ``model.ckpt`` (CKP1: the model parameters, the norm running
+statistics and the optimizer moments), its JSON sidecar ``model.ckpt.json``
+(the model config, seed and epoch) and ``metrics.csv`` (one row per epoch).
+``load_training_checkpoint`` builds the model the sidecar describes and
+loads the checkpoint into it and into a fresh optimizer state, so a resumed
+run continues bit-for-bit where the interrupted one stopped. The shuffle
+order is drawn from a generator seeded with (seed, epoch), which is what
+makes resumption equivalent to never having stopped.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ import numpy as np
 from . import voxel
 from .artifacts import make_dir, read, read_json, write, write_json
 from .checkpoint import load_checkpoint, save_checkpoint
+from .config import from_json
 from .errors import ConfigError, DataError, InternalError
-from .model import E2VModel, bce_loss, frames_to_input
+from .model import E2VModel, ModelConfig, bce_loss, build_model, frames_to_input
 
 # samples per inference batch in evaluate()
 EVAL_BATCH = 5
@@ -81,6 +86,8 @@ class OptState:
     def from_entries(cls, params, entries):
         """The state that ``entries``, read from a checkpoint, hold for
         ``params``; a missing or misshapen entry is a DataError."""
+        if "opt.step" not in entries:
+            raise DataError("checkpoint has no optimizer state")
         state = cls(params)
         step = np.asarray(entries["opt.step"])
         if step.size != 1 or not np.isfinite(step).all():
@@ -185,26 +192,34 @@ def _save_training_checkpoint(out_dir, model, state, run, epoch_done, log):
     return path
 
 
-def restore_training_state(path, model) -> OptState:
-    """Load a checkpoint written by train() into ``model``; return its
-    optimizer state. Entries that do not fit the model are a DataError
-    that names ``path``."""
-    entries = load_checkpoint(path)
-    model_entries = {k: v for k, v in entries.items() if not k.startswith("opt.")}
-    opt_entries = {k: v for k, v in entries.items() if k.startswith("opt.")}
+def load_training_checkpoint(
+    path, expected: ModelConfig | None = None
+) -> tuple[E2VModel, OptState, dict]:
+    """The model, optimizer state and JSON sidecar of a checkpoint that
+    train() wrote to ``path``; the model is built from the sidecar's config.
+
+    A missing sidecar is an IoFailure and one that is not JSON a
+    FormatError. A sidecar that describes no model is a DataError naming
+    the sidecar. A model other than ``expected`` (checked before anything
+    is built), or entries that do not fit the model, is a DataError naming
+    ``path``.
+    """
+    sidecar_path = f"{path}.json"
+    sidecar = read_json(sidecar_path)
     try:
-        model.load_state(model_entries)
-        if "opt.step" not in opt_entries:
-            raise DataError("checkpoint has no optimizer state")
-        return OptState.from_entries(model.parameters(), opt_entries)
+        config = from_json(ModelConfig, sidecar["config"], "config")
+        if expected is not None and config != expected:
+            raise DataError(f"{path}: checkpoint was trained with a different model configuration")
+        model = build_model(config.encoder, config.decoder, seed=config.seed)
+    except (KeyError, TypeError, ConfigError) as exc:
+        raise DataError(f"{sidecar_path}: sidecar does not describe a model ({exc})") from exc
+    entries = load_checkpoint(path)
+    try:
+        model.load_state({k: v for k, v in entries.items() if not k.startswith("opt.")})
+        opt_state = OptState.from_entries(model.parameters(), entries)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
-
-
-def load_training_checkpoint(path, model):
-    """Restore model and optimizer from a checkpoint written by train();
-    return the optimizer state and the checkpoint's JSON sidecar."""
-    return restore_training_state(path, model), read_json(f"{path}.json")
+    return model, opt_state, sidecar
 
 
 def load_metric_log(out_dir) -> list[tuple[int, float, float]]:

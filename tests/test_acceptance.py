@@ -364,8 +364,7 @@ def test_criterion_7_determinism(announce, tmp_path):
 
         # checkpoint + optimizer state round-trips bit-exactly
         res = artifacts[0][2]
-        fresh = build_model(EncoderConfig.toy(), DecoderConfig.toy(), seed=9)
-        state, sidecar = load_training_checkpoint(tmp_path / "r1" / "model.ckpt", fresh)
+        fresh, state, sidecar = load_training_checkpoint(tmp_path / "r1" / "model.ckpt")
         for (n1, v1), (n2, v2) in zip(res.model.state_entries(), fresh.state_entries()):
             assert n1 == n2 and v1.tobytes() == v2.tobytes()
         for (n1, v1), (n2, v2) in zip(res.opt_state.entries(), state.entries()):
@@ -383,8 +382,7 @@ def test_criterion_7_determinism(announce, tmp_path):
         run3 = TrainRun(epochs=3, batch_size=2, seed=1, checkpoint_every=3)
         model = build_model(EncoderConfig.toy(), DecoderConfig.toy(), seed=1)
         train(data, model, run3, AdamWConfig.toy(), out_dir=str(part_dir))
-        resumed = build_model(EncoderConfig.toy(), DecoderConfig.toy(), seed=1)
-        state, sidecar = load_training_checkpoint(part_dir / "model.ckpt", resumed)
+        resumed, state, sidecar = load_training_checkpoint(part_dir / "model.ckpt")
         train(data, resumed, run6, AdamWConfig.toy(), out_dir=str(part_dir),
               start_epoch=sidecar["epoch"], opt_state=state,
               log=load_metric_log(str(part_dir)))

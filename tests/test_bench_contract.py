@@ -10,12 +10,13 @@ the toy run config, so the names both read are pinned here too.
 
 import importlib
 import importlib.util
+import shutil
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
-from ev2vox import cli
+from ev2vox import cli, train
 from ev2vox import model as M
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -79,6 +80,25 @@ def test_every_traced_function_resolves():
 def test_cli_binds_build_model():
     # the tracer counts model builds through each module's own binding
     assert cli.build_model is M.build_model
+    assert train.build_model is M.build_model
+
+
+def test_eval_builds_one_model_and_bins_nothing(pipeline, tmp_path):
+    # bench/workload.py expects these calls of the toy pipeline's eval stage
+    run = tmp_path / "run"
+    shutil.copytree(pipeline["run"], run)
+    tracer = load_tracer().Tracer()
+    try:
+        tracer.install()
+        code = cli.main(["eval", "--toy", "--config", pipeline["cfg"],
+                         "--manifest", str(pipeline["manifest"]), "--out", str(run)])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    calls = tracer.calls()
+    assert calls["model.build_s"] == 1 and calls["checkpoint.load_s"] == 1
+    assert calls["events.evt1_read_s"] == 0 and calls["events.bin_to_frames_s"] == 0
+    assert calls["voxel.vox1_read_s"] == len(cli.load_manifest(pipeline["manifest"]).entries)
 
 
 def test_toy_config_has_what_the_workload_reads():

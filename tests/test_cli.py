@@ -26,7 +26,7 @@ from ev2vox.errors import (
     IoFailure,
     PipelineError,
 )
-from ev2vox.events import EventStream, read_evt1, write_evt1
+from ev2vox.events import EventStream, bin_to_frames, read_evt1, write_evt1
 from ev2vox.model import EncoderConfig
 from ev2vox.voxel import VoxelGrid, parse_obj, write_vox1
 
@@ -347,12 +347,15 @@ class TestConfig:
         assert "seed must be non-negative" in capsys.readouterr().err
 
 
-# caches that parse but hold no (D, H, W) uint8 stack
+# caches that parse but hold no (D, H, W) uint8 stack, or one of another
+# shape than the (10, 32, 32) their sidecar records
 DAMAGED_CACHES = [
     pytest.param(np.zeros((10, 32), np.uint8), id="2d"),
     pytest.param(np.zeros((4, 10, 32, 32), np.uint8), id="4d"),
     pytest.param(np.full((10, 32, 32), "1"), id="str"),
     pytest.param(np.full((10, 32, 32), 0.5), id="float64"),
+    pytest.param(np.zeros((10, 16, 16), np.uint8), id="smaller-frames"),
+    pytest.param(np.zeros((3, 32, 32), np.uint8), id="fewer-frames"),
 ]
 
 
@@ -467,6 +470,23 @@ class TestPreprocess:
         assert code == 3
         assert str(cached) in capsys.readouterr().err
 
+    def test_cache_is_used_only_for_the_events_it_binned(self, tmp_path):
+        # seed 8's events overwrite seed 7's beside seed 7's cache
+        cfg = write_config(tmp_path / "c.json", {"generate": {"count": 2}})
+        data = tmp_path / "d"
+        for args in (["generate", "--seed", "7", "--out", str(data)],
+                     ["preprocess", "--manifest", str(data / "manifest.json")],
+                     ["generate", "--seed", "8", "--out", str(data)]):
+            assert cli.main(args + ["--toy", "--config", cfg]) == 0
+        run_cfg = cli.load_run_config(cfg, toy=True)
+        manifest = cli.load_manifest(data / "manifest.json")
+        for entry in manifest.entries:
+            fresh = bin_to_frames(read_evt1(data / entry.events), run_cfg.binning)
+            stale = np.load(data / "cache" / f"{entry.sample_id}.frames.npy")
+            assert not np.array_equal(stale, fresh)
+            frames = cli._frames(run_cfg, manifest, entry, data / "cache")
+            np.testing.assert_array_equal(frames, fresh)
+
     def test_cache_is_used_only_for_its_binning(self, pipeline, tmp_path):
         data = copy_dataset(pipeline, tmp_path)
         manifest = cli.load_manifest(data / "manifest.json")
@@ -493,6 +513,25 @@ def copy_dataset(pipeline, tmp_path) -> Path:
 DAMAGED_SIDECARS = [b'{"config": {"encoder": {"st', b"{}", b"[]", b'{"config": 3}', b"\xff\xfe"]
 
 
+# changes to the pipeline's sidecar config, each leaving JSON that describes
+# no model this version builds: keys that sidecars carried before the norm
+# and in_channels options went, and a hidden volume that the decoder's two
+# levels cannot halve and restore
+RETIRED_KEYS = {"encoder": {"norm": "batch", "in_channels": 1}, "decoder": {"norm": "batch"}}
+ODD_HIDDEN = {"encoder": {"hidden_spatial": [5, 5, 5]}}
+NO_MODEL = "model.ckpt.json: sidecar does not describe a model"
+# (command, change, what the error names and says); eval compares the
+# sidecar's config with --config's before it builds anything
+SIDECARS_WITHOUT_A_MODEL = [
+    pytest.param("eval", RETIRED_KEYS, NO_MODEL, id="eval-retired-keys"),
+    pytest.param("export", RETIRED_KEYS, NO_MODEL, id="export-retired-keys"),
+    pytest.param("eval", ODD_HIDDEN,
+                 "model.ckpt: checkpoint was trained with a different model configuration",
+                 id="eval-odd-hidden"),
+    pytest.param("export", ODD_HIDDEN, NO_MODEL, id="export-odd-hidden"),
+]
+
+
 def damaged_run(pipeline, tmp_path, sidecar: bytes) -> Path:
     """A run directory holding the pipeline's checkpoint beside ``sidecar``."""
     run = tmp_path / "run"
@@ -503,11 +542,13 @@ def damaged_run(pipeline, tmp_path, sidecar: bytes) -> Path:
 
 
 # (entry, replacement): an optimizer moment left out, one of the wrong
-# shape, and a step counter of two values
+# shape, a step counter of two values, and a bias on a conv that feeds a
+# norm, which convs carried before they lost it
 DAMAGED_CHECKPOINTS = [
     pytest.param("opt.m/encoder.stem.conv.weight", None, id="missing-moment"),
     pytest.param("opt.v/encoder.stem.conv.weight", np.zeros(3, np.float32), id="misshapen-moment"),
     pytest.param("opt.step", np.ones(2, np.float32), id="two-steps"),
+    pytest.param("encoder.stem.conv.bias", np.zeros(8, np.float32), id="conv-bias"),
 ]
 
 
@@ -575,23 +616,6 @@ class TestTrainEval:
         assert code == 3
         assert "configuration" in capsys.readouterr().err
 
-    def test_eval_accepts_sidecar_with_retired_keys(self, pipeline, tmp_path):
-        # sidecars written before the norm and in_channels options were removed
-        # carry these keys
-        run = tmp_path / "run"
-        run.mkdir()
-        (run / "model.ckpt").write_bytes((pipeline["run"] / "model.ckpt").read_bytes())
-        sidecar = json.loads((pipeline["run"] / "model.ckpt.json").read_text())
-        sidecar["config"]["encoder"].update(norm="batch", paper_scale=False, in_channels=1)
-        sidecar["config"]["decoder"]["norm"] = "batch"
-        (run / "model.ckpt.json").write_text(json.dumps(sidecar))
-        code = cli.main(
-            ["eval", "--toy", "--config", pipeline["cfg"],
-             "--manifest", str(pipeline["manifest"]), "--out", str(run)]
-        )
-        assert code == 0
-        assert (run / "report.txt").read_text() == (pipeline["run"] / "report.txt").read_text()
-
     @pytest.mark.parametrize("section,key", [
         ("encoder", "norm"), ("decoder", "norm"), ("encoder", "paper_scale"),
         ("encoder", "in_channels"),
@@ -640,6 +664,25 @@ class TestTrainEval:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "model.ckpt" in err and key in err
+
+    @pytest.mark.parametrize("command,change,message", SIDECARS_WITHOUT_A_MODEL)
+    def test_sidecar_without_a_model_exits_3(self, pipeline, tmp_path, capsys,
+                                             command, change, message):
+        sidecar = json.loads((pipeline["run"] / "model.ckpt.json").read_text())
+        for section, keys in change.items():
+            sidecar["config"][section].update(keys)
+        run = damaged_run(pipeline, tmp_path, json.dumps(sidecar).encode())
+        out = tmp_path / "x.obj"
+        args = {
+            "eval": ["eval", "--out", str(run)],
+            "export": ["export", str(run / "model.ckpt"), "s0000", "--out", str(out)],
+        }[command]
+        code = cli.main(args + ["--toy", "--config", pipeline["cfg"],
+                                "--manifest", str(pipeline["manifest"])])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {run / message}")
+        assert not (run / "report.txt").exists() and not out.exists()
 
     def test_eval_without_checkpoint_exits_3(self, pipeline, tmp_path):
         code = cli.main(

@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import re
 from dataclasses import asdict
 
 import numpy as np
@@ -11,6 +10,7 @@ import pytest
 from ev2vox import model as M
 from ev2vox import nn
 from ev2vox.checkpoint import save_checkpoint
+from ev2vox.config import from_json
 from ev2vox.errors import (
     ConfigError,
     DataError,
@@ -52,28 +52,7 @@ class TestConfigs:
                          (M.EncoderConfig.paper(), M.DecoderConfig.paper())):
             # through JSON text, so tuples come back from lists
             d = json.loads(json.dumps(asdict(M.ModelConfig(enc, dec, seed=3))))
-            assert M.read_model_config(d) == M.ModelConfig(enc, dec, seed=3)
-
-    def test_legacy_norm_keys_accepted(self):
-        # sidecars written before the norm and in_channels options were
-        # removed still load
-        enc, dec = M.EncoderConfig.toy(), M.DecoderConfig.toy()
-        d = asdict(M.ModelConfig(enc, dec, seed=0))
-        d["encoder"].update(norm="batch", paper_scale=False, in_channels=1)
-        d["decoder"]["norm"] = "batch"
-        assert M.read_model_config(d) == M.ModelConfig(enc, dec)
-
-    def test_legacy_norm_none_rejected(self):
-        d = asdict(M.ModelConfig(M.EncoderConfig.toy(), M.DecoderConfig.toy(), seed=0))
-        d["decoder"]["norm"] = "none"
-        with pytest.raises(ConfigError, match="config.decoder.norm"):
-            M.read_model_config(d)
-
-    def test_legacy_in_channels_other_than_one_rejected(self):
-        d = asdict(M.ModelConfig(M.EncoderConfig.toy(), M.DecoderConfig.toy(), seed=0))
-        d["encoder"]["in_channels"] = 2
-        with pytest.raises(ConfigError, match="config.encoder.in_channels"):
-            M.read_model_config(d)
+            assert from_json(M.ModelConfig, d, "config") == M.ModelConfig(enc, dec, seed=3)
 
     @pytest.mark.parametrize("make", [
         lambda: M.StemConfig(kernel=(3, 0, 3)),
@@ -302,7 +281,7 @@ class TestDeterminism:
         enc, dec = micro_configs()
         m = M.build_model(enc, dec, seed=13)
         d = asdict(M.ModelConfig(enc, dec, seed=13))
-        m2 = M.E2VModel(M.read_model_config(d), np.float32)
+        m2 = M.E2VModel(from_json(M.ModelConfig, d, "config"), np.float32)
         for pa, pb in zip(m.parameters(), m2.parameters()):
             np.testing.assert_array_equal(pa.value, pb.value)
 
@@ -351,32 +330,6 @@ class TestState:
         save_checkpoint(path, entries)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "ced5bc37aecc1e34d735086ad930158e19773be2b97b5655c7901496e6e6309d"
-
-    def test_parent_format_entries_load_with_biases_folded(self):
-        # a checkpoint from when every conv had a bias: each conv that feeds
-        # a norm gets a random bias b, and that norm's running mean gains b,
-        # which leaves the eval-mode output unchanged
-        m = M.build_model(*micro_configs(), seed=3)
-        rng = np.random.default_rng(0)
-        x = rng.random((2, 1, 6, 16, 16)).astype(np.float32)
-        m.train().forward(x, remember=False)
-        legacy = {name: value.copy() for name, value in m.state_entries()}
-        for name, value in m.state_entries():
-            prefix = name.removesuffix(".weight")
-            if prefix != name and prefix != "decoder.head.conv":
-                b = rng.normal(size=value.shape[1 if "deconv" in prefix else 0])
-                legacy[f"{prefix}.bias"] = b.astype(np.float32)
-                mean = re.sub(r"(de)?conv(\d?)$", r"norm\2", prefix) + ".running_mean"
-                legacy[mean] = legacy[mean] + legacy[f"{prefix}.bias"]
-        assert len(legacy) == len(m.state_entries()) + 13
-        other = M.build_model(*micro_configs(), seed=77)
-        other.load_state(legacy)
-        for (ka, va), (kb, vb) in zip(m.state_entries(), other.state_entries()):
-            assert ka == kb
-            np.testing.assert_allclose(vb, va, rtol=0, atol=1e-5)
-        want = m.eval().forward(x, remember=False)
-        got = other.eval().forward(x, remember=False)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
 
     def test_train_eval_reach_every_batchnorm(self):
         from ev2vox import nn

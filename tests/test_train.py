@@ -6,7 +6,7 @@ import pytest
 from ev2vox import train as T
 from ev2vox import voxel
 from ev2vox.errors import ConfigError, DataError, InternalError
-from ev2vox.model import DecoderConfig, EncoderConfig, build_model
+from ev2vox.model import DecoderConfig, EncoderConfig, ModelConfig, build_model
 from ev2vox.nn import Parameter
 
 
@@ -185,10 +185,8 @@ class TestTrainLoop:
         run_half = T.TrainRun(epochs=3, batch_size=2, seed=7, checkpoint_every=3)
         T.train(data, toy_model(seed=2), run_half, opt, out_dir=tmp_path / "part")
 
-        resumed_model = toy_model(seed=2)
-        state, sidecar = T.load_training_checkpoint(
-            tmp_path / "part" / "model.ckpt", resumed_model
-        )
+        ckpt = tmp_path / "part" / "model.ckpt"
+        resumed_model, state, sidecar = T.load_training_checkpoint(ckpt)
         log = T.load_metric_log(tmp_path / "part")
         assert sidecar["epoch"] == 3
         resumed = T.train(
@@ -206,10 +204,18 @@ class TestTrainLoop:
         run = T.TrainRun(epochs=2, batch_size=2, seed=0, checkpoint_every=10)
         result = T.train(data, toy_model(), run, T.AdamWConfig.toy(), out_dir=tmp_path)
         assert result.checkpoint_path is not None
-        state, sidecar = T.load_training_checkpoint(result.checkpoint_path, toy_model())
+        _, state, sidecar = T.load_training_checkpoint(result.checkpoint_path)
         assert sidecar["epoch"] == 2 and sidecar["seed"] == 0
         assert state.step == result.opt_state.step
         assert T.load_metric_log(tmp_path) == result.log
+
+    def test_loader_refuses_another_model_before_building(self, tmp_path, monkeypatch):
+        run = T.TrainRun(epochs=1, batch_size=2, seed=0, checkpoint_every=1)
+        result = T.train(toy_dataset(2), toy_model(), run, T.AdamWConfig.toy(), out_dir=tmp_path)
+        monkeypatch.setattr(T, "build_model", None)
+        other = ModelConfig(EncoderConfig.toy(), DecoderConfig.toy(), seed=1)
+        with pytest.raises(DataError, match="model.ckpt: checkpoint was trained with a different"):
+            T.load_training_checkpoint(result.checkpoint_path, other)
 
 
 class TestOverfit:
