@@ -258,12 +258,12 @@ def split_assignments(ids, ratios, seed: int) -> dict[str, str]:
 def _procedural_scene(seed: int, index: int) -> tuple[Scene, str]:
     """Sample one desk-scale primitive scene from (seed, index)."""
     rng = np.random.default_rng((seed, index))
-    kind = ("sphere", "box", "cylinder")[int(rng.integers(3))]
+    cls = (Sphere, Box, Cylinder)[int(rng.integers(3))]
     center = tuple(rng.uniform(-0.15, 0.15, size=3))
     albedo = float(rng.uniform(0.65, 0.95))
-    if kind == "sphere":
+    if cls is Sphere:
         prim = Sphere(center, float(rng.uniform(0.15, 0.32)), albedo)
-    elif kind == "box":
+    elif cls is Box:
         prim = Box(center, tuple(rng.uniform(0.12, 0.3, size=3)), albedo)
     else:
         prim = Cylinder(
@@ -273,12 +273,12 @@ def _procedural_scene(seed: int, index: int) -> tuple[Scene, str]:
             float(rng.uniform(0.15, 0.3)),
             albedo,
         )
-    return Scene(primitives=[prim]), kind
+    return Scene(primitives=[prim]), prim.kind
 
 
 def _scene_category(scene: Scene) -> str:
     if len(scene.primitives) == 1:
-        return type(scene.primitives[0]).__name__.lower()
+        return scene.primitives[0].kind
     return "mixed"
 
 
@@ -345,9 +345,7 @@ def cmd_preprocess(cfg: RunConfig, manifest_path: str, threads: int) -> int:
         write(cache / f"{entry.sample_id}.frames.npy", npy.getvalue())
         meta = {
             "binning": dataclasses.asdict(cfg.binning),
-            "window": cfg.binning.window,
             "shape": list(frames.shape),
-            "source": entry.events,
             "events_sha256": _sha256(events),
         }
         write_json(cache / f"{entry.sample_id}.frames.json", meta)

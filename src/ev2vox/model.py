@@ -317,35 +317,13 @@ class E2VModel(nn.Module):
         return [(p.name, p.value) for p in self.parameters()] + self.buffers()
 
     def load_state(self, entries: dict[str, np.ndarray]):
-        """Install parameter and buffer values from a checkpoint dict, which
-        must hold exactly the model's parameters and buffers, each of its
-        shape; anything else is a DataError."""
-        own = {p.name: p for p in self.parameters()}
-        buf_names = {name for name, _ in self.buffers()}
-        expected = set(own) | buf_names
-        got = set(entries)
-        if expected != got:
-            missing = sorted(expected - got)
-            extra = sorted(got - expected)
-            raise DataError(
-                f"checkpoint does not match model: missing {missing[:4]}, unexpected {extra[:4]}"
-            )
-        for name, p in own.items():
-            value = entries[name]
-            if value.shape != p.value.shape:
-                raise DataError(
-                    f"{name}: checkpoint shape {value.shape} != model shape {p.value.shape}"
-                )
-            p.value = value.astype(self.dtype)
+        """Install parameter and buffer values from checkpoint ``entries``,
+        which hold each of ``state_entries()`` at its shape."""
+        for p in self.parameters():
+            p.value = entries[p.name].astype(self.dtype)
         for m in self.modules():
             for attr in m.buffer_names:
-                name, old = f"{m.name}.{attr}", getattr(m, attr)
-                value = entries[name]
-                if value.size != old.size:
-                    raise DataError(
-                        f"{name}: checkpoint has {value.size} values, model expects {old.size}"
-                    )
-                setattr(m, attr, value.astype(np.float32).reshape(old.shape))
+                setattr(m, attr, entries[f"{m.name}.{attr}"].astype(np.float32))
 
 
 def build_model(enc_cfg: EncoderConfig, dec_cfg: DecoderConfig, seed: int = 0,

@@ -4,9 +4,17 @@ The world is desk scale: scene geometry lives inside the unit-diameter
 region around the origin and the camera orbits it from a few meters out,
 descending from z = +2 to z = -2 while the orbit radius swells from 4 to
 6 and back. Rendering is a plain Lambertian raycaster over axis-aligned
-analytic primitives (or a normalized triangle mesh) against a white
+analytic primitives and a normalized triangle mesh against a white
 background; the fixed directional lights all lie in the x-z plane so a
 scene mirrored in that plane photographs as the mirrored image.
+
+Each primitive class (``Sphere``, ``Box``, ``Cylinder``) carries its own
+geometry: its JSON ``kind``, ``hit(o, d) -> (t, normals)`` (the smallest
+positive ray parameter per ray, inf where missed, and the unit outward
+normal there) and ``inside(xs, ys, zs)``, a test of points for the
+occupancy label. The renderer and the label call these and never branch on
+the type; a scene holding a mesh and primitives is labelled with the union
+of their parts.
 
 A mesh is raycast by screen tiles. Each triangle's projected pixel
 bounding box, grown by one pixel, bins it into TILE x TILE tiles, and each
@@ -24,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -86,8 +95,15 @@ class CameraIntrinsics:
         return self.focal_length / self.sensor_width * self.width
 
 
+def _hit_points(o, d, t):
+    """Where each ray meets its hit, or its origin where ``t`` is inf."""
+    return o[None, :] + np.where(np.isfinite(t), t, 0.0)[:, None] * d
+
+
 @dataclass(frozen=True)
 class Sphere:
+    kind: ClassVar[str] = "sphere"
+
     center: tuple[float, float, float]
     radius: float
     albedo: float = 0.9
@@ -96,9 +112,31 @@ class Sphere:
         if self.radius <= 0:
             raise ConfigError(f"radius must be positive, got {self.radius}")
 
+    def hit(self, o, d):
+        center = np.asarray(self.center)
+        oc = o - center
+        b = d @ oc
+        # d is unit length, so the quadratic's leading coefficient is 1
+        c = oc @ oc - self.radius * self.radius
+        disc = b * b - c
+        t = np.full(d.shape[0], np.inf)
+        ok = disc >= 0
+        root = np.sqrt(disc[ok])
+        t0 = -b[ok] - root
+        t1 = -b[ok] + root
+        best = np.where(t0 > 1e-9, t0, np.where(t1 > 1e-9, t1, np.inf))
+        t[ok] = best
+        return t, (_hit_points(o, d, t) - center) / self.radius
+
+    def inside(self, xs, ys, zs):
+        cx, cy, cz = self.center
+        return (xs - cx) ** 2 + (ys - cy) ** 2 + (zs - cz) ** 2 <= self.radius ** 2
+
 
 @dataclass(frozen=True)
 class Box:
+    kind: ClassVar[str] = "box"
+
     center: tuple[float, float, float]
     half_extents: tuple[float, float, float]
     albedo: float = 0.9
@@ -107,10 +145,36 @@ class Box:
         if any(e <= 0 for e in self.half_extents):
             raise ConfigError(f"half_extents must be positive, got {self.half_extents}")
 
+    def hit(self, o, d):
+        lo = np.asarray(self.center) - np.asarray(self.half_extents)
+        hi = np.asarray(self.center) + np.asarray(self.half_extents)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = 1.0 / d
+            t1 = (lo - o) * inv
+            t2 = (hi - o) * inv
+        near = np.nanmax(np.minimum(t1, t2), axis=1)
+        far = np.nanmin(np.maximum(t1, t2), axis=1)
+        hit = (near <= far) & (far > 1e-9)
+        t = np.where(hit, np.where(near > 1e-9, near, far), np.inf)
+        axis = np.argmax(np.minimum(t1, t2), axis=1)
+        pts = _hit_points(o, d, t)
+        normals = np.zeros_like(pts)
+        rows = np.arange(d.shape[0])
+        signs = np.sign(pts[rows, axis] - np.asarray(self.center)[axis])
+        normals[rows, axis] = np.where(signs == 0, 1.0, signs)
+        return t, normals
+
+    def inside(self, xs, ys, zs):
+        cx, cy, cz = self.center
+        hx, hy, hz = self.half_extents
+        return (np.abs(xs - cx) <= hx) & (np.abs(ys - cy) <= hy) & (np.abs(zs - cz) <= hz)
+
 
 @dataclass(frozen=True)
 class Cylinder:
     """Axis-aligned cylinder: ``axis`` is 0, 1, or 2 (x, y, z)."""
+
+    kind: ClassVar[str] = "cylinder"
 
     center: tuple[float, float, float]
     axis: int
@@ -126,9 +190,59 @@ class Cylinder:
                 f"radius and half_height must be positive, got {self.radius}, {self.half_height}"
             )
 
+    def hit(self, o, d):
+        a_ax = self.axis
+        plane = [i for i in range(3) if i != a_ax]
+        op = o[plane] - np.asarray(self.center)[plane]
+        dp = d[:, plane]
+        a = np.einsum("ij,ij->i", dp, dp)
+        b = dp @ op
+        c = op @ op - self.radius ** 2
+        t = np.full(d.shape[0], np.inf)
+        normal_kind = np.zeros(d.shape[0], dtype=np.int8)  # 0 side, +-1 caps
 
-# the JSON "kind" of each primitive class
-PRIMITIVES = {"sphere": Sphere, "box": Box, "cylinder": Cylinder}
+        with np.errstate(divide="ignore", invalid="ignore"):
+            disc = b * b - a * c
+            ok = (disc >= 0) & (a > 0)
+            root = np.sqrt(np.where(ok, disc, 0.0))
+            for sign in (-1.0, 1.0):
+                ts = (-b + sign * root) / a
+                z_at = o[a_ax] + ts * d[:, a_ax]
+                good = (ok & (ts > 1e-9) & (np.abs(z_at - self.center[a_ax]) <= self.half_height)
+                        & (ts < t))
+                t = np.where(good, ts, t)
+
+            # caps
+            for cap_sign in (-1.0, 1.0):
+                plane_z = self.center[a_ax] + cap_sign * self.half_height
+                ts = (plane_z - o[a_ax]) / d[:, a_ax]
+                p = o[None, :] + ts[:, None] * d
+                r2 = np.zeros(d.shape[0])
+                for i in plane:
+                    r2 += (p[:, i] - self.center[i]) ** 2
+                good = (ts > 1e-9) & (r2 <= self.radius ** 2) & (ts < t)
+                t = np.where(good, ts, t)
+                normal_kind = np.where(good, np.int8(cap_sign), normal_kind)
+
+        pts = _hit_points(o, d, t)
+        normals = np.zeros_like(pts)
+        side = normal_kind == 0
+        for i in plane:
+            normals[side, i] = (pts[side, i] - self.center[i]) / self.radius
+        normals[~side, a_ax] = normal_kind[~side]
+        return t, normals
+
+    def inside(self, xs, ys, zs):
+        grids = (xs, ys, zs)
+        along = np.abs(grids[self.axis] - self.center[self.axis]) <= self.half_height
+        r2 = np.zeros_like(xs)
+        for i in range(3):
+            if i != self.axis:
+                r2 = r2 + (grids[i] - self.center[i]) ** 2
+        return along & (r2 <= self.radius ** 2)
+
+
+PRIMITIVES = {cls.kind: cls for cls in (Sphere, Box, Cylinder)}
 
 
 @dataclass
@@ -175,23 +289,6 @@ def camera_pose(cfg: TrajectoryConfig, t: float) -> Pose:
     r = cfg.r_min + (cfg.r_max - cfg.r_min) * (1.0 - abs(z) / abs(cfg.z_start))
     theta = 2.0 * math.pi * cfg.revolutions * frac
     return look_at_pose([r * math.cos(theta), r * math.sin(theta), z])
-
-
-def _sphere_hits(o, d, center, radius):
-    """Smallest positive ray parameter per ray, inf where missed."""
-    oc = o - center
-    b = d @ oc
-    # d is unit length, so the quadratic's leading coefficient is 1
-    c = oc @ oc - radius * radius
-    disc = b * b - c
-    t = np.full(d.shape[0], np.inf)
-    ok = disc >= 0
-    root = np.sqrt(disc[ok])
-    t0 = -b[ok] - root
-    t1 = -b[ok] + root
-    best = np.where(t0 > 1e-9, t0, np.where(t1 > 1e-9, t1, np.inf))
-    t[ok] = best
-    return t
 
 
 def _triangle_hits(o, d, vertices, triangles):
@@ -264,57 +361,6 @@ def _mesh_hits(o, d, vertices, triangles, pose: Pose, cam: CameraIntrinsics):
     return best_t, best_tri
 
 
-def _box_hits(o, d, center, half):
-    lo = np.asarray(center) - np.asarray(half)
-    hi = np.asarray(center) + np.asarray(half)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / d
-        t1 = (lo - o) * inv
-        t2 = (hi - o) * inv
-    near = np.nanmax(np.minimum(t1, t2), axis=1)
-    far = np.nanmin(np.maximum(t1, t2), axis=1)
-    hit = (near <= far) & (far > 1e-9)
-    t = np.where(hit, np.where(near > 1e-9, near, far), np.inf)
-    axis = np.argmax(np.minimum(t1, t2), axis=1)
-    return t, axis
-
-
-def _cylinder_hits(o, d, cyl: Cylinder):
-    a_ax = cyl.axis
-    plane = [i for i in range(3) if i != a_ax]
-    op = o[plane] - np.asarray(cyl.center)[plane]
-    dp = d[:, plane]
-    a = np.einsum("ij,ij->i", dp, dp)
-    b = dp @ op
-    c = op @ op - cyl.radius ** 2
-    t = np.full(d.shape[0], np.inf)
-    normal_kind = np.zeros(d.shape[0], dtype=np.int8)  # 0 side, +-1 caps
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        disc = b * b - a * c
-        ok = (disc >= 0) & (a > 0)
-        root = np.sqrt(np.where(ok, disc, 0.0))
-        for sign in (-1.0, 1.0):
-            ts = (-b + sign * root) / a
-            z_at = o[a_ax] + ts * d[:, a_ax]
-            good = ok & (ts > 1e-9) & (np.abs(z_at - cyl.center[a_ax]) <= cyl.half_height) & (ts < t)
-            t = np.where(good, ts, t)
-
-        # caps
-        for cap_sign in (-1.0, 1.0):
-            plane_z = cyl.center[a_ax] + cap_sign * cyl.half_height
-            ts = (plane_z - o[a_ax]) / d[:, a_ax]
-            p = o[None, :] + ts[:, None] * d
-            r2 = np.zeros(d.shape[0])
-            for i in plane:
-                r2 += (p[:, i] - cyl.center[i]) ** 2
-            good = (ts > 1e-9) & (r2 <= cyl.radius ** 2) & (ts < t)
-            t = np.where(good, ts, t)
-            normal_kind = np.where(good, np.int8(cap_sign), normal_kind)
-
-    return t, normal_kind
-
-
 def render_frame(scene: Scene, pose: Pose, cam: CameraIntrinsics) -> np.ndarray:
     """Raycast one frame: nearest-hit Lambertian shading, white background.
 
@@ -376,32 +422,7 @@ def render_frame(scene: Scene, pose: Pose, cam: CameraIntrinsics) -> np.ndarray:
         consider(t, normals, scene.mesh_albedo)
 
     for prim in scene.primitives:
-        if isinstance(prim, Sphere):
-            t = _sphere_hits(o, d, np.asarray(prim.center), prim.radius)
-            tt = np.where(np.isfinite(t), t, 0.0)
-            pts = o[None, :] + tt[:, None] * d
-            normals = (pts - np.asarray(prim.center)) / prim.radius
-            consider(t, normals, prim.albedo)
-        elif isinstance(prim, Box):
-            t, axis = _box_hits(o, d, prim.center, prim.half_extents)
-            pts = o[None, :] + np.where(np.isfinite(t), t, 0.0)[:, None] * d
-            normals = np.zeros_like(pts)
-            rows = np.arange(d.shape[0])
-            signs = np.sign(pts[rows, axis] - np.asarray(prim.center)[axis])
-            normals[rows, axis] = np.where(signs == 0, 1.0, signs)
-            consider(t, normals, prim.albedo)
-        elif isinstance(prim, Cylinder):
-            t, kind = _cylinder_hits(o, d, prim)
-            pts = o[None, :] + np.where(np.isfinite(t), t, 0.0)[:, None] * d
-            normals = np.zeros_like(pts)
-            side = kind == 0
-            plane = [i for i in range(3) if i != prim.axis]
-            for i in plane:
-                normals[side, i] = (pts[side, i] - prim.center[i]) / prim.radius
-            normals[~side, prim.axis] = kind[~side]
-            consider(t, normals, prim.albedo)
-        else:
-            raise ConfigError(f"unknown primitive {type(prim).__name__}")
+        consider(*prim.hit(o, d), prim.albedo)
 
     img = np.ones(d.shape[0])
     hit = np.isfinite(best_t)
@@ -496,38 +517,16 @@ def video_to_events(
 def occupancy_label(scene: Scene, resolution: int) -> voxel.VoxelGrid:
     """Scene occupancy on an R-cube over the unit cube around the origin.
 
-    Primitive scenes use exact inside tests at cell centers; mesh scenes
-    go through the surface voxelizer with interior fill.
+    A mesh goes through the voxelizer, and each primitive's inside test
+    runs at the cell centers; a scene with both is labelled with the union.
     """
-    if scene.mesh is not None:
-        return voxel.voxelize(scene.mesh, resolution, fill_interior=True)
     r = resolution
+    label = voxel.voxelize(scene.mesh, r) if scene.mesh is not None else voxel.VoxelGrid.empty(r)
     axes = (np.arange(r) + 0.5) / r - 0.5
     xs, ys, zs = np.meshgrid(axes, axes, axes, indexing="ij")
-    occ = np.zeros((r, r, r), dtype=bool)
     for prim in scene.primitives:
-        if isinstance(prim, Sphere):
-            cx, cy, cz = prim.center
-            occ |= (xs - cx) ** 2 + (ys - cy) ** 2 + (zs - cz) ** 2 <= prim.radius ** 2
-        elif isinstance(prim, Box):
-            cx, cy, cz = prim.center
-            hx, hy, hz = prim.half_extents
-            occ |= (
-                (np.abs(xs - cx) <= hx)
-                & (np.abs(ys - cy) <= hy)
-                & (np.abs(zs - cz) <= hz)
-            )
-        elif isinstance(prim, Cylinder):
-            grids = (xs, ys, zs)
-            along = np.abs(grids[prim.axis] - prim.center[prim.axis]) <= prim.half_height
-            r2 = np.zeros_like(xs)
-            for i in range(3):
-                if i != prim.axis:
-                    r2 = r2 + (grids[i] - prim.center[i]) ** 2
-            occ |= along & (r2 <= prim.radius ** 2)
-        else:
-            raise ConfigError(f"unknown primitive {type(prim).__name__}")
-    return voxel.VoxelGrid(r, occ)
+        label.occupancy |= prim.inside(xs, ys, zs)
+    return label
 
 
 def generate_sample(
@@ -555,11 +554,7 @@ def scene_to_dict(scene: Scene) -> dict:
     mesh scene, which has none."""
     if scene.mesh is not None:
         raise ConfigError("a mesh scene has no JSON form")
-    kinds = {cls: kind for kind, cls in PRIMITIVES.items()}
-    for p in scene.primitives:
-        if type(p) not in kinds:
-            raise ConfigError(f"unknown primitive {type(p).__name__}")
-    return {"primitives": [{"kind": kinds[type(p)], **asdict(p)} for p in scene.primitives]}
+    return {"primitives": [{"kind": p.kind, **asdict(p)} for p in scene.primitives]}
 
 
 @dataclass(frozen=True)

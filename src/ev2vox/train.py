@@ -82,30 +82,17 @@ class OptState:
             out.append((f"opt.v/{name}", self.v[name]))
         return out
 
-    @classmethod
-    def from_entries(cls, params, entries):
-        """The state that ``entries``, read from a checkpoint, hold for
-        ``params``; a missing or misshapen entry is a DataError."""
-        if "opt.step" not in entries:
-            raise DataError("checkpoint has no optimizer state")
-        state = cls(params)
-        step = np.asarray(entries["opt.step"])
-        if step.size != 1 or not np.isfinite(step).all():
-            raise DataError(f"opt.step must be one finite count, got {step.ravel()[:4].tolist()}")
-        state.step = int(step.item())
-        for p in params:
-            for store, prefix in ((state.m, "opt.m/"), (state.v, "opt.v/")):
-                key = prefix + p.name
-                if key not in entries:
-                    raise DataError(f"checkpoint is missing {key}")
-                arr = entries[key]
-                if arr.shape != p.value.shape:
-                    raise DataError(
-                        f"{key}: checkpoint shape {arr.shape} != parameter "
-                        f"shape {p.value.shape}"
-                    )
-                store[p.name] = arr.astype(np.float32)
-        return state
+    def load(self, entries):
+        """Take the step and moments from checkpoint ``entries``, which hold
+        each of ``entries()`` at its shape; a step that is not finite is a
+        DataError."""
+        step = entries["opt.step"]
+        if not np.isfinite(step):
+            raise DataError(f"opt.step must be a finite count, got {step}")
+        self.step = int(step)
+        for name in self.m:
+            self.m[name] = entries[f"opt.m/{name}"].astype(np.float32)
+            self.v[name] = entries[f"opt.v/{name}"].astype(np.float32)
 
 
 @dataclass(frozen=True)
@@ -201,8 +188,8 @@ def load_training_checkpoint(
     A missing sidecar is an IoFailure and one that is not JSON a
     FormatError. A sidecar that describes no model is a DataError naming
     the sidecar. A model other than ``expected`` (checked before anything
-    is built), or entries that do not fit the model, is a DataError naming
-    ``path``.
+    is built), or entries other than the model's and its optimizer state's,
+    each at its shape, is a DataError naming ``path``.
     """
     sidecar_path = f"{path}.json"
     sidecar = read_json(sidecar_path)
@@ -214,9 +201,20 @@ def load_training_checkpoint(
     except (KeyError, TypeError, ConfigError) as exc:
         raise DataError(f"{sidecar_path}: sidecar does not describe a model ({exc})") from exc
     entries = load_checkpoint(path)
+    opt_state = OptState(model.parameters())
+    # the entries _save_training_checkpoint writes for this model
+    want = {name: np.shape(value) for name, value in model.state_entries() + opt_state.entries()}
+    missing, extra = sorted(want.keys() - entries.keys()), sorted(entries.keys() - want.keys())
+    if missing or extra:
+        raise DataError(f"{path}: checkpoint does not match model: "
+                        f"missing {missing[:4]}, unexpected {extra[:4]}")
+    for name, shape in want.items():
+        if entries[name].shape != shape:
+            raise DataError(f"{path}: {name}: checkpoint shape {entries[name].shape} "
+                            f"!= model shape {shape}")
+    model.load_state(entries)
     try:
-        model.load_state({k: v for k, v in entries.items() if not k.startswith("opt.")})
-        opt_state = OptState.from_entries(model.parameters(), entries)
+        opt_state.load(entries)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
     return model, opt_state, sidecar

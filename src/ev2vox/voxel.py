@@ -194,33 +194,23 @@ def _fill_exterior(surface: np.ndarray) -> np.ndarray:
     return ~exterior
 
 
-def voxelize(
-    mesh: TriMesh,
-    resolution: int,
-    fill_interior: bool = True,
-) -> VoxelGrid:
-    """Convert a normalized mesh into a binary occupancy grid.
+def voxelize(mesh: TriMesh, resolution: int) -> VoxelGrid:
+    """Convert a normalized mesh into a solid binary occupancy grid.
 
     Surface cells are found by sampling every triangle at sub-cell density
-    (at least 4 samples per cell diagonal). With ``fill_interior`` the
-    exterior is flood filled from the grid boundary and the complement is
-    kept. Marking, filling, and complementing happen on a finer lattice
-    (``SUPERSAMPLE`` subdivisions per cell, odd so cell centers are fine
-    cell centers) and each output cell takes the value of the fine cell
-    containing its center; working at the output resolution directly would
-    count every surface-touching cell as occupied and inflate thin or
-    curved solids by well over the tolerance the tests demand.
-
-    Without ``fill_interior`` the result is the raw surface marking at the
-    output resolution.
+    (at least 4 samples per cell diagonal), the exterior is flood filled
+    from the grid boundary and the complement is kept. Marking, filling,
+    and complementing happen on a finer lattice (``SUPERSAMPLE``
+    subdivisions per cell, odd so cell centers are fine cell centers) and
+    each output cell takes the value of the fine cell containing its
+    center; working at the output resolution directly would count every
+    surface-touching cell as occupied and inflate thin or curved solids by
+    well over the tolerance the tests demand.
     """
     if resolution <= 0:
         raise ConfigError(f"voxelize needs a positive resolution, got {resolution}")
     if mesh.triangles.size == 0:
         raise DataError("cannot voxelize a mesh with no triangles")
-
-    if not fill_interior:
-        return VoxelGrid(resolution, _surface_cells(mesh, resolution))
 
     fine = _fill_exterior(_surface_cells(mesh, resolution * SUPERSAMPLE))
     half = SUPERSAMPLE // 2

@@ -416,11 +416,11 @@ def test_criterion_8_full_scale(announce):
 
 def test_criterion_9_voxelizer(announce):
     def body():
-        sphere = voxelize(uv_sphere_mesh(), 32, fill_interior=True)
+        sphere = voxelize(uv_sphere_mesh(), 32)
         analytic = 4.0 / 3.0 * np.pi * 0.5 ** 3 * 32 ** 3
         assert abs(sphere.count() - analytic) / analytic < 0.05
 
-        cube = voxelize(unit_cube_mesh(), 8, fill_interior=True)
+        cube = voxelize(unit_cube_mesh(), 8)
         assert cube.count() == 8 ** 3
 
         for grid in (sphere, VoxelGrid(4, np.zeros((4, 4, 4), dtype=bool))):

@@ -15,9 +15,11 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from ev2vox import cli, train
+from ev2vox import cli, sim, train
 from ev2vox import model as M
+from ev2vox.voxel import uv_sphere_mesh
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -81,6 +83,26 @@ def test_cli_binds_build_model():
     # the tracer counts model builds through each module's own binding
     assert cli.build_model is M.build_model
     assert train.build_model is M.build_model
+
+
+@pytest.mark.parametrize("scene,voxelizes", [
+    (sim.Scene(primitives=[sim.Box((0.0, 0.0, 0.0), (0.2, 0.2, 0.2))]), 0),
+    (sim.Scene(mesh=uv_sphere_mesh(n_lat=8, n_lon=16)), 1),
+], ids=["box", "mesh"])
+def test_sample_renders_each_frame_and_labels_once(scene, voxelizes):
+    # bench/workload.py expects these calls of one generate_sample; only a
+    # mesh scene goes through the voxelizer
+    traj = sim.TrajectoryConfig(duration=0.5, fps=4.0)
+    cam = sim.CameraIntrinsics(width=16, height=16)
+    tracer = load_tracer().Tracer()
+    try:
+        tracer.install()
+        sim.generate_sample(scene, traj, cam, resolution=8)
+    finally:
+        tracer.uninstall()
+    calls = tracer.calls()
+    assert calls["sim.render_frame.self_s"] == 2 and calls["sim.occupancy_label_s"] == 1
+    assert calls["voxel.voxelize_s"] == voxelizes
 
 
 def test_eval_builds_one_model_and_bins_nothing(pipeline, tmp_path):

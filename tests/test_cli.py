@@ -372,7 +372,7 @@ class TestPreprocess:
             assert frames.dtype == np.uint8 and frames.flags.c_contiguous
             assert set(np.unique(frames)) <= {0, 1}
         meta = json.loads((cache / "s0000.frames.json").read_text())
-        assert meta["window"] == 0.05
+        assert meta["binning"]["window"] == 0.05
         assert meta["shape"] == [10, 32, 32]
 
     def test_thread_count_does_not_change_bytes(self, pipeline, tmp_path):
@@ -542,12 +542,15 @@ def damaged_run(pipeline, tmp_path, sidecar: bytes) -> Path:
 
 
 # (entry, replacement): an optimizer moment left out, one of the wrong
-# shape, a step counter of two values, and a bias on a conv that feeds a
-# norm, which convs carried before they lost it
+# shape, one for no parameter, a step counter of two values, one that is
+# not finite, and a bias on a conv that feeds a norm, which convs carried
+# before they lost it
 DAMAGED_CHECKPOINTS = [
     pytest.param("opt.m/encoder.stem.conv.weight", None, id="missing-moment"),
     pytest.param("opt.v/encoder.stem.conv.weight", np.zeros(3, np.float32), id="misshapen-moment"),
+    pytest.param("opt.m/bogus", np.zeros(3, np.float32), id="extra-moment"),
     pytest.param("opt.step", np.ones(2, np.float32), id="two-steps"),
+    pytest.param("opt.step", np.float32(np.nan), id="nan-step"),
     pytest.param("encoder.stem.conv.bias", np.zeros(8, np.float32), id="conv-bias"),
 ]
 

@@ -9,7 +9,8 @@ import pytest
 
 from ev2vox import model as M
 from ev2vox import nn
-from ev2vox.checkpoint import save_checkpoint
+from ev2vox import train as T
+from ev2vox.checkpoint import load_checkpoint, save_checkpoint
 from ev2vox.config import from_json
 from ev2vox.errors import (
     ConfigError,
@@ -28,6 +29,17 @@ def micro_configs():
     )
     dec = M.DecoderConfig(levels=2, channels=(4, 8))
     return enc, dec
+
+
+def saved_training_checkpoint(tmp_path, model, damage):
+    """The path of ``model``'s training checkpoint in tmp_path after
+    ``damage`` has edited its name->array entries in place."""
+    path = T._save_training_checkpoint(
+        tmp_path, model, T.OptState(model.parameters()), T.TrainRun(), 0, [])
+    entries = load_checkpoint(path)
+    damage(entries)
+    save_checkpoint(path, entries)
+    return path
 
 
 class TestConfigs:
@@ -299,27 +311,35 @@ class TestState:
             assert ka == kb
             np.testing.assert_array_equal(va, vb)
 
-    def test_missing_key_raises(self):
+    def test_missing_key_raises(self, tmp_path):
         m = M.build_model(*micro_configs(), seed=3)
-        entries = dict(m.state_entries())
-        entries.pop(next(iter(entries)))
+        path = saved_training_checkpoint(tmp_path, m, lambda e: e.pop(m.parameters()[0].name))
         with pytest.raises(DataError, match="checkpoint does not match model: missing"):
-            m.load_state(entries)
+            T.load_training_checkpoint(path)
 
-    def test_extra_key_raises(self):
+    def test_extra_key_raises(self, tmp_path):
         m = M.build_model(*micro_configs(), seed=3)
-        entries = dict(m.state_entries())
-        entries["bogus.weight"] = np.zeros(3, dtype=np.float32)
+        path = saved_training_checkpoint(
+            tmp_path, m, lambda e: e.update({"bogus.weight": np.zeros(3, np.float32)}))
         with pytest.raises(DataError, match="unexpected \\['bogus.weight'\\]"):
-            m.load_state(entries)
+            T.load_training_checkpoint(path)
 
-    def test_wrong_shape_raises(self):
+    def test_wrong_shape_raises(self, tmp_path):
         m = M.build_model(*micro_configs(), seed=3)
-        entries = {k: v.copy() for k, v in m.state_entries()}
         name = m.parameters()[0].name
-        entries[name] = np.zeros((1, 1, 1, 1, 1), dtype=np.float32)
+        path = saved_training_checkpoint(
+            tmp_path, m, lambda e: e.update({name: np.zeros((1, 1, 1, 1, 1), np.float32)}))
         with pytest.raises(DataError, match=rf"{name}: checkpoint shape \(1, 1, 1, 1, 1\)"):
-            m.load_state(entries)
+            T.load_training_checkpoint(path)
+
+    def test_reshaped_buffer_raises(self, tmp_path):
+        # a running statistic of the right size but another shape is not reshaped
+        m = M.build_model(*micro_configs(), seed=3)
+        name, value = m.buffers()[0]
+        path = saved_training_checkpoint(
+            tmp_path, m, lambda e: e.update({name: value.reshape(1, -1)}))
+        with pytest.raises(DataError, match=rf"{name}: checkpoint shape \(1, {value.size}\)"):
+            T.load_training_checkpoint(path)
 
     def test_checkpoint_bytes_pinned(self, tmp_path):
         # attribute order is checkpoint order; this digest pins both

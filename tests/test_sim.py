@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ev2vox import sim
+from ev2vox import cli, sim
 from ev2vox.errors import ConfigError, DataError, InternalError
 from ev2vox.events import validate_stream
 from ev2vox.voxel import TriMesh, uv_sphere_mesh
@@ -101,7 +101,7 @@ class TestRenderFrame:
         # axial ray solves t^2 - 8t + (16 - 0.25) = 0, nearest root 3.5
         o = np.array([4.0, 0.0, 0.0])
         d = np.array([[-1.0, 0.0, 0.0]])
-        t = sim._sphere_hits(o, d, np.zeros(3), 0.5)
+        t, _ = sim.Sphere((0.0, 0.0, 0.0), 0.5).hit(o, d)
         assert t[0] == pytest.approx(4.0 - 0.5, abs=1e-12)
 
     def test_center_pixel_shading_closed_form(self):
@@ -433,6 +433,15 @@ class TestOccupancyLabel:
         label = sim.occupancy_label(sim.Scene(), 8)
         assert label.count() == 0
 
+    def test_mesh_and_primitive_label_is_the_union(self):
+        box = sim.Box((0.2, 0.1, -0.1), (0.15, 0.2, 0.1))
+        mesh = uv_sphere_mesh(diameter=0.5, n_lat=12, n_lon=24)
+        both = sim.occupancy_label(sim.Scene(primitives=[box], mesh=mesh), 16)
+        alone = [sim.occupancy_label(sim.Scene(primitives=[box]), 16),
+                 sim.occupancy_label(sim.Scene(mesh=mesh), 16)]
+        assert (alone[0].occupancy & ~alone[1].occupancy).any()
+        np.testing.assert_array_equal(both.occupancy, alone[0].occupancy | alone[1].occupancy)
+
 
 class TestGenerateSample:
     def test_sphere_sample_end_to_end(self):
@@ -455,15 +464,25 @@ class TestGenerateSample:
         assert int(cfg.duration * cfg.fps) == 120
 
 
+ONE_OF_EACH = (
+    sim.Sphere((0.1, 0.0, -0.2), 0.3, albedo=0.7),
+    sim.Box((0.0, 0.1, 0.0), (0.2, 0.1, 0.15)),
+    sim.Cylinder((0.0, 0.0, 0.1), 1, 0.2, 0.25, albedo=0.85),
+)
+
+
 class TestSceneJson:
     def test_round_trip(self):
-        scene = sim.Scene(primitives=[
-            sim.Sphere((0.1, 0.0, -0.2), 0.3, albedo=0.7),
-            sim.Box((0.0, 0.1, 0.0), (0.2, 0.1, 0.15)),
-            sim.Cylinder((0.0, 0.0, 0.1), 1, 0.2, 0.25, albedo=0.85),
-        ])
+        scene = sim.Scene(primitives=list(ONE_OF_EACH))
         again = sim.scene_from_dict(sim.scene_to_dict(scene))
         assert again.primitives == scene.primitives
+
+    @pytest.mark.parametrize("kind", sorted(sim.PRIMITIVES))
+    def test_kind_names_the_class(self, kind):
+        prim, = (p for p in ONE_OF_EACH if type(p) is sim.PRIMITIVES[kind])
+        scene = sim.Scene(primitives=[prim])
+        assert sim.scene_to_dict(scene)["primitives"][0]["kind"] == kind
+        assert cli._scene_category(scene) == kind
 
     @pytest.mark.parametrize(
         "spec",

@@ -105,7 +105,8 @@ class TestAdamWStep:
         state = T.OptState([p])
         T.adamw_step([p], state, T.AdamWConfig(lr=1e-3))
         entries = dict(state.entries())
-        restored = T.OptState.from_entries([p], entries)
+        restored = T.OptState([p])
+        restored.load(entries)
         assert restored.step == state.step
         np.testing.assert_array_equal(restored.m["w"], state.m["w"])
         np.testing.assert_array_equal(restored.v["w"], state.v["w"])

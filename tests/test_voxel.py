@@ -184,7 +184,7 @@ class TestVoxelize:
         assert digest == "d00885c83019c99e817e32e6a6f0e0a06536763ff4548477f3a90448ac34fa60"
 
     def test_unit_cube_fills_grid(self):
-        grid = vx.voxelize(vx.unit_cube_mesh(), 4, fill_interior=True)
+        grid = vx.voxelize(vx.unit_cube_mesh(), 4)
         assert grid.count() == 64
 
     def test_tiny_triangle_single_cell_no_fill(self):
@@ -192,17 +192,17 @@ class TestVoxelize:
         base = np.array([2.5, 1.5, 3.5]) / 8.0
         verts = base + np.array([[0, 0, 0], [0.01, 0, 0], [0, 0.01, 0]])
         mesh = vx.TriMesh(verts, np.array([[0, 1, 2]]))
-        grid = vx.voxelize(mesh, 8, fill_interior=False)
+        grid = vx.voxelize(mesh, 8)
         assert grid.count() == 1
         assert grid.occupancy[2, 1, 3]
 
     def test_sphere_volume_within_tolerance(self):
-        grid = vx.voxelize(vx.uv_sphere_mesh(), 32, fill_interior=True)
+        grid = vx.voxelize(vx.uv_sphere_mesh(), 32)
         analytic = math.pi / 6.0 * 32**3
         assert abs(grid.count() - analytic) / analytic < 0.05
 
     def test_filled_convex_solid_is_six_connected(self):
-        grid = vx.voxelize(vx.uv_sphere_mesh(), 16, fill_interior=True)
+        grid = vx.voxelize(vx.uv_sphere_mesh(), 16)
         structure = ndimage.generate_binary_structure(3, 1)
         _, parts = ndimage.label(grid.occupancy, structure=structure)
         assert parts == 1
@@ -213,11 +213,6 @@ class TestVoxelize:
     def test_resolution_zero_rejected(self):
         with pytest.raises(ConfigError, match="voxelize needs a positive resolution, got 0"):
             vx.voxelize(vx.unit_cube_mesh(), 0)
-
-    def test_surface_only_sphere_is_hollow(self):
-        grid = vx.voxelize(vx.uv_sphere_mesh(), 32, fill_interior=False)
-        assert not grid.occupancy[16, 16, 16]
-        assert grid.count() > 0
 
 
 class TestBinarize:
