@@ -36,7 +36,7 @@ for i in range(8):
 
 model = build_model(EncoderConfig.toy(), DecoderConfig.toy(), seed=0)
 print(f"\ntoy model: {count_parameters(model)} parameters, "
-      f"output volume {model.config.encoder.hidden_spatial}")
+      f"output volume {model.config.encoder.resolution}^3")
 
 run = TrainRun(epochs=epochs, batch_size=5, seed=0, checkpoint_every=100)
 t0 = time.perf_counter()

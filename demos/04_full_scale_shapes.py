@@ -35,8 +35,8 @@ print(f"\nencoder stem: k{enc_cfg.stem.kernel} s{enc_cfg.stem.stride} "
 for i, stage in enumerate(enc_cfg.stages):
     print(f"stage {i}: {stage.blocks:>2} bottleneck blocks, "
           f"{stage.channels}->{stage.channels * 4} channels, stride {stage.stride}")
-print(f"hidden volume: {enc_cfg.out_channels} x {enc_cfg.hidden_spatial}")
-print(f"decoder: {dec_cfg.levels} levels, channels {dec_cfg.channels}")
+print(f"hidden volume: {enc_cfg.out_channels} x {enc_cfg.resolution}^3")
+print(f"decoder: {len(dec_cfg.channels)} levels, channels {dec_cfg.channels}")
 
 n_params = count_parameters(model)
 print(f"\nparameters: {n_params:,}")

@@ -6,9 +6,10 @@ preset and its absence the ``FULL`` one, and a JSON file passed with
 ``--config`` is read onto that preset. The file's sections are
 RunConfig's field tree (``binning``, ``model``, ``trainer.optimizer``,
 ``trainer.run``, ``metrics``, ``generate``); a key it leaves out keeps the
-preset's value, and an unknown key is an error. Every command is
-deterministic given (config, seed); re-running writes byte-identical
-artifacts.
+preset's value, and an unknown key is an error. ``generate`` labels at
+``model.encoder.resolution``, the model's output resolution. Every
+command is deterministic given (config, seed); re-running writes
+byte-identical artifacts.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 internal
 invariant violation.
@@ -36,6 +37,7 @@ from .errors import ConfigError, DataError, FormatError, IoFailure, PipelineErro
 from .events import BinningConfig, bin_to_frames, read_evt1, write_evt1
 from .model import DecoderConfig, EncoderConfig, ModelConfig, build_model, frames_to_input
 from .sim import (
+    DEFAULT_CONTRAST,
     Box,
     CameraIntrinsics,
     Cylinder,
@@ -136,15 +138,14 @@ def load_manifest(path: str | os.PathLike) -> Manifest:
 @dataclass(frozen=True)
 class GenerateConfig:
     count: int = 10
-    resolution: int = 32
     ratios: tuple[int, int, int] = (8, 1, 1)
     width: int = 64
     height: int = 64
-    contrast: float = 0.2
+    contrast: float = DEFAULT_CONTRAST
     scenes: tuple[dict, ...] | None = None
 
     def __post_init__(self):
-        for name in ("count", "resolution", "width", "height"):
+        for name in ("count", "width", "height"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if not self.contrast > 0:
@@ -194,13 +195,13 @@ class RunConfig:
 
 TOY = RunConfig(
     binning=BinningConfig(window=0.05, target_height=32, target_width=32),
+    # an 8^3 output, so generate labels at 8^3 too
     model=ModelConfig(EncoderConfig.toy(), DecoderConfig.toy()),
     trainer=TrainerConfig(
         AdamWConfig.toy(), TrainRun(epochs=100, batch_size=5, checkpoint_every=50)
     ),
     metrics=MetricsConfig(),
-    # labels must land at the model's output resolution
-    generate=GenerateConfig(resolution=8),
+    generate=GenerateConfig(),
 )
 
 FULL = RunConfig(
@@ -284,7 +285,7 @@ def _scene_category(scene: Scene) -> str:
 
 def cmd_generate(cfg: RunConfig, seed: int, out_dir: str) -> Manifest:
     """Write EVT1/VOX1 pairs, per-sample sidecars, and a split manifest."""
-    gen = cfg.generate
+    gen, resolution = cfg.generate, cfg.model.encoder.resolution
     if gen.scenes is not None:
         scenes = [scene_from_dict(s, f"generate.scenes[{i}]") for i, s in enumerate(gen.scenes)]
         pairs = [(s, _scene_category(s)) for s in scenes]
@@ -301,7 +302,7 @@ def cmd_generate(cfg: RunConfig, seed: int, out_dir: str) -> Manifest:
     entries = []
     for sid, (scene, category) in zip(ids, pairs):
         stream, label = generate_sample(
-            scene, traj, cam, contrast=gen.contrast, resolution=gen.resolution
+            scene, traj, cam, contrast=gen.contrast, resolution=resolution
         )
         write_evt1(stream, out / f"{sid}.evt")
         write_vox1(label, out / f"{sid}.vox")
@@ -310,7 +311,7 @@ def cmd_generate(cfg: RunConfig, seed: int, out_dir: str) -> Manifest:
             "scene": scene_to_dict(scene),
             "seed": seed,
             "contrast": gen.contrast,
-            "resolution": gen.resolution,
+            "resolution": resolution,
         }
         write_json(out / f"{sid}.json", sidecar)
         entries.append(
@@ -414,10 +415,11 @@ def cmd_train(cfg: RunConfig, manifest_path: str, out_dir: str | None) -> None:
     dataset = _load_dataset(cfg, manifest, ("train",), _cache_dir(manifest))
     if not dataset:
         raise DataError(f"{manifest_path}: no train-split entries")
-    hidden, labels = cfg.model.encoder.hidden_spatial, dataset[0][1].resolution
-    if hidden != (labels,) * 3:
-        raise ConfigError(f"model.encoder.hidden_spatial {hidden} does not match "
-                          f"the train labels' resolution {labels} on every axis")
+    # the manifest may come from a run under another config
+    resolution, labels = cfg.model.encoder.resolution, dataset[0][1].resolution
+    if resolution != labels:
+        raise ConfigError(f"model.encoder.resolution {resolution} does not match "
+                          f"the train labels' resolution {labels}")
     model = build_model(cfg.model.encoder, cfg.model.decoder, seed=cfg.model.seed)
     run_dir = _run_dir(manifest, out_dir)
     make_dir(run_dir)

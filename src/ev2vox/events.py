@@ -7,17 +7,10 @@ checked against its bounds.
 
 Binning converts a stream into a frame stack: a (D, H, W) uint8 array of
 binary event frames. A frame cell is 1 when at least one event hit that
-pixel inside the frame's time window; polarity is discarded. Two
-windowing modes exist:
-
-- ``uniform``: frame k covers t in [k*dt, (k+1)*dt) and exactly
-  ceil(T/dt) frames are emitted, empty ones included. An event with
-  t exactly T is kept and lands in the last frame.
-- ``anchored``: a window opens at the first event after the previous
-  window closes. An event i joins the open window anchored at event j
-  while t_i - t_j <= dt; the first overflow starts a new window at i.
-  Quiet gaps therefore produce no frames and the frame count is
-  data-dependent.
+pixel inside the frame's time window; polarity is discarded. Frame k
+covers t in [k*dt, (k+1)*dt) and exactly ceil(T/dt) frames are emitted,
+empty ones included. An event with t exactly T is kept and lands in the
+last frame.
 
 ``write_evt1`` and ``read_evt1`` build and parse EVT1 bytes; the file
 itself is written and read through ``ev2vox.artifacts``.
@@ -72,15 +65,12 @@ class BinningConfig:
     """
 
     window: float
-    mode: str = "uniform"
     target_height: int | None = None
     target_width: int | None = None
 
     def __post_init__(self):
         if not (self.window > 0.0):
             raise ConfigError(f"binning window must be positive, got {self.window}")
-        if self.mode not in ("uniform", "anchored"):
-            raise ConfigError(f"unknown binning mode {self.mode!r}")
         if (self.target_height is None) != (self.target_width is None):
             raise ConfigError(
                 "target_height and target_width must be given together"
@@ -116,8 +106,8 @@ def from_arrays(
     """Validate column arrays and wrap them in an EventStream.
 
     Checks every stream invariant: a sensor of at least 1x1 pixels, a
-    finite duration T >= 0, monotone timestamps, in-bounds coordinates,
-    polarity in {-1, +1}, timestamps within [0, T].
+    finite duration T >= 0, finite and monotone timestamps, in-bounds
+    coordinates, polarity in {-1, +1}, timestamps within [0, T].
     """
     if not (sensor_width >= 1 and sensor_height >= 1):
         raise DataError(f"a {sensor_width}x{sensor_height} sensor has no pixel")
@@ -131,6 +121,9 @@ def from_arrays(
         raise DataError("event columns must be equal-length 1-D arrays")
 
     if len(t):
+        if not np.all(np.isfinite(t)):
+            i = int(np.argmin(np.isfinite(t)))
+            raise DataError(f"event {i} has non-finite timestamp {t[i]}")
         dt = np.diff(t)
         if np.any(dt < 0):
             i = int(np.argmax(dt < 0))
@@ -185,43 +178,19 @@ def validate_stream(raw_events, sensor_width: int, sensor_height: int, duration:
     return from_arrays(t, x, y, p, sensor_width, sensor_height, duration)
 
 
-def _uniform_frame_count(duration: float, window: float) -> int:
-    return int(math.ceil(duration / window))
-
-
 def bin_to_frames(stream: EventStream, cfg: BinningConfig) -> np.ndarray:
-    """Accumulate a stream into a (D, H, W) uint8 frame stack per the
-    configured mode.
-
-    Uniform mode always emits ceil(T/dt) frames. Anchored mode emits one
-    frame per occupied window and none for quiet gaps. When the config
-    carries target dimensions the result is OR-pool downscaled.
-    """
+    """Accumulate a stream into a (D, H, W) uint8 frame stack of ceil(T/dt)
+    frames; when the config carries target dimensions the result is
+    OR-pool downscaled."""
     h, w = stream.sensor_height, stream.sensor_width
-    n = len(stream)
-
-    if cfg.mode == "uniform":
-        depth = _uniform_frame_count(stream.duration, cfg.window)
-        if depth == 0 and n > 0:
-            depth = 1
-        frames = np.zeros((depth, h, w), dtype=np.uint8)
-        if n:
-            k = np.floor_divide(stream.t, cfg.window).astype(np.int64)
-            np.clip(k, 0, depth - 1, out=k)
-            frames[k, stream.y.astype(np.int64), stream.x.astype(np.int64)] = 1
-    else:
-        planes = []
-        j = 0
-        while j < n:
-            rel = stream.t[j:] - stream.t[j]
-            end = j + int(np.searchsorted(rel, cfg.window, side="right"))
-            plane = np.zeros((h, w), dtype=np.uint8)
-            plane[stream.y[j:end].astype(np.int64), stream.x[j:end].astype(np.int64)] = 1
-            planes.append(plane)
-            j = end
-        frames = (
-            np.stack(planes) if planes else np.zeros((0, h, w), dtype=np.uint8)
-        )
+    depth = int(math.ceil(stream.duration / cfg.window))
+    if depth == 0 and len(stream) > 0:
+        depth = 1
+    frames = np.zeros((depth, h, w), dtype=np.uint8)
+    if len(stream):
+        k = np.floor_divide(stream.t, cfg.window).astype(np.int64)
+        np.clip(k, 0, depth - 1, out=k)
+        frames[k, stream.y.astype(np.int64), stream.x.astype(np.int64)] = 1
 
     factor = cfg.downscale_factor(w, h)
     if factor != 1:

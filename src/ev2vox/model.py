@@ -4,9 +4,11 @@ The encoder is a residual 3D network: a strided stem (plus optional max
 pool), stages of bottleneck blocks (1x1x1 reduce, 3x3x3 spatial, 1x1x1
 expand, additive shortcut), then a nearest-neighbor resize that pins the
 output to a fixed hidden volume regardless of how the strides divided the
-input. The decoder runs a small UNet over that volume: strided
-convolutions down, transposed convolutions up with channel-concatenated
-skips, and a sigmoid head that emits one occupancy probability per cell.
+input. That volume is a cube of side R, the encoder's ``resolution``,
+and so is the output. The decoder runs a small UNet over it, one level per
+entry of its channel list: strided convolutions down, transposed
+convolutions up with channel-concatenated skips, and a sigmoid head that
+emits one occupancy probability per cell.
 
 Chains of layers are ``nn.Sequential``, whose backward runs its layers
 in reverse; the encoder is one such chain. Only the blocks whose data flow
@@ -56,24 +58,22 @@ class StageConfig:
     stride: tuple[int, int, int]
 
     def __post_init__(self):
-        _check_positive(self, "channels", "stride")
+        _check_positive(self, "blocks", "channels", "stride")
 
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """The encoder; its input always has one channel, the binned frames."""
+    """The encoder; its input always has one channel, the binned frames.
+    Its output, and so the model's, is a cube of side ``resolution``."""
 
     stem: StemConfig
     stages: tuple[StageConfig, ...]
-    hidden_spatial: tuple[int, int, int] = (32, 32, 32)
+    resolution: int = 32
 
     def __post_init__(self):
         if not self.stages:
             raise ConfigError("encoder needs at least one stage")
-        if any(s.blocks < 1 for s in self.stages):
-            raise ConfigError("every encoder stage needs at least one block")
-        if any(d <= 0 for d in self.hidden_spatial):
-            raise ConfigError(f"hidden_spatial must be positive, got {self.hidden_spatial}")
+        _check_positive(self, "resolution")
 
     @property
     def out_channels(self) -> int:
@@ -89,7 +89,7 @@ class EncoderConfig:
                 StageConfig(36, 256, (2, 2, 2)),
                 StageConfig(3, 512, (2, 2, 2)),
             ),
-            hidden_spatial=(32, 32, 32),
+            resolution=32,
         )
 
     @classmethod
@@ -100,22 +100,19 @@ class EncoderConfig:
                 StageConfig(1, 8, (1, 1, 1)),
                 StageConfig(1, 16, (2, 2, 2)),
             ),
-            hidden_spatial=(8, 8, 8),
+            resolution=8,
         )
 
 
 @dataclass(frozen=True)
 class DecoderConfig:
-    levels: int = 3
+    """The decoder; each entry of ``channels`` is one level's width."""
+
     channels: tuple[int, ...] = (64, 128, 256)
 
     def __post_init__(self):
-        if self.levels < 1:
-            raise ConfigError(f"decoder needs at least one level, got {self.levels}")
-        if len(self.channels) != self.levels:
-            raise ConfigError(
-                f"decoder channel schedule {self.channels} does not match {self.levels} levels"
-            )
+        if not self.channels:
+            raise ConfigError("decoder needs at least one level")
         _check_positive(self, "channels")
 
     @classmethod
@@ -124,7 +121,7 @@ class DecoderConfig:
 
     @classmethod
     def toy(cls) -> "DecoderConfig":
-        return cls(levels=2, channels=(16, 32))
+        return cls(channels=(16, 32))
 
 
 @dataclass(frozen=True)
@@ -199,7 +196,7 @@ def build_encoder(cfg: EncoderConfig, seed: int, dtype) -> nn.Sequential:
                 cin, stage.channels, stride, f"encoder.stage{si}.block{bi}", seed, dtype,
             ))
             cin = stage.channels * EXPANSION
-    layers.append(nn.AdaptiveResize3d(cfg.hidden_spatial))
+    layers.append(nn.AdaptiveResize3d(cfg.resolution))
     return nn.Sequential(*layers)
 
 
@@ -225,22 +222,22 @@ class UpBlock(nn.Module):
 
 
 class Decoder(nn.Module):
-    def __init__(self, cfg: DecoderConfig, in_channels: int, hidden_spatial, seed: int, dtype):
+    def __init__(self, cfg: DecoderConfig, in_channels: int, resolution: int, seed: int, dtype):
         ch = cfg.channels
-        factor = 2 ** (cfg.levels - 1)
-        if any(d % factor for d in hidden_spatial):
+        depth = len(ch)
+        if resolution % 2 ** (depth - 1):
             raise ConfigError(
-                f"hidden volume {hidden_spatial} is not divisible by 2^{cfg.levels - 1}; "
+                f"resolution {resolution} is not divisible by 2^{depth - 1}; "
                 f"the up path could not restore it"
             )
         self.entry = conv_norm_relu(in_channels, ch[0], 1, 1, 0, "decoder.entry", seed, dtype)
         self.downs = [
             conv_norm_relu(ch[i - 1], ch[i], 3, 2, 1, f"decoder.down{i}", seed, dtype)
-            for i in range(1, cfg.levels)
+            for i in range(1, depth)
         ]
         self.ups = [
             UpBlock(ch[i], ch[i - 1], f"decoder.up{i}", seed, dtype)
-            for i in range(cfg.levels - 1, 0, -1)
+            for i in range(depth - 1, 0, -1)
         ]
         self.head = nn.Conv3d(ch[0], 1, 1, name="decoder.head.conv", seed=seed, dtype=dtype)
         # the head is the one conv that feeds no norm, so it alone needs an
@@ -266,7 +263,7 @@ class Decoder(nn.Module):
         g = self.sigmoid.backward(g)
         self.head_bias.grad += g.sum(axis=(0, 2, 3, 4))
         g = self.head.backward(g)
-        # ups[j] took feats[levels-2-j] as its skip, so walking the ups
+        # ups[j] took feats[depth-2-j] as its skip, so walking the ups
         # backward yields skip gradients shallowest first; each down's input
         # also fed one up block, so its gradient gains that skip gradient
         skip_grads = []
@@ -282,7 +279,8 @@ class E2VModel(nn.Module):
     """The full reconstruction network: encoder chain, then UNet decoder.
 
     forward() takes a batch of event-frame stacks shaped (N, 1, D, H, W)
-    and returns per-cell occupancy probabilities shaped (N, R, R, R).
+    and returns per-cell occupancy probabilities shaped (N, R, R, R), R
+    being ``config.encoder.resolution``.
     backward() takes gradients of the loss with respect to those
     probabilities and accumulates parameter gradients in place.
     ``config`` is the ModelConfig it was built from, which a checkpoint
@@ -294,7 +292,7 @@ class E2VModel(nn.Module):
         self.dtype = np.dtype(dtype)
         enc, seed = config.encoder, config.seed
         self.encoder = build_encoder(enc, seed, dtype)
-        self.decoder = Decoder(config.decoder, enc.out_channels, enc.hidden_spatial, seed, dtype)
+        self.decoder = Decoder(config.decoder, enc.out_channels, enc.resolution, seed, dtype)
         names = [p.name for p in self.parameters()] + [n for n, _ in self.buffers()]
         dupes = {n for n in names if names.count(n) > 1}
         if dupes:
@@ -332,7 +330,7 @@ def build_model(enc_cfg: EncoderConfig, dec_cfg: DecoderConfig, seed: int = 0,
 
 
 def encode(model: E2VModel, frames: np.ndarray, remember: bool = False) -> np.ndarray:
-    """Run only the encoder: frames (N, 1, D, H, W) -> hidden (N, C, *hidden_spatial)."""
+    """Run only the encoder: frames (N, 1, D, H, W) -> hidden (N, C, R, R, R)."""
     return model.encoder.forward(frames, remember)
 
 

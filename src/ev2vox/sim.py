@@ -43,6 +43,13 @@ from .events import EventStream, from_arrays
 
 DEFAULT_CONTRAST = 0.2
 LOG_EPS = 1e-3
+# the orbit camera_pose follows
+Z_START, Z_END = 2.0, -2.0
+R_MIN, R_MAX = 4.0, 6.0
+REVOLUTIONS = 1.0
+# a full-frame camera behind an 80 mm lens
+FOCAL_LENGTH_MM = 80.0
+SENSOR_WIDTH_MM = 36.0
 # triangles tested against a tile's rays at once by the mesh raycaster
 TRIANGLE_CHUNK = 512
 # side in pixels of the square screen tiles the mesh raycaster bins into
@@ -60,39 +67,26 @@ _LIGHTS = (
 class TrajectoryConfig:
     duration: float = 0.5
     fps: float = 240.0
-    z_start: float = 2.0
-    z_end: float = -2.0
-    r_min: float = 4.0
-    r_max: float = 6.0
-    revolutions: float = 1.0
 
     def __post_init__(self):
         if self.duration <= 0:
             raise ConfigError(f"duration must be positive, got {self.duration}")
         if self.fps <= 0:
             raise ConfigError(f"fps must be positive, got {self.fps}")
-        if self.r_min > self.r_max:
-            raise ConfigError(f"r_min {self.r_min} exceeds r_max {self.r_max}")
-        if self.z_start == 0:
-            raise ConfigError("z_start of 0 leaves the radius profile undefined")
 
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
-    focal_length: float = 80.0  # mm
-    sensor_width: float = 36.0  # mm
     width: int = 64
     height: int = 64
 
     def __post_init__(self):
-        if self.focal_length <= 0 or self.sensor_width <= 0:
-            raise ConfigError("focal length and sensor width must be positive")
         if self.width < 1 or self.height < 1:
             raise ConfigError(f"resolution {self.width}x{self.height} is not positive")
 
     @property
     def f_pix(self) -> float:
-        return self.focal_length / self.sensor_width * self.width
+        return FOCAL_LENGTH_MM / SENSOR_WIDTH_MM * self.width
 
 
 def _hit_points(o, d, t):
@@ -278,16 +272,16 @@ def look_at_pose(position) -> Pose:
 def camera_pose(cfg: TrajectoryConfig, t: float) -> Pose:
     """Orbit position at time t with a look-at-origin orientation.
 
-    z falls linearly from z_start to z_end; the radius grows from r_min
-    to r_max as |z| shrinks to zero and returns; the azimuth sweeps
-    2*pi*revolutions over the full duration.
+    z falls linearly from Z_START to Z_END; the radius grows from R_MIN
+    to R_MAX as |z| shrinks to zero and returns; the azimuth sweeps
+    2*pi*REVOLUTIONS over the full duration.
     """
     if not (0.0 <= t <= cfg.duration):
         raise InternalError(f"t={t} outside [0, {cfg.duration}]")
     frac = t / cfg.duration
-    z = cfg.z_start + (cfg.z_end - cfg.z_start) * frac
-    r = cfg.r_min + (cfg.r_max - cfg.r_min) * (1.0 - abs(z) / abs(cfg.z_start))
-    theta = 2.0 * math.pi * cfg.revolutions * frac
+    z = Z_START + (Z_END - Z_START) * frac
+    r = R_MIN + (R_MAX - R_MIN) * (1.0 - abs(z) / abs(Z_START))
+    theta = 2.0 * math.pi * REVOLUTIONS * frac
     return look_at_pose([r * math.cos(theta), r * math.sin(theta), z])
 
 

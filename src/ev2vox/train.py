@@ -319,8 +319,8 @@ class EvalReport:
 def evaluate(
     model: E2VModel,
     dataset,
-    threshold: float = 0.3,
-    distance: float = 0.20,
+    threshold: float,
+    distance: float,
 ) -> EvalReport:
     """Score samples (frames, label[, category]), as ``train`` takes them,
     with the model in inference mode; a sample without a category counts

@@ -248,7 +248,7 @@ def voxel_to_points(grid: VoxelGrid) -> np.ndarray:
     return (idx + 0.5) / grid.resolution
 
 
-def fscore(rec: np.ndarray, gt: np.ndarray, distance: float = 0.20) -> float:
+def fscore(rec: np.ndarray, gt: np.ndarray, distance: float) -> float:
     """Harmonic mean of precision and recall at a distance tolerance, for
     two (P, 3) point arrays.
 

@@ -96,7 +96,7 @@ def test_criterion_1_frame_count(announce):
             y = rng.integers(0, 64, n_events)
             p = rng.choice([-1, 1], n_events)
             stream = from_arrays(t, x, y, p, 64, 64, duration=0.5)
-            frames = bin_to_frames(stream, BinningConfig(window=0.005, mode="uniform"))
+            frames = bin_to_frames(stream, BinningConfig(window=0.005))
             assert len(frames) == 100, f"{n_events} events gave {len(frames)} frames"
 
     run_criterion(announce, 1, "frame-count fidelity", 1.0, body)
@@ -262,8 +262,8 @@ def test_criterion_4_metric_oracles(announce):
         empty = VoxelGrid(8, np.zeros((8, 8, 8), dtype=bool))
         full = VoxelGrid(8, np.ones((8, 8, 8), dtype=bool))
         assert iou(empty, empty) == 1.0
-        assert fscore(voxel_to_points(empty), voxel_to_points(full)) == 0.0
-        assert fscore(voxel_to_points(full), voxel_to_points(empty)) == 0.0
+        assert fscore(voxel_to_points(empty), voxel_to_points(full), 0.2) == 0.0
+        assert fscore(voxel_to_points(full), voxel_to_points(empty), 0.2) == 0.0
 
         loss, _ = bce_loss(np.full((1, 4, 4, 4), 0.5), np.zeros((1, 4, 4, 4)))
         assert abs(loss - np.log(2.0)) < 1e-6

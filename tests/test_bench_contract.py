@@ -8,6 +8,7 @@ binds them, and ``bench/workload.py`` derives its expected call counts from
 the toy run config, so the names both read are pinned here too.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import shutil
@@ -19,7 +20,8 @@ import pytest
 
 from ev2vox import cli, sim, train
 from ev2vox import model as M
-from ev2vox.voxel import uv_sphere_mesh
+from ev2vox.events import bin_to_frames, read_evt1
+from ev2vox.voxel import read_vox1, uv_sphere_mesh
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -46,8 +48,8 @@ def expected_conv_counts(enc: M.EncoderConfig, dec: M.DecoderConfig) -> Counter:
             counts["nn.conv_k3"] += 1
             cin = cout
     counts["nn.conv_k1"] += 2  # decoder entry and head
-    counts["nn.conv_k3"] += 2 * (dec.levels - 1)  # each down and each up's fuse
-    counts["nn.deconv_k2"] += dec.levels - 1
+    counts["nn.conv_k3"] += 2 * (len(dec.channels) - 1)  # each down and each up's fuse
+    counts["nn.deconv_k2"] += len(dec.channels) - 1
     return counts
 
 
@@ -129,3 +131,15 @@ def test_toy_config_has_what_the_workload_reads():
     assert run.seed == 3
     for value in (run.epochs, run.batch_size, run.checkpoint_every, cfg.generate.count):
         assert type(value) is int and value >= 1
+
+
+def test_toy_labels_match_the_toy_model_output(tmp_path):
+    # the workload's train IoU check scores predictions against these labels
+    cfg = cli.load_run_config(None, toy=True)
+    one = dataclasses.replace(cfg, generate=dataclasses.replace(cfg.generate, count=1))
+    cli.cmd_generate(one, 0, str(tmp_path))
+    label = read_vox1(tmp_path / "s0000.vox")
+    frames = bin_to_frames(read_evt1(tmp_path / "s0000.evt"), cfg.binning)
+    model = M.build_model(cfg.model.encoder, cfg.model.decoder)
+    probs = model.forward(M.frames_to_input([frames]), remember=False)
+    assert probs.shape[1:] == label.occupancy.shape

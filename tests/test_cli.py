@@ -28,7 +28,7 @@ from ev2vox.errors import (
 )
 from ev2vox.events import EventStream, bin_to_frames, read_evt1, write_evt1
 from ev2vox.model import EncoderConfig
-from ev2vox.voxel import VoxelGrid, parse_obj, write_vox1
+from ev2vox.voxel import VoxelGrid, parse_obj, read_vox1, write_vox1
 
 
 def tree_hash(root):
@@ -88,6 +88,21 @@ class TestGenerate:
         assert cli.main(["generate", "--toy", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
         entries = json.loads((tmp_path / "d" / "manifest.json").read_text())["entries"]
         assert [e["category"] for e in entries] == ["sphere", "box"]
+
+    def test_labels_at_the_model_resolution(self, tmp_path):
+        # one key sets the label and output resolution for both commands;
+        # the count, splits and epochs only keep the run short
+        cfg = write_config(tmp_path / "c.json", {
+            "model": {"encoder": {"resolution": 4}},
+            "generate": {"count": 2, "ratios": [1, 0, 0]},
+            "trainer": {"run": {"epochs": 1, "checkpoint_every": 1}},
+        })
+        data = tmp_path / "d"
+        assert cli.main(["generate", "--toy", "--config", cfg, "--out", str(data)]) == 0
+        assert read_vox1(data / "s0000.vox").resolution == 4
+        assert json.loads((data / "s0000.json").read_text())["resolution"] == 4
+        assert cli.main(["train", "--toy", "--config", cfg, "--manifest",
+                         str(data / "manifest.json"), "--out", str(tmp_path / "run")]) == 0
 
     def test_bad_scene_spec_exits_2(self, tmp_path):
         cfg = write_config(
@@ -189,19 +204,36 @@ def override_at(section: str, field: str, value) -> dict:
     return tree
 
 
-def field_cases(values_of) -> list:
+# keys that run configs no longer have, as (section, place among the
+# section's fields, key, values it once took); a file that still sets one
+# exits 2 naming it. Each keeps the place its field had, so the numbered ids
+# of the cases after it stay as they were
+RETIRED_KEYS = [
+    ("binning", 1, "mode", ["uniform"]),
+    ("model.decoder", 0, "levels", [2, 3]),
+    ("generate", 1, "resolution", [8, 32]),
+]
+
+
+def field_cases(values_of, retired=()) -> list:
     """(run config, dotted key) for each value ``values_of(annotation)``
-    gives for every field of every config dataclass."""
-    return [
-        (override_at(section, f.name, value), f"{section}.{f.name}".lstrip("."))
-        for section, cls in CONFIG_SECTIONS.items()
-        for f in dataclasses.fields(cls)
-        for value in values_of(typing.get_type_hints(cls)[f.name])
-    ]
+    gives for every field of every config dataclass, and for each value of
+    each ``retired`` key at its place."""
+    cases = []
+    for section, cls in CONFIG_SECTIONS.items():
+        keys = [(f.name, values_of(typing.get_type_hints(cls)[f.name]))
+                for f in dataclasses.fields(cls)]
+        for where, index, key, values in retired:
+            if where == section:
+                keys.insert(index, (key, values))
+        cases += [(override_at(section, key, value), f"{section}.{key}".lstrip("."))
+                  for key, values in keys for value in values]
+    return cases
 
 
-# a wrong-typed value for every field of every config dataclass
-FIELD_TYPE_CASES = field_cases(wrong_values)
+# a wrong-typed value for every field of every config dataclass, and each
+# retired key
+FIELD_TYPE_CASES = field_cases(wrong_values, RETIRED_KEYS)
 
 # what Python's json reads but no float field takes: NaN, the infinities and
 # an integer past the float range. Listed after FIELD_TYPE_CASES, so the
@@ -282,6 +314,8 @@ class TestConfig:
     ] + FIELD_TYPE_CASES + NON_FINITE_CASES + [
         ({"metrics": {"threshold": 1.5}}, "metrics: threshold must lie in (0, 1)"),
         ({"metrics": {"distance": 0}}, "metrics: distance must be positive"),
+        ({"model": {"encoder": {"stages": [{"blocks": 0, "channels": 8, "stride": [1, 1, 1]}]}}},
+         "model.encoder.stages[0]: blocks must be at least 1"),
     ])
     def test_wrong_value_type_exits_2(self, tmp_path, capsys, override, key):
         cfg = write_config(tmp_path / "c.json", override)
@@ -298,8 +332,9 @@ class TestConfig:
         ({"encoder": {"stages": [{"blocks": 1, "channels": 8}]}}, "model.encoder.stages[0].stride"),
         ({"encoder": {"in_channels": 2}}, "model.encoder.in_channels"),
         # the train labels are 8^3
-        ({"encoder": {"hidden_spatial": [6, 6, 6]}}, "model.encoder.hidden_spatial"),
-        ({"encoder": {"hidden_spatial": [8, 8, 4]}}, "model.encoder.hidden_spatial"),
+        ({"encoder": {"resolution": 6}}, "model.encoder.resolution"),
+        # the key that named the output volume before resolution did
+        ({"encoder": {"hidden_spatial": [8, 8, 8]}}, "model.encoder.hidden_spatial"),
     ])
     def test_bad_model_shape_exits_2(self, pipeline, tmp_path, capsys, model, key):
         # unchecked, these ended training in an internal shape error, a
@@ -421,6 +456,15 @@ class TestPreprocess:
         assert cli.main(["preprocess", "--toy", "--manifest", str(data / "manifest.json")]) == 3
         assert str(bad) in capsys.readouterr().err
 
+    def test_nan_timestamp_exits_3_naming_file(self, pipeline, tmp_path, capsys):
+        data = copy_dataset(pipeline, tmp_path)
+        bad = data / "s0000.evt"
+        blob = bytearray(bad.read_bytes())
+        blob[32:40] = np.float64(np.nan).tobytes()  # the first record's t
+        bad.write_bytes(bytes(blob))
+        assert cli.main(["preprocess", "--toy", "--manifest", str(data / "manifest.json")]) == 3
+        assert f"{bad}: event 0 has non-finite timestamp" in capsys.readouterr().err
+
     @pytest.mark.parametrize("target", [0, -32], ids=["zero", "negative"])
     def test_binning_target_below_1_exits_2_before_writing(self, pipeline, tmp_path, capsys,
                                                            target):
@@ -515,16 +559,24 @@ DAMAGED_SIDECARS = [b'{"config": {"encoder": {"st', b"{}", b"[]", b'{"config": 3
 
 # changes to the pipeline's sidecar config, each leaving JSON that describes
 # no model this version builds: keys that sidecars carried before the norm
-# and in_channels options went, and a hidden volume that the decoder's two
-# levels cannot halve and restore
-RETIRED_KEYS = {"encoder": {"norm": "batch", "in_channels": 1}, "decoder": {"norm": "batch"}}
-ODD_HIDDEN = {"encoder": {"hidden_spatial": [5, 5, 5]}}
+# and in_channels options went, the decoder depth and hidden volume they
+# carried before the channel list and resolution stated them, and a
+# resolution that the decoder's two levels cannot halve and restore
+RETIRED_SIDECAR_KEYS = {"encoder": {"norm": "batch", "in_channels": 1},
+                        "decoder": {"norm": "batch"}}
+LEVELS = {"decoder": {"levels": 2}}
+HIDDEN_SPATIAL = {"encoder": {"hidden_spatial": [8, 8, 8]}}
+ODD_HIDDEN = {"encoder": {"resolution": 5}}
 NO_MODEL = "model.ckpt.json: sidecar does not describe a model"
 # (command, change, what the error names and says); eval compares the
 # sidecar's config with --config's before it builds anything
 SIDECARS_WITHOUT_A_MODEL = [
-    pytest.param("eval", RETIRED_KEYS, NO_MODEL, id="eval-retired-keys"),
-    pytest.param("export", RETIRED_KEYS, NO_MODEL, id="export-retired-keys"),
+    pytest.param("eval", RETIRED_SIDECAR_KEYS, NO_MODEL, id="eval-retired-keys"),
+    pytest.param("export", RETIRED_SIDECAR_KEYS, NO_MODEL, id="export-retired-keys"),
+    pytest.param("eval", LEVELS, NO_MODEL, id="eval-levels"),
+    pytest.param("export", LEVELS, NO_MODEL, id="export-levels"),
+    pytest.param("eval", HIDDEN_SPATIAL, NO_MODEL, id="eval-hidden-spatial"),
+    pytest.param("export", HIDDEN_SPATIAL, NO_MODEL, id="export-hidden-spatial"),
     pytest.param("eval", ODD_HIDDEN,
                  "model.ckpt: checkpoint was trained with a different model configuration",
                  id="eval-odd-hidden"),

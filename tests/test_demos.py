@@ -37,7 +37,7 @@ def test_demo_02_train_toy(tmp_path):
     out = tmp_path / "out"
     proc = run_demo("02_train_toy.py", tmp_path, str(out), "3")
     assert proc.returncode == 0, proc.stderr
-    assert "output volume (8, 8, 8)" in proc.stdout
+    assert "output volume 8^3" in proc.stdout
     assert "trained 3 epochs" in proc.stdout
     assert (out / "model.ckpt").stat().st_size > 0
 

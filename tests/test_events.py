@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ev2vox import events as ev
+from ev2vox.config import from_json
 from ev2vox.errors import ConfigError, DataError, FormatError
 
 
@@ -48,6 +49,11 @@ class TestValidateStream:
         with pytest.raises(DataError, match=r"expected \+1 or -1"):
             ev.validate_stream([(0, 0, 0.0, 2)], 8, 8, 1.0)
 
+    def test_non_finite_timestamps_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DataError, match="event 1 has non-finite timestamp"):
+                make_stream([0.1, bad, 0.2])
+
     def test_timestamp_range(self):
         with pytest.raises(DataError, match=r"outside \[0, 1.0\]"):
             ev.validate_stream([(0, 0, 1.5, 1)], 8, 8, 1.0)
@@ -80,8 +86,9 @@ class TestBinningConfig:
             ev.BinningConfig(window=-0.5)
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigError, match="unknown binning mode 'sliding'"):
-            ev.BinningConfig(window=0.1, mode="sliding")
+        # frames are always uniform windows; a config that names a mode is refused
+        with pytest.raises(ConfigError, match="unknown config key 'binning.mode'"):
+            from_json(ev.BinningConfig, {"window": 0.1, "mode": "uniform"}, "binning")
 
     def test_target_dims_must_divide(self):
         cfg = ev.BinningConfig(window=0.1, target_height=100, target_width=100)
@@ -156,42 +163,6 @@ class TestUniformBinning:
         assert set(np.unique(stack)) <= {0, 1}
 
 
-class TestAnchoredBinning:
-    def test_hand_traced_gap_anchoring(self):
-        ts = [0.001, 0.004, 0.011, 0.030, 0.031]
-        xs = [0, 1, 2, 3, 4]
-        s = make_stream(ts, xs=xs, ys=[0] * 5, duration=0.05)
-        stack = ev.bin_to_frames(s, ev.BinningConfig(window=0.005, mode="anchored"))
-        assert len(stack) == 3
-        assert stack[0, 0, 0] == 1 and stack[0, 0, 1] == 1
-        assert stack[0].sum() == 2
-        assert stack[1, 0, 2] == 1 and stack[1].sum() == 1
-        assert stack[2, 0, 3] == 1 and stack[2, 0, 4] == 1
-        assert stack[2].sum() == 2
-
-    def test_empty_stream_gives_zero_frames(self):
-        s = make_stream([], duration=0.5)
-        stack = ev.bin_to_frames(s, ev.BinningConfig(window=0.005, mode="anchored"))
-        assert len(stack) == 0
-
-    def test_agreement_with_uniform_on_aligned_fixture(self):
-        # anchors line up with the uniform boundaries when each window's
-        # first event arrives just after its boundary, by a strictly
-        # increasing offset: an event exactly at the next boundary would
-        # satisfy t_i - t_j <= dt and be absorbed into the open window
-        window = 0.25
-        ts, xs = [], []
-        for i in range(4):
-            t0 = i * window + i * 1e-6
-            ts.extend([t0, t0 + 0.1])
-            xs.extend([i, i + 4])
-        s = make_stream(ts, xs=xs, duration=1.0)
-        uni = ev.bin_to_frames(s, ev.BinningConfig(window=window, mode="uniform"))
-        anc = ev.bin_to_frames(s, ev.BinningConfig(window=window, mode="anchored"))
-        assert len(uni) == len(anc) == 4
-        np.testing.assert_array_equal(uni, anc)
-
-
 class TestDownscale:
     def test_single_bit_survives(self):
         frames = np.zeros((1, 2, 2), dtype=np.uint8)
@@ -246,8 +217,6 @@ class TestDownscale:
 BINNING_DIGESTS = [
     pytest.param(ev.BinningConfig(window=0.01), (50, 48, 64),
                  "3c889abcb19fe5a54bedd2c6d9b9c51b71f1863983fce1ea70ecaf4f878f18f7", id="uniform"),
-    pytest.param(ev.BinningConfig(window=0.01, mode="anchored"), (50, 48, 64),
-                 "26b41c74a6602eac5d386751af7fff000c4a52cc0cdc435bb905cdf164dcdfb5", id="anchored"),
     pytest.param(ev.BinningConfig(window=0.01, target_height=12, target_width=16), (50, 12, 16),
                  "ab59814f877618a1384de76d3297c9b2ccfccf52571fbe791927629084e38ba5", id="downscaled"),
 ]
@@ -330,6 +299,17 @@ class TestEvt1Format:
         path.write_bytes(blob[:-4])
         with pytest.raises(FormatError):
             ev.read_evt1(path)
+
+    def test_nan_timestamp_rejected_naming_file_and_index(self, tmp_path):
+        s = ev.validate_stream([(0, 0, 0.1, 1), (1, 0, 0.15, 1), (2, 0, 0.2, 1)], 8, 8, 0.5)
+        path = tmp_path / "n.evt1"
+        ev.write_evt1(s, path)
+        blob = bytearray(path.read_bytes())
+        blob[32 + 16:32 + 24] = np.float64(np.nan).tobytes()  # record 1's t
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError) as exc:
+            ev.read_evt1(path)
+        assert str(exc.value) == f"{path}: event 1 has non-finite timestamp nan"
 
     def test_write_determinism(self, tmp_path):
         rng = np.random.default_rng(2)

@@ -25,9 +25,9 @@ def micro_configs():
     enc = M.EncoderConfig(
         stem=M.StemConfig(kernel=(3, 3, 3), stride=(1, 2, 2), channels=4, pool=False),
         stages=(M.StageConfig(1, 4, (1, 1, 1)), M.StageConfig(1, 8, (2, 2, 2))),
-        hidden_spatial=(4, 4, 4),
+        resolution=4,
     )
-    dec = M.DecoderConfig(levels=2, channels=(4, 8))
+    dec = M.DecoderConfig(channels=(4, 8))
     return enc, dec
 
 
@@ -47,16 +47,15 @@ class TestConfigs:
         enc = M.EncoderConfig.toy()
         assert enc.stem.channels == 8
         assert [(s.blocks, s.channels) for s in enc.stages] == [(1, 8), (1, 16)]
-        assert enc.hidden_spatial == (8, 8, 8)
+        assert enc.resolution == 8
         assert enc.out_channels == 64
-        dec = M.DecoderConfig.toy()
-        assert dec.levels == 2 and dec.channels == (16, 32)
+        assert M.DecoderConfig.toy().channels == (16, 32)
 
     def test_full_scale_stage_pattern(self):
         enc = M.EncoderConfig.paper()
         assert [s.blocks for s in enc.stages] == [3, 8, 36, 3]
         assert enc.out_channels == 2048
-        assert enc.hidden_spatial == (32, 32, 32)
+        assert enc.resolution == 32
         assert M.DecoderConfig.paper().channels == (64, 128, 256)
 
     def test_config_dict_round_trip(self):
@@ -72,7 +71,8 @@ class TestConfigs:
         lambda: M.StemConfig(channels=0),
         lambda: M.StageConfig(1, 0, (1, 1, 1)),
         lambda: M.StageConfig(1, 4, (2, 0, 2)),
-        lambda: M.DecoderConfig(levels=2, channels=(8, 0)),
+        lambda: M.StageConfig(0, 4, (1, 1, 1)),
+        lambda: M.DecoderConfig(channels=(8, 0)),
     ])
     def test_shapes_below_one_rejected(self, make):
         with pytest.raises(ConfigError, match="must be at least 1"):
@@ -86,21 +86,21 @@ class TestConfigs:
         with pytest.raises(ConfigError):
             M.EncoderConfig(
                 stem=M.StemConfig(), stages=(M.StageConfig(1, 4, (1, 1, 1)),),
-                hidden_spatial=(0, 4, 4),
+                resolution=0,
             )
 
-    def test_channel_schedule_must_match_levels(self):
-        with pytest.raises(ConfigError):
-            M.DecoderConfig(levels=3, channels=(4, 8))
+    def test_empty_channel_list_rejected(self):
+        with pytest.raises(ConfigError, match="at least one level"):
+            M.DecoderConfig(channels=())
 
     def test_indivisible_hidden_rejected_at_build(self):
         enc = M.EncoderConfig(
             stem=M.StemConfig(kernel=(3, 3, 3), stride=(1, 1, 1), channels=4, pool=False),
             stages=(M.StageConfig(1, 4, (1, 1, 1)),),
-            hidden_spatial=(5, 4, 4),
+            resolution=5,
         )
         with pytest.raises(ConfigError):
-            M.build_model(enc, M.DecoderConfig(levels=2, channels=(4, 8)), seed=0)
+            M.build_model(enc, M.DecoderConfig(channels=(4, 8)), seed=0)
 
 
 class TestShapes:
@@ -145,13 +145,14 @@ class TestShapes:
         assert np.all(probs == 0.5)
 
     def test_decoder_restores_noncubic_spatial(self):
-        # every down halving is undone by the matching up level
+        # every down halving is undone by the matching up level, whatever
+        # volume the decoder is handed
         enc = M.EncoderConfig(
             stem=M.StemConfig(kernel=(3, 3, 3), stride=(1, 2, 2), channels=4, pool=False),
             stages=(M.StageConfig(1, 4, (1, 1, 1)),),
-            hidden_spatial=(4, 8, 8),
+            resolution=8,
         )
-        m = M.build_model(enc, M.DecoderConfig(levels=2, channels=(4, 8)), seed=0)
+        m = M.build_model(enc, M.DecoderConfig(channels=(4, 8)), seed=0)
         hidden = np.random.default_rng(3).random((1, 16, 4, 8, 8)).astype(np.float32)
         assert M.decode(m, hidden).shape == (1, 4, 8, 8)
 

@@ -284,7 +284,7 @@ class TestPaperStemOracle:
         cfg = M.EncoderConfig(
             stem=M.StemConfig(channels=8),
             stages=(M.StageConfig(1, 4, (1, 1, 1)),),
-            hidden_spatial=(4, 4, 5),
+            resolution=4,
         )
         enc = M.build_encoder(cfg, seed=0, dtype=np.float32)
         oracle = M.build_encoder(cfg, seed=0, dtype=np.float32)
@@ -296,7 +296,7 @@ class TestPaperStemOracle:
         assert swapped == 11  # 5 norms, 4 ReLUs, the pool and the resize
         rng = np.random.default_rng(21)
         x = rng.normal(size=(2, 1, 10, 18, 14)).astype(np.float32)
-        g = rng.normal(size=(2, cfg.out_channels, *cfg.hidden_spatial)).astype(np.float32)
+        g = rng.normal(size=(2, cfg.out_channels, 4, 4, 4)).astype(np.float32)
         got, want = self._run(enc, x, g), self._run(oracle, x, g)
         assert len(got) == len(want)
         for a, b in zip(got, want):

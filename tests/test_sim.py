@@ -15,16 +15,16 @@ class TestTrajectoryConfig:
     def test_defaults(self):
         cfg = sim.TrajectoryConfig()
         assert cfg.duration == 0.5 and cfg.fps == 240
-        assert (cfg.z_start, cfg.z_end) == (2.0, -2.0)
-        assert (cfg.r_min, cfg.r_max) == (4.0, 6.0)
+        assert (sim.Z_START, sim.Z_END) == (2.0, -2.0)
+        assert (sim.R_MIN, sim.R_MAX) == (4.0, 6.0)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"duration": 0.0},
             {"fps": -1.0},
-            {"r_min": 7.0},
-            {"z_start": 0.0},
+            {"duration": -0.5},
+            {"fps": 0.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -83,7 +83,7 @@ class TestIntrinsics:
         with pytest.raises(ConfigError):
             sim.CameraIntrinsics(width=0)
         with pytest.raises(ConfigError):
-            sim.CameraIntrinsics(focal_length=-1.0)
+            sim.CameraIntrinsics(height=-1)
 
 
 def center_sphere_scene(radius=0.5, albedo=0.9):

@@ -267,14 +267,15 @@ class TestEvaluate:
         gts = [voxel.VoxelGrid(4, rng.random((4, 4, 4)) > 0.5) for _ in range(2)]
         preds = [rng.uniform(0, 1, (4, 4, 4)) for _ in range(2)]
         samples = [(frames, g, "solo") for g in gts]
-        report = T.evaluate(FakeModel(np.stack(preds)), samples, threshold=0.3)
+        report = T.evaluate(FakeModel(np.stack(preds)), samples, threshold=0.3, distance=0.2)
 
         expect_iou = []
         expect_f = []
         for p, gt in zip(preds, gts):
             pred = voxel.binarize(p, 0.3)
             expect_iou.append(voxel.iou(pred, gt))
-            expect_f.append(voxel.fscore(voxel.voxel_to_points(pred), voxel.voxel_to_points(gt)))
+            expect_f.append(
+                voxel.fscore(voxel.voxel_to_points(pred), voxel.voxel_to_points(gt), 0.2))
         assert report.rows[0].iou == pytest.approx(np.mean(expect_iou))
         assert report.rows[0].fscore == pytest.approx(np.mean(expect_f))
 
@@ -289,7 +290,7 @@ class TestEvaluate:
         for _ in range(3):
             samples.append((frames, full, "bad"))
             probs.append(np.zeros((4, 4, 4)))
-        report = T.evaluate(FakeModel(np.stack(probs)), samples)
+        report = T.evaluate(FakeModel(np.stack(probs)), samples, 0.3, 0.2)
         by_cat = {r.category: r for r in report.rows}
         assert by_cat["good"].iou == 1.0 and by_cat["bad"].iou == 0.0
         # sample-weighted: (1 + 0 + 0 + 0) / 4, not (1 + 0) / 2
@@ -315,5 +316,5 @@ class TestEvaluate:
     def test_unlabeled_samples_fall_into_all(self):
         frames = np.zeros((2, 4, 4), dtype=np.uint8)
         gt = voxel.VoxelGrid(4, np.ones((4, 4, 4), dtype=bool))
-        report = T.evaluate(FakeModel(np.full((1, 4, 4, 4), 0.9)), [(frames, gt)])
+        report = T.evaluate(FakeModel(np.full((1, 4, 4, 4), 0.9)), [(frames, gt)], 0.3, 0.2)
         assert report.rows[0].category == "all"
