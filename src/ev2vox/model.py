@@ -136,6 +136,17 @@ class ModelConfig:
     decoder: DecoderConfig
     seed: int = 0
 
+    def __post_init__(self):
+        # each decoder level past the first halves the volume, and the up
+        # path doubles it back, so the output side must halve evenly
+        levels, resolution = len(self.decoder.channels), self.encoder.resolution
+        if resolution % 2 ** (levels - 1):
+            raise ConfigError(
+                f"model.encoder.resolution {resolution} is not divisible by "
+                f"2^{levels - 1}, so the {levels} levels of model.decoder.channels "
+                f"could not halve and restore it"
+            )
+
 
 def conv_norm(cin, cout, kernel, stride, padding, name, seed, dtype, tag=""):
     """[conv, batch norm], named ``{name}.conv{tag}`` and ``{name}.norm{tag}``."""
@@ -222,14 +233,9 @@ class UpBlock(nn.Module):
 
 
 class Decoder(nn.Module):
-    def __init__(self, cfg: DecoderConfig, in_channels: int, resolution: int, seed: int, dtype):
+    def __init__(self, cfg: DecoderConfig, in_channels: int, seed: int, dtype):
         ch = cfg.channels
         depth = len(ch)
-        if resolution % 2 ** (depth - 1):
-            raise ConfigError(
-                f"resolution {resolution} is not divisible by 2^{depth - 1}; "
-                f"the up path could not restore it"
-            )
         self.entry = conv_norm_relu(in_channels, ch[0], 1, 1, 0, "decoder.entry", seed, dtype)
         self.downs = [
             conv_norm_relu(ch[i - 1], ch[i], 3, 2, 1, f"decoder.down{i}", seed, dtype)
@@ -292,7 +298,7 @@ class E2VModel(nn.Module):
         self.dtype = np.dtype(dtype)
         enc, seed = config.encoder, config.seed
         self.encoder = build_encoder(enc, seed, dtype)
-        self.decoder = Decoder(config.decoder, enc.out_channels, enc.resolution, seed, dtype)
+        self.decoder = Decoder(config.decoder, enc.out_channels, seed, dtype)
         names = [p.name for p in self.parameters()] + [n for n, _ in self.buffers()]
         dupes = {n for n in names if names.count(n) > 1}
         if dupes:

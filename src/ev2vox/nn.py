@@ -83,11 +83,17 @@ def _require_rank5(x: np.ndarray, context: str) -> None:
 
 
 class Parameter:
-    """A learnable array paired with its gradient accumulator."""
+    """A learnable array paired with its gradient accumulator.
+
+    ``grad`` reads as zeros but costs no memory until something writes it:
+    it is allocated with ``np.zeros``, whose pages the OS maps, already
+    zeroed, on first write, so a model that only runs forward never pays
+    for its gradients.
+    """
 
     def __init__(self, value: np.ndarray, name: str, decay: bool = True):
         self.value = value
-        self.grad = np.zeros_like(value)
+        self.grad = np.zeros(value.shape, value.dtype)
         self.name = name
         # weight decay is skipped for norm gains/shifts and the head's offset
         self.decay = decay
@@ -375,7 +381,7 @@ class Conv3d(Module):
         fan_in = in_channels * kernel[0] * kernel[1] * kernel[2]
         bound = np.sqrt(6.0 / fan_in)
         rng = ParameterRng(seed, f"{name}.weight")
-        w = rng.uniform(out_channels * fan_in, -bound, bound).astype(dtype)
+        w = rng.uniform(out_channels * fan_in, -bound, bound, dtype)
         channels = (in_channels, out_channels)
         if self.kind == "conv3d":
             channels = channels[::-1]

@@ -60,8 +60,9 @@ class OptState:
     """
 
     def __init__(self, params):
-        self.m = {p.name: np.zeros_like(p.value, dtype=np.float32) for p in params}
-        self.v = {p.name: np.zeros_like(p.value, dtype=np.float32) for p in params}
+        # np.zeros leaves the pages unwritten until a step writes them
+        self.m = {p.name: np.zeros(p.value.shape, np.float32) for p in params}
+        self.v = {p.name: np.zeros(p.value.shape, np.float32) for p in params}
         self.step = 0
 
     def check(self, params):

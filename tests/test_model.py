@@ -99,7 +99,7 @@ class TestConfigs:
             stages=(M.StageConfig(1, 4, (1, 1, 1)),),
             resolution=5,
         )
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="model.encoder.resolution 5 .*model.decoder"):
             M.build_model(enc, M.DecoderConfig(channels=(4, 8)), seed=0)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import os
 import tracemalloc
 
 import numpy as np
@@ -912,6 +913,27 @@ class TestInitialization:
         assert conv.weight.grad.any()
         conv.weight.zero_grad()
         assert not conv.weight.grad.any()
+
+
+def resident_bytes() -> int:
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+class TestParameter:
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                        reason="needs /proc/self/statm for the resident set size")
+    def test_unwritten_grad_is_not_resident(self):
+        before = resident_bytes()
+        value = np.full(16 * 2**20, 0.5, dtype=np.float32)  # 64 MiB, written
+        p = nn.Parameter(value, "w")
+        assert resident_bytes() - before < 1.5 * value.nbytes
+        assert p.grad.shape == value.shape and p.grad.dtype == value.dtype
+        assert not p.grad.any()
+        p.grad += 2.0
+        assert (p.grad == 2.0).all()
+        p.zero_grad()
+        assert not p.grad.any()
 
 
 class TestCheckpointFormat:

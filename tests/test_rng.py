@@ -57,3 +57,26 @@ def test_parameter_rng_continues_the_stream():
     first, second = r.uniform(3), r.uniform(4)
     whole = rng.uniform(r.key, 0, 7, 0.0, 1.0)
     np.testing.assert_array_equal(np.concatenate([first, second]), whole)
+
+
+def test_uniform_crosses_blocks_from_an_unaligned_start():
+    key = rng.stream_key(11, "decoder.up1.deconv.weight")
+    count = 3 * rng.BLOCK + 17
+    got = rng.uniform(key, 12345, count, -0.5, 0.5)
+    np.testing.assert_array_equal(got, uniform_reference(key, 12345, count, -0.5, 0.5))
+
+
+def test_float32_output_is_the_float64_output_rounded():
+    key = rng.stream_key(2, "encoder.stem.conv.weight")
+    count = rng.BLOCK + 5
+    got = rng.uniform(key, 3, count, -0.1, 0.1, np.float32)
+    assert got.dtype == np.float32
+    want = rng.uniform(key, 3, count, -0.1, 0.1).astype(np.float32)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_parameter_rng_continues_the_stream_across_a_block_boundary():
+    r = rng.ParameterRng(5, "x")
+    first, second = r.uniform(rng.BLOCK - 3), r.uniform(10)
+    whole = rng.uniform(r.key, 0, rng.BLOCK + 7, 0.0, 1.0)
+    np.testing.assert_array_equal(np.concatenate([first, second]), whole)
