@@ -322,12 +322,14 @@ class E2VModel(nn.Module):
 
     def load_state(self, entries: dict[str, np.ndarray]):
         """Install parameter and buffer values from checkpoint ``entries``,
-        which hold each of ``state_entries()`` at its shape."""
+        which hold each of ``state_entries()`` at its shape. Entries in the
+        model's dtype are taken, not copied: the caller hands over arrays it
+        no longer uses, as ``load_checkpoint``'s are."""
         for p in self.parameters():
-            p.value = entries[p.name].astype(self.dtype)
+            p.value = entries[p.name].astype(self.dtype, copy=False)
         for m in self.modules():
             for attr in m.buffer_names:
-                setattr(m, attr, entries[f"{m.name}.{attr}"].astype(np.float32))
+                setattr(m, attr, entries[f"{m.name}.{attr}"].astype(np.float32, copy=False))
 
 
 def build_model(enc_cfg: EncoderConfig, dec_cfg: DecoderConfig, seed: int = 0,

@@ -30,9 +30,13 @@ Batch norm and ReLU write into their input's buffer: batch norm puts xhat
 there (and, unless it remembers, its output too), ReLU its output. Every
 model caller hands them a fresh array that nothing else holds (a conv's
 output, a norm's output, a residual sum); a caller that reads its input
-again afterwards passes a copy. Batch norm subtracts the mean once, in
-place, and squares the deviations into one scratch array whose mean is
-the variance, so its statistics are the bytes of ``x.mean`` and
+again afterwards passes a copy. Batch norm and max pooling work on a
+tensor larger than the same byte budget one block at a time, a block
+being one sample's slab of whole channels, so no scratch array grows
+with the input. Batch norm subtracts the mean in place and squares each
+block's deviations into one budget-sized scratch buffer; it sums them per
+channel one sample at a time, in sample order, as numpy reduces the
+whole tensor, so its statistics are the bytes of ``x.mean`` and
 ``x.var(mean=)``.
 
 Every layer, and every block built from layers, is a ``Module``. A module
@@ -54,11 +58,13 @@ from scipy.special import expit
 from .errors import InternalError
 from .rng import ParameterRng
 
-# Byte budget of one sample's patch block, sized for cache: a conv takes
-# whole output-depth planes per block while they fit, else slabs of h rows
-# of one plane. A call copies its blocks into one buffer of n blocks at
-# most, freed when it returns. 8 MiB was fastest or tied on every
-# paper-scale conv shape in a sweep of 2, 4, 8 and 16 MiB.
+# Byte budget of one block, sized for cache. A conv's block is one sample's
+# patch matrix: whole output-depth planes while they fit, else slabs of h
+# rows of one plane; a call copies its blocks into one buffer of n blocks
+# at most, freed when it returns. Batch norm and max pooling cut a larger
+# tensor into slabs of one sample's channels (see _slabs). 8 MiB was
+# fastest or tied on every paper-scale conv shape in a sweep of 2, 4, 8
+# and 16 MiB.
 MAX_PATCH_BYTES = 8 * 2**20
 
 # BatchNorm3d's variance floor and running-statistics momentum
@@ -238,6 +244,23 @@ def _blocks(rows: int, out_dims, itemsize: int):
     for d0 in range(do):
         for h0 in range(0, ho, step):
             yield d0, d0 + 1, h0, min(ho, h0 + step)
+
+
+def _slabs(x: np.ndarray):
+    """(samples, channels) index pairs cutting ``x`` into blocks within MAX_PATCH_BYTES.
+
+    A tensor within the budget is one block. Otherwise a block is one
+    sample's slab of as many whole channels as fit (at least one), the last
+    slab ragged.
+    """
+    if x.nbytes <= MAX_PATCH_BYTES:
+        yield slice(None), slice(None)
+        return
+    n, c = x.shape[:2]
+    step = max(1, MAX_PATCH_BYTES // (x.itemsize * math.prod(x.shape[2:])))
+    for i in range(n):
+        for c0 in range(0, c, step):
+            yield slice(i, i + 1), slice(c0, c0 + step)
 
 
 def _windows(xp: np.ndarray, kernel, stride, block) -> np.ndarray:
@@ -451,7 +474,10 @@ class BatchNorm3d(Module):
     momentum ``BN_MOMENTUM``; eval mode applies the stored running
     statistics. The input's buffer takes xhat, and the output too unless
     ``remember`` keeps xhat for the backward or the parameters are wider
-    than the input.
+    than the input; then the output is one fresh array. A tensor over
+    ``MAX_PATCH_BYTES`` is normalized in ``_slabs`` blocks, except with one
+    channel: one pass sums each block's squared deviations in a
+    budget-sized scratch buffer, a second scales and shifts the block.
     """
 
     buffer_names = ("running_mean", "running_var")
@@ -472,13 +498,21 @@ class BatchNorm3d(Module):
         axes = (0, 2, 3, 4)
         m = x.shape[0] * x.shape[2] * x.shape[3] * x.shape[4]
         per_channel = (None, slice(None), None, None, None)
-        mean = x.mean(axis=axes) if self.training else self.running_mean.astype(x.dtype)
-        xhat = np.subtract(x, mean[per_channel], out=x)
-        squares = None
+        # numpy sums a one-channel batch as one run, so it stays one block
+        slabs = list(_slabs(x)) if self.channels > 1 else [(slice(None), slice(None))]
         if self.training:
-            # the mean of the squared deviations is x.var(mean=), bit for bit
-            squares = np.square(xhat)
-            var = squares.mean(axis=axes)
+            mean = x.mean(axis=axes)
+            # each channel's squared deviations summed one (D, H, W) run per
+            # sample, in sample order, then divided as np.mean divides: the
+            # bytes of x.var(mean=)
+            var = np.zeros_like(mean)
+            squares = np.empty(x[slabs[0]].size, x.dtype)  # the first slab is the largest
+            for n, c in slabs:
+                xs = x[n, c]
+                xs -= mean[c][per_channel]
+                sq = np.square(xs, out=squares[: xs.size].reshape(xs.shape))
+                var[c] += sq.sum(axis=axes)
+            np.true_divide(var, np.intp(m), out=var, casting="unsafe")
             self.running_mean = (
                 (1.0 - BN_MOMENTUM) * self.running_mean
                 + BN_MOMENTUM * mean.astype(np.float64)
@@ -488,19 +522,21 @@ class BatchNorm3d(Module):
                 + BN_MOMENTUM * var.astype(np.float64)
             ).astype(np.float32)
         else:
+            mean = self.running_mean.astype(x.dtype)
             var = self.running_var.astype(x.dtype)
         ivar = 1.0 / np.sqrt(var + BN_EPS)
-        xhat *= ivar[per_channel]
-        gain = self.gain.value[per_channel]
-        if np.result_type(xhat, gain) != xhat.dtype:
-            y = gain * xhat
-        elif remember:
-            # xhat stays for the backward; the squares' buffer, if any, is free
-            y = np.multiply(gain, xhat, out=squares)
-        else:
-            y = np.multiply(gain, xhat, out=xhat)
-        y += self.shift.value[per_channel]
-        self._cache = (xhat, ivar, m) if remember else None
+        gain, shift = self.gain.value, self.shift.value
+        dtype = np.result_type(x, gain)
+        # xhat stays in x for the backward, or the output is wider than x
+        y = np.empty(x.shape, dtype) if remember or dtype != x.dtype else x
+        for n, c in slabs:
+            xs = x[n, c]
+            if not self.training:
+                xs -= mean[c][per_channel]
+            xs *= ivar[c][per_channel]
+            ys = np.multiply(gain[c][per_channel], xs, out=y[n, c])
+            ys += shift[c][per_channel]
+        self._cache = (x, ivar, m) if remember else None
         return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -603,7 +639,11 @@ class MaxPool3d(Module):
     clipped slices of the unpadded input. Every pass keeps the first of
     tied taps and never takes NaN, so the last pass picks the
     lexicographically first (a, b, c) window offset holding the maximum:
-    the value and the tie-break of a scan over all kd*kh*kw taps.
+    the value and the tie-break of a scan over all kd*kh*kw taps. A tensor
+    over ``MAX_PATCH_BYTES`` is pooled one ``_slabs`` block at a time, so
+    the passes' intermediates and masks stay budget-sized; each block's
+    result is copied into one output array (and one int16 argmax array
+    when ``remember`` is set).
     """
 
     def __init__(self, kernel, stride=None, padding=0):
@@ -616,12 +656,18 @@ class MaxPool3d(Module):
         _require_rank5(x, "maxpool3d")
         out_dims = self.spec.out_dims(x.shape[2:])
         kernel = self.spec.kernel
-        y, arg = x, None
-        for i in (2, 1, 0):
-            y, arg = _max_pass(
-                y, arg, i + 2, kernel[i], self.spec.stride[i], self.spec.padding[i],
-                out_dims[i], math.prod(kernel[i + 1 :]), remember,
-            )
+        y = np.empty(x.shape[:2] + out_dims, x.dtype)
+        arg = np.empty(y.shape, np.int16) if remember else None
+        for n, c in _slabs(x):
+            ys, args = x[n, c], None
+            for i in (2, 1, 0):
+                ys, args = _max_pass(
+                    ys, args, i + 2, kernel[i], self.spec.stride[i], self.spec.padding[i],
+                    out_dims[i], math.prod(kernel[i + 1 :]), remember,
+                )
+            y[n, c] = ys
+            if remember:
+                arg[n, c] = args
         self._cache = (arg, x.shape) if remember else None
         return y
 

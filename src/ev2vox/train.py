@@ -86,14 +86,15 @@ class OptState:
     def load(self, entries):
         """Take the step and moments from checkpoint ``entries``, which hold
         each of ``entries()`` at its shape; a step that is not finite is a
-        DataError."""
+        DataError. float32 moments are taken, not copied, as
+        ``E2VModel.load_state`` takes its entries."""
         step = entries["opt.step"]
         if not np.isfinite(step):
             raise DataError(f"opt.step must be a finite count, got {step}")
         self.step = int(step)
         for name in self.m:
-            self.m[name] = entries[f"opt.m/{name}"].astype(np.float32)
-            self.v[name] = entries[f"opt.v/{name}"].astype(np.float32)
+            self.m[name] = entries[f"opt.m/{name}"].astype(np.float32, copy=False)
+            self.v[name] = entries[f"opt.v/{name}"].astype(np.float32, copy=False)
 
 
 @dataclass(frozen=True)

@@ -312,6 +312,21 @@ class TestState:
             assert ka == kb
             np.testing.assert_array_equal(va, vb)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_load_takes_float32_entries_without_a_copy(self, tmp_path, dtype):
+        m = M.build_model(*micro_configs(), seed=3)
+        save_checkpoint(tmp_path / "m.ckpt", m.state_entries())
+        entries = load_checkpoint(tmp_path / "m.ckpt")
+        other = M.E2VModel(m.config, dtype)
+        other.load_state(entries)
+        for p in other.parameters():
+            assert p.value.dtype == dtype
+            # a float64 model converts, so it owns its values
+            assert np.shares_memory(p.value, entries[p.name]) == (dtype == np.float32)
+            np.testing.assert_array_equal(p.value, entries[p.name])
+        for name, buf in other.buffers():
+            assert np.shares_memory(buf, entries[name])
+
     def test_missing_key_raises(self, tmp_path):
         m = M.build_model(*micro_configs(), seed=3)
         path = saved_training_checkpoint(tmp_path, m, lambda e: e.pop(m.parameters()[0].name))

@@ -1,5 +1,7 @@
 import itertools
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -934,6 +936,41 @@ class TestParameter:
         assert (p.grad == 2.0).all()
         p.zero_grad()
         assert not p.grad.any()
+
+
+# runs in a fresh interpreter; VmHWM is the peak RSS of its own address
+# space (ru_maxrss would carry over the launching process's peak)
+SLAB_PEAK_SCRIPT = """
+import numpy as np
+from ev2vox import nn
+
+def status_bytes(key):
+    with open("/proc/self/status") as fh:
+        line = next(line for line in fh if line.startswith(key + ":"))
+    return int(line.split()[1]) * 1024
+
+x = np.empty((1, 16, 16, 256, 256), np.float32)  # 64 MiB
+np.random.default_rng(0).standard_normal(dtype=np.float32, out=x)
+before = status_bytes("VmRSS")
+y = nn.MaxPool3d(3, 2, 1).forward(nn.BatchNorm3d(16).forward(x, False), False)
+print(x.nbytes, y.nbytes, status_bytes("VmHWM") - before)
+"""
+
+
+class TestSlabMemory:
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="needs /proc/self/status for the peak resident set size")
+    def test_norm_and_pool_make_no_input_sized_scratch(self):
+        # RSS after the call would miss a freed scratch array, so a fresh
+        # process compares its peak RSS with its RSS before the two layers
+        src = os.path.dirname(os.path.dirname(nn.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        out = subprocess.run([sys.executable, "-c", SLAB_PEAK_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True, timeout=120).stdout
+        x_bytes, y_bytes, rise = (int(v) for v in out.split())
+        # the pool's output (an eighth of x) and a few budget-sized blocks
+        assert y_bytes == x_bytes // 8
+        assert rise < x_bytes // 2
 
 
 class TestCheckpointFormat:

@@ -182,6 +182,28 @@ class TestBatchNormOracle:
         assert_same_bits(layer.backward(g), oracle.backward(g))
 
 
+class TestBatchNormSlabs(TestBatchNormOracle):
+    """The checks above with a budget under every tensor they use.
+
+    The (n, 7, 3, 4, 5) tensors split into slabs of 4 and 3 float32 or
+    2, 2, 2 and 1 float64 channels per sample; the larger shapes into one
+    channel per slab.
+    """
+
+    @pytest.fixture(autouse=True)
+    def small_budget(self, monkeypatch):
+        monkeypatch.setattr(nn, "MAX_PATCH_BYTES", 1000)
+
+    def test_one_channel_stays_one_block(self):
+        # summed one sample at a time, this input's variance changes in
+        # the last bit, and so do its output and running variance
+        rng = np.random.default_rng(17)
+        x = rng.normal(loc=3.0, size=(3, 1, 60, 64, 64)).astype(np.float32)
+        oracle, layer = bn_pair(1, np.float32, True, rng)
+        assert_same_bits(layer.forward(x.copy()), oracle.forward(x.copy()))
+        assert_same_bits(layer.running_var, oracle.running_var)
+
+
 POOL_SPECS = [
     # kernel, stride, padding: the paper's, even kernels, padding k//2,
     # uneven per-axis mixes, and windows lying wholly in the padding
@@ -225,6 +247,15 @@ class TestMaxPoolOracle:
             x[0, 0, 0, 0, 0] = first
             y = nn.MaxPool3d(2).forward(x)
             assert np.signbit(y[0, 0, 0, 0, 0]) == np.signbit(first)
+
+
+class TestMaxPoolSlabs(TestMaxPoolOracle):
+    """The checks above with a budget of two of the input's channel planes,
+    so each sample is pooled in slabs of 2 and 1 channels."""
+
+    @pytest.fixture(autouse=True)
+    def small_budget(self, monkeypatch):
+        monkeypatch.setattr(nn, "MAX_PATCH_BYTES", 2 * 6 * 7 * 9 * 4)
 
 
 class TestResizeOracle:
@@ -301,3 +332,12 @@ class TestPaperStemOracle:
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert_same_bits(a, b)
+
+
+class TestPaperStemSlabs(TestPaperStemOracle):
+    """The stem, pool and bottleneck in blocks: the stem's (5, 9, 7) output
+    channels come in slabs of 3, 3 and 2 per sample."""
+
+    @pytest.fixture(autouse=True)
+    def small_budget(self, monkeypatch):
+        monkeypatch.setattr(nn, "MAX_PATCH_BYTES", 3 * 5 * 9 * 7 * 4)

@@ -111,6 +111,15 @@ class TestAdamWStep:
         np.testing.assert_array_equal(restored.m["w"], state.m["w"])
         np.testing.assert_array_equal(restored.v["w"], state.v["w"])
 
+    def test_load_takes_float32_moments_without_a_copy(self):
+        p = scalar_param(1.0)
+        entries = {"opt.step": np.float32(3.0),
+                   "opt.m/w": np.array([0.5], np.float32), "opt.v/w": np.array([0.25], np.float32)}
+        restored = T.OptState([p])
+        restored.load(entries)
+        assert restored.step == 3
+        assert restored.m["w"] is entries["opt.m/w"] and restored.v["w"] is entries["opt.v/w"]
+
 
 def toy_dataset(n, seed=0, depth=10, side=32, r=8):
     """Procedural (frames, label) pairs: random sparse frames and a solid
