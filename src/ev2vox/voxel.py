@@ -9,6 +9,13 @@ probabilities, which ``binarize`` turns into a grid, and a point set is a
 the package: strict thresholds, and empty-vs-empty comparisons count as
 perfect agreement.
 
+``voxelize`` never holds a mesh's surface samples as one point cloud: it
+computes them ``SURFACE_CHUNK`` lattice points at a time and marks their
+cells as it goes, so its scratch memory does not grow with the triangle
+count, and it finds the solid's exterior with one lookup table over the
+labels of the empty space. Meshes with non-finite vertices are rejected
+rather than voxelized to an empty grid.
+
 ``write_vox1`` and ``read_vox1`` build and parse VOX1 bytes; the file
 itself is written and read through ``ev2vox.artifacts``.
 """
@@ -29,6 +36,10 @@ from .errors import ConfigError, DataError, FormatError
 VOX1_MAGIC = b"E2VVOX1\x00"
 # voxelize's fine-lattice subdivisions per output cell; must be odd
 SUPERSAMPLE = 5
+# Lattice points per chunk of _surface_cells: a chunk's float64 points, their
+# products and their int64 cells are 3 * 3 * 8 * SURFACE_CHUNK B = 1.1 MiB,
+# sized to stay in L2. The grid does not depend on it.
+SURFACE_CHUNK = 2**14
 
 
 @dataclass
@@ -85,9 +96,12 @@ def parse_obj(text: str) -> TriMesh:
             if len(parts) < 4:
                 raise DataError(f"line {lineno}: vertex needs 3 coordinates: {raw!r}")
             try:
-                vertices.append((float(parts[1]), float(parts[2]), float(parts[3])))
+                vertex = (float(parts[1]), float(parts[2]), float(parts[3]))
             except ValueError as exc:
                 raise DataError(f"line {lineno}: non-numeric vertex: {raw!r}") from exc
+            if not all(map(math.isfinite, vertex)):
+                raise DataError(f"line {lineno}: non-finite vertex: {raw!r}")
+            vertices.append(vertex)
         elif keyword == "f":
             if len(parts) < 4:
                 raise DataError(f"line {lineno}: face needs at least 3 indices: {raw!r}")
@@ -117,11 +131,23 @@ def parse_obj(text: str) -> TriMesh:
     return TriMesh(np.asarray(vertices, dtype=np.float64), tri_arr)
 
 
+def _require_finite(mesh: TriMesh, action: str) -> None:
+    """A NaN or infinite vertex would turn every bound it touches into NaN
+    and the label into an empty grid, so it is rejected up front."""
+    bad = np.flatnonzero(~np.isfinite(mesh.vertices).all(axis=1))
+    if len(bad):
+        raise DataError(
+            f"cannot {action} a mesh with non-finite vertices: vertex index {bad[0]} "
+            f"is {mesh.vertices[bad[0]].tolist()}"
+        )
+
+
 def normalize_mesh(mesh: TriMesh) -> TriMesh:
     """Uniformly scale and translate so the bounding box is centered in the
     unit cube with its longest extent exactly 1."""
     if mesh.vertices.size == 0 or mesh.triangles.size == 0:
         raise DataError("cannot normalize an empty mesh")
+    _require_finite(mesh, "normalize")
     lo = mesh.vertices.min(axis=0)
     hi = mesh.vertices.max(axis=0)
     longest = float((hi - lo).max())
@@ -132,85 +158,115 @@ def normalize_mesh(mesh: TriMesh) -> TriMesh:
     return TriMesh(verts, mesh.triangles.copy())
 
 
-def _sample_triangles(vertices: np.ndarray, triangles: np.ndarray, spacing: float) -> np.ndarray:
-    """Dense point samples covering every triangle at the given spacing.
+def _mark_chunk(occ, a, e1, e2, u, v, resolution, scratch):
+    """Set the cells of the points ``a + u*e1 + v*e2`` in the flat grid ``occ``.
+
+    a, e1 and e2 are (3, triangles, 1) and u, v one run of lattice points,
+    so every array is (3, triangles, points), coordinate-major, and each
+    numpy loop runs along the lattice rather than along 3 coordinates.
+    ``scratch`` holds two float64 and one int64 flat buffer at least that
+    large.
+    """
+    shape = (3, a.shape[1], len(u))
+    size = math.prod(shape)
+    pts, prod, cell = (buf[:size].reshape(shape) for buf in scratch)
+    np.multiply(u, e1, out=pts)
+    pts += a
+    np.multiply(v, e2, out=prod)
+    pts += prod
+    pts *= resolution
+    np.floor(pts, out=pts)
+    np.copyto(cell, pts, casting="unsafe")
+    np.clip(cell, 0, resolution - 1, out=cell)
+    flat = cell[0]
+    flat *= resolution
+    flat += cell[1]
+    flat *= resolution
+    flat += cell[2]
+    occ[flat] = True
+
+
+def _surface_cells(mesh: TriMesh, resolution: int) -> np.ndarray:
+    """Occupancy of every cell the mesh's surface passes through.
 
     Each triangle is sampled on a barycentric lattice fine enough that
-    neighboring samples are at most ``spacing`` apart along both edge
-    directions, so no cell the triangle passes through is missed at the
-    matching grid pitch. Triangles that need the same number of steps
-    share one lattice, broadcast over the whole group; the points come
-    out grouped by step count, not in triangle order.
+    neighboring samples are at most a quarter of a cell diagonal apart
+    along both edge directions, so no cell the triangle passes through is
+    missed. Triangles that need the same number of steps share one
+    lattice, which is computed at most ``SURFACE_CHUNK`` points at a time
+    and turned straight into flat cell indices, so the scratch memory does
+    not grow with the mesh. Every point gets the same element-wise
+    arithmetic in any chunk, and marking a cell does not depend on order,
+    so the grid does not depend on the chunk size.
     """
+    spacing = math.sqrt(3.0) / (4.0 * resolution)
+    vertices, triangles = mesh.vertices, mesh.triangles
     a = vertices[triangles[:, 0]]
     e1 = vertices[triangles[:, 1]] - a
     e2 = vertices[triangles[:, 2]] - a
     nb = np.ceil(np.linalg.norm(e1, axis=1) / spacing).astype(int)
     nc = np.ceil(np.linalg.norm(e2, axis=1) / spacing).astype(int)
     steps = np.maximum(np.maximum(nb, nc), 1)
-    pts = np.empty((((steps + 1) * (steps + 2) // 2).sum(), 3))
-    pos = 0
+    a, e1, e2 = a.T, e1.T, e2.T
+    occ = np.zeros(resolution**3, dtype=bool)
+    scratch = (np.empty(3 * SURFACE_CHUNK), np.empty(3 * SURFACE_CHUNK),
+               np.empty(3 * SURFACE_CHUNK, dtype=np.int64))
     for n in np.unique(steps):
         group = np.flatnonzero(steps == n)
         i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
         keep = (i + j) <= n
-        u = (i[keep] / n)[None, :, None]
-        v = (j[keep] / n)[None, :, None]
-        size = len(group) * u.shape[1]
-        out = pts[pos:pos + size].reshape(len(group), -1, 3)
-        # a + u*e1 + v*e2 with the per-triangle rounding, written in place
-        np.multiply(u, e1[group, None], out=out)
-        out += a[group, None]
-        out += v * e2[group, None]
-        pos += size
-    return pts
-
-
-def _surface_cells(mesh: TriMesh, resolution: int) -> np.ndarray:
-    spacing = math.sqrt(3.0) / (4.0 * resolution)
-    pts = _sample_triangles(mesh.vertices, mesh.triangles, spacing)
-    idx = np.clip(np.floor(pts * resolution).astype(np.int64), 0, resolution - 1)
-    occ = np.zeros((resolution,) * 3, dtype=bool)
-    occ[idx[:, 0], idx[:, 1], idx[:, 2]] = True
-    return occ
+        u = i[keep] / n
+        v = j[keep] / n
+        points = min(len(u), SURFACE_CHUNK)
+        tris = max(1, SURFACE_CHUNK // len(u))
+        for t0 in range(0, len(group), tris):
+            g = group[t0:t0 + tris]
+            ga, ge1, ge2 = a[:, g, None], e1[:, g, None], e2[:, g, None]
+            for p0 in range(0, len(u), points):
+                _mark_chunk(occ, ga, ge1, ge2, u[p0:p0 + points], v[p0:p0 + points],
+                            resolution, scratch)
+    return occ.reshape((resolution,) * 3)
 
 
 def _fill_exterior(surface: np.ndarray) -> np.ndarray:
     """Mark as occupied everything not reachable from the grid boundary
     through empty cells (6-connectivity)."""
-    empty = ~surface
     structure = ndimage.generate_binary_structure(3, 1)
-    labels, _ = ndimage.label(empty, structure=structure)
-    boundary_labels = np.unique(
-        np.concatenate(
-            [
-                labels[0].ravel(), labels[-1].ravel(),
-                labels[:, 0].ravel(), labels[:, -1].ravel(),
-                labels[:, :, 0].ravel(), labels[:, :, -1].ravel(),
-            ]
-        )
-    )
-    exterior = np.isin(labels, boundary_labels[boundary_labels != 0])
-    return ~exterior
+    labels, count = ndimage.label(~surface, structure=structure)
+    # exterior[l]: empty component l touches a face of the grid; label 0 is
+    # the surface itself
+    exterior = np.zeros(count + 1, dtype=bool)
+    for face in (labels[0], labels[-1], labels[:, 0], labels[:, -1],
+                 labels[:, :, 0], labels[:, :, -1]):
+        exterior[face] = True
+    exterior[0] = False
+    return ~exterior[labels]
 
 
 def voxelize(mesh: TriMesh, resolution: int) -> VoxelGrid:
     """Convert a normalized mesh into a solid binary occupancy grid.
 
     Surface cells are found by sampling every triangle at sub-cell density
-    (at least 4 samples per cell diagonal), the exterior is flood filled
-    from the grid boundary and the complement is kept. Marking, filling,
-    and complementing happen on a finer lattice (``SUPERSAMPLE``
-    subdivisions per cell, odd so cell centers are fine cell centers) and
-    each output cell takes the value of the fine cell containing its
-    center; working at the output resolution directly would count every
-    surface-touching cell as occupied and inflate thin or curved solids by
-    well over the tolerance the tests demand.
+    (at least 4 samples per cell diagonal), ``SURFACE_CHUNK`` samples at a
+    time, each chunk marking its cells before the next is computed. The
+    empty space is then labelled into 6-connected components, a lookup
+    table marks the labels found on the grid's six faces as exterior, and
+    everything else is kept. Marking, filling and complementing happen on
+    a finer lattice (``SUPERSAMPLE`` subdivisions per cell, odd so cell
+    centers are fine cell centers) and each output cell takes the value of
+    the fine cell containing its center; working at the output resolution
+    directly would count every surface-touching cell as occupied and
+    inflate thin or curved solids by well over the tolerance the tests
+    demand.
+
+    Raises ``DataError`` for a mesh without triangles or with a non-finite
+    vertex.
     """
     if resolution <= 0:
         raise ConfigError(f"voxelize needs a positive resolution, got {resolution}")
     if mesh.triangles.size == 0:
         raise DataError("cannot voxelize a mesh with no triangles")
+    _require_finite(mesh, "voxelize")
 
     fine = _fill_exterior(_surface_cells(mesh, resolution * SUPERSAMPLE))
     half = SUPERSAMPLE // 2

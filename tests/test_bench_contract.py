@@ -23,14 +23,18 @@ from ev2vox import model as M
 from ev2vox.events import bin_to_frames, read_evt1
 from ev2vox.voxel import read_vox1, uv_sphere_mesh
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("ev2vox_bench_tracer", TRACER_PATH)
+def load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"ev2vox_bench_{name}", BENCH_DIR / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracer():
+    return load_bench_module("tracer")
 
 
 def expected_conv_counts(enc: M.EncoderConfig, dec: M.DecoderConfig) -> Counter:
@@ -105,6 +109,21 @@ def test_sample_renders_each_frame_and_labels_once(scene, voxelizes):
     calls = tracer.calls()
     assert calls["sim.render_frame.self_s"] == 2 and calls["sim.occupancy_label_s"] == 1
     assert calls["voxel.voxelize_s"] == voxelizes
+
+
+def test_mesh_sample_matches_the_recorded_digests(tmp_path):
+    # one seed-0 operation of the mesh_sample workload, checked as the
+    # benchmark checks it: its EVT1 and VOX1 bytes must equal the digests in
+    # bench/reference.json, so a raycaster or voxelizer change that moves
+    # them fails here as well as in the benchmark
+    workload = load_bench_module("workload")
+    wl = workload.MeshSample(workload.DEFAULT_SEED, tmp_path)
+    wl.prepare()
+    seconds, stages, failed, outputs = wl.run("test")
+    problems, fingerprint = wl.check(outputs)
+    assert failed == [] and problems == []
+    ref = workload.REFERENCE["mesh_sample"]
+    assert fingerprint == ref["evt_sha256"] + ref["vox_sha256"]
 
 
 def test_eval_builds_one_model_and_bins_nothing(pipeline, tmp_path):

@@ -1,5 +1,8 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -96,6 +99,12 @@ class TestParseObj:
         with pytest.raises(DataError, match="OBJ contains no \\(non-degenerate\\) faces"):
             vx.parse_obj("v 0 0 0\nv 1 0 0\n")
 
+    def test_non_finite_vertex_names_its_line(self):
+        for token in ("nan", "inf", "-inf", "NaN"):
+            text = f"v 0 0 0\nv 1 0 0\nv 0 {token} 0\nv 0 0 1\nf 1 2 3\nf 1 2 4\n"
+            with pytest.raises(DataError, match="line 3: non-finite vertex"):
+                vx.parse_obj(text)
+
     def test_degenerate_faces_skipped(self):
         with pytest.raises(DataError, match="OBJ contains no \\(non-degenerate\\) faces"):
             vx.parse_obj("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 1 2\n")
@@ -131,6 +140,13 @@ class TestNormalizeMesh:
             new_extent / new_extent.max(), orig_extent / orig_extent.max(), atol=1e-9
         )
 
+    def test_non_finite_vertex_rejected(self):
+        cube = vx.unit_cube_mesh()
+        verts = cube.vertices.copy()
+        verts[3, 1] = np.inf
+        with pytest.raises(DataError, match="cannot normalize a mesh with non-finite vertices"):
+            vx.normalize_mesh(vx.TriMesh(verts, cube.triangles))
+
     def test_degenerate_rejected(self):
         verts = np.zeros((4, 3))
         tris = np.array([[0, 1, 2]])
@@ -139,8 +155,8 @@ class TestNormalizeMesh:
 
 
 def sample_triangles_loop(vertices, triangles, spacing):
-    """One barycentric lattice per triangle: the oracle for the grouped
-    sampler in ``voxel._sample_triangles``."""
+    """One barycentric lattice per triangle, the whole sample as one (P, 3)
+    array: the oracle for the chunked sampler in ``voxel._surface_cells``."""
     chunks = []
     a = vertices[triangles[:, 0]]
     b = vertices[triangles[:, 1]]
@@ -158,24 +174,132 @@ def sample_triangles_loop(vertices, triangles, spacing):
     return np.concatenate(chunks, axis=0)
 
 
+def surface_cells_from_points(pts, resolution):
+    """The cells of a whole point array, marked at once."""
+    idx = np.clip(np.floor(pts * resolution).astype(np.int64), 0, resolution - 1)
+    occ = np.zeros((resolution,) * 3, dtype=bool)
+    occ[idx[:, 0], idx[:, 1], idx[:, 2]] = True
+    return occ
+
+
+def fill_exterior_isin(surface):
+    """The exterior fill as a concatenate + unique + isin over the labels on
+    the grid's faces: the oracle for the lookup table in
+    ``voxel._fill_exterior``."""
+    structure = ndimage.generate_binary_structure(3, 1)
+    labels, _ = ndimage.label(~surface, structure=structure)
+    boundary_labels = np.unique(
+        np.concatenate(
+            [
+                labels[0].ravel(), labels[-1].ravel(),
+                labels[:, 0].ravel(), labels[:, -1].ravel(),
+                labels[:, :, 0].ravel(), labels[:, :, -1].ravel(),
+            ]
+        )
+    )
+    return ~np.isin(labels, boundary_labels[boundary_labels != 0])
+
+
+# runs in a fresh interpreter; VmHWM is the peak RSS of its own address
+# space (ru_maxrss would carry over the launching process's peak)
+VOXELIZE_PEAK_SCRIPT = """
+import sys
+from ev2vox import voxel as vx
+
+def status_bytes(key):
+    with open("/proc/self/status") as fh:
+        line = next(line for line in fh if line.startswith(key + ":"))
+    return int(line.split()[1]) * 1024
+
+mesh = vx.uv_sphere_mesh(n_lat=int(sys.argv[1]), n_lon=int(sys.argv[2]))
+before = status_bytes("VmRSS")
+vx.voxelize(mesh, 32)
+print(len(mesh.triangles), status_bytes("VmHWM") - before)
+"""
+
+
+def voxelize_peak_rise(n_lat, n_lon):
+    """Triangle count and peak RSS rise of one voxelize at R=32, measured
+    in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(vx.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, "-c", VOXELIZE_PEAK_SCRIPT, str(n_lat), str(n_lon)],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    return tuple(int(v) for v in out.split())
+
+
 class TestVoxelize:
-    def test_grouped_sampling_matches_per_triangle_loop(self):
+    @staticmethod
+    def sliver_mesh():
+        """A coarse sphere plus a long sliver and, last, a degenerate
+        triangle (one point): lattices of many sizes, one of them large."""
         sphere = vx.uv_sphere_mesh(n_lat=6, n_lon=9)
         n = len(sphere.vertices)
         extra = np.array([[0.1, 0.2, 0.3], [0.9, 0.15, 0.4], [0.12, 0.8, 0.35]])
-        mesh = vx.TriMesh(
+        return vx.TriMesh(
             np.concatenate([sphere.vertices, extra]),
-            # a long sliver, and a degenerate triangle (one point) last
             np.concatenate([sphere.triangles, [[n, n + 1, n + 2], [n, n, n]]]),
         )
-        spacing = math.sqrt(3.0) / (4.0 * 20)
+
+    @pytest.mark.parametrize("resolution", [20, 45])
+    def test_surface_cells_match_per_triangle_loop(self, resolution, monkeypatch):
+        mesh = self.sliver_mesh()
+        spacing = math.sqrt(3.0) / (4.0 * resolution)
         e = mesh.vertices[mesh.triangles] - mesh.vertices[mesh.triangles[:, :1]]
-        steps = np.ceil(np.linalg.norm(e, axis=2).max(axis=1) / spacing)
-        assert steps[-1] == 0 and len(np.unique(steps)) > 3
-        got = vx._sample_triangles(mesh.vertices, mesh.triangles, spacing)
-        want = sample_triangles_loop(mesh.vertices, mesh.triangles, spacing)
-        assert got.shape == want.shape
-        np.testing.assert_array_equal(np.unique(got, axis=0), np.unique(want, axis=0))
+        steps = np.maximum(np.ceil(np.linalg.norm(e, axis=2).max(axis=1) / spacing), 1)
+        assert steps[-1] == 1 and len(np.unique(steps)) > 3
+        want = surface_cells_from_points(
+            sample_triangles_loop(mesh.vertices, mesh.triangles, spacing), resolution
+        )
+        np.testing.assert_array_equal(vx._surface_cells(mesh, resolution), want)
+        # a chunk smaller than one triangle's lattice splits the lattice, with
+        # a partial last run, while the degenerate triangle's 3 points fit
+        lattice = (steps + 1) * (steps + 2) // 2
+        chunk = 50
+        assert lattice.min() < chunk < lattice.max() and lattice.max() % chunk
+        monkeypatch.setattr(vx, "SURFACE_CHUNK", chunk)
+        np.testing.assert_array_equal(vx._surface_cells(mesh, resolution), want)
+
+    def test_fill_exterior_matches_isin_form(self):
+        rng = np.random.default_rng(13)
+        for density in (0.2, 0.35, 0.5, 0.65):
+            surface = rng.uniform(size=(14, 14, 14)) < density
+            # a closed shell with a hollow inside, so every grid has a cavity
+            surface[3:9, 3:9, 3:9] = True
+            surface[4:8, 4:8, 4:8] = False
+            got = vx._fill_exterior(surface)
+            np.testing.assert_array_equal(got, fill_exterior_isin(surface))
+            assert got[5, 5, 5]
+        for surface in (np.zeros((6, 6, 6), bool), np.ones((6, 6, 6), bool)):
+            np.testing.assert_array_equal(vx._fill_exterior(surface), fill_exterior_isin(surface))
+        assert not vx._fill_exterior(np.zeros((6, 6, 6), bool)).any()
+        assert vx._fill_exterior(np.ones((6, 6, 6), bool)).all()
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="needs /proc/self/status for the peak resident set size")
+    def test_peak_memory_does_not_grow_with_triangles(self):
+        # At R=32 voxelize works on a 160^3 fine grid: the int32 labels of
+        # its empty space are 15.6 MiB, the surface and the empty mask 3.9
+        # MiB each, 24 MiB of peak rise as measured; the surface samples add
+        # at most a 1.1 MiB chunk. Holding the 9,024-triangle sphere's 1.28M
+        # samples as one point cloud raised the peak by 93 MiB, and by 125
+        # MiB at 4x the triangles, so 40 MiB and a growth of 4 MiB leave room
+        # for allocator noise and catch any sample-sized array.
+        tris, rise = voxelize_peak_rise(48, 96)
+        tris4, rise4 = voxelize_peak_rise(96, 192)
+        assert tris4 >= 4 * tris
+        assert rise < 40 * 2**20
+        assert rise4 - rise < 4 * 2**20
+
+    def test_non_finite_vertex_rejected(self):
+        cube = vx.unit_cube_mesh()
+        for bad in (np.nan, np.inf, -np.inf):
+            verts = cube.vertices.copy()
+            verts[5, 2] = bad
+            with pytest.raises(DataError, match="non-finite vertices: vertex index 5"):
+                vx.voxelize(vx.TriMesh(verts, cube.triangles), 8)
 
     def test_sphere_vox1_bytes_pinned(self, tmp_path):
         path = tmp_path / "sphere.vox"
