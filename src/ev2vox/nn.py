@@ -2,10 +2,10 @@
 
 Tensors are plain numpy arrays shaped (N, C, D, H, W), float32 by default
 with a float64 mode for gradient verification. There is no autodiff tape:
-each layer caches what its own backward needs during forward, and a
-``Sequential`` chain runs its layers' backwards in reverse order, so a
-block writes out only what a chain cannot express (a residual add, a
-concatenation).
+a remembered forward keeps what its backward needs in the ``Module.saved``
+slot, which that backward empties, and a ``Sequential`` chain runs its
+layers' backwards in reverse order, so a block writes out only what a
+chain cannot express (a residual add, a concatenation).
 
 The convolution engine works channels-first: per sample and output block,
 the kernel reshaped to (cout, cin*kd*kh*kw) multiplies a patch matrix with
@@ -119,10 +119,25 @@ class Module:
     A module with running statistics names them in ``buffer_names`` and
     prefixes them with its ``name`` in ``buffers()``. Subclasses define
     their own ``forward``/``backward``; the base class has neither.
+
+    ``saved`` holds what a layer's backward needs, put there by a remembered
+    forward and emptied by the backward that takes it. It is never a
+    parameter, module or list, so the walk passes over it.
     """
 
     training = True
     buffer_names: tuple[str, ...] = ()
+    saved = None
+
+    def save_for_backward(self, value, remember: bool) -> None:
+        self.saved = value if remember else None
+
+    def take_saved(self):
+        """What the last remembered forward saved, emptying the slot."""
+        if self.saved is None:
+            raise InternalError(f"{type(self).__name__} backward called without a cached forward")
+        value, self.saved = self.saved, None
+        return value
 
     def _walk(self):
         """Parameters and submodules below self, depth-first in attribute order."""
@@ -409,27 +424,21 @@ class Conv3d(Module):
         if self.kind == "conv3d":
             channels = channels[::-1]
         self.weight = Parameter(w.reshape(*channels, *kernel), f"{name}.weight")
-        self._x = None
 
-    def _cache_input(self, x: np.ndarray, remember: bool) -> None:
+    def _check_input(self, x: np.ndarray) -> None:
         _require_rank5(x, self.kind)
         if x.shape[1] != self.spec.in_channels:
             raise InternalError(
                 f"{self.kind} expects {self.spec.in_channels} channels, got {x.shape[1]}"
             )
-        self._x = x if remember else None
-
-    def _cached_input(self) -> np.ndarray:
-        if self._x is None:
-            raise InternalError(f"{self.kind} backward called without a cached forward")
-        return self._x
 
     def forward(self, x: np.ndarray, remember: bool = True) -> np.ndarray:
-        self._cache_input(x, remember)
+        self._check_input(x)
+        self.save_for_backward(x, remember)
         return conv3d_core_forward(x, self.weight.value, self.spec.stride, self.spec.padding)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x = self._cached_input()
+        x = self.take_saved()
         self.weight.grad += conv3d_core_weight_grad(
             x, grad_out, self.spec.stride, self.spec.padding, self.spec.kernel
         )
@@ -451,14 +460,15 @@ class Deconv3d(Conv3d):
     kind = "deconv3d"
 
     def forward(self, x: np.ndarray, remember: bool = True) -> np.ndarray:
-        self._cache_input(x, remember)
+        self._check_input(x)
+        self.save_for_backward(x, remember)
         out_dims = self.spec.out_dims(x.shape[2:])
         return conv3d_core_input_grad(
             x, self.weight.value, self.spec.stride, self.spec.padding, out_dims
         )
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x = self._cached_input()
+        x = self.take_saved()
         self.weight.grad += conv3d_core_weight_grad(
             grad_out, x, self.spec.stride, self.spec.padding, self.spec.kernel
         )
@@ -489,7 +499,6 @@ class BatchNorm3d(Module):
         self.running_mean = np.zeros(channels, dtype=np.float32)
         self.running_var = np.ones(channels, dtype=np.float32)
         self.name = name
-        self._cache = None
 
     def forward(self, x: np.ndarray, remember: bool = True) -> np.ndarray:
         _require_rank5(x, "norm")
@@ -536,13 +545,11 @@ class BatchNorm3d(Module):
             xs *= ivar[c][per_channel]
             ys = np.multiply(gain[c][per_channel], xs, out=y[n, c])
             ys += shift[c][per_channel]
-        self._cache = (x, ivar, m) if remember else None
+        self.save_for_backward((x, ivar, m), remember)
         return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise InternalError("norm backward called without a cached forward")
-        xhat, ivar, m = self._cache
+        xhat, ivar, m = self.take_saved()
         axes = (0, 2, 3, 4)
         dshift = grad_out.sum(axis=axes)
         gscale = (self.gain.value * ivar)[None, :, None, None, None]
@@ -564,32 +571,23 @@ class BatchNorm3d(Module):
 class ReLU(Module):
     """max(x, 0), written into the input's buffer."""
 
-    def __init__(self):
-        self._mask = None
-
     def forward(self, x: np.ndarray, remember: bool = True) -> np.ndarray:
-        self._mask = (x > 0) if remember else None
+        self.save_for_backward((x > 0) if remember else None, remember)
         return np.maximum(x, 0, out=x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise InternalError("relu backward called without a cached forward")
-        return grad_out * self._mask
+        return grad_out * self.take_saved()
 
 
 class Sigmoid(Module):
-    def __init__(self):
-        self._y = None
-
     def forward(self, x: np.ndarray, remember: bool = True) -> np.ndarray:
         y = expit(x)
-        self._y = y if remember else None
+        self.save_for_backward(y, remember)
         return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._y is None:
-            raise InternalError("sigmoid backward called without a cached forward")
-        return grad_out * self._y * (1.0 - self._y)
+        y = self.take_saved()
+        return grad_out * y * (1.0 - y)
 
 
 def _max_pass(x, arg, axis, kernel, stride, padding, size, scale, remember):
@@ -650,7 +648,6 @@ class MaxPool3d(Module):
         kernel = as_triple(kernel)
         stride = kernel if stride is None else as_triple(stride)
         self.spec = LayerSpec("maxpool3d", kernel, stride, as_triple(padding))
-        self._cache = None
 
     def forward(self, x: np.ndarray, remember: bool = True) -> np.ndarray:
         _require_rank5(x, "maxpool3d")
@@ -668,13 +665,11 @@ class MaxPool3d(Module):
             y[n, c] = ys
             if remember:
                 arg[n, c] = args
-        self._cache = (arg, x.shape) if remember else None
+        self.save_for_backward((arg, x.shape), remember)
         return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise InternalError("maxpool3d backward called without a cached forward")
-        arg, in_shape = self._cache
+        arg, in_shape = self.take_saved()
         kd, kh, kw = self.spec.kernel
         sd, sh, sw = self.spec.stride
         pd, ph, pw = self.spec.padding
@@ -714,7 +709,6 @@ class AdaptiveResize3d(Module):
 
     def __init__(self, target):
         self.spec = LayerSpec("adaptive_resize", target=as_triple(target))
-        self._cache = None
 
     def _index_maps(self, in_dims):
         return tuple(
@@ -728,13 +722,11 @@ class AdaptiveResize3d(Module):
         for axis, idx in reversed(list(enumerate(self._index_maps(x.shape[2:]), start=2))):
             if len(idx) != x.shape[axis]:  # an axis that keeps its size is left alone
                 y = np.take(y, idx, axis=axis)
-        self._cache = x.shape if remember else None
+        self.save_for_backward(x.shape, remember)
         return x.copy() if y is x else y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise InternalError("adaptive_resize backward called without a cached forward")
-        in_shape = self._cache
+        in_shape = self.take_saved()
         g = grad_out
         for axis, idx in enumerate(self._index_maps(in_shape[2:]), start=2):
             size = in_shape[axis]

@@ -74,6 +74,15 @@ class TriMesh:
     vertices: np.ndarray
     triangles: np.ndarray
 
+    def __post_init__(self):
+        # one index check for every consumer; an empty mesh is left to them to name
+        tri, n = self.triangles, len(self.vertices)
+        if tri.size and (tri.ndim != 2 or tri.shape[1] != 3 or tri.dtype.kind not in "iu"):
+            raise DataError(f"triangles must be (F, 3) integers, got {tri.dtype} {tri.shape}")
+        bad = tri[(tri < 0) | (tri >= n)]
+        if bad.size:
+            raise DataError(f"a triangle references vertex {bad[0]} but only {n} exist")
+
 
 def parse_obj(text: str) -> TriMesh:
     """Parse Wavefront OBJ text into a triangle mesh.
@@ -123,11 +132,9 @@ def parse_obj(text: str) -> TriMesh:
     if not triangles:
         raise DataError("OBJ contains no (non-degenerate) faces")
     tri_arr = np.asarray(triangles, dtype=np.int64)
-    if tri_arr.min() < 0 or tri_arr.max() >= len(vertices):
-        bad = tri_arr[(tri_arr < 0) | (tri_arr >= len(vertices))][0]
-        raise DataError(
-            f"face references vertex {bad + 1} but only {len(vertices)} exist"
-        )
+    bad = tri_arr[(tri_arr < 0) | (tri_arr >= len(vertices))]
+    if bad.size:
+        raise DataError(f"face references vertex {bad[0] + 1} but only {len(vertices)} exist")
     return TriMesh(np.asarray(vertices, dtype=np.float64), tri_arr)
 
 

@@ -80,6 +80,23 @@ def test_tracer_sees_every_toy_layer_forward_and_backward():
         assert (calls[f"{group}.fwd_s"], calls[f"{group}.bwd_s"]) == (count, count), group
 
 
+def test_filled_slots_stay_out_of_the_attribute_walk():
+    # a remembered forward fills every layer's saved slot; the tracer's layer
+    # walk, the parameter order and the checkpoint entry order ignore it
+    tracer_mod = load_tracer()
+    model = M.build_model(M.EncoderConfig.toy(), M.DecoderConfig.toy(), seed=0).train()
+
+    def walked():
+        return (tracer_mod.layer_counts(model), [p.name for p in model.parameters()],
+                [name for name, _ in model.state_entries()])
+
+    before = walked()
+    model.forward(np.random.default_rng(1).random((1, 1, 10, 32, 32)).astype(np.float32))
+    layers = {cls for _, cls, _, _ in tracer_mod.LAYERS}
+    assert all(m.saved is not None for m in model.modules() if type(m).__name__ in layers)
+    assert walked() == before
+
+
 def test_every_traced_function_resolves():
     for modname, attr, _, _ in load_tracer().FUNCTIONS:
         assert callable(getattr(importlib.import_module(modname), attr, None)), f"{modname}.{attr}"

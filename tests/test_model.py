@@ -157,6 +157,16 @@ class TestShapes:
         assert M.decode(m, hidden).shape == (1, 4, 8, 8)
 
 
+class TestSavedState:
+    def test_backward_leaves_no_module_holding_saved_state(self):
+        m = M.build_model(M.EncoderConfig.toy(), M.DecoderConfig.toy(), seed=1)
+        x = np.random.default_rng(0).random((2, 1, 10, 32, 32)).astype(np.float32)
+        probs = m.forward(x)
+        assert any(mod.saved is not None for mod in m.modules())
+        m.backward(np.full(probs.shape, 1.0 / probs.size, dtype=np.float32))
+        assert [type(mod).__name__ for mod in m.modules() if mod.saved is not None] == []
+
+
 class TestBceLoss:
     def test_perfect_prediction_is_tiny(self):
         target = (np.random.default_rng(0).random((2, 4, 4, 4)) > 0.5).astype(np.float64)

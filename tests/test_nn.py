@@ -195,6 +195,7 @@ class TestConv3d:
         g = rng.normal(size=(1, 2, 4, 4, 4))
         conv.forward(x)
         g1 = conv.backward(g)
+        conv.forward(x)
         g2 = conv.backward(3.0 * g)
         np.testing.assert_allclose(3.0 * g1, g2, rtol=1e-12)
 
@@ -813,6 +814,46 @@ class TestAdaptiveResize:
         assert not np.shares_memory(gx, g)
 
 
+# one of each layer with a saved slot, each taking (2, 2, 4, 4, 4) float64
+SLOT_LAYERS = {
+    "Conv3d": lambda: nn.Conv3d(2, 3, 3, padding=1, name="c", dtype=np.float64),
+    "Deconv3d": lambda: nn.Deconv3d(2, 3, 2, stride=2, name="d", dtype=np.float64),
+    "BatchNorm3d": lambda: nn.BatchNorm3d(2, name="b", dtype=np.float64),
+    "ReLU": nn.ReLU,
+    "Sigmoid": nn.Sigmoid,
+    "MaxPool3d": lambda: nn.MaxPool3d(2),
+    "AdaptiveResize3d": lambda: nn.AdaptiveResize3d((3, 5, 6)),
+}
+
+
+EMPTY_SLOT = "backward called without a cached forward"
+
+
+@pytest.mark.parametrize("name", SLOT_LAYERS)
+class TestSavedSlot:
+    @staticmethod
+    def layer_and_input(name):
+        x = np.random.default_rng(5).normal(size=(2, 2, 4, 4, 4))
+        return SLOT_LAYERS[name](), x
+
+    def test_backward_empties_the_slot(self, name):
+        layer, x = self.layer_and_input(name)
+        g = np.ones_like(layer.forward(x))
+        assert layer.saved is not None
+        layer.backward(g)
+        assert layer.saved is None
+        with pytest.raises(InternalError, match=f"^{name} {EMPTY_SLOT}$"):
+            layer.backward(g)
+
+    def test_unremembered_forward_empties_the_slot(self, name):
+        layer, x = self.layer_and_input(name)
+        layer.forward(x.copy())
+        g = np.ones_like(layer.forward(x, remember=False))
+        assert layer.saved is None
+        with pytest.raises(InternalError, match=f"^{name} {EMPTY_SLOT}$"):
+            layer.backward(g)
+
+
 class TestSequential:
     def test_empty_is_identity(self):
         x = np.random.default_rng(0).normal(size=(1, 2, 3, 3, 3))
@@ -830,7 +871,9 @@ class TestSequential:
         y = seq.forward(x)
         np.testing.assert_array_equal(y, resize.forward(conv.forward(x)))
         g = rng.normal(size=y.shape)
-        np.testing.assert_array_equal(seq.backward(g), conv.backward(resize.backward(g)))
+        gx = seq.backward(g)
+        seq.forward(x)
+        np.testing.assert_array_equal(gx, conv.backward(resize.backward(g)))
 
     @pytest.mark.parametrize("seed", range(N_GRAD_SEEDS))
     def test_gradcheck_conv_norm_relu(self, seed):

@@ -44,7 +44,7 @@ class OracleBatchNorm3d(nn.BatchNorm3d):
         xhat = x - mean[None, :, None, None, None]
         xhat *= ivar[None, :, None, None, None]
         gain = self.gain.value[None, :, None, None, None]
-        self._cache = (xhat, ivar, m) if remember else None
+        self.save_for_backward((xhat, ivar, m), remember)
         if remember or np.result_type(xhat, gain) != xhat.dtype:
             y = gain * xhat
         else:
@@ -58,7 +58,7 @@ class OracleReLU(nn.ReLU):
     """A fresh output array."""
 
     def forward(self, x, remember=True):
-        self._mask = (x > 0) if remember else None
+        self.save_for_backward((x > 0) if remember else None, remember)
         return np.maximum(x, 0)
 
 
@@ -87,7 +87,7 @@ class OracleMaxPool3d(nn.MaxPool3d):
                     if remember:
                         np.copyto(arg, offset, where=better)
                     offset += 1
-        self._cache = (arg, x.shape) if remember else None
+        self.save_for_backward((arg, x.shape), remember)
         return y
 
 
@@ -99,7 +99,7 @@ class OracleAdaptiveResize3d(nn.AdaptiveResize3d):
         for axis, idx in enumerate(self._index_maps(x.shape[2:]), start=2):
             if len(idx) != x.shape[axis]:
                 y = np.take(y, idx, axis=axis)
-        self._cache = x.shape if remember else None
+        self.save_for_backward(x.shape, remember)
         return x.copy() if y is x else y
 
 
@@ -233,7 +233,7 @@ class TestMaxPoolOracle:
         layer = nn.MaxPool3d(kernel, stride, padding)
         for remember in (False, True):
             assert_same_bits(layer.forward(x, remember), oracle.forward(x, remember))
-        assert_same_bits(layer._cache[0], oracle._cache[0])
+        assert_same_bits(layer.saved[0], oracle.saved[0])
         g = rng.normal(size=layer.spec.out_dims(shape[2:])).astype(np.float32)
         g = np.broadcast_to(g, (n, 3, *g.shape)).copy()
         assert_same_bits(layer.backward(g), oracle.backward(g))
@@ -291,7 +291,7 @@ class TestInPlace:
         # remember: the input holds xhat and the output is fresh
         assert (y is not x) == remember
         if remember:
-            assert bn._cache[0] is x
+            assert bn.saved[0] is x
 
 
 ORACLES = {nn.BatchNorm3d: OracleBatchNorm3d, nn.ReLU: OracleReLU,

@@ -157,6 +157,12 @@ class TestTrainLoop:
         result = T.train(data, toy_model(), run, T.AdamWConfig.toy())
         assert result.opt_state.step == 3
 
+    def test_epoch_leaves_no_module_holding_saved_state(self):
+        model = toy_model()
+        T.train(toy_dataset(3), model, T.TrainRun(epochs=1, batch_size=2, seed=1),
+                T.AdamWConfig.toy())
+        assert [type(m).__name__ for m in model.modules() if m.saved is not None] == []
+
     def test_ragged_final_batch_still_visits_everyone(self):
         data = toy_dataset(7)
         run = T.TrainRun(epochs=2, batch_size=3, seed=1)

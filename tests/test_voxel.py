@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from ev2vox import sim
 from ev2vox import voxel as vx
 from ev2vox.errors import (
     ConfigError,
@@ -108,6 +109,45 @@ class TestParseObj:
     def test_degenerate_faces_skipped(self):
         with pytest.raises(DataError, match="OBJ contains no \\(non-degenerate\\) faces"):
             vx.parse_obj("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 1 2\n")
+
+
+# the mesh consumers: the voxelizer, normalization and a sample's mesh
+# raycaster (which runs before its label)
+MESH_CONSUMERS = {
+    "voxelize": lambda mesh: vx.voxelize(mesh, 8),
+    "normalize_mesh": vx.normalize_mesh,
+    "generate_sample": lambda mesh: sim.generate_sample(
+        sim.Scene(mesh=mesh), sim.TrajectoryConfig(duration=0.01),
+        sim.CameraIntrinsics(width=8, height=8), resolution=8,
+    ),
+}
+
+
+class TestTriMesh:
+    # 99 lies past the cube's 8 vertices; -2 would wrap around to vertex 6
+    @pytest.mark.parametrize("bad", [99, -2])
+    @pytest.mark.parametrize("consumer", MESH_CONSUMERS)
+    def test_out_of_range_index_never_reaches_a_consumer(self, bad, consumer):
+        cube = vx.unit_cube_mesh()
+        tris = cube.triangles.copy()
+        tris[4] = [0, 1, bad]
+        with pytest.raises(DataError, match=f"references vertex {bad} but only 8 exist"):
+            MESH_CONSUMERS[consumer](vx.TriMesh(cube.vertices, tris))
+
+    @pytest.mark.parametrize(
+        "tris", [np.array([[0.0, 1.0, 2.0]]), np.array([[0, 1]]), np.array([0, 1, 2])]
+    )
+    def test_triangles_must_be_f_by_3_integers(self, tris):
+        with pytest.raises(DataError, match=r"triangles must be \(F, 3\) integers"):
+            vx.TriMesh(vx.unit_cube_mesh().vertices, tris)
+
+    @pytest.mark.parametrize("n_vertices", [0, 8])
+    def test_empty_mesh_reaches_the_consumers_messages(self, n_vertices):
+        mesh = vx.TriMesh(vx.unit_cube_mesh().vertices[:n_vertices], np.zeros((0, 3), np.int64))
+        with pytest.raises(DataError, match="cannot normalize an empty mesh"):
+            vx.normalize_mesh(mesh)
+        with pytest.raises(DataError, match="cannot voxelize a mesh with no triangles"):
+            vx.voxelize(mesh, 8)
 
 
 class TestNormalizeMesh:
