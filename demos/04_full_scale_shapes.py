@@ -2,6 +2,9 @@
 
 The full configuration stacks a deep bottleneck encoder (3/8/36/3 blocks,
 2048 output channels) on a three-level UNet decoder over a 32^3 volume.
+The encoder's latent keeps the volume its strides leave; the decoder
+resizes it to 32^3, after projecting it to 64 channels when it runs for
+inference.
 This script builds it, reports the parameter budget, and pushes one
 100-frame 256x256 input through to show every resolution the data visits.
 The forward pass took about 13 s with one BLAS thread and 11 s with two on
@@ -35,8 +38,9 @@ print(f"\nencoder stem: k{enc_cfg.stem.kernel} s{enc_cfg.stem.stride} "
 for i, stage in enumerate(enc_cfg.stages):
     print(f"stage {i}: {stage.blocks:>2} bottleneck blocks, "
           f"{stage.channels}->{stage.channels * 4} channels, stride {stage.stride}")
-print(f"hidden volume: {enc_cfg.out_channels} x {enc_cfg.resolution}^3")
-print(f"decoder: {len(dec_cfg.channels)} levels, channels {dec_cfg.channels}")
+print(f"latent: {enc_cfg.out_channels} channels at the volume the strides leave")
+print(f"decoder: resize to {enc_cfg.resolution}^3, {len(dec_cfg.channels)} levels, "
+      f"channels {dec_cfg.channels}")
 
 n_params = count_parameters(model)
 print(f"\nparameters: {n_params:,}")
@@ -49,9 +53,9 @@ model.eval()
 rng = np.random.default_rng(0)
 x = (rng.random((1, 1, 100, 256, 256)) < 0.05).astype(np.float32)
 t1 = time.perf_counter()
-hidden = encode(model, x)
-print(f"encode: {x.shape} -> {hidden.shape} in {time.perf_counter() - t1:.1f} s")
+latent = encode(model, x)
+print(f"encode: {x.shape} -> {latent.shape} in {time.perf_counter() - t1:.1f} s")
 t2 = time.perf_counter()
-probs = decode(model, hidden)
-print(f"decode: {hidden.shape} -> {probs.shape} in {time.perf_counter() - t2:.1f} s")
+probs = decode(model, latent)
+print(f"decode: {latent.shape} -> {probs.shape} in {time.perf_counter() - t2:.1f} s")
 print(f"output range: [{probs.min():.4f}, {probs.max():.4f}]")

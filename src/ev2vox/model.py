@@ -1,14 +1,26 @@
 """Encoder-decoder reconstruction network assembled from nn layers.
 
 The encoder is a residual 3D network: a strided stem (plus optional max
-pool), stages of bottleneck blocks (1x1x1 reduce, 3x3x3 spatial, 1x1x1
-expand, additive shortcut), then a nearest-neighbor resize that pins the
-output to a fixed hidden volume regardless of how the strides divided the
-input. That volume is a cube of side R, the encoder's ``resolution``,
-and so is the output. The decoder runs a small UNet over it, one level per
-entry of its channel list: strided convolutions down, transposed
-convolutions up with channel-concatenated skips, and a sigmoid head that
-emits one occupancy probability per cell.
+pool) and stages of bottleneck blocks (1x1x1 reduce, 3x3x3 spatial, 1x1x1
+expand, additive shortcut). Its output, the latent, keeps whatever
+volume the strides left. The decoder opens with a nearest-neighbor resize
+that pins the volume to a cube of side R, the encoder's ``resolution``,
+regardless of how the strides divided the input, and so is the output.
+It then runs a small UNet, one level per entry of its channel list: a
+1x1x1 entry conv, strided convolutions down, transposed convolutions up
+with channel-concatenated skips, and a sigmoid head that emits one
+occupancy probability per cell.
+
+A nearest resize only copies cells and a 1x1x1 conv maps each cell on its
+own, so the two commute. Inference (``remember`` False) runs the entry
+conv on the latent and resizes its output: at paper scale that projects
+256 latent cells instead of 32^3, copies 64 channels instead of 2048 and
+never builds the 256 MiB resized latent. The bytes are those of resize,
+then conv, wherever the BLAS computes a cell's product alike at both cell
+counts, as it does for the toy and paper models; a product small enough
+for another BLAS kernel can differ in the last bits. Training keeps
+resize, then conv: the conv's weight and input gradients would otherwise
+sum over other cells in another order, and the trained bytes would change.
 
 Chains of layers are ``nn.Sequential``, whose backward runs its layers
 in reverse; the encoder is one such chain. Only the blocks whose data flow
@@ -192,7 +204,7 @@ class Bottleneck(nn.Module):
 
 
 def build_encoder(cfg: EncoderConfig, seed: int, dtype) -> nn.Sequential:
-    """Stem, optional max pool, the bottleneck stages, then the resize."""
+    """Stem, optional max pool, then the bottleneck stages."""
     layers = [conv_norm_relu(
         1, cfg.stem.channels, cfg.stem.kernel, cfg.stem.stride,
         tuple(k // 2 for k in cfg.stem.kernel), "encoder.stem", seed, dtype,
@@ -207,7 +219,6 @@ def build_encoder(cfg: EncoderConfig, seed: int, dtype) -> nn.Sequential:
                 cin, stage.channels, stride, f"encoder.stage{si}.block{bi}", seed, dtype,
             ))
             cin = stage.channels * EXPANSION
-    layers.append(nn.AdaptiveResize3d(cfg.resolution))
     return nn.Sequential(*layers)
 
 
@@ -233,9 +244,10 @@ class UpBlock(nn.Module):
 
 
 class Decoder(nn.Module):
-    def __init__(self, cfg: DecoderConfig, in_channels: int, seed: int, dtype):
+    def __init__(self, cfg: DecoderConfig, in_channels: int, resolution: int, seed: int, dtype):
         ch = cfg.channels
         depth = len(ch)
+        self.resize = nn.AdaptiveResize3d(resolution)
         self.entry = conv_norm_relu(in_channels, ch[0], 1, 1, 0, "decoder.entry", seed, dtype)
         self.downs = [
             conv_norm_relu(ch[i - 1], ch[i], 3, 2, 1, f"decoder.down{i}", seed, dtype)
@@ -254,8 +266,15 @@ class Decoder(nn.Module):
         )
         self.sigmoid = nn.Sigmoid()
 
-    def forward(self, hidden, remember=True):
-        feats = [self.entry.forward(hidden, remember)]
+    def forward(self, latent, remember=True):
+        # the entry conv commutes with the resize (see the module docstring):
+        # inference projects the latent before the resize copies its cells,
+        # training resizes first, the order its gradients are summed in
+        conv, *norm_relu = self.entry.layers
+        h = latent
+        for layer in ([self.resize, conv] if remember else [conv, self.resize]) + norm_relu:
+            h = layer.forward(h, remember)
+        feats = [h]
         for down in self.downs:
             feats.append(down.forward(feats[-1], remember))
         h = feats[-1]
@@ -278,7 +297,7 @@ class Decoder(nn.Module):
             skip_grads.append(g_skip)
         for down, g_skip in zip(reversed(self.downs), reversed(skip_grads)):
             g = down.backward(g) + g_skip
-        return self.entry.backward(g)
+        return self.resize.backward(self.entry.backward(g))
 
 
 class E2VModel(nn.Module):
@@ -298,15 +317,15 @@ class E2VModel(nn.Module):
         self.dtype = np.dtype(dtype)
         enc, seed = config.encoder, config.seed
         self.encoder = build_encoder(enc, seed, dtype)
-        self.decoder = Decoder(config.decoder, enc.out_channels, seed, dtype)
+        self.decoder = Decoder(config.decoder, enc.out_channels, enc.resolution, seed, dtype)
         names = [p.name for p in self.parameters()] + [n for n, _ in self.buffers()]
         dupes = {n for n in names if names.count(n) > 1}
         if dupes:
             raise ConfigError(f"duplicate state names in model: {sorted(dupes)}")
 
     def forward(self, frames: np.ndarray, remember: bool = True) -> np.ndarray:
-        hidden = self.encoder.forward(frames, remember)
-        vol = self.decoder.forward(hidden, remember)
+        latent = self.encoder.forward(frames, remember)
+        vol = self.decoder.forward(latent, remember)
         return vol[:, 0]
 
     def backward(self, grad_probs: np.ndarray) -> np.ndarray:
@@ -338,13 +357,17 @@ def build_model(enc_cfg: EncoderConfig, dec_cfg: DecoderConfig, seed: int = 0,
 
 
 def encode(model: E2VModel, frames: np.ndarray, remember: bool = False) -> np.ndarray:
-    """Run only the encoder: frames (N, 1, D, H, W) -> hidden (N, C, R, R, R)."""
+    """Run only the encoder: frames (N, 1, D, H, W) -> latent (N, C, d, h, w)
+    at the encoder's own volume, (1, 2048, 4, 8, 8) for the paper model on
+    a 100x256x256 stack."""
     return model.encoder.forward(frames, remember)
 
 
-def decode(model: E2VModel, hidden: np.ndarray, remember: bool = False) -> np.ndarray:
-    """Run only the decoder: hidden volume -> probabilities (N, R, R, R)."""
-    return model.decoder.forward(hidden, remember)[:, 0]
+def decode(model: E2VModel, latent: np.ndarray, remember: bool = False) -> np.ndarray:
+    """Run only the decoder: latent -> probabilities (N, R, R, R). The decoder
+    resizes any latent volume to R^3; with ``remember`` False it does so
+    after its entry conv, on ``DecoderConfig.channels[0]`` channels."""
+    return model.decoder.forward(latent, remember)[:, 0]
 
 
 def bce_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:

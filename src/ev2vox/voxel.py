@@ -13,8 +13,9 @@ perfect agreement.
 computes them ``SURFACE_CHUNK`` lattice points at a time and marks their
 cells as it goes, so its scratch memory does not grow with the triangle
 count, and it finds the solid's exterior with one lookup table over the
-labels of the empty space. Meshes with non-finite vertices are rejected
-rather than voxelized to an empty grid.
+labels of the empty space, read only at the output cells' centers.
+Meshes with non-finite vertices are rejected rather than voxelized to an
+empty grid.
 
 ``write_vox1`` and ``read_vox1`` build and parse VOX1 bytes; the file
 itself is written and read through ``ev2vox.artifacts``.
@@ -75,8 +76,14 @@ class TriMesh:
     triangles: np.ndarray
 
     def __post_init__(self):
-        # one index check for every consumer; an empty mesh is left to them to name
-        tri, n = self.triangles, len(self.vertices)
+        # one shape and index check for every consumer; an empty mesh is left
+        # to them to name
+        verts = self.vertices
+        if verts.size and (verts.ndim != 2 or verts.shape[1] != 3 or verts.dtype.kind not in "iuf"):
+            raise DataError(
+                f"vertices must be a (V, 3) real array, got {verts.dtype} {verts.shape}"
+            )
+        tri, n = self.triangles, len(verts)
         if tri.size and (tri.ndim != 2 or tri.shape[1] != 3 or tri.dtype.kind not in "iu"):
             raise DataError(f"triangles must be (F, 3) integers, got {tri.dtype} {tri.shape}")
         bad = tri[(tri < 0) | (tri >= n)]
@@ -235,11 +242,13 @@ def _surface_cells(mesh: TriMesh, resolution: int) -> np.ndarray:
     return occ.reshape((resolution,) * 3)
 
 
-def _fill_exterior(surface: np.ndarray) -> np.ndarray:
-    """Mark as occupied everything not reachable from the grid boundary
-    through empty cells (6-connectivity)."""
+def _fill_exterior(surface: np.ndarray, keep) -> np.ndarray:
+    """The cells ``keep`` (an index into the grid) of the solid: occupied
+    unless reachable from the grid boundary through empty cells
+    (6-connectivity). ``surface`` is inverted in place into the empty space
+    that is labelled, and the exterior table is read only at ``keep``."""
     structure = ndimage.generate_binary_structure(3, 1)
-    labels, count = ndimage.label(~surface, structure=structure)
+    labels, count = ndimage.label(np.logical_not(surface, out=surface), structure=structure)
     # exterior[l]: empty component l touches a face of the grid; label 0 is
     # the surface itself
     exterior = np.zeros(count + 1, dtype=bool)
@@ -247,7 +256,7 @@ def _fill_exterior(surface: np.ndarray) -> np.ndarray:
                  labels[:, :, 0], labels[:, :, -1]):
         exterior[face] = True
     exterior[0] = False
-    return ~exterior[labels]
+    return ~exterior[labels[keep]]
 
 
 def voxelize(mesh: TriMesh, resolution: int) -> VoxelGrid:
@@ -258,10 +267,11 @@ def voxelize(mesh: TriMesh, resolution: int) -> VoxelGrid:
     time, each chunk marking its cells before the next is computed. The
     empty space is then labelled into 6-connected components, a lookup
     table marks the labels found on the grid's six faces as exterior, and
-    everything else is kept. Marking, filling and complementing happen on
-    a finer lattice (``SUPERSAMPLE`` subdivisions per cell, odd so cell
-    centers are fine cell centers) and each output cell takes the value of
-    the fine cell containing its center; working at the output resolution
+    everything else is kept. Marking and labelling happen on a finer
+    lattice (``SUPERSAMPLE`` subdivisions per cell, odd so cell centers are
+    fine cell centers) and each output cell takes the value of the fine
+    cell containing its center, the only cells the table is read at;
+    working at the output resolution
     directly would count every surface-touching cell as occupied and
     inflate thin or curved solids by well over the tolerance the tests
     demand.
@@ -275,10 +285,9 @@ def voxelize(mesh: TriMesh, resolution: int) -> VoxelGrid:
         raise DataError("cannot voxelize a mesh with no triangles")
     _require_finite(mesh, "voxelize")
 
-    fine = _fill_exterior(_surface_cells(mesh, resolution * SUPERSAMPLE))
-    half = SUPERSAMPLE // 2
-    coarse = fine[half::SUPERSAMPLE, half::SUPERSAMPLE, half::SUPERSAMPLE]
-    return VoxelGrid(resolution, coarse.copy())
+    surface = _surface_cells(mesh, resolution * SUPERSAMPLE)
+    centers = (slice(SUPERSAMPLE // 2, None, SUPERSAMPLE),) * 3
+    return VoxelGrid(resolution, _fill_exterior(surface, centers))
 
 
 def binarize(probs: np.ndarray, threshold: float) -> VoxelGrid:

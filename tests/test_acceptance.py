@@ -401,9 +401,10 @@ def test_criterion_8_full_scale(announce):
         model.train()
         rng = np.random.default_rng(0)
         x = (rng.random((1, 1, 100, 256, 256)) < 0.05).astype(np.float32)
-        hidden = encode(model, x)
-        assert hidden.shape == (1, 2048, 32, 32, 32)
-        probs = decode(model, hidden)
+        latent = encode(model, x)
+        assert latent.shape == (1, 2048, 4, 8, 8)
+        assert model.decoder.resize.spec.target == (32, 32, 32)
+        probs = decode(model, latent)
         assert probs.shape == (1, 32, 32, 32)
         assert probs.min() > 0.0 and probs.max() < 1.0
         # the reference figure comes from an under-specified architecture;

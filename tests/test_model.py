@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -114,16 +115,16 @@ class TestShapes:
     def test_toy_encode_shape(self):
         m = M.build_model(M.EncoderConfig.toy(), M.DecoderConfig.toy(), seed=1)
         x = np.zeros((2, 1, 10, 32, 32), dtype=np.float32)
-        hidden = M.encode(m, x)
-        assert hidden.shape == (2, 64, 8, 8, 8)
+        # the latent keeps the encoder's own volume; the decoder resizes it
+        assert M.encode(m, x).shape == (2, 64, 5, 8, 8)
 
     def test_micro_shape_propagation(self):
-        # stem (1,2,2) halves 16x16 to 8x8; the second stage halves again
-        # and the resize pins the hidden volume to 4^3 regardless
+        # stem (1,2,2) halves 16x16 to 8x8; the second stage halves all three
+        # axes, and the decoder's resize pins the output to 4^3 regardless
         enc, dec = micro_configs()
         m = M.build_model(enc, dec, seed=3)
         x = np.zeros((1, 1, 6, 16, 16), dtype=np.float32)
-        assert M.encode(m, x).shape == (1, 32, 4, 4, 4)
+        assert M.encode(m, x).shape == (1, 32, 3, 4, 4)
         assert m.forward(x).shape == (1, 4, 4, 4)
 
     def test_encode_wrong_rank_raises(self):
@@ -145,16 +146,91 @@ class TestShapes:
         assert np.all(probs == 0.5)
 
     def test_decoder_restores_noncubic_spatial(self):
-        # every down halving is undone by the matching up level, whatever
-        # volume the decoder is handed
+        # the decoder's resize pins any latent volume, grown, shrunk or
+        # already cubic, to R^3 in both entry orders, and every down halving
+        # is undone by the matching up level
         enc = M.EncoderConfig(
             stem=M.StemConfig(kernel=(3, 3, 3), stride=(1, 2, 2), channels=4, pool=False),
             stages=(M.StageConfig(1, 4, (1, 1, 1)),),
             resolution=8,
         )
         m = M.build_model(enc, M.DecoderConfig(channels=(4, 8)), seed=0)
-        hidden = np.random.default_rng(3).random((1, 16, 4, 8, 8)).astype(np.float32)
-        assert M.decode(m, hidden).shape == (1, 4, 8, 8)
+        assert m.decoder.resize.spec.target == (8, 8, 8)
+        rng = np.random.default_rng(3)
+        for shape in ((1, 16, 4, 8, 8), (2, 16, 3, 11, 5), (1, 16, 8, 8, 8)):
+            latent = rng.random(shape).astype(np.float32)
+            for remember in (True, False):
+                assert M.decode(m, latent, remember).shape == (shape[0], 8, 8, 8)
+
+
+class TestDecoderEntryOrder:
+    """Inference runs the decoder's 1x1x1 entry conv before its resize,
+    training after it."""
+
+    @staticmethod
+    def cases(dtype):
+        """(decoder, latent, exact): the toy and micro models' decoders on
+        their encoders' latents, and 512-channel latents under a 64-wide
+        entry, as the paper's, and under a 4-wide one.
+
+        The orders commute in exact arithmetic; in floating point they give
+        the same bytes when the BLAS computes each cell's product the same
+        way at the latent's cell count and at R^3. With OpenBLAS 0.3.31 on
+        AVX-512, products of up to about 10^6 multiply-adds, as the 4-wide
+        entry's on 256 cells, sum their 512 channels in another order than
+        the larger product at R^3, so there the orders agree only to
+        rounding."""
+        rng = np.random.default_rng(17)
+        for enc, dec, frames in ((M.EncoderConfig.toy(), M.DecoderConfig.toy(), (2, 1, 10, 32, 32)),
+                                 (*micro_configs(), (3, 1, 6, 16, 16))):
+            m = M.build_model(enc, dec, seed=4, dtype=dtype)
+            yield m.decoder, M.encode(m, rng.random(frames).astype(dtype)), True
+        latent = rng.normal(size=(1, 512, 4, 8, 8)).astype(dtype)
+        yield M.Decoder(M.DecoderConfig((64, 128)), 512, 16, seed=4, dtype=dtype), latent, True
+        yield M.Decoder(M.DecoderConfig((4, 8)), 512, 32, seed=4, dtype=dtype), latent, False
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_inference_matches_resize_then_conv(self, dtype, training):
+        for dec, latent, exact in self.cases(dtype):
+            dec.train(training)
+            assert latent.shape[2:] != dec.resize.spec.target
+            got = dec.forward(latent, remember=False)
+            assert got.dtype == dtype
+            # resized by hand, the decoder's own resize (after its conv) is a
+            # copy, so this runs resize -> conv -> norm -> ReLU -> the UNet
+            want = dec.forward(dec.resize.forward(latent, remember=False), remember=False)
+            if exact:
+                np.testing.assert_array_equal(got, want)
+            else:
+                tol = 1000 * np.finfo(dtype).eps
+                np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+
+    def test_remembered_forward_keeps_the_training_order(self):
+        # the conv's gradients sum over the cells it saw; R^3 cells keep the
+        # trained bytes
+        m = M.build_model(*micro_configs(), seed=2)
+        x = np.random.default_rng(5).random((2, 1, 6, 16, 16)).astype(np.float32)
+        m.forward(x, remember=True)
+        conv = m.decoder.entry.layers[0]
+        assert conv.saved.shape == (2, 32, 4, 4, 4)
+        assert m.decoder.resize.saved == (2, 32, 3, 4, 4)
+
+    def test_inference_never_builds_the_resized_latent(self):
+        # A (1, 512, 4, 8, 8) latent resized to 32^3 is 64 MiB in float32.
+        # Projected to 4 channels first, the forward's traced peak was 11.4
+        # MiB as measured (76.9 MiB when remembered, which resizes first and
+        # keeps its caches); 24 MiB catches any latent-wide resize.
+        dec = M.Decoder(M.DecoderConfig((4, 8)), 512, 32, seed=0, dtype=np.float32)
+        latent = np.random.default_rng(0).random((1, 512, 4, 8, 8)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            probs = dec.forward(latent, remember=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert probs.shape == (1, 1, 32, 32, 32)
+        assert peak < 24 * 2**20
 
 
 class TestSavedState:
@@ -380,7 +456,7 @@ class TestState:
     def test_train_eval_reach_every_batchnorm(self):
         from ev2vox import nn
         m = M.build_model(M.EncoderConfig.toy(), M.DecoderConfig.toy(), seed=0)
-        stem, *blocks, _ = m.encoder.layers
+        stem, *blocks = m.encoder.layers
         dec = m.decoder
         norms = (
             [stem.layers[1]]

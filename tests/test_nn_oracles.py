@@ -317,8 +317,12 @@ class TestPaperStemOracle:
             stages=(M.StageConfig(1, 4, (1, 1, 1)),),
             resolution=4,
         )
-        enc = M.build_encoder(cfg, seed=0, dtype=np.float32)
-        oracle = M.build_encoder(cfg, seed=0, dtype=np.float32)
+        # the model's decoder opens with this resize; here it ends the chain
+        enc, oracle = (
+            nn.Sequential(M.build_encoder(cfg, seed=0, dtype=np.float32),
+                          nn.AdaptiveResize3d(cfg.resolution))
+            for _ in range(2)
+        )
         swapped = 0
         for m in oracle.modules():
             if type(m) in ORACLES:

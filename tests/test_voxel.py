@@ -141,6 +141,22 @@ class TestTriMesh:
         with pytest.raises(DataError, match=r"triangles must be \(F, 3\) integers"):
             vx.TriMesh(vx.unit_cube_mesh().vertices, tris)
 
+    # 2 coordinates per vertex, a flat array, complex and boolean values
+    @pytest.mark.parametrize("verts", [
+        lambda v: v[:, :2], lambda v: v.ravel(), lambda v: v.astype(complex),
+        lambda v: v.astype(bool),
+    ])
+    @pytest.mark.parametrize("consumer", MESH_CONSUMERS)
+    def test_vertices_must_be_v_by_3_reals(self, verts, consumer):
+        cube = vx.unit_cube_mesh()
+        with pytest.raises(DataError, match=r"vertices must be a \(V, 3\) real array"):
+            MESH_CONSUMERS[consumer](vx.TriMesh(verts(cube.vertices), cube.triangles))
+
+    def test_integer_vertices_are_real(self):
+        cube = vx.unit_cube_mesh()
+        mesh = vx.TriMesh(cube.vertices.astype(np.int64), cube.triangles)
+        assert vx.voxelize(mesh, 4).count() == 4 ** 3
+
     @pytest.mark.parametrize("n_vertices", [0, 8])
     def test_empty_mesh_reaches_the_consumers_messages(self, n_vertices):
         mesh = vx.TriMesh(vx.unit_cube_mesh().vertices[:n_vertices], np.zeros((0, 3), np.int64))
@@ -303,19 +319,27 @@ class TestVoxelize:
         np.testing.assert_array_equal(vx._surface_cells(mesh, resolution), want)
 
     def test_fill_exterior_matches_isin_form(self):
+        # the fill inverts its input in place, so each call gets a copy; it
+        # is compared on every cell and on a strided selection like the
+        # cell centers voxelize keeps
+        every, strided = ..., (slice(1, None, 3),) * 3
         rng = np.random.default_rng(13)
         for density in (0.2, 0.35, 0.5, 0.65):
             surface = rng.uniform(size=(14, 14, 14)) < density
             # a closed shell with a hollow inside, so every grid has a cavity
             surface[3:9, 3:9, 3:9] = True
             surface[4:8, 4:8, 4:8] = False
-            got = vx._fill_exterior(surface)
-            np.testing.assert_array_equal(got, fill_exterior_isin(surface))
+            want = fill_exterior_isin(surface)
+            got = vx._fill_exterior(surface.copy(), every)
+            np.testing.assert_array_equal(got, want)
             assert got[5, 5, 5]
+            np.testing.assert_array_equal(vx._fill_exterior(surface.copy(), strided), want[strided])
         for surface in (np.zeros((6, 6, 6), bool), np.ones((6, 6, 6), bool)):
-            np.testing.assert_array_equal(vx._fill_exterior(surface), fill_exterior_isin(surface))
-        assert not vx._fill_exterior(np.zeros((6, 6, 6), bool)).any()
-        assert vx._fill_exterior(np.ones((6, 6, 6), bool)).all()
+            for keep in (every, strided):
+                np.testing.assert_array_equal(vx._fill_exterior(surface.copy(), keep),
+                                              fill_exterior_isin(surface)[keep])
+        assert not vx._fill_exterior(np.zeros((6, 6, 6), bool), every).any()
+        assert vx._fill_exterior(np.ones((6, 6, 6), bool), every).all()
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="needs /proc/self/status for the peak resident set size")
