@@ -59,11 +59,18 @@ SPLITS = ("train", "val", "test")
 
 @dataclass(frozen=True)
 class ManifestEntry:
-    sample_id: str
-    category: str
+    """One sample; the field names are the manifest's JSON keys."""
+
+    id: str
     events: str
     label: str
     split: str
+    category: str = "all"
+
+
+@dataclass(frozen=True)
+class _ManifestFile:
+    entries: tuple[ManifestEntry, ...]
 
 
 @dataclass
@@ -84,52 +91,29 @@ class Manifest:
 
 
 def save_manifest(manifest: Manifest, path: Path) -> None:
-    payload = {
-        "entries": [
-            {
-                "id": e.sample_id,
-                "category": e.category,
-                "events": e.events,
-                "label": e.label,
-                "split": e.split,
-            }
-            for e in manifest.entries
-        ]
-    }
-    write_json(path, payload)
+    write_json(path, {"entries": [dataclasses.asdict(e) for e in manifest.entries]})
 
 
 def load_manifest(path: str | os.PathLike) -> Manifest:
     """Load and validate a manifest; fails fast on any missing file."""
     path = Path(path)
-    payload = read_json(path)
-    if not isinstance(payload, dict) or not isinstance(payload.get("entries"), list):
-        raise DataError(f"{path}: manifest must be an object with an 'entries' list")
-    entries = []
+    try:
+        entries = from_json(_ManifestFile, read_json(path), "manifest").entries
+    except ConfigError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     seen = set()
-    for raw in payload["entries"]:
-        try:
-            entry = ManifestEntry(
-                sample_id=str(raw["id"]),
-                category=str(raw.get("category", "all")),
-                events=str(raw["events"]),
-                label=str(raw["label"]),
-                split=str(raw["split"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise DataError(f"{path}: malformed manifest entry {raw!r}") from exc
-        if entry.sample_id in seen:
-            raise DataError(f"{path}: duplicate sample id {entry.sample_id!r}")
-        seen.add(entry.sample_id)
+    for entry in entries:
+        if entry.id in seen:
+            raise DataError(f"{path}: duplicate sample id {entry.id!r}")
+        seen.add(entry.id)
         if entry.split not in SPLITS:
             raise DataError(
-                f"{path}: entry {entry.sample_id!r} has unknown split {entry.split!r}"
+                f"{path}: entry {entry.id!r} has unknown split {entry.split!r}"
             )
         for rel in (entry.events, entry.label):
             if not (path.parent / rel).is_file():
                 raise IoFailure(f"{path}: missing file {path.parent / rel}")
-        entries.append(entry)
-    return Manifest(root=path.parent, entries=entries)
+    return Manifest(root=path.parent, entries=list(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +299,7 @@ def cmd_generate(cfg: RunConfig, seed: int, out_dir: str) -> Manifest:
         }
         write_json(out / f"{sid}.json", sidecar)
         entries.append(
-            ManifestEntry(sid, category, f"{sid}.evt", f"{sid}.vox", assignment[sid])
+            ManifestEntry(sid, f"{sid}.evt", f"{sid}.vox", assignment[sid], category)
         )
     manifest = Manifest(root=out, entries=entries)
     save_manifest(manifest, out / "manifest.json")
@@ -343,13 +327,13 @@ def cmd_preprocess(cfg: RunConfig, manifest_path: str, threads: int) -> int:
         frames = bin_to_frames(read_evt1(events), cfg.binning)
         npy = io.BytesIO()
         np.lib.format.write_array(npy, frames)
-        write(cache / f"{entry.sample_id}.frames.npy", npy.getvalue())
+        write(cache / f"{entry.id}.frames.npy", npy.getvalue())
         meta = {
             "binning": dataclasses.asdict(cfg.binning),
             "shape": list(frames.shape),
             "events_sha256": _sha256(events),
         }
-        write_json(cache / f"{entry.sample_id}.frames.json", meta)
+        write_json(cache / f"{entry.id}.frames.json", meta)
 
     # samples are independent, so worker count cannot change the output
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -363,17 +347,17 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(read(path)).hexdigest()
 
 
-def _frames(cfg: RunConfig, manifest: Manifest, entry: ManifestEntry,
-            cache_dir: Path) -> np.ndarray:
-    """The entry's (D, H, W) uint8 frame stack: the cached one if its
-    sidecar records ``cfg.binning`` and the digest of the entry's events as
-    they are now, else those events binned afresh. A cache that cannot be
-    read, holds any other array, or holds another shape than its sidecar
-    records, is a FormatError."""
+def _frames(cfg: RunConfig, manifest: Manifest, entry: ManifestEntry) -> np.ndarray:
+    """The entry's (D, H, W) uint8 frame stack: the one ``preprocess``
+    cached under ``_cache_dir`` if its sidecar records ``cfg.binning`` and
+    the digest of the entry's events as they are now, else those events
+    binned afresh. A cache that cannot be read, holds any other array, or
+    holds another shape than its sidecar records, is a FormatError."""
     events = manifest.root / entry.events
-    cached = cache_dir / f"{entry.sample_id}.frames.npy"
+    cache_dir = _cache_dir(manifest)
+    cached = cache_dir / f"{entry.id}.frames.npy"
     try:
-        meta = read_json(cache_dir / f"{entry.sample_id}.frames.json")
+        meta = read_json(cache_dir / f"{entry.id}.frames.json")
     except DataError:
         meta = {}
     meta = meta if isinstance(meta, dict) else {}
@@ -394,10 +378,10 @@ def _frames(cfg: RunConfig, manifest: Manifest, entry: ManifestEntry,
     return bin_to_frames(read_evt1(events), cfg.binning)
 
 
-def _load_dataset(cfg: RunConfig, manifest: Manifest, splits, cache_dir: Path):
+def _load_dataset(cfg: RunConfig, manifest: Manifest, splits):
     """Assemble (frames, label, category) samples for the given splits."""
     return [
-        (_frames(cfg, manifest, e, cache_dir), read_vox1(manifest.root / e.label), e.category)
+        (_frames(cfg, manifest, e), read_vox1(manifest.root / e.label), e.category)
         for e in manifest.entries
         if e.split in splits
     ]
@@ -412,7 +396,7 @@ def _run_dir(manifest: Manifest, out_dir: str | None) -> Path:
 
 def cmd_train(cfg: RunConfig, manifest_path: str, out_dir: str | None) -> None:
     manifest = load_manifest(manifest_path)
-    dataset = _load_dataset(cfg, manifest, ("train",), _cache_dir(manifest))
+    dataset = _load_dataset(cfg, manifest, ("train",))
     if not dataset:
         raise DataError(f"{manifest_path}: no train-split entries")
     # the manifest may come from a run under another config
@@ -440,11 +424,10 @@ def cmd_eval(cfg: RunConfig, manifest_path: str, out_dir: str | None) -> None:
         raise IoFailure(f"checkpoint not found: {ckpt}")
     model = load_training_checkpoint(ckpt, cfg.model)[0]
 
-    cache = _cache_dir(manifest)
     text_parts = []
     csv_lines = ["split,category,count,iou,fscore"]
     for split in manifest.splits_present():
-        dataset = _load_dataset(cfg, manifest, (split,), cache)
+        dataset = _load_dataset(cfg, manifest, (split,))
         report = evaluate(model, dataset, cfg.metrics.threshold, cfg.metrics.distance)
         text_parts.append(f"== {split} ==\n{report.text()}")
         for row in report.csv_rows()[1:]:
@@ -484,11 +467,11 @@ def _export_from_checkpoint(cfg: RunConfig, ckpt_path: str, sample_id: str,
     if manifest_path is None:
         raise ConfigError("exporting from a checkpoint needs --manifest for the sample")
     manifest = load_manifest(manifest_path)
-    matches = [e for e in manifest.entries if e.sample_id == sample_id]
+    matches = [e for e in manifest.entries if e.id == sample_id]
     if not matches:
         raise DataError(f"{manifest_path}: no sample with id {sample_id!r}")
-    frames = _frames(cfg, manifest, matches[0], _cache_dir(manifest))
-    model = load_training_checkpoint(ckpt_path)[0]
+    model = load_training_checkpoint(ckpt_path, cfg.model)[0]
+    frames = _frames(cfg, manifest, matches[0])
     model.eval()
     probs = model.forward(frames_to_input([frames], dtype=model.dtype), remember=False)
     return binarize(probs[0], cfg.metrics.threshold)
@@ -515,20 +498,6 @@ def cmd_export(cfg: RunConfig, input_path: str, sample_id: str | None,
 # ---------------------------------------------------------------------------
 # plumbing
 
-def _resolve_threads(value: int | None) -> int:
-    if value is None:
-        env = os.environ.get("E2V_THREADS")
-        if env is None:
-            return 1
-        try:
-            value = int(env)
-        except ValueError:
-            raise ConfigError(f"E2V_THREADS must be an integer, got {env!r}") from None
-    if value < 1:
-        raise ConfigError(f"thread count must be at least 1, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ev2vox",
@@ -554,8 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
     command("generate", "synthesize an event/voxel dataset", "dataset output directory",
             manifest=False, seed=True)
     p = command("preprocess", "bin event files into <manifest dir>/cache")
-    p.add_argument("--threads", type=int, metavar="N",
-                   help="worker threads (default 1; E2V_THREADS as fallback)")
+    p.add_argument("--threads", type=int, default=1, metavar="N",
+                   help="worker threads (default 1)")
     command("train", "train the reconstruction model",
             "run directory for checkpoints and logs (default: <manifest dir>/run)", seed=True)
     command("eval", "score a trained checkpoint per split",
@@ -576,7 +545,9 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif args.command == "preprocess":
         if args.manifest is None:
             raise ConfigError("preprocess needs --manifest")
-        cmd_preprocess(cfg, args.manifest, _resolve_threads(args.threads))
+        if args.threads < 1:
+            raise ConfigError(f"thread count must be at least 1, got {args.threads}")
+        cmd_preprocess(cfg, args.manifest, args.threads)
     elif args.command == "train":
         if args.manifest is None:
             raise ConfigError("train needs --manifest")

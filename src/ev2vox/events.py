@@ -10,7 +10,9 @@ binary event frames. A frame cell is 1 when at least one event hit that
 pixel inside the frame's time window; polarity is discarded. Frame k
 covers t in [k*dt, (k+1)*dt) and exactly ceil(T/dt) frames are emitted,
 empty ones included. An event with t exactly T is kept and lands in the
-last frame.
+last frame. With a downscale factor f, an event at (x, y) sets cell
+(y // f, x // f), which is the OR-pool of the sensor-resolution frames
+over f x f blocks.
 
 ``write_evt1`` and ``read_evt1`` build and parse EVT1 bytes; the file
 itself is written and read through ``ev2vox.artifacts``.
@@ -179,42 +181,20 @@ def validate_stream(raw_events, sensor_width: int, sensor_height: int, duration:
 
 
 def bin_to_frames(stream: EventStream, cfg: BinningConfig) -> np.ndarray:
-    """Accumulate a stream into a (D, H, W) uint8 frame stack of ceil(T/dt)
-    frames; when the config carries target dimensions the result is
-    OR-pool downscaled."""
+    """Accumulate a stream into a (D, H/f, W/f) uint8 frame stack of
+    ceil(T/dt) frames, f being the config's downscale factor: each event
+    sets its pooled cell, so the sensor-resolution stack is never built."""
     h, w = stream.sensor_height, stream.sensor_width
+    f = cfg.downscale_factor(w, h)
     depth = int(math.ceil(stream.duration / cfg.window))
     if depth == 0 and len(stream) > 0:
         depth = 1
-    frames = np.zeros((depth, h, w), dtype=np.uint8)
+    frames = np.zeros((depth, h // f, w // f), dtype=np.uint8)
     if len(stream):
         k = np.floor_divide(stream.t, cfg.window).astype(np.int64)
         np.clip(k, 0, depth - 1, out=k)
-        frames[k, stream.y.astype(np.int64), stream.x.astype(np.int64)] = 1
-
-    factor = cfg.downscale_factor(w, h)
-    if factor != 1:
-        frames = downscale_frames(frames, factor)
+        frames[k, stream.y.astype(np.int64) // f, stream.x.astype(np.int64) // f] = 1
     return frames
-
-
-def downscale_frames(frames: np.ndarray, factor: int) -> np.ndarray:
-    """OR-pool each frame of a (D, H, W) stack over factor x factor blocks
-    (binary max-pool)."""
-    if factor < 1:
-        raise ConfigError(f"downscale factor must be >= 1, got {factor}")
-    d, h, w = frames.shape
-    if factor == 1:
-        return frames.copy()
-    if h % factor or w % factor:
-        raise ConfigError(
-            f"frame size {h}x{w} not divisible by factor {factor}"
-        )
-    return (
-        frames.reshape(d, h // factor, factor, w // factor, factor)
-        .max(axis=(2, 4))
-        .astype(np.uint8)
-    )
 
 
 def write_evt1(stream: EventStream, path: str | os.PathLike) -> None:

@@ -332,10 +332,6 @@ class E2VModel(nn.Module):
         g = self.decoder.backward(grad_probs[:, None].astype(self.dtype, copy=False))
         return self.encoder.backward(g)
 
-    def zero_grad(self):
-        for p in self.parameters():
-            p.zero_grad()
-
     def state_entries(self) -> list[tuple[str, np.ndarray]]:
         return [(p.name, p.value) for p in self.parameters()] + self.buffers()
 

@@ -63,15 +63,6 @@ def stream_key(seed: int, name: str) -> int:
     return k
 
 
-def raw_uint64(key: int, start: int, count: int) -> np.ndarray:
-    """Values ``start .. start+count-1`` of the stream, as uint64."""
-    state = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        state *= np.uint64(_GOLDEN)
-        state += np.uint64(key)
-    return _finalize(state, np.empty_like(state))
-
-
 def uniform(key: int, start: int, count: int, low: float, high: float,
             dtype=np.float64) -> np.ndarray:
     """Uniform samples in [low, high) from the keyed stream, as ``dtype``.

@@ -258,8 +258,6 @@ def train(
     n = len(dataset)
     ckpt_path = None
 
-    targets = [s[1].occupancy.astype(np.float64) for s in dataset]
-
     model.train()
     for epoch in range(start_epoch, run.epochs):
         order = np.random.default_rng((run.seed, epoch)).permutation(n)
@@ -268,7 +266,7 @@ def train(
         for lo in range(0, n, run.batch_size):
             batch = order[lo:lo + run.batch_size]
             x = frames_to_input([dataset[i][0] for i in batch], dtype=model.dtype)
-            y = np.stack([targets[i] for i in batch])
+            y = np.stack([dataset[i][1].occupancy for i in batch])
             probs = model.forward(x)
             loss, grad = bce_loss(probs, y)
             model.backward(grad)

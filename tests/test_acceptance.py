@@ -167,7 +167,8 @@ def _full_toy_model_case(seed):
         return bce_loss(model.forward(x, remember=False), target)[0]
 
     loss, grad = bce_loss(model.forward(x, remember=True), target)
-    model.zero_grad()
+    for p in model.parameters():
+        p.zero_grad()
     grad_x = model.backward(grad)
 
     def pick(arr):

@@ -435,17 +435,6 @@ class TestPreprocess:
         assert cli.main(["preprocess", "--toy", "--manifest", str(missing)]) == 3
         assert str(missing) in capsys.readouterr().err
 
-    def test_env_thread_fallback(self, pipeline, tmp_path, monkeypatch):
-        monkeypatch.setenv("E2V_THREADS", "2")
-        data = copy_dataset(pipeline, tmp_path)
-        shutil.rmtree(data / "cache")
-        code = cli.main(
-            ["preprocess", "--toy", "--config", pipeline["cfg"],
-             "--manifest", str(data / "manifest.json")]
-        )
-        assert code == 0
-        assert tree_hash(data / "cache") == tree_hash(pipeline["data"] / "cache")
-
     def test_out_option_exits_2(self, pipeline, tmp_path):
         # train, eval and export read only <manifest dir>/cache
         with pytest.raises(SystemExit) as exc:
@@ -488,16 +477,14 @@ class TestPreprocess:
         assert "binning: target dimensions must be positive" in capsys.readouterr().err
         assert not (data / "cache").exists()
 
-    def test_bad_thread_values_exit_2(self, pipeline, monkeypatch):
+    def test_bad_thread_values_exit_2(self, pipeline):
         args = ["preprocess", "--toy", "--manifest", str(pipeline["manifest"])]
         assert cli.main(args + ["--threads", "0"]) == 2
-        monkeypatch.setenv("E2V_THREADS", "two")
-        assert cli.main(args) == 2
 
     def test_truncated_cache_exits_3(self, pipeline, tmp_path, capsys):
         data = copy_dataset(pipeline, tmp_path)
         entry = cli.load_manifest(data / "manifest.json").for_split("train")[0]
-        cached = data / "cache" / f"{entry.sample_id}.frames.npy"
+        cached = data / "cache" / f"{entry.id}.frames.npy"
         cached.write_bytes(cached.read_bytes()[:100])
         code = cli.main(["train", "--toy", "--config", pipeline["cfg"],
                          "--manifest", str(data / "manifest.json"), "--out", str(tmp_path / "run")])
@@ -509,14 +496,14 @@ class TestPreprocess:
     def test_damaged_cache_exits_3(self, pipeline, tmp_path, capsys, command, array):
         data = copy_dataset(pipeline, tmp_path)
         entry = cli.load_manifest(data / "manifest.json").for_split("train")[0]
-        cached = data / "cache" / f"{entry.sample_id}.frames.npy"
+        cached = data / "cache" / f"{entry.id}.frames.npy"
         np.save(cached, array)
         run = tmp_path / "run"
         shutil.copytree(pipeline["run"], run)
         args = {
             "train": ["train", "--out", str(tmp_path / "retrain")],
             "eval": ["eval", "--out", str(run)],
-            "export": ["export", str(run / "model.ckpt"), entry.sample_id,
+            "export": ["export", str(run / "model.ckpt"), entry.id,
                        "--out", str(tmp_path / "x.obj")],
         }[command]
         code = cli.main(args + ["--toy", "--config", pipeline["cfg"],
@@ -536,9 +523,9 @@ class TestPreprocess:
         manifest = cli.load_manifest(data / "manifest.json")
         for entry in manifest.entries:
             fresh = bin_to_frames(read_evt1(data / entry.events), run_cfg.binning)
-            stale = np.load(data / "cache" / f"{entry.sample_id}.frames.npy")
+            stale = np.load(data / "cache" / f"{entry.id}.frames.npy")
             assert not np.array_equal(stale, fresh)
-            frames = cli._frames(run_cfg, manifest, entry, data / "cache")
+            frames = cli._frames(run_cfg, manifest, entry)
             np.testing.assert_array_equal(frames, fresh)
 
     def test_cache_is_used_only_for_its_binning(self, pipeline, tmp_path):
@@ -546,13 +533,13 @@ class TestPreprocess:
         manifest = cli.load_manifest(data / "manifest.json")
         entry = manifest.entries[0]
         # a stack without events marks the cached copy; binning afresh finds events
-        np.save(data / "cache" / f"{entry.sample_id}.frames.npy", np.zeros((10, 32, 32), np.uint8))
+        np.save(data / "cache" / f"{entry.id}.frames.npy", np.zeros((10, 32, 32), np.uint8))
         same = cli.load_run_config(pipeline["cfg"], toy=True)
-        assert not cli._frames(same, manifest, entry, data / "cache").any()
+        assert not cli._frames(same, manifest, entry).any()
         finer = cli.load_run_config(
             write_config(tmp_path / "c.json", {"binning": {"window": 0.025}}), toy=True
         )
-        frames = cli._frames(finer, manifest, entry, data / "cache")
+        frames = cli._frames(finer, manifest, entry)
         assert frames.shape == (20, 32, 32) and frames.any()
 
 
@@ -842,6 +829,19 @@ class TestExport:
         assert err.startswith("data error:") and "model.ckpt" in err and key in err
         assert not out.exists()
 
+    def test_export_config_mismatch_exits_3(self, pipeline, tmp_path, capsys):
+        # a toy checkpoint exported under the full preset, as eval refuses it
+        out = tmp_path / "pred.obj"
+        code = cli.main(
+            ["export", str(pipeline["run"] / "model.ckpt"), "s0000",
+             "--config", pipeline["cfg"],
+             "--manifest", str(pipeline["manifest"]), "--out", str(out)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "model.ckpt" in err and "different model configuration" in err
+        assert not out.exists()
+
     def test_unknown_sample_id_exits_3(self, pipeline, tmp_path):
         code = cli.main(
             ["export", str(pipeline["run"] / "model.ckpt"), "zzz",
@@ -886,13 +886,6 @@ class TestFlags:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
-    def test_train_ignores_thread_env(self, pipeline, tmp_path, monkeypatch):
-        monkeypatch.setenv("E2V_THREADS", "two")
-        cfg = write_config(tmp_path / "c.json", {"trainer": {"run": {"epochs": 1}}})
-        code = cli.main(["train", "--toy", "--config", cfg,
-                         "--manifest", str(pipeline["manifest"]), "--out", str(tmp_path / "run")])
-        assert code == 0
-
 
 # each family's exit code and stderr prefix; anything else is a traceback
 EXIT_CODES = [
@@ -918,7 +911,43 @@ def test_error_family_sets_exit_code(monkeypatch, capsys, error, code, prefix):
     assert err.startswith(prefix) and "boom" in err
 
 
+# (manifest JSON, the dotted path its error names); each holds one sample whose
+# files exist, so only the shape of the JSON is wrong
+ENTRY = {"id": "a", "events": "a.evt", "label": "a.evt", "split": "train"}
+MALFORMED_MANIFESTS = [
+    ({"entries": [{**ENTRY, "id": 7}]}, "manifest.entries[0].id must be a string"),
+    ({"entries": [{**ENTRY, "events": None}]}, "manifest.entries[0].events must be a string"),
+    ({"entries": [{**ENTRY, "category": {"k": 1}}]},
+     "manifest.entries[0].category must be a string"),
+    ({"entries": [{**ENTRY, "sample_id": "a"}]}, "'manifest.entries[0].sample_id'"),
+    ({"entries": [{k: v for k, v in ENTRY.items() if k != "split"}]},
+     "manifest.entries[0].split is missing"),
+    ({"entries": {"a": ENTRY}}, "manifest.entries must be a list"),
+    ({"entries": [ENTRY, ["a", "a.evt"]]}, "manifest.entries[1] must be an object"),
+    ({}, "manifest.entries is missing"),
+    ([ENTRY], "manifest must be an object"),
+]
+
+
 class TestManifestLoading:
+    @pytest.mark.parametrize("payload,where", MALFORMED_MANIFESTS,
+                             ids=["int-id", "null-events", "dict-category", "unknown-key",
+                                  "no-split", "entries-object", "entry-list", "no-entries",
+                                  "top-list"])
+    def test_malformed_manifest_exits_3(self, tmp_path, capsys, payload, where):
+        (tmp_path / "a.evt").write_bytes(b"")
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(payload))
+        assert cli.main(["preprocess", "--toy", "--manifest", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: ") and where in err
+
+    def test_category_defaults_to_all(self, tmp_path):
+        (tmp_path / "a.evt").write_bytes(b"")
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"entries": [ENTRY]}))
+        assert cli.load_manifest(path).entries[0].category == "all"
+
     def test_non_utf8_manifest_exits_3(self, tmp_path, capsys):
         path = tmp_path / "manifest.json"
         path.write_bytes(b'{"entries": ["\xe9"]}')

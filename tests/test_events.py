@@ -163,46 +163,66 @@ class TestUniformBinning:
         assert set(np.unique(stack)) <= {0, 1}
 
 
+def block_max(frames, f):
+    """Oracle for OR-pooling: each output cell is the max of its f x f block."""
+    d, h, w = frames.shape
+    out = np.zeros((d, h // f, w // f), dtype=frames.dtype)
+    for k in range(d):
+        for i in range(h // f):
+            for j in range(w // f):
+                out[k, i, j] = frames[k, f * i : f * i + f, f * j : f * j + f].max()
+    return out
+
+
+def pooled(side, f, window=0.1):
+    return ev.BinningConfig(window=window, target_height=side // f, target_width=side // f)
+
+
 class TestDownscale:
+    """Binning with target dimensions pools as it scatters; these compare it
+    with the block max of binning at the sensor resolution."""
+
     def test_single_bit_survives(self):
-        frames = np.zeros((1, 2, 2), dtype=np.uint8)
-        frames[0, 1, 0] = 1
-        out = ev.downscale_frames(frames, 2)
+        s = ev.validate_stream([(0, 1, 0.01, 1)], 2, 2, 0.05)
+        out = ev.bin_to_frames(s, pooled(2, 2, window=0.05))
         assert out.shape == (1, 1, 1)
         assert out[0, 0, 0] == 1
 
     def test_all_zero_stays_zero(self):
-        frames = np.zeros((2, 512, 512), dtype=np.uint8)
-        out = ev.downscale_frames(frames, 2)
+        s = ev.validate_stream([], 512, 512, 0.1)
+        out = ev.bin_to_frames(s, pooled(512, 2, window=0.05))
         assert out.shape == (2, 256, 256)
         assert out.sum() == 0
 
-    def test_matches_block_max_oracle(self):
-        rng = np.random.default_rng(3)
-        frames = (rng.uniform(size=(3, 16, 16)) < 0.3).astype(np.uint8)
-        out = ev.downscale_frames(frames, 2)
-        for d in range(3):
-            for i in range(8):
-                for j in range(8):
-                    block = frames[d, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
-                    assert out[d, i, j] == block.max()
-
-    def test_factor_one_identity(self):
-        frames = (np.arange(8).reshape(2, 2, 2) % 2).astype(np.uint8)
-        out = ev.downscale_frames(frames, 1)
-        np.testing.assert_array_equal(out, frames)
+    @given(
+        n=st.integers(0, 60),
+        f=st.sampled_from([2, 4]),
+        seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_block_max_oracle(self, n, f, seed):
+        rng = np.random.default_rng(seed)
+        # half the events sit on the first or last pixel of a block
+        edges = np.concatenate([np.arange(0, 16, f), np.arange(f - 1, 16, f)])
+        on_edge = rng.random(n) < 0.5
+        x = np.where(on_edge, rng.choice(edges, n), rng.integers(0, 16, n))
+        y = np.where(on_edge, rng.choice(edges, n), rng.integers(0, 16, n))
+        t = np.sort(rng.uniform(0.0, 0.5, n))
+        s = ev.from_arrays(t, x, y, rng.choice([-1, 1], n), 16, 16, 0.5)
+        full = ev.bin_to_frames(s, ev.BinningConfig(window=0.1))
+        out = ev.bin_to_frames(s, pooled(16, f))
+        assert out.dtype == np.uint8 and out.flags.c_contiguous
+        np.testing.assert_array_equal(out, block_max(full, f))
 
     def test_composition(self):
         rng = np.random.default_rng(5)
-        frames = (rng.uniform(size=(2, 8, 8)) < 0.4).astype(np.uint8)
-        twice = ev.downscale_frames(ev.downscale_frames(frames, 2), 2)
-        once = ev.downscale_frames(frames, 4)
+        n = 200
+        t = np.sort(rng.uniform(0.0, 0.5, n))
+        s = ev.from_arrays(t, rng.integers(0, 16, n), rng.integers(0, 16, n),
+                           np.ones(n), 16, 16, 0.5)
+        twice = block_max(ev.bin_to_frames(s, pooled(16, 2)), 2)
+        once = ev.bin_to_frames(s, pooled(16, 4))
         np.testing.assert_array_equal(twice, once)
-
-    def test_non_divisible_rejected(self):
-        frames = np.zeros((1, 6, 6), dtype=np.uint8)
-        with pytest.raises(ConfigError, match="not divisible by factor 4"):
-            ev.downscale_frames(frames, 4)
 
     def test_binning_applies_config_target(self):
         s = ev.validate_stream([(7, 3, 0.01, 1)], 16, 16, 0.1)

@@ -493,7 +493,8 @@ def full_model_loss_check(seed, tol=1e-6, n_coords=6):
     probs = m.forward(x)
     loss, gloss = M.bce_loss(probs, target)
     assert np.isfinite(loss)
-    m.zero_grad()
+    for p in m.parameters():
+        p.zero_grad()
     gx = m.backward(gloss)
 
     def f():

@@ -38,13 +38,6 @@ def test_uniform_matches_reference_formula(count):
     np.testing.assert_array_equal(got, want)
 
 
-def test_raw_uint64_is_splitmix64_of_the_counter():
-    key = rng.stream_key(1, "w")
-    got = rng.raw_uint64(key, 9, 5)
-    want = [finalize_int((key + (i + 1) * rng._GOLDEN) & MASK) for i in range(9, 14)]
-    assert got.tolist() == want
-
-
 def test_stream_key_matches_integer_formula():
     k = 3 ^ 0x5851F42D4C957F2D
     for b in b"decoder.head.conv.weight":
