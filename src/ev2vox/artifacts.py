@@ -3,28 +3,39 @@
 The format modules only build and parse bytes. Here an ``OSError`` becomes
 an ``IoFailure`` that names the path, and a file too short for its header,
 a wrong magic, text that is not UTF-8 or JSON that does not parse becomes
-a ``FormatError``. Writes go straight to the destination, so they are not
-atomic (ROADMAP item 3).
+a ``FormatError``. A write is atomic: its chunks go to a temp file beside
+the destination, which is synced and then renamed over it, so a reader
+sees the previous file or the new one, never a part of either.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import secrets
 from pathlib import Path
 
 from .errors import FormatError, IoFailure
 
 
-def write(path: str | os.PathLike, data: bytes | str) -> None:
-    """Write ``data`` to ``path``; a str is written as UTF-8."""
-    if isinstance(data, str):
-        data = data.encode("utf-8")
+def write(path: str | os.PathLike, *chunks: str | bytes | memoryview) -> None:
+    """Write the chunks to ``path`` in order, atomically; a str chunk is
+    written as UTF-8 and any other is a bytes-like buffer, written as is."""
+    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
     try:
-        with open(path, "wb") as fh:
-            fh.write(data)
+        with open(tmp, "xb") as fh:
+            for chunk in chunks:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
+    finally:
+        # a replaced temp file is already gone
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
 
 
 def write_json(path: str | os.PathLike, obj) -> None:
@@ -33,19 +44,29 @@ def write_json(path: str | os.PathLike, obj) -> None:
     write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def read(path: str | os.PathLike, magic: bytes = b"", header: int = 0, kind: str = "") -> bytes:
-    """The bytes of ``path``, which must hold ``magic`` plus ``header`` more
-    bytes and start with ``magic``; ``kind`` names the format in errors."""
+@contextlib.contextmanager
+def reading(path: str | os.PathLike, magic: bytes = b"", header: int = 0, kind: str = ""):
+    """``path`` opened for binary reading just past ``magic``, which the file
+    must start with and follow with at least ``header`` more bytes; ``kind``
+    names the format in errors. An ``OSError`` while it is open is an
+    IoFailure."""
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            if os.fstat(fh.fileno()).st_size < len(magic) + header:
+                raise FormatError(f"{path}: truncated {kind} header")
+            if fh.read(len(magic)) != magic:
+                raise FormatError(f"{path}: bad {kind} magic")
+            yield fh
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    if len(blob) < len(magic) + header:
-        raise FormatError(f"{path}: truncated {kind} header")
-    if not blob.startswith(magic):
-        raise FormatError(f"{path}: bad {kind} magic")
-    return blob
+
+
+def read(path: str | os.PathLike, magic: bytes = b"", header: int = 0, kind: str = "") -> bytes:
+    """The bytes of ``path``, magic included, checked as ``reading`` checks
+    them."""
+    with reading(path, magic, header, kind) as fh:
+        fh.seek(0)
+        return fh.read()
 
 
 def read_json(path: str | os.PathLike):

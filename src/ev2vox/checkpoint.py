@@ -6,8 +6,11 @@ float32 payload. Everything little-endian. Round-trips are bit-exact for
 float32 data, which is why optimizer state and running statistics are
 stored in float32 throughout the package.
 
-``save_checkpoint`` and ``load_checkpoint`` build and parse CKP1 bytes; the
-file itself is written and read through ``ev2vox.artifacts``.
+Both functions take the entries as an ordered list of (name, array)
+pairs, the arrays that hold the state: ``save_checkpoint`` writes each
+array from its own buffer and ``load_checkpoint`` reads each payload
+straight into its array, so neither makes a copy of the state. The file
+itself is written and read through ``ev2vox.artifacts``.
 """
 
 from __future__ import annotations
@@ -16,63 +19,67 @@ import os
 
 import numpy as np
 
-from .artifacts import read, write
-from .errors import FormatError
+from .artifacts import reading, write
+from .errors import DataError, FormatError, InternalError
 
 CKP1_MAGIC = b"E2VCKP1\x00"
 
 
+def _check_array(name: str, arr) -> None:
+    if not (isinstance(arr, np.ndarray) and arr.dtype == "<f4" and arr.flags.c_contiguous):
+        raise InternalError(f"checkpoint entry {name} is not a C-contiguous <f4 array")
+
+
 def save_checkpoint(path: str | os.PathLike, entries) -> None:
-    """Write (name, array) pairs in order; accepts a dict or pair list."""
-    if isinstance(entries, dict):
-        entries = list(entries.items())
-    chunks = [CKP1_MAGIC, np.uint32(len(entries)).tobytes()]
-    for name, value in entries:
+    """Write the (name, array) pairs of ``entries`` in order."""
+    chunks = [CKP1_MAGIC, len(entries).to_bytes(4, "little")]
+    for name, arr in entries:
+        _check_array(name, arr)
         raw = name.encode("utf-8")
-        if len(raw) > 0xFFFF:
-            raise FormatError(f"entry name too long: {name[:40]}...")
-        # ascontiguousarray would promote rank-0 entries to rank 1
-        arr = np.asarray(value, dtype="<f4")
-        if arr.ndim and not arr.flags.c_contiguous:
-            arr = np.ascontiguousarray(arr)
-        if arr.ndim > 0xFF:
-            raise FormatError(f"entry {name}: rank {arr.ndim} exceeds format limit")
-        chunks.append(np.uint16(len(raw)).tobytes())
-        chunks.append(raw)
-        chunks.append(np.uint8(arr.ndim).tobytes())
-        chunks.append(np.asarray(arr.shape, dtype="<u4").tobytes())
-        chunks.append(arr.tobytes())
-    write(path, b"".join(chunks))
+        chunks += [len(raw).to_bytes(2, "little"), raw, arr.ndim.to_bytes(1, "little"),
+                   np.asarray(arr.shape, "<u4").tobytes(), memoryview(arr)]
+    write(path, *chunks)
 
 
-def load_checkpoint(path: str | os.PathLike) -> dict[str, np.ndarray]:
-    """Read a CKP1 file into an insertion-ordered name->float32 array dict."""
-    blob = read(path, CKP1_MAGIC, 4, "CKP1")
-    count = int(np.frombuffer(blob, "<u4", 1, offset=len(CKP1_MAGIC))[0])
-    pos = len(CKP1_MAGIC) + 4
-    out: dict[str, np.ndarray] = {}
+def load_checkpoint(path: str | os.PathLike, entries) -> None:
+    """Read the CKP1 file at ``path`` into the arrays of ``entries``, a list
+    of the (name, array) pairs it was saved from, in the order it was saved.
 
-    def take(nbytes: int) -> bytes:
-        nonlocal pos
-        if pos + nbytes > len(blob):
-            raise FormatError(f"{path}: truncated CKP1 entry at byte {pos}")
-        piece = blob[pos : pos + nbytes]
-        pos += nbytes
-        return piece
+    An entry count, name or shape other than those of ``entries`` is a
+    DataError, and a file that ends early or runs on past the last entry a
+    FormatError, each naming ``path``. On an error the arrays may hold part
+    of the file.
+    """
+    with reading(path, CKP1_MAGIC, 4, "CKP1") as fh:
 
-    for _ in range(count):
-        name_len = int(np.frombuffer(take(2), "<u2")[0])
-        name = take(name_len).decode("utf-8")
-        rank = int(np.frombuffer(take(1), "u1")[0])
-        dims = tuple(int(v) for v in np.frombuffer(take(4 * rank), "<u4"))
-        n_items = 1
-        for dim in dims:
-            n_items *= dim
-        payload = np.frombuffer(take(4 * n_items), "<f4").reshape(dims)
-        if name in out:
-            raise FormatError(f"{path}: duplicate entry name {name!r}")
-        out[name] = payload.copy()
+        def take(nbytes: int) -> bytes:
+            piece = fh.read(nbytes)
+            if len(piece) < nbytes:
+                raise FormatError(f"{path}: truncated CKP1 entry at byte {fh.tell()}")
+            return piece
 
-    if pos != len(blob):
-        raise FormatError(f"{path}: {len(blob) - pos} trailing bytes after last entry")
-    return out
+        def next_name() -> bytes:
+            return take(int.from_bytes(take(2), "little"))
+
+        count = int.from_bytes(take(4), "little")
+        for i, (name, dst) in enumerate(entries):
+            _check_array(name, dst)
+            raw = next_name() if i < count else None
+            if raw != name.encode("utf-8"):
+                raise DataError(f"{path}: checkpoint entry {i} is {_shown(raw)}, expected '{name}'")
+            rank = take(1)[0]
+            dims = tuple(np.frombuffer(take(4 * rank), "<u4").tolist())
+            if dims != dst.shape:
+                raise DataError(f"{path}: {name}: checkpoint shape {dims} "
+                                f"!= model shape {dst.shape}")
+            if fh.readinto(dst) < dst.nbytes:
+                raise FormatError(f"{path}: truncated CKP1 entry {name}")
+        if count > len(entries):
+            raise DataError(f"{path}: checkpoint entry {len(entries)} is "
+                            f"{_shown(next_name())}, expected none")
+        if fh.read(1):
+            raise FormatError(f"{path}: trailing bytes after the last CKP1 entry")
+
+
+def _shown(raw: bytes | None) -> str:
+    return "absent" if raw is None else f"'{raw.decode('utf-8', 'backslashreplace')}'"

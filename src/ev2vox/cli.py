@@ -327,7 +327,7 @@ def cmd_preprocess(cfg: RunConfig, manifest_path: str, threads: int) -> int:
         frames = bin_to_frames(read_evt1(events), cfg.binning)
         npy = io.BytesIO()
         np.lib.format.write_array(npy, frames)
-        write(cache / f"{entry.id}.frames.npy", npy.getvalue())
+        write(cache / f"{entry.id}.frames.npy", npy.getbuffer())
         meta = {
             "binning": dataclasses.asdict(cfg.binning),
             "shape": list(frames.shape),

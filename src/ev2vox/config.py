@@ -51,7 +51,7 @@ def _require_dataclass(cls, value, where: str, base):
     prefix = f"{where}." if where else ""
     for key in value:
         if key not in fields:
-            raise ConfigError(f"unknown config key '{prefix}{key}'")
+            raise ConfigError(f"unknown key '{prefix}{key}'")
     hints = typing.get_type_hints(cls)
     kwargs = {}
     for name, f in fields.items():

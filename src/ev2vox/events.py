@@ -216,7 +216,7 @@ def write_evt1(stream: EventStream, path: str | os.PathLike) -> None:
     records["x"] = stream.x
     records["y"] = stream.y
     records["p"] = stream.p
-    write(path, b"".join((EVT1_MAGIC, header.data, records.data)))
+    write(path, EVT1_MAGIC, header.data, records.data)
 
 
 def read_evt1(path: str | os.PathLike) -> EventStream:

@@ -333,18 +333,10 @@ class E2VModel(nn.Module):
         return self.encoder.backward(g)
 
     def state_entries(self) -> list[tuple[str, np.ndarray]]:
+        """Each parameter's and running statistic's name and array, in
+        checkpoint order. These are the arrays themselves, so a checkpoint is
+        written from them and read back into them."""
         return [(p.name, p.value) for p in self.parameters()] + self.buffers()
-
-    def load_state(self, entries: dict[str, np.ndarray]):
-        """Install parameter and buffer values from checkpoint ``entries``,
-        which hold each of ``state_entries()`` at its shape. Entries in the
-        model's dtype are taken, not copied: the caller hands over arrays it
-        no longer uses, as ``load_checkpoint``'s are."""
-        for p in self.parameters():
-            p.value = entries[p.name].astype(self.dtype, copy=False)
-        for m in self.modules():
-            for attr in m.buffer_names:
-                setattr(m, attr, entries[f"{m.name}.{attr}"].astype(np.float32, copy=False))
 
 
 def build_model(enc_cfg: EncoderConfig, dec_cfg: DecoderConfig, seed: int = 0,

@@ -4,11 +4,12 @@ A trained model is three files in a run directory, written and read only
 here: ``model.ckpt`` (CKP1: the model parameters, the norm running
 statistics and the optimizer moments), its JSON sidecar ``model.ckpt.json``
 (the model config, seed and epoch) and ``metrics.csv`` (one row per epoch).
-``load_training_checkpoint`` builds the model the sidecar describes and
-loads the checkpoint into it and into a fresh optimizer state, so a resumed
-run continues bit-for-bit where the interrupted one stopped. The shuffle
-order is drawn from a generator seeded with (seed, epoch), which is what
-makes resumption equivalent to never having stopped.
+``load_training_checkpoint`` builds the model the sidecar describes and a
+fresh optimizer state, then reads the checkpoint straight into their
+arrays, listed in the order ``_save_training_checkpoint`` writes them, so
+a resumed run continues bit-for-bit where the interrupted one stopped.
+The shuffle order is drawn from a generator seeded with (seed, epoch),
+which is what makes resumption equivalent to never having stopped.
 """
 
 from __future__ import annotations
@@ -56,14 +57,16 @@ class OptState:
     """First and second moment accumulators plus the shared step counter.
 
     The step counter lives here rather than in the config because it is
-    mutable run state that has to survive a checkpoint round trip.
+    mutable run state that has to survive a checkpoint round trip. It is a
+    0-d float32 array, as the moments are float32 arrays, so ``entries()``
+    lists the arrays a checkpoint load reads into.
     """
 
     def __init__(self, params):
         # np.zeros leaves the pages unwritten until a step writes them
         self.m = {p.name: np.zeros(p.value.shape, np.float32) for p in params}
         self.v = {p.name: np.zeros(p.value.shape, np.float32) for p in params}
-        self.step = 0
+        self.step = np.zeros((), np.float32)
 
     def check(self, params):
         for p in params:
@@ -77,24 +80,11 @@ class OptState:
                     )
 
     def entries(self):
-        out = [("opt.step", np.float32(self.step))]
+        out = [("opt.step", self.step)]
         for name in self.m:
             out.append((f"opt.m/{name}", self.m[name]))
             out.append((f"opt.v/{name}", self.v[name]))
         return out
-
-    def load(self, entries):
-        """Take the step and moments from checkpoint ``entries``, which hold
-        each of ``entries()`` at its shape; a step that is not finite is a
-        DataError. float32 moments are taken, not copied, as
-        ``E2VModel.load_state`` takes its entries."""
-        step = entries["opt.step"]
-        if not np.isfinite(step):
-            raise DataError(f"opt.step must be a finite count, got {step}")
-        self.step = int(step)
-        for name in self.m:
-            self.m[name] = entries[f"opt.m/{name}"].astype(np.float32, copy=False)
-            self.v[name] = entries[f"opt.v/{name}"].astype(np.float32, copy=False)
 
 
 @dataclass(frozen=True)
@@ -124,7 +114,7 @@ def adamw_step(params, state: OptState, cfg: AdamWConfig) -> None:
     """
     state.check(params)
     state.step += 1
-    t = state.step
+    t = int(state.step)
     c1 = 1.0 - cfg.beta1 ** t
     c2 = 1.0 - cfg.beta2 ** t
     for p in params:
@@ -190,8 +180,9 @@ def load_training_checkpoint(
     A missing sidecar is an IoFailure and one that is not JSON a
     FormatError. A sidecar that describes no model is a DataError naming
     the sidecar. A model other than ``expected`` (checked before anything
-    is built), or entries other than the model's and its optimizer state's,
-    each at its shape, is a DataError naming ``path``.
+    is built), entries other than the model's and its optimizer state's,
+    each at its shape and in the order they are written, or a step that is
+    not finite, is a DataError naming ``path``.
     """
     sidecar_path = f"{path}.json"
     sidecar = read_json(sidecar_path)
@@ -202,23 +193,10 @@ def load_training_checkpoint(
         model = build_model(config.encoder, config.decoder, seed=config.seed)
     except (KeyError, TypeError, ConfigError) as exc:
         raise DataError(f"{sidecar_path}: sidecar does not describe a model ({exc})") from exc
-    entries = load_checkpoint(path)
     opt_state = OptState(model.parameters())
-    # the entries _save_training_checkpoint writes for this model
-    want = {name: np.shape(value) for name, value in model.state_entries() + opt_state.entries()}
-    missing, extra = sorted(want.keys() - entries.keys()), sorted(entries.keys() - want.keys())
-    if missing or extra:
-        raise DataError(f"{path}: checkpoint does not match model: "
-                        f"missing {missing[:4]}, unexpected {extra[:4]}")
-    for name, shape in want.items():
-        if entries[name].shape != shape:
-            raise DataError(f"{path}: {name}: checkpoint shape {entries[name].shape} "
-                            f"!= model shape {shape}")
-    model.load_state(entries)
-    try:
-        opt_state.load(entries)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    load_checkpoint(path, model.state_entries() + opt_state.entries())
+    if not np.isfinite(opt_state.step):
+        raise DataError(f"{path}: opt.step must be a finite count, got {opt_state.step}")
     return model, opt_state, sidecar
 
 

@@ -351,7 +351,7 @@ def write_vox1(grid: VoxelGrid, path: str | os.PathLike) -> None:
         raise FormatError("VOX1 stores the resolution as u16")
     bits = grid.occupancy.ravel(order="F").astype(np.uint8)
     packed = np.packbits(bits, bitorder="little")
-    write(path, VOX1_MAGIC + np.uint16(grid.resolution).tobytes() + packed.tobytes())
+    write(path, VOX1_MAGIC, np.uint16(grid.resolution).tobytes(), packed.data)
 
 
 def read_vox1(path: str | os.PathLike) -> VoxelGrid:

@@ -3,8 +3,12 @@
 Every file goes through ``ev2vox.artifacts``: an OS-level failure is an
 IoFailure that names the path, and a file whose bytes are not the format
 it claims is a FormatError. Both are data errors, so the CLI exits 3.
+A write is atomic: it replaces the destination whole or leaves it alone.
 """
 
+import builtins
+import errno
+import os
 import re
 import shutil
 
@@ -21,7 +25,7 @@ from ev2vox.voxel import VOX1_MAGIC, VoxelGrid, read_vox1, write_vox1
 WRITERS = [
     ("evt1", lambda p: write_evt1(validate_stream([(1, 2, 0.0, 1)], 4, 4, 0.1), p)),
     ("vox1", lambda p: write_vox1(VoxelGrid.empty(2), p)),
-    ("ckp1", lambda p: save_checkpoint(p, {"w": np.zeros(2, np.float32)})),
+    ("ckp1", lambda p: save_checkpoint(p, [("w", np.zeros(2, np.float32))])),
     ("json", lambda p: artifacts.write_json(p, {"a": 1})),
     ("text", lambda p: artifacts.write(p, "a,b\n")),
 ]
@@ -30,7 +34,7 @@ WRITERS = [
 BINARY_READERS = [
     ("evt1", read_evt1, EVT1_MAGIC, 24),
     ("vox1", read_vox1, VOX1_MAGIC, 2),
-    ("ckp1", load_checkpoint, CKP1_MAGIC, 4),
+    ("ckp1", lambda p: load_checkpoint(p, []), CKP1_MAGIC, 4),
 ]
 READERS = [(label, read) for label, read, _, _ in BINARY_READERS] + [
     ("json", artifacts.read_json)
@@ -96,6 +100,42 @@ def test_round_trips(tmp_path):
     assert artifacts.read_json(tmp_path / "a.json") == {"a": "é", "b": [1, 2]}
     artifacts.write(tmp_path / "t.txt", "é\n")
     assert artifacts.read(tmp_path / "t.txt") == "é\n".encode("utf-8")
+    artifacts.write(tmp_path / "t.txt", "a", b"b", memoryview(b"c"))
+    assert artifacts.read(tmp_path / "t.txt") == b"abc"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "t.txt"]
+
+
+class FullDisk:
+    """A file whose writes fail with ENOSPC once it holds any bytes."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, chunk):
+        if self.fh.tell():
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.fh.write(chunk)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+
+def test_write_that_fails_mid_file_leaves_the_previous_file(tmp_path, monkeypatch):
+    dest = tmp_path / "model.ckpt"
+    save_checkpoint(dest, [("w", np.zeros(2, np.float32))])
+    before = dest.read_bytes()
+    monkeypatch.setattr(artifacts, "open", lambda path, mode: FullDisk(builtins.open(path, mode)),
+                        raising=False)
+    with pytest.raises(IoFailure, match=re.escape(f"cannot write {dest}: ")):
+        save_checkpoint(dest, [("w", np.ones(2, np.float32)), ("v", np.ones(3, np.float32))])
+    assert dest.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 def test_make_dir_below_a_file_is_io_failure(tmp_path):

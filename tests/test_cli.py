@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from ev2vox import cli
-from ev2vox.checkpoint import load_checkpoint, save_checkpoint
+from ev2vox.checkpoint import save_checkpoint
 from ev2vox.errors import (
     ConfigError,
     DataError,
@@ -28,6 +28,7 @@ from ev2vox.errors import (
 )
 from ev2vox.events import EventStream, bin_to_frames, read_evt1, write_evt1
 from ev2vox.model import EncoderConfig
+from ev2vox.train import load_training_checkpoint
 from ev2vox.voxel import VoxelGrid, parse_obj, read_vox1, write_vox1
 
 
@@ -588,30 +589,73 @@ def damaged_run(pipeline, tmp_path, sidecar: bytes) -> Path:
     return run
 
 
-# (entry, replacement): an optimizer moment left out, one of the wrong
-# shape, one for no parameter, a step counter of two values, one that is
-# not finite, and a bias on a conv that feeds a norm, which convs carried
-# before they lost it
+def edited(edit):
+    """A damage that rewrites a checkpoint from its (name, array) entries
+    after ``edit`` has changed that list in place."""
+    def damage(path):
+        model, opt_state, _ = load_training_checkpoint(path)
+        entries = model.state_entries() + opt_state.entries()
+        edit(entries, [name for name, _ in entries])
+        save_checkpoint(path, entries)
+    return damage
+
+
+def dropped(key):
+    return edited(lambda entries, names: entries.pop(names.index(key)))
+
+
+def replaced(key, value):
+    return edited(lambda entries, names: entries.__setitem__(names.index(key), (key, value)))
+
+
+def added(key, value):
+    return edited(lambda entries, names: entries.append((key, value)))
+
+
+def swapped(key, other):
+    def edit(entries, names):
+        i, j = names.index(key), names.index(other)
+        entries[i], entries[j] = entries[j], entries[i]
+    return edited(edit)
+
+
+def renamed_to_bytes(key, raw):
+    """A damage that puts ``raw`` in the place of the first ``key`` in the file."""
+    def damage(path):
+        path.write_bytes(path.read_bytes().replace(key.encode(), raw, 1))
+    return damage
+
+
+# (entry, damage): an optimizer moment left out, one of the wrong shape,
+# one for no parameter, a step counter of two values, one that is not
+# finite, a bias on a conv that feeds a norm, which convs carried before
+# they lost it, a name that is not UTF-8, and two moments in each
+# other's place
 DAMAGED_CHECKPOINTS = [
-    pytest.param("opt.m/encoder.stem.conv.weight", None, id="missing-moment"),
-    pytest.param("opt.v/encoder.stem.conv.weight", np.zeros(3, np.float32), id="misshapen-moment"),
-    pytest.param("opt.m/bogus", np.zeros(3, np.float32), id="extra-moment"),
-    pytest.param("opt.step", np.ones(2, np.float32), id="two-steps"),
-    pytest.param("opt.step", np.float32(np.nan), id="nan-step"),
-    pytest.param("encoder.stem.conv.bias", np.zeros(8, np.float32), id="conv-bias"),
+    pytest.param("opt.m/encoder.stem.conv.weight", dropped("opt.m/encoder.stem.conv.weight"),
+                 id="missing-moment"),
+    pytest.param("opt.v/encoder.stem.conv.weight",
+                 replaced("opt.v/encoder.stem.conv.weight", np.zeros(3, np.float32)),
+                 id="misshapen-moment"),
+    pytest.param("opt.m/bogus", added("opt.m/bogus", np.zeros(3, np.float32)), id="extra-moment"),
+    pytest.param("opt.step", replaced("opt.step", np.ones(2, np.float32)), id="two-steps"),
+    pytest.param("opt.step", replaced("opt.step", np.array(np.nan, np.float32)), id="nan-step"),
+    pytest.param("encoder.stem.conv.bias", added("encoder.stem.conv.bias", np.zeros(8, np.float32)),
+                 id="conv-bias"),
+    pytest.param("encoder.stem.conv.weight",
+                 renamed_to_bytes("encoder.stem.conv.weight", b"encoder.stem.conv.weigh\xff"),
+                 id="non-utf8-name"),
+    pytest.param("opt.m/encoder.stem.conv.weight",
+                 swapped("opt.m/encoder.stem.conv.weight", "opt.v/encoder.stem.conv.weight"),
+                 id="wrong-order"),
 ]
 
 
-def damaged_checkpoint_run(pipeline, tmp_path, key: str, value) -> Path:
+def damaged_checkpoint_run(pipeline, tmp_path, damage) -> Path:
     """A run directory holding the pipeline's sidecar beside its checkpoint
-    with entry ``key`` dropped (``value`` None) or replaced by ``value``."""
+    after ``damage`` has rewritten the checkpoint."""
     run = damaged_run(pipeline, tmp_path, (pipeline["run"] / "model.ckpt.json").read_bytes())
-    entries = load_checkpoint(run / "model.ckpt")
-    if value is None:
-        del entries[key]
-    else:
-        entries[key] = value
-    save_checkpoint(run / "model.ckpt", entries)
+    damage(run / "model.ckpt")
     return run
 
 
@@ -704,9 +748,9 @@ class TestTrainEval:
         assert code == 3
         assert "model.ckpt" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key,value", DAMAGED_CHECKPOINTS)
-    def test_eval_damaged_checkpoint_exits_3(self, pipeline, tmp_path, capsys, key, value):
-        run = damaged_checkpoint_run(pipeline, tmp_path, key, value)
+    @pytest.mark.parametrize("key,damage", DAMAGED_CHECKPOINTS)
+    def test_eval_damaged_checkpoint_exits_3(self, pipeline, tmp_path, capsys, key, damage):
+        run = damaged_checkpoint_run(pipeline, tmp_path, damage)
         code = cli.main(
             ["eval", "--toy", "--config", pipeline["cfg"],
              "--manifest", str(pipeline["manifest"]), "--out", str(run)]
@@ -815,9 +859,9 @@ class TestExport:
         assert "model.ckpt" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key,value", DAMAGED_CHECKPOINTS)
-    def test_export_damaged_checkpoint_exits_3(self, pipeline, tmp_path, capsys, key, value):
-        run = damaged_checkpoint_run(pipeline, tmp_path, key, value)
+    @pytest.mark.parametrize("key,damage", DAMAGED_CHECKPOINTS)
+    def test_export_damaged_checkpoint_exits_3(self, pipeline, tmp_path, capsys, key, damage):
+        run = damaged_checkpoint_run(pipeline, tmp_path, damage)
         out = tmp_path / "pred.obj"
         code = cli.main(
             ["export", str(run / "model.ckpt"), "s0000",

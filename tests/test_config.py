@@ -51,12 +51,12 @@ def test_missing_fields_take_defaults():
     ({"inner": {"size": [1, True]}}, "cfg.inner.size[1] must be an integer, got True"),
     ({"inner": {"size": [1, 2], "scale": True}}, "cfg.inner.scale must be a number"),
     ({"items": {"size": [1, 2]}}, "cfg.items must be a list"),
-    ({"items": [{"size": [1, 2]}, {"size": [1, 2], "sclae": 1}]}, "unknown config key 'cfg.items[1].sclae'"),
+    ({"items": [{"size": [1, 2]}, {"size": [1, 2], "sclae": 1}]}, "unknown key 'cfg.items[1].sclae'"),
     ({"limit": 2.5}, "cfg.limit must be an integer, got 2.5"),
     ({"flag": "false"}, "cfg.flag must be true or false"),
     ({"flag": 1}, "cfg.flag must be true or false"),
     ({"extra": [1]}, "cfg.extra must be an object"),
-    ({"nmae": "b"}, "unknown config key 'cfg.nmae'"),
+    ({"nmae": "b"}, "unknown key 'cfg.nmae'"),
 ])
 def test_errors_name_the_dotted_path(change, message):
     with pytest.raises(ConfigError) as exc:
@@ -79,7 +79,7 @@ def test_reads_onto_a_base():
 
 @pytest.mark.parametrize("value,message", [
     ([], "config must be an object"),
-    ({"nmae": "b"}, "unknown config key 'nmae'"),
+    ({"nmae": "b"}, "unknown key 'nmae'"),
     ({"inner": {"size": [1]}}, "inner.size must have 2 items"),
 ])
 def test_root_errors_name_the_bare_key(value, message):

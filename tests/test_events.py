@@ -87,7 +87,7 @@ class TestBinningConfig:
 
     def test_unknown_mode_rejected(self):
         # frames are always uniform windows; a config that names a mode is refused
-        with pytest.raises(ConfigError, match="unknown config key 'binning.mode'"):
+        with pytest.raises(ConfigError, match="unknown key 'binning.mode'"):
             from_json(ev.BinningConfig, {"window": 0.1, "mode": "uniform"}, "binning")
 
     def test_target_dims_must_divide(self):

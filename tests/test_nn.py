@@ -10,7 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ev2vox import checkpoint as ckp
 from ev2vox import nn
-from ev2vox.errors import FormatError, InternalError
+from ev2vox.errors import DataError, FormatError, InternalError
 from gradcheck import check_layer
 
 N_GRAD_SEEDS = 20
@@ -1016,21 +1016,28 @@ class TestSlabMemory:
         assert rise < x_bytes // 2
 
 
+def blank(entries):
+    """Destinations for a load of ``entries``: arrays of their shapes that
+    hold none of their values."""
+    return [(name, np.full(value.shape, -1.0, np.float32)) for name, value in entries]
+
+
 class TestCheckpointFormat:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(12)
-        entries = {
-            "encoder.stem.weight": rng.normal(size=(4, 1, 3, 3, 3)).astype(np.float32),
-            "encoder.stem.bias": rng.normal(size=4).astype(np.float32),
-            "opt.step": np.array([17.0], dtype=np.float32),
-        }
+        entries = [
+            ("encoder.stem.weight", rng.normal(size=(4, 1, 3, 3, 3)).astype(np.float32)),
+            ("encoder.stem.bias", rng.normal(size=4).astype(np.float32)),
+            ("opt.step", np.array([17.0], dtype=np.float32)),
+        ]
         path = tmp_path / "m.ckp1"
         ckp.save_checkpoint(path, entries)
-        loaded = ckp.load_checkpoint(path)
-        assert list(loaded.keys()) == list(entries.keys())
-        for k in entries:
-            assert loaded[k].dtype == np.float32
-            np.testing.assert_array_equal(loaded[k], entries[k])
+        loaded = blank(entries)
+        arrays = [value for _, value in loaded]
+        ckp.load_checkpoint(path, loaded)
+        for (name, value), (_, got), array in zip(entries, loaded, arrays):
+            assert got is array
+            np.testing.assert_array_equal(got, value)
         # bytes stable across writes
         path2 = tmp_path / "m2.ckp1"
         ckp.save_checkpoint(path2, entries)
@@ -1038,12 +1045,13 @@ class TestCheckpointFormat:
 
     def test_empty_checkpoint(self, tmp_path):
         path = tmp_path / "e.ckp1"
-        ckp.save_checkpoint(path, {})
-        assert ckp.load_checkpoint(path) == {}
+        ckp.save_checkpoint(path, [])
+        assert path.read_bytes() == b"E2VCKP1\x00" + bytes(4)
+        ckp.load_checkpoint(path, [])
 
     def test_layout(self, tmp_path):
         path = tmp_path / "l.ckp1"
-        ckp.save_checkpoint(path, {"ab": np.array([1.0, 2.0], dtype=np.float32)})
+        ckp.save_checkpoint(path, [("ab", np.array([1.0, 2.0], dtype=np.float32))])
         blob = path.read_bytes()
         assert blob[:8] == b"E2VCKP1\x00"
         assert np.frombuffer(blob, "<u4", 1, offset=8)[0] == 1
@@ -1060,25 +1068,104 @@ class TestCheckpointFormat:
         path = tmp_path / "bad.ckp1"
         path.write_bytes(b"BADMAGIC" + b"\x00" * 8)
         with pytest.raises(FormatError):
-            ckp.load_checkpoint(path)
+            ckp.load_checkpoint(path, [])
 
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "t.ckp1"
-        ckp.save_checkpoint(path, {"x": np.zeros(3, dtype=np.float32)})
+        entries = [("x", np.zeros(3, dtype=np.float32))]
+        ckp.save_checkpoint(path, entries)
         path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(FormatError):
-            ckp.load_checkpoint(path)
+        with pytest.raises(FormatError, match="trailing"):
+            ckp.load_checkpoint(path, blank(entries))
 
-    def test_truncated(self, tmp_path):
+    @pytest.mark.parametrize("cut", [2, 14, 18])  # into the payload, the dims, the name
+    def test_truncated(self, tmp_path, cut):
         path = tmp_path / "x.ckp1"
-        ckp.save_checkpoint(path, {"x": np.zeros(3, dtype=np.float32)})
-        path.write_bytes(path.read_bytes()[:-2])
-        with pytest.raises(FormatError):
-            ckp.load_checkpoint(path)
+        entries = [("x", np.zeros(3, dtype=np.float32))]
+        ckp.save_checkpoint(path, entries)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(FormatError, match="truncated"):
+            ckp.load_checkpoint(path, blank(entries))
 
     def test_scalar_rank_zero(self, tmp_path):
         path = tmp_path / "s.ckp1"
-        ckp.save_checkpoint(path, {"s": np.float32(3.25)})
-        loaded = ckp.load_checkpoint(path)
-        assert loaded["s"].shape == ()
-        assert loaded["s"] == np.float32(3.25)
+        ckp.save_checkpoint(path, [("s", np.array(3.25, np.float32))])
+        loaded = blank([("s", np.zeros((), np.float32))])
+        ckp.load_checkpoint(path, loaded)
+        assert loaded[0][1].shape == ()
+        assert loaded[0][1] == np.float32(3.25)
+
+    @pytest.mark.parametrize("dests,match", [
+        ([("a", (2,))], r"entry 1 is 'b', expected none"),
+        ([("a", (2,)), ("b", (3,)), ("c", (1,))], "entry 2 is absent, expected 'c'"),
+        ([("a", (2,)), ("c", (3,))], "entry 1 is 'b', expected 'c'"),
+        ([("b", (3,)), ("a", (2,))], "entry 0 is 'a', expected 'b'"),
+        ([("a", (2,)), ("b", (1, 3))], r"b: checkpoint shape \(3,\) != model shape \(1, 3\)"),
+    ], ids=["fewer", "more", "renamed", "reordered", "reshaped"])
+    def test_entries_other_than_the_destinations_are_data_errors(self, tmp_path, dests, match):
+        path = tmp_path / "d.ckp1"
+        ckp.save_checkpoint(path, [("a", np.ones(2, np.float32)), ("b", np.ones(3, np.float32))])
+        with pytest.raises(DataError, match=match) as info:
+            ckp.load_checkpoint(path, [(n, np.zeros(shape, np.float32)) for n, shape in dests])
+        assert not isinstance(info.value, FormatError)
+        assert str(path) in str(info.value)
+
+    def test_name_that_is_not_utf8_is_a_data_error(self, tmp_path):
+        path = tmp_path / "u.ckp1"
+        entries = [("ab", np.ones(2, np.float32))]
+        ckp.save_checkpoint(path, entries)
+        path.write_bytes(path.read_bytes().replace(b"ab", b"a\xff"))
+        with pytest.raises(DataError, match=r"entry 0 is 'a\\xff', expected 'ab'"):
+            ckp.load_checkpoint(path, blank(entries))
+
+    @pytest.mark.parametrize("value", [
+        np.zeros(3, np.float64), np.zeros(6, np.float32)[::2], np.zeros(3, ">f4"), np.float32(1.0),
+    ], ids=["float64", "strided", "big-endian", "numpy-scalar"])
+    def test_entry_must_be_a_contiguous_f4_array(self, tmp_path, value):
+        path = tmp_path / "c.ckp1"
+        with pytest.raises(InternalError, match="x is not a C-contiguous <f4 array"):
+            ckp.save_checkpoint(path, [("x", value)])
+        assert not path.exists()
+        ckp.save_checkpoint(path, [("x", np.zeros(np.shape(value), np.float32))])
+        with pytest.raises(InternalError, match="x is not a C-contiguous <f4 array"):
+            ckp.load_checkpoint(path, [("x", value)])
+
+
+# runs in a fresh interpreter, once to save and once to load, since VmHWM
+# only rises; prints the checkpoint's entry bytes and the step's peak rise
+CHECKPOINT_PEAK_SCRIPT = """
+import sys
+import numpy as np
+from ev2vox.checkpoint import load_checkpoint, save_checkpoint
+
+def status_bytes(key):
+    with open("/proc/self/status") as fh:
+        line = next(line for line in fh if line.startswith(key + ":"))
+    return int(line.split()[1]) * 1024
+
+step, path = sys.argv[1:]
+shapes = [(4, 2**20)] * 4 + [(3, 5), ()]  # 64 MiB and change
+fill = (lambda i: i) if step == "save" else (lambda i: -1)  # every page resident
+entries = [(f"w{i}", np.full(s, fill(i), np.float32)) for i, s in enumerate(shapes)]
+before = status_bytes("VmRSS")
+(save_checkpoint if step == "save" else load_checkpoint)(path, entries)
+rise = status_bytes("VmHWM") - before
+assert all((value == i).all() for i, (_, value) in enumerate(entries))
+print(sum(value.nbytes for _, value in entries), rise)
+"""
+
+
+class TestCheckpointMemory:
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="needs /proc/self/status for the peak resident set size")
+    def test_save_and_load_make_no_checkpoint_sized_copy(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(nn.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        path = str(tmp_path / "big.ckpt")
+        for step in ("save", "load"):
+            out = subprocess.run([sys.executable, "-c", CHECKPOINT_PEAK_SCRIPT, step, path],
+                                 env=env, capture_output=True, text=True, check=True,
+                                 timeout=120).stdout
+            nbytes, rise = (int(v) for v in out.split())
+            assert nbytes >= 64 * 2**20
+            assert rise < nbytes // 4, step

@@ -5,6 +5,7 @@ import pytest
 
 from ev2vox import train as T
 from ev2vox import voxel
+from ev2vox.checkpoint import load_checkpoint, save_checkpoint
 from ev2vox.errors import ConfigError, DataError, InternalError
 from ev2vox.model import DecoderConfig, EncoderConfig, ModelConfig, build_model
 from ev2vox.nn import Parameter
@@ -99,26 +100,28 @@ class TestAdamWStep:
         with pytest.raises(InternalError, match="optimizer m for other: state shape None"):
             T.adamw_step([q], state, T.AdamWConfig())
 
-    def test_state_entries_round_trip(self):
+    def test_state_entries_round_trip(self, tmp_path):
         p = scalar_param(1.0)
         p.grad[...] = 1.0
         state = T.OptState([p])
         T.adamw_step([p], state, T.AdamWConfig(lr=1e-3))
-        entries = dict(state.entries())
+        save_checkpoint(tmp_path / "opt.ckpt", state.entries())
         restored = T.OptState([p])
-        restored.load(entries)
+        load_checkpoint(tmp_path / "opt.ckpt", restored.entries())
         assert restored.step == state.step
         np.testing.assert_array_equal(restored.m["w"], state.m["w"])
         np.testing.assert_array_equal(restored.v["w"], state.v["w"])
 
-    def test_load_takes_float32_moments_without_a_copy(self):
+    def test_load_takes_float32_moments_without_a_copy(self, tmp_path):
         p = scalar_param(1.0)
-        entries = {"opt.step": np.float32(3.0),
-                   "opt.m/w": np.array([0.5], np.float32), "opt.v/w": np.array([0.25], np.float32)}
+        save_checkpoint(tmp_path / "opt.ckpt", [
+            ("opt.step", np.array(3.0, np.float32)),
+            ("opt.m/w", np.array([0.5], np.float32)), ("opt.v/w", np.array([0.25], np.float32))])
         restored = T.OptState([p])
-        restored.load(entries)
-        assert restored.step == 3
-        assert restored.m["w"] is entries["opt.m/w"] and restored.v["w"] is entries["opt.v/w"]
+        arrays = [value for _, value in restored.entries()]
+        load_checkpoint(tmp_path / "opt.ckpt", restored.entries())
+        assert restored.step == 3 and restored.m["w"] == 0.5 and restored.v["w"] == 0.25
+        assert all(value is array for (_, value), array in zip(restored.entries(), arrays))
 
 
 def toy_dataset(n, seed=0, depth=10, side=32, r=8):
