@@ -9,22 +9,27 @@ chain cannot express (a residual add, a concatenation).
 
 The convolution engine works channels-first: per sample and output block,
 the kernel reshaped to (cout, cin*kd*kh*kw) multiplies a patch matrix with
-rows (c, kd, kh, kw) and columns (d, h, w), copied out of a
-``sliding_window_view`` along w, so the product is already NCDHW and lands
-in the output through a view. A 1x1x1 kernel needs no window view; at unit
-stride its patches are the input, used in place. At unit stride the input
-gradient is itself such a forward: the output gradient, padded by k-1-p
-(cropped where that is negative), convolved with the spatially flipped
-kernel with its channel axes swapped. At any other
-stride it multiplies the transposed kernel by the output gradient and adds
-each tap's (d, h, w) block back with one strided slice addition. The
-weight gradient is one product per block over all samples. Transposed
-convolution reuses the three routines with forward and input gradient
-swapped. Blocks keep one sample's patch matrix under a cache-sized byte
-budget: whole output-depth planes while they fit, else slabs of h rows of
-one plane. The forward and the weight gradient copy every block into one
-buffer made for the largest, so a call faults in no fresh pages per block
-and no buffer outlives its call.
+rows (c, kd, kh, kw) and columns (d, h, w), so the product is already
+NCDHW and lands in the output through a view. The patches are copied out
+of a ``sliding_window_view`` of the block's slab: the rows of the
+zero-padded input that the block reads. No padded input is ever built:
+without padding the slab is a view of the input, otherwise each block's
+slab is written into one buffer, its halo strips zeroed and its input
+cells copied. A 1x1x1 kernel needs no window view; at unit stride its
+patches are its slab, used in place. At unit stride the input gradient is
+itself such a forward: the output gradient, at padding k-1-p (cropped
+where that is negative), convolved with the spatially flipped kernel with
+its channel axes swapped. At any other stride it multiplies the transposed
+kernel by the output gradient and adds each tap's (d, h, w) block into the
+unpadded input gradient with one strided slice addition, clipped to the
+outputs whose tap lands inside the input. The weight gradient is one
+product per block over all samples. Transposed convolution reuses the
+three routines with forward and input gradient swapped. Blocks keep one
+sample's patch matrix under a cache-sized byte budget: whole output-depth
+planes while they fit, else slabs of h rows of one plane. The forward and
+the weight gradient copy every block's slab and patches into buffers made
+for the largest, so a call faults in no fresh pages per block and no
+buffer outlives its call.
 
 Batch norm and ReLU write into their input's buffer: batch norm puts xhat
 there (and, unless it remembers, its output too), ReLU its output. Every
@@ -61,10 +66,10 @@ from .rng import ParameterRng
 # Byte budget of one block, sized for cache. A conv's block is one sample's
 # patch matrix: whole output-depth planes while they fit, else slabs of h
 # rows of one plane; a call copies its blocks into one buffer of n blocks
-# at most, freed when it returns. Batch norm and max pooling cut a larger
-# tensor into slabs of one sample's channels (see _slabs). 8 MiB was
-# fastest or tied on every paper-scale conv shape in a sweep of 2, 4, 8
-# and 16 MiB.
+# at most, and the padded input rows they read into one slab buffer, both
+# freed when it returns. Batch norm and max pooling cut a larger tensor
+# into slabs of one sample's channels (see _slabs). 8 MiB was fastest or
+# tied on every paper-scale conv shape in a sweep of 2, 4, 8 and 16 MiB.
 MAX_PATCH_BYTES = 8 * 2**20
 
 # BatchNorm3d's variance floor and running-statistics momentum
@@ -234,13 +239,6 @@ class LayerSpec:
 # Convolution core
 
 
-def _pad_spatial(x: np.ndarray, padding) -> np.ndarray:
-    pd, ph, pw = padding
-    if pd == ph == pw == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
-
-
 def _blocks(rows: int, out_dims, itemsize: int):
     """Output blocks (d0, d1, h0, h1) whose one-sample patch matrix fits MAX_PATCH_BYTES.
 
@@ -278,36 +276,81 @@ def _slabs(x: np.ndarray):
             yield slice(i, i + 1), slice(c0, c0 + step)
 
 
-def _windows(xp: np.ndarray, kernel, stride, block) -> np.ndarray:
-    """Windows of one output block as an (n, c, kd, kh, kw, d, h, w) view."""
+def _tap(t, stride, padding, size, o0, o1):
+    """Outputs [lo, hi) of [o0, o1) whose tap ``t`` lands inside an axis of ``size``
+    input cells, and the slice of the cells they read there."""
+    lo = max(o0, -((t - padding) // stride))
+    hi = min(o1, (size - 1 - t + padding) // stride + 1)
+    start = lo * stride + t - padding
+    return lo, hi, slice(start, start + (hi - lo - 1) * stride + 1, stride)
+
+
+def _fill_slab(slab, x, starts, padding):
+    """Write into ``slab`` the zero-padded input's cells from padded index ``starts`` on.
+
+    Only the halo strips (the cells that fall in the padding) are zeroed:
+    the rows outside the input along d, then along h within the rest, then
+    along w; the input's cells are copied into what remains.
+    """
+    inner, src = [], []
+    for size, start, p, n_in in zip(slab.shape[2:], starts, padding, x.shape[2:]):
+        lo = min(size, max(0, p - start))
+        hi = max(lo, min(size, n_in + p - start))
+        inner.append(slice(lo, hi))
+        src.append(slice(start + lo - p, start + hi - p))
+    for axis, cut in enumerate(inner):
+        lead = (slice(None), slice(None), *inner[:axis])
+        slab[(*lead, slice(None, cut.start))] = 0
+        slab[(*lead, slice(cut.stop, None))] = 0
+    slab[(..., *inner)] = x[(..., *src)]
+
+
+def _patch_blocks(x, kernel, stride, padding, out_dims, axes=(0, 1, 2, 3, 4, 5, 6, 7)):
+    """(block, patches) per output block of a conv over ``x`` zero-padded by ``padding``.
+
+    A block's windows are cut from a slab, the rows of the padded input the
+    block reads: a view of ``x`` without padding, else a copy written into
+    one buffer made for the first (largest) block and reused by the rest,
+    so no padded input is ever built. ``patches`` is the slab's
+    (n, c, kd, kh, kw, d, h, w) windows transposed by ``axes``, copied into
+    a prefix of one buffer made the same way, except for a 1x1x1
+    unit-stride conv: its patches are its slab, so its one block is a view.
+    """
+    n, c, _, _, w = x.shape
     kd, kh, kw = kernel
     sd, sh, sw = stride
-    d0, d1, h0, h1 = block
-    xs = xp[:, :, d0 * sd : (d1 - 1) * sd + kd, h0 * sh : (h1 - 1) * sh + kh]
-    if kd == kh == kw == 1:
-        return xs[:, :, None, None, None, ::sd, ::sh, ::sw]
-    win = sliding_window_view(xs, kernel, axis=(2, 3, 4))[:, :, ::sd, ::sh, ::sw]
-    return win.transpose(0, 1, 5, 6, 7, 2, 3, 4)
-
-
-def _patch_blocks(xp: np.ndarray, kernel, stride, out_dims, axes=(0, 1, 2, 3, 4, 5, 6, 7)):
-    """(block, patches) per output block of a conv over the padded input ``xp``.
-
-    ``patches`` is the block's ``_windows`` transposed by ``axes``. They are
-    copied into a prefix of one buffer, made for the first (largest) block
-    and reused by the rest, except for a 1x1x1 unit-stride conv: its
-    patches are its input, so its one block is a view.
-    """
-    if tuple(kernel) == (1, 1, 1) and tuple(stride) == (1, 1, 1):
-        block = (0, out_dims[0], 0, out_dims[1])
-        yield block, _windows(xp, kernel, stride, block).transpose(axes)
-        return
-    buf = None
-    for block in _blocks(xp.shape[1] * math.prod(kernel), out_dims, xp.itemsize):
-        win = _windows(xp, kernel, stride, block).transpose(axes)
-        if buf is None:
-            buf = np.empty(win.size, win.dtype)
-        patches = buf[: win.size].reshape(win.shape)
+    pointwise = tuple(kernel) == (1, 1, 1) and tuple(stride) == (1, 1, 1)
+    if pointwise:
+        blocks = [(0, out_dims[0], 0, out_dims[1])]
+    else:
+        blocks = _blocks(c * kd * kh * kw, out_dims, x.itemsize)
+    slab_buf = patch_buf = None
+    for block in blocks:
+        d0, d1, h0, h1 = block
+        d_rows = slice(d0 * sd, (d1 - 1) * sd + kd)
+        h_rows = slice(h0 * sh, (h1 - 1) * sh + kh)
+        if not any(padding):
+            slab = x[:, :, d_rows, h_rows]
+        else:
+            shape = (n, c, d_rows.stop - d_rows.start, h_rows.stop - h_rows.start,
+                     w + 2 * padding[2])
+            size = math.prod(shape)
+            if slab_buf is None:
+                slab_buf = np.empty(size, x.dtype)
+            slab = slab_buf[:size].reshape(shape)
+            _fill_slab(slab, x, (d_rows.start, h_rows.start, 0), padding)
+        if kd == kh == kw == 1:
+            win = slab[:, :, None, None, None, ::sd, ::sh, ::sw]
+        else:
+            win = sliding_window_view(slab, kernel, axis=(2, 3, 4))[:, :, ::sd, ::sh, ::sw]
+            win = win.transpose(0, 1, 5, 6, 7, 2, 3, 4)
+        win = win.transpose(axes)
+        if pointwise:
+            yield block, win
+            return
+        if patch_buf is None:
+            patch_buf = np.empty(win.size, win.dtype)
+        patches = patch_buf[: win.size].reshape(win.shape)
         np.copyto(patches, win)
         yield block, patches
 
@@ -319,11 +362,10 @@ def conv3d_core_forward(x, weight, stride, padding):
         raise InternalError(f"input has {cin} channels, kernel expects {cin_w}")
     spec = LayerSpec("conv3d", (kd, kh, kw), stride, padding)
     out_dims = spec.out_dims((d, h, w))
-    xp = _pad_spatial(x, padding)
     wmat = weight.reshape(cout, -1)
     k = wmat.shape[1]
     y = np.empty((n, cout, *out_dims), dtype=np.result_type(x, weight))
-    for (d0, d1, h0, h1), p in _patch_blocks(xp, spec.kernel, stride, out_dims):
+    for (d0, d1, h0, h1), p in _patch_blocks(x, spec.kernel, stride, padding, out_dims):
         # a block's (d, h, w) merge into a view, so out= writes into y
         np.matmul(wmat, p.reshape(n, k, -1), out=y[:, :, d0:d1, h0:h1].reshape(n, cout, -1))
     return y
@@ -349,21 +391,22 @@ def conv3d_core_input_grad(grad_out, weight, stride, padding, in_dims):
     pd, ph, pw = padding
     sd, sh, sw = stride
     wmat_t = weight.reshape(cout, -1).T
-    gxp = np.zeros(
-        (n, cin, d + 2 * pd, h + 2 * ph, w + 2 * pw),
-        dtype=np.result_type(grad_out, weight),
-    )
+    gx = np.zeros((n, cin, d, h, w), dtype=np.result_type(grad_out, weight))
+    # each tap adds only the outputs whose read lands inside the input
+    w_taps = [_tap(c, sw, pw, w, 0, wo) for c in range(kw)]
     for d0, d1, h0, h1 in _blocks(wmat_t.shape[0], (do, ho, wo), grad_out.itemsize):
         g = grad_out[:, :, d0:d1, h0:h1].reshape(n, cout, -1)
         gp = (wmat_t @ g).reshape(n, cin, kd, kh, kw, d1 - d0, h1 - h0, wo)
         for a in range(kd):
-            dsl = slice(d0 * sd + a, (d1 - 1) * sd + a + 1, sd)
+            a0, a1, dsl = _tap(a, sd, pd, d, d0, d1)
             for b in range(kh):
-                hsl = slice(h0 * sh + b, (h1 - 1) * sh + b + 1, sh)
-                for c in range(kw):
-                    wsl = slice(c, c + (wo - 1) * sw + 1, sw)
-                    gxp[:, :, dsl, hsl, wsl] += gp[:, :, a, b, c]
-    return np.ascontiguousarray(gxp[:, :, pd : pd + d, ph : ph + h, pw : pw + w])
+                b0, b1, hsl = _tap(b, sh, ph, h, h0, h1)
+                for c, (c0, c1, wsl) in enumerate(w_taps):
+                    if a0 < a1 and b0 < b1 and c0 < c1:
+                        gx[:, :, dsl, hsl, wsl] += gp[
+                            :, :, a, b, c, a0 - d0 : a1 - d0, b0 - h0 : b1 - h0, c0:c1
+                        ]
+    return gx
 
 
 def conv3d_core_weight_grad(x, grad_out, stride, padding, kernel):
@@ -371,13 +414,12 @@ def conv3d_core_weight_grad(x, grad_out, stride, padding, kernel):
     n_g, cout, do, ho, wo = grad_out.shape
     if n != n_g:
         raise InternalError("input and gradient batch sizes differ")
-    xp = _pad_spatial(x, padding)
     k = cin * math.prod(kernel)
     gw = np.zeros((cout, k), dtype=np.result_type(x, grad_out))
     # (K, n*L) patches against the (cout, n*L) gradient; with one sample at
     # unit stride a 1x1x1 conv's both are views
     patch_order = (1, 2, 3, 4, 0, 5, 6, 7)
-    for (d0, d1, h0, h1), p in _patch_blocks(xp, kernel, stride, (do, ho, wo), patch_order):
+    for (d0, d1, h0, h1), p in _patch_blocks(x, kernel, stride, padding, (do, ho, wo), patch_order):
         g = grad_out[:, :, d0:d1, h0:h1].transpose(1, 0, 2, 3, 4).reshape(cout, -1)
         gw += g @ p.reshape(k, -1).T
     return gw.reshape(cout, cin, *kernel)
@@ -600,25 +642,28 @@ def _max_pass(x, arg, axis, kernel, stride, padding, size, scale, remember):
     ``arg``, the winner's offset from those passes (None in the first).
     Tap t's offsets lie in [t*scale, (t+1)*scale), above every earlier
     tap's, so the winner's is the largest of those its taps won with: a
-    maximum over offsets masked to zero, with no branch per element.
+    maximum over offsets masked to zero, with no branch per element. The
+    values are selected the same way, on their bits: y ^ ((y ^ tap) * mask).
     """
     shape = x.shape[:axis] + (size,) + x.shape[axis + 1 :]
+    bits = np.dtype(f"i{x.itemsize}")
     y = np.full(shape, -np.inf, dtype=x.dtype)
     better = np.empty(shape, dtype=bool)
+    flips = np.empty(shape, dtype=bits)
     out_arg = np.zeros(shape, dtype=np.int16) if remember else None
     offset = np.empty(shape, dtype=np.int16) if remember else None
     for t in range(kernel):
-        # outputs o whose tap reads o*stride + t - padding inside x
-        lo = max(0, -((t - padding) // stride))
-        hi = min(size, (x.shape[axis] - 1 - t + padding) // stride + 1)
+        lo, hi, src = _tap(t, stride, padding, x.shape[axis], 0, size)
         if lo >= hi:
             continue
-        src = lo * stride + t - padding
         into = (slice(None),) * axis + (slice(lo, hi),)
-        taps = (slice(None),) * axis + (slice(src, src + (hi - lo - 1) * stride + 1, stride),)
+        taps = (slice(None),) * axis + (src,)
         plane, yo, bo = x[taps], y[into], better[into]
         np.greater(plane, yo, out=bo)
-        np.copyto(yo, plane, where=bo)
+        yb = yo.view(bits)
+        flip = np.bitwise_xor(yb, plane.view(bits), out=flips[into])
+        flip *= bo
+        yb ^= flip
         if remember and (t or arg is not None):
             oo = offset[into]
             if arg is None:

@@ -110,25 +110,35 @@ def adamw_step(params, state: OptState, cfg: AdamWConfig) -> None:
     """One decoupled-weight-decay Adam update; zeroes gradients afterwards.
 
     Decay applies only to parameters flagged for it (conv/deconv weights);
-    norm gains/shifts and the head's logit offset are excluded.
+    norm gains/shifts and the head's logit offset are excluded. The update,
+    lr * ((m/c1)/(sqrt(v/c2) + eps) + decay*w), runs its operations in that
+    order in two float32 scratch buffers shared by all parameters: a float32
+    parameter gets the formula's bytes without a temporary per operation.
     """
     state.check(params)
     state.step += 1
     t = int(state.step)
     c1 = 1.0 - cfg.beta1 ** t
     c2 = 1.0 - cfg.beta2 ** t
+    size = max((p.value.size for p in params), default=0)
+    scratch = np.empty((2, size), np.float32)
     for p in params:
         g = p.grad.astype(np.float32, copy=False)
         m = state.m[p.name]
         v = state.v[p.name]
+        a, b = (buf[: g.size].reshape(g.shape) for buf in scratch)
         m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
+        m += np.multiply(1.0 - cfg.beta1, g, out=a)
         v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * np.square(g)
-        update = (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+        v += np.multiply(1.0 - cfg.beta2, np.square(g, out=a), out=a)
+        np.divide(m, c1, out=a)
+        np.sqrt(np.divide(v, c2, out=b), out=b)
+        b += cfg.eps
+        a /= b
         if p.decay and cfg.weight_decay:
-            update = update + cfg.weight_decay * p.value
-        p.value -= (cfg.lr * update).astype(p.value.dtype)
+            a += np.multiply(cfg.weight_decay, p.value, out=b)
+        a *= cfg.lr
+        p.value -= a
         p.zero_grad()
 
 

@@ -383,6 +383,19 @@ class TestDeterminism:
         second = m.forward(x, remember=False)
         np.testing.assert_array_equal(first, second)
 
+    def test_eval_output_does_not_depend_on_the_batch(self):
+        # running statistics away from (0, 1), as after training
+        m = M.build_model(M.EncoderConfig.toy(), M.DecoderConfig.toy(), seed=0)
+        rng = np.random.default_rng(5)
+        for name, buf in m.buffers():
+            buf[...] = rng.uniform(0.5, 1.5, buf.shape) * (1.0 if "var" in name else 0.1)
+        m.eval()
+        x = (rng.random((5, 1, 10, 32, 32)) < 0.1).astype(np.float32)
+        whole = m.forward(x, remember=False)
+        assert 0.0 < whole.min() and whole.max() < 1.0
+        for lo, hi in [(0, 3), (2, 5)] + [(i, i + 1) for i in range(5)]:
+            assert m.forward(x[lo:hi], remember=False).tobytes() == whole[lo:hi].tobytes()
+
     def test_config_dict_rebuild_matches(self):
         enc, dec = micro_configs()
         m = M.build_model(enc, dec, seed=13)

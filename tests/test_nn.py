@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -119,6 +120,82 @@ def ref_conv_weight_grad(x, grad_out, stride, padding, kernel):
         p = _ref_patch_matrix(xp[:, :, d0 * sd : (d1 - 1) * sd + kd], kernel, stride)
         gw += _ref_channels_last(grad_out, d0, d1).T @ p
     return gw.reshape(cout, cin, kd, kh, kw)
+
+
+# The conv core as it ran on one np.pad copy of its whole input, cut into
+# the blocks nn cuts at the same MAX_PATCH_BYTES and with the same products:
+# the byte-level reference for building each block's slab of the padded
+# input on its own.
+
+
+def _pad_oracle_patches(x, kernel, stride, padding, out_dims, axes):
+    xp = _ref_pad(x, padding)
+    kd, kh, kw = kernel
+    sd, sh, sw = stride
+    if tuple(kernel) == (1, 1, 1) and tuple(stride) == (1, 1, 1):
+        blocks = [(0, out_dims[0], 0, out_dims[1])]
+    else:
+        blocks = nn._blocks(x.shape[1] * kd * kh * kw, out_dims, x.itemsize)
+    for d0, d1, h0, h1 in blocks:
+        xs = xp[:, :, d0 * sd : (d1 - 1) * sd + kd, h0 * sh : (h1 - 1) * sh + kh]
+        win = sliding_window_view(xs, kernel, axis=(2, 3, 4))[:, :, ::sd, ::sh, ::sw]
+        yield (d0, d1, h0, h1), np.ascontiguousarray(
+            win.transpose(0, 1, 5, 6, 7, 2, 3, 4).transpose(axes))
+
+
+def pad_oracle_forward(x, weight, stride, padding):
+    n, cout = x.shape[0], weight.shape[0]
+    kernel = weight.shape[2:]
+    out_dims = nn.LayerSpec("conv3d", kernel, stride, padding).out_dims(x.shape[2:])
+    wmat = weight.reshape(cout, -1)
+    y = np.empty((n, cout, *out_dims), dtype=np.result_type(x, weight))
+    for (d0, d1, h0, h1), p in _pad_oracle_patches(x, kernel, stride, padding, out_dims,
+                                                   range(8)):
+        np.matmul(wmat, p.reshape(n, wmat.shape[1], -1),
+                  out=y[:, :, d0:d1, h0:h1].reshape(n, cout, -1))
+    return y
+
+
+def pad_oracle_input_grad(grad_out, weight, stride, padding, in_dims):
+    n, cout, do, ho, wo = grad_out.shape
+    _, cin, kd, kh, kw = weight.shape
+    if tuple(stride) == (1, 1, 1):
+        adjoint = [k - 1 - p for k, p in zip((kd, kh, kw), padding)]
+        crop = tuple(slice(max(0, -a), size - max(0, -a)) for a, size in zip(adjoint, (do, ho, wo)))
+        flipped = weight[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+        return pad_oracle_forward(
+            grad_out[(...,) + crop], flipped, stride, tuple(max(0, a) for a in adjoint))
+    d, h, w = in_dims
+    pd, ph, pw = padding
+    sd, sh, sw = stride
+    wmat_t = weight.reshape(cout, -1).T
+    gxp = np.zeros((n, cin, d + 2 * pd, h + 2 * ph, w + 2 * pw),
+                   dtype=np.result_type(grad_out, weight))
+    for d0, d1, h0, h1 in nn._blocks(wmat_t.shape[0], (do, ho, wo), grad_out.itemsize):
+        g = grad_out[:, :, d0:d1, h0:h1].reshape(n, cout, -1)
+        gp = (wmat_t @ g).reshape(n, cin, kd, kh, kw, d1 - d0, h1 - h0, wo)
+        for a, b, c in itertools.product(range(kd), range(kh), range(kw)):
+            gxp[:, :, d0 * sd + a : (d1 - 1) * sd + a + 1 : sd,
+                h0 * sh + b : (h1 - 1) * sh + b + 1 : sh,
+                c : c + (wo - 1) * sw + 1 : sw] += gp[:, :, a, b, c]
+    return np.ascontiguousarray(gxp[:, :, pd : pd + d, ph : ph + h, pw : pw + w])
+
+
+def pad_oracle_weight_grad(x, grad_out, stride, padding, kernel):
+    n, cout = grad_out.shape[:2]
+    k = x.shape[1] * math.prod(kernel)
+    gw = np.zeros((cout, k), dtype=np.result_type(x, grad_out))
+    patch_order = (1, 2, 3, 4, 0, 5, 6, 7)
+    for (d0, d1, h0, h1), p in _pad_oracle_patches(x, kernel, stride, padding,
+                                                   grad_out.shape[2:], patch_order):
+        g = grad_out[:, :, d0:d1, h0:h1].transpose(1, 0, 2, 3, 4).reshape(cout, -1)
+        gw += g @ p.reshape(k, -1).T
+    return gw.reshape(cout, x.shape[1], *kernel)
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 class TestLayerSpec:
@@ -396,6 +473,31 @@ class TestConvLowering:
         assert unchunked > budget  # the budget does force chunking here
         assert peak < budget + y.nbytes
 
+    @pytest.mark.parametrize("routine", ["forward", "weight_grad"])
+    @pytest.mark.parametrize("kernel,stride,padding,shape", [
+        pytest.param(3, (1, 1, 1), (1, 1, 1), (1, 4, 16, 32, 32), id="k3"),
+        pytest.param(7, (2, 2, 2), (3, 3, 3), (1, 2, 20, 40, 40), id="k7s2"),
+    ])
+    def test_padded_conv_builds_no_padded_input(self, monkeypatch, routine, kernel, stride,
+                                                padding, shape):
+        budget = 64 * 2**10
+        monkeypatch.setattr(nn, "MAX_PATCH_BYTES", budget)
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=shape).astype(np.float32)
+        w = rng.normal(size=(4, shape[1], kernel, kernel, kernel)).astype(np.float32)
+        y = nn.conv3d_core_forward(x, w, stride, padding)
+        padded = _ref_pad(x, padding).nbytes
+        if routine == "forward":
+            _, peak = self._peak_bytes(nn.conv3d_core_forward, x, w, stride, padding)
+            ceiling = y.nbytes + budget + padded // 2
+        else:
+            _, peak = self._peak_bytes(
+                nn.conv3d_core_weight_grad, x, y, stride, padding, w.shape[2:])
+            ceiling = budget + padded // 2
+        # one sample's patch block plus half a padded input: a padded copy
+        # of the whole input would overrun it
+        assert peak < ceiling
+
     @staticmethod
     def _record_blocks(monkeypatch):
         """Patch nn._blocks to log the block list of every call."""
@@ -450,8 +552,7 @@ class TestConvLowering:
         x = rng.normal(size=(2, 8, 4, 16, 64)).astype(np.float32)
         w = rng.normal(size=(2, 8, 3, 3, 3)).astype(np.float32)
         y, peak = self._peak_bytes(nn.conv3d_core_forward, x, w, (1, 1, 1), (1, 1, 1))
-        padded = nn._pad_spatial(x, (1, 1, 1)).nbytes
-        ceiling = x.shape[0] * budget + y.nbytes + padded
+        ceiling = x.shape[0] * budget + y.nbytes
         assert x.shape[0] * 16 * row > ceiling  # blocks of whole planes overrun it
         assert peak < ceiling
 
@@ -466,6 +567,78 @@ class TestConvLowering:
         m.backward(rng.normal(size=y.shape).astype(np.float32))
         assert len(calls) > 20
         assert all(len(blocks) == 1 for blocks in calls)
+
+
+class TestPaddedSlabs:
+    """Each conv core routine and Deconv3d, bit for bit, against the same
+    routine run on one np.pad copy of its input at the same budget."""
+
+    # kernel, padding: 0 and k//2, and padding at or past the kernel
+    KERNEL_PADDING = [(1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1), (3, 3),
+                      (3, (3, 0, 1)), (7, 0), (7, 3)]
+    STRIDES = [(1, 1, 1), (2, 2, 2), (1, 2, 2)]
+    BUDGETS = ["one block", "depth planes", "h-row slabs"]
+
+    @staticmethod
+    def _budget(kind, rows, out_dims, itemsize):
+        """A budget whose blocks of ``rows``-row patches over ``out_dims`` are
+        one block, several depth-plane blocks, or h-row slabs with a ragged
+        last one (out_dims has at least 2 planes and 3 rows here)."""
+        do, ho, wo = out_dims
+        cols = {"one block": do * ho * wo, "depth planes": (do - 1) * ho * wo,
+                "h-row slabs": (ho - 1) * wo}[kind]
+        return rows * itemsize * cols
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("stride", STRIDES)
+    @pytest.mark.parametrize("kernel,padding", KERNEL_PADDING)
+    def test_conv_core_matches_padded_copy(self, monkeypatch, kernel, padding, stride, budget):
+        cin, cout, dims = (2, 3, (11, 12, 10)) if kernel == 7 else (3, 4, (5, 7, 6))
+        padding = nn.as_triple(padding)
+        rng = np.random.default_rng(kernel)
+        x = rng.normal(size=(2, cin, *dims))
+        w = rng.normal(size=(cout, cin, kernel, kernel, kernel))
+        out_dims = nn.LayerSpec("conv3d", (kernel,) * 3, stride, padding).out_dims(dims)
+        g = rng.normal(size=(2, cout, *out_dims))
+        monkeypatch.setattr(nn, "MAX_PATCH_BYTES",
+                            self._budget(budget, cin * kernel**3, out_dims, x.itemsize))
+        calls = TestConvLowering._record_blocks(monkeypatch)
+        y = nn.conv3d_core_forward(x, w, stride, padding)
+        if calls:  # a 1x1x1 unit-stride conv is one block without asking
+            blocks = calls[0]
+            if budget == "one block":
+                assert len(blocks) == 1
+            elif budget == "depth planes":
+                assert len(blocks) > 1 and all(b[2:] == (0, out_dims[1]) for b in blocks)
+            else:
+                assert all(d1 - d0 == 1 for d0, d1, _, _ in blocks)
+                assert blocks[-1][3] - blocks[-1][2] < blocks[0][3] - blocks[0][2]
+        assert_same_bytes(y, pad_oracle_forward(x, w, stride, padding))
+        assert_same_bytes(nn.conv3d_core_input_grad(g, w, stride, padding, dims),
+                          pad_oracle_input_grad(g, w, stride, padding, dims))
+        assert_same_bytes(nn.conv3d_core_weight_grad(x, g, stride, padding, w.shape[2:]),
+                          pad_oracle_weight_grad(x, g, stride, padding, w.shape[2:]))
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("stride", STRIDES)
+    @pytest.mark.parametrize("kernel,padding", KERNEL_PADDING)
+    def test_deconv_matches_padded_copy(self, monkeypatch, kernel, padding, stride, budget):
+        cin, cout, dims = (2, 3, (5, 6, 5)) if kernel == 7 else (3, 4, (6, 7, 6))
+        layer = nn.Deconv3d(cin, cout, kernel, stride, padding, name="up", dtype=np.float64)
+        spec = layer.spec
+        w = layer.weight.value
+        rng = np.random.default_rng(kernel + 100)
+        x = rng.normal(size=(2, cin, *dims))
+        out_dims = spec.out_dims(dims)
+        # the backward's conv runs over the output gradient down to dims
+        monkeypatch.setattr(nn, "MAX_PATCH_BYTES",
+                            self._budget(budget, cout * kernel**3, dims, x.itemsize))
+        y = layer.forward(x)
+        assert_same_bytes(y, pad_oracle_input_grad(x, w, spec.stride, spec.padding, out_dims))
+        g = rng.normal(size=y.shape)
+        assert_same_bytes(layer.backward(g), pad_oracle_forward(g, w, spec.stride, spec.padding))
+        assert_same_bytes(layer.weight.grad,
+                          pad_oracle_weight_grad(g, x, spec.stride, spec.padding, spec.kernel))
 
 
 class TestDeconv3d:

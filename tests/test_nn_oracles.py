@@ -8,6 +8,8 @@ the oracle bit for bit, NaN payload and zero sign included, alone and
 inside the paper's stem, pool and bottleneck.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,35 @@ class OracleMaxPool3d(nn.MaxPool3d):
                     offset += 1
         self.save_for_backward((arg, x.shape), remember)
         return y
+
+
+def copyto_max_pass(x, arg, axis, kernel, stride, padding, size, scale, remember):
+    """``nn._max_pass`` as it chose values before: ``np.copyto(where=)``."""
+    shape = x.shape[:axis] + (size,) + x.shape[axis + 1 :]
+    y = np.full(shape, -np.inf, dtype=x.dtype)
+    better = np.empty(shape, dtype=bool)
+    out_arg = np.zeros(shape, dtype=np.int16) if remember else None
+    offset = np.empty(shape, dtype=np.int16) if remember else None
+    for t in range(kernel):
+        lo = max(0, -((t - padding) // stride))
+        hi = min(size, (x.shape[axis] - 1 - t + padding) // stride + 1)
+        if lo >= hi:
+            continue
+        src = lo * stride + t - padding
+        into = (slice(None),) * axis + (slice(lo, hi),)
+        taps = (slice(None),) * axis + (slice(src, src + (hi - lo - 1) * stride + 1, stride),)
+        plane, yo, bo = x[taps], y[into], better[into]
+        np.greater(plane, yo, out=bo)
+        np.copyto(yo, plane, where=bo)
+        if remember and (t or arg is not None):
+            oo = offset[into]
+            if arg is None:
+                np.multiply(bo, np.int16(t * scale), out=oo)
+            else:
+                np.add(arg[taps], np.int16(t * scale), out=oo)
+                oo *= bo
+            np.maximum(out_arg[into], oo, out=out_arg[into])
+    return y, out_arg
 
 
 class OracleAdaptiveResize3d(nn.AdaptiveResize3d):
@@ -247,6 +278,29 @@ class TestMaxPoolOracle:
             x[0, 0, 0, 0, 0] = first
             y = nn.MaxPool3d(2).forward(x)
             assert np.signbit(y[0, 0, 0, 0, 0]) == np.signbit(first)
+
+
+class TestMaxPassSelect:
+    """Each 1-D pass's bitwise select against the masked copy it replaced."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("remember", [False, True])
+    @pytest.mark.parametrize("kernel,stride,padding", POOL_SPECS)
+    def test_select_matches_masked_copy(self, kernel, stride, padding, remember, dtype):
+        rng = np.random.default_rng(43)
+        x = special_input(rng, (2, 3, 6, 7, 9), dtype)
+        x[0, 1, :, :, ::4] = np.inf
+        x[1, 0, 1:4] = np.nan
+        spec = nn.MaxPool3d(kernel, stride, padding).spec
+        out_dims = spec.out_dims(x.shape[2:])
+        got = want = (x, None)
+        for i in (2, 1, 0):
+            args = (i + 2, spec.kernel[i], spec.stride[i], spec.padding[i], out_dims[i],
+                    math.prod(spec.kernel[i + 1 :]), remember)
+            got, want = nn._max_pass(*got, *args), copyto_max_pass(*want, *args)
+            assert got[0].tobytes() == want[0].tobytes()
+            if remember:
+                assert_same_bits(got[1], want[1])
 
 
 class TestMaxPoolSlabs(TestMaxPoolOracle):

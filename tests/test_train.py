@@ -86,6 +86,37 @@ class TestAdamWStep:
         T.adamw_step([p], state, T.AdamWConfig(lr=1e-3))
         assert np.all(p.grad == 0.0)
 
+    def test_in_place_update_is_the_formula_bitwise(self):
+        # parameters of several sizes, largest first, share the scratch buffers
+        rng = np.random.default_rng(12)
+        cfg = T.AdamWConfig(lr=1e-3, weight_decay=0.01)
+        params = [Parameter(rng.normal(size=shape).astype(np.float32), f"p{i}", decay=decay)
+                  for i, (shape, decay) in enumerate([((4, 3, 5), True), ((7,), False),
+                                                      ((2, 5), True), ((3,), False)])]
+        want = [(p.value.copy(), np.zeros_like(p.value), np.zeros_like(p.value))
+                for p in params]
+        state = T.OptState(params)
+        for t in range(1, 6):
+            grads = [rng.normal(size=p.value.shape).astype(np.float32) for p in params]
+            for p, g in zip(params, grads):
+                p.grad[...] = g
+            T.adamw_step(params, state, cfg)
+            c1 = 1.0 - cfg.beta1 ** t
+            c2 = 1.0 - cfg.beta2 ** t
+            for p, g, (w, m, v) in zip(params, grads, want):
+                # the out-of-place update the in-place one replaced
+                m *= cfg.beta1
+                m += (1.0 - cfg.beta1) * g
+                v *= cfg.beta2
+                v += (1.0 - cfg.beta2) * np.square(g)
+                update = (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+                if p.decay and cfg.weight_decay:
+                    update = update + cfg.weight_decay * w
+                w -= (cfg.lr * update).astype(w.dtype)
+                assert p.value.tobytes() == w.tobytes()
+                assert state.m[p.name].tobytes() == m.tobytes()
+                assert state.v[p.name].tobytes() == v.tobytes()
+
     def test_state_shape_mismatch_raises(self):
         p = scalar_param(1.0)
         state = T.OptState([p])
