@@ -40,7 +40,7 @@ print(report.text())
 
 model.eval()
 frames, label, kind = dataset[0]
-probs = model.forward(frames_to_input([frames], dtype=model.dtype), remember=False)
+probs = model.forward(frames_to_input([frames]), remember=False)
 pred = binarize(probs[0], 0.3)
 
 for name, grid in (("recon", pred), ("truth", label)):

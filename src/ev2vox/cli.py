@@ -473,7 +473,7 @@ def _export_from_checkpoint(cfg: RunConfig, ckpt_path: str, sample_id: str,
     model = load_training_checkpoint(ckpt_path, cfg.model)[0]
     frames = _frames(cfg, manifest, matches[0])
     model.eval()
-    probs = model.forward(frames_to_input([frames], dtype=model.dtype), remember=False)
+    probs = model.forward(frames_to_input([frames]), remember=False)
     return binarize(probs[0], cfg.metrics.threshold)
 
 

@@ -22,6 +22,9 @@ for another BLAS kernel can differ in the last bits. Training keeps
 resize, then conv: the conv's weight and input gradients would otherwise
 sum over other cells in another order, and the trained bytes would change.
 
+The model is float32 only, as a checkpoint's entries are; the gradient
+checks recast a built model to float64 (``tests/gradcheck.py``).
+
 Chains of layers are ``nn.Sequential``, whose backward runs its layers
 in reverse; the encoder is one such chain. Only the blocks whose data flow
 branches write a backward: the bottleneck's residual add, the up block's
@@ -160,34 +163,34 @@ class ModelConfig:
             )
 
 
-def conv_norm(cin, cout, kernel, stride, padding, name, seed, dtype, tag=""):
+def conv_norm(cin, cout, kernel, stride, padding, name, seed, tag=""):
     """[conv, batch norm], named ``{name}.conv{tag}`` and ``{name}.norm{tag}``."""
     return [
         nn.Conv3d(cin, cout, kernel, stride=stride, padding=padding,
-                  name=f"{name}.conv{tag}", seed=seed, dtype=dtype),
-        nn.BatchNorm3d(cout, name=f"{name}.norm{tag}", dtype=dtype),
+                  name=f"{name}.conv{tag}", seed=seed),
+        nn.BatchNorm3d(cout, name=f"{name}.norm{tag}"),
     ]
 
 
-def conv_norm_relu(cin, cout, kernel, stride, padding, name, seed, dtype) -> nn.Sequential:
+def conv_norm_relu(cin, cout, kernel, stride, padding, name, seed) -> nn.Sequential:
     """conv -> norm -> relu, the workhorse unit of both halves."""
-    layers = conv_norm(cin, cout, kernel, stride, padding, name, seed, dtype)
+    layers = conv_norm(cin, cout, kernel, stride, padding, name, seed)
     return nn.Sequential(*layers, nn.ReLU())
 
 
 class Bottleneck(nn.Module):
     """Residual block: 1-reduce, 3-spatial (carries the stride), 1-expand."""
 
-    def __init__(self, cin, width, stride, name, seed, dtype):
+    def __init__(self, cin, width, stride, name, seed):
         cout = width * EXPANSION
         self.main = nn.Sequential(
-            *conv_norm(cin, width, 1, 1, 0, name, seed, dtype, tag="1"), nn.ReLU(),
-            *conv_norm(width, width, 3, stride, 1, name, seed, dtype, tag="2"), nn.ReLU(),
-            *conv_norm(width, cout, 1, 1, 0, name, seed, dtype, tag="3"),
+            *conv_norm(cin, width, 1, 1, 0, name, seed, tag="1"), nn.ReLU(),
+            *conv_norm(width, width, 3, stride, 1, name, seed, tag="2"), nn.ReLU(),
+            *conv_norm(width, cout, 1, 1, 0, name, seed, tag="3"),
         )
         project = cin != cout or tuple(stride) != (1, 1, 1)
         self.shortcut = nn.Sequential(
-            *(conv_norm(cin, cout, 1, stride, 0, f"{name}.proj", seed, dtype) if project else [])
+            *(conv_norm(cin, cout, 1, stride, 0, f"{name}.proj", seed) if project else [])
         )
         self.relu = nn.ReLU()
 
@@ -203,21 +206,19 @@ class Bottleneck(nn.Module):
         return self.main.backward(g) + self.shortcut.backward(g)
 
 
-def build_encoder(cfg: EncoderConfig, seed: int, dtype) -> nn.Sequential:
+def build_encoder(cfg: EncoderConfig, seed: int) -> nn.Sequential:
     """Stem, optional max pool, then the bottleneck stages."""
-    layers = [conv_norm_relu(
-        1, cfg.stem.channels, cfg.stem.kernel, cfg.stem.stride,
-        tuple(k // 2 for k in cfg.stem.kernel), "encoder.stem", seed, dtype,
-    )]
-    if cfg.stem.pool:
+    stem = cfg.stem
+    layers = [conv_norm_relu(1, stem.channels, stem.kernel, stem.stride,
+                             tuple(k // 2 for k in stem.kernel), "encoder.stem", seed)]
+    if stem.pool:
         layers.append(nn.MaxPool3d(3, stride=2, padding=1))
-    cin = cfg.stem.channels
+    cin = stem.channels
     for si, stage in enumerate(cfg.stages):
         for bi in range(stage.blocks):
             stride = stage.stride if bi == 0 else (1, 1, 1)
-            layers.append(Bottleneck(
-                cin, stage.channels, stride, f"encoder.stage{si}.block{bi}", seed, dtype,
-            ))
+            name = f"encoder.stage{si}.block{bi}"
+            layers.append(Bottleneck(cin, stage.channels, stride, name, seed))
             cin = stage.channels * EXPANSION
     return nn.Sequential(*layers)
 
@@ -225,13 +226,13 @@ def build_encoder(cfg: EncoderConfig, seed: int, dtype) -> nn.Sequential:
 class UpBlock(nn.Module):
     """deconv up, norm+relu, concat the saved skip, fuse back down."""
 
-    def __init__(self, cin, cout, name, seed, dtype):
+    def __init__(self, cin, cout, name, seed):
         self.up = nn.Sequential(
-            nn.Deconv3d(cin, cout, 2, stride=2, name=f"{name}.deconv", seed=seed, dtype=dtype),
-            nn.BatchNorm3d(cout, name=f"{name}.norm", dtype=dtype),
+            nn.Deconv3d(cin, cout, 2, stride=2, name=f"{name}.deconv", seed=seed),
+            nn.BatchNorm3d(cout, name=f"{name}.norm"),
             nn.ReLU(),
         )
-        self.fuse = conv_norm_relu(2 * cout, cout, 3, 1, 1, f"{name}.fuse", seed, dtype)
+        self.fuse = conv_norm_relu(2 * cout, cout, 3, 1, 1, f"{name}.fuse", seed)
         self.cout = cout
 
     def forward(self, x, skip, remember=True):
@@ -244,26 +245,25 @@ class UpBlock(nn.Module):
 
 
 class Decoder(nn.Module):
-    def __init__(self, cfg: DecoderConfig, in_channels: int, resolution: int, seed: int, dtype):
+    def __init__(self, cfg: DecoderConfig, in_channels: int, resolution: int, seed: int):
         ch = cfg.channels
         depth = len(ch)
         self.resize = nn.AdaptiveResize3d(resolution)
-        self.entry = conv_norm_relu(in_channels, ch[0], 1, 1, 0, "decoder.entry", seed, dtype)
+        self.entry = conv_norm_relu(in_channels, ch[0], 1, 1, 0, "decoder.entry", seed)
         self.downs = [
-            conv_norm_relu(ch[i - 1], ch[i], 3, 2, 1, f"decoder.down{i}", seed, dtype)
+            conv_norm_relu(ch[i - 1], ch[i], 3, 2, 1, f"decoder.down{i}", seed)
             for i in range(1, depth)
         ]
         self.ups = [
-            UpBlock(ch[i], ch[i - 1], f"decoder.up{i}", seed, dtype)
+            UpBlock(ch[i], ch[i - 1], f"decoder.up{i}", seed)
             for i in range(depth - 1, 0, -1)
         ]
-        self.head = nn.Conv3d(ch[0], 1, 1, name="decoder.head.conv", seed=seed, dtype=dtype)
+        self.head = nn.Conv3d(ch[0], 1, 1, name="decoder.head.conv", seed=seed)
         # the head is the one conv that feeds no norm, so it alone needs an
         # offset; assigning it right after the head keeps this entry's CKP1
         # name and position
-        self.head_bias = nn.Parameter(
-            np.zeros(1, dtype=dtype), "decoder.head.conv.bias", decay=False
-        )
+        self.head_bias = nn.Parameter(np.zeros(1, np.float32), "decoder.head.conv.bias",
+                                      decay=False)
         self.sigmoid = nn.Sigmoid()
 
     def forward(self, latent, remember=True):
@@ -312,12 +312,11 @@ class E2VModel(nn.Module):
     sidecar records.
     """
 
-    def __init__(self, config: ModelConfig, dtype):
+    def __init__(self, config: ModelConfig):
         self.config = config
-        self.dtype = np.dtype(dtype)
         enc, seed = config.encoder, config.seed
-        self.encoder = build_encoder(enc, seed, dtype)
-        self.decoder = Decoder(config.decoder, enc.out_channels, enc.resolution, seed, dtype)
+        self.encoder = build_encoder(enc, seed)
+        self.decoder = Decoder(config.decoder, enc.out_channels, enc.resolution, seed)
         names = [p.name for p in self.parameters()] + [n for n, _ in self.buffers()]
         dupes = {n for n in names if names.count(n) > 1}
         if dupes:
@@ -329,7 +328,7 @@ class E2VModel(nn.Module):
         return vol[:, 0]
 
     def backward(self, grad_probs: np.ndarray) -> np.ndarray:
-        g = self.decoder.backward(grad_probs[:, None].astype(self.dtype, copy=False))
+        g = self.decoder.backward(grad_probs[:, None])
         return self.encoder.backward(g)
 
     def state_entries(self) -> list[tuple[str, np.ndarray]]:
@@ -339,9 +338,8 @@ class E2VModel(nn.Module):
         return [(p.name, p.value) for p in self.parameters()] + self.buffers()
 
 
-def build_model(enc_cfg: EncoderConfig, dec_cfg: DecoderConfig, seed: int = 0,
-                dtype=np.float32) -> E2VModel:
-    return E2VModel(ModelConfig(enc_cfg, dec_cfg, seed), dtype)
+def build_model(enc_cfg: EncoderConfig, dec_cfg: DecoderConfig, seed: int = 0) -> E2VModel:
+    return E2VModel(ModelConfig(enc_cfg, dec_cfg, seed))
 
 
 def encode(model: E2VModel, frames: np.ndarray, remember: bool = False) -> np.ndarray:
@@ -363,7 +361,8 @@ def bce_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
 
     Probabilities are clamped to [1e-7, 1 - 1e-7] before the logs so a
     saturated sigmoid cannot produce an infinite loss. The gradient uses
-    the clamped value in the same way, (p - v) / (p (1 - p)) / N.
+    the clamped value in the same way, (p - v) / (p (1 - p)) / N, computed
+    in float64 and returned in pred's dtype, the dtype of the model's backward.
     """
     pred = np.asarray(pred)
     target = np.asarray(target)
@@ -378,14 +377,14 @@ def bce_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     n = p.size
     loss = -float(np.sum(v * np.log(p) + (1.0 - v) * np.log1p(-p))) / n
     grad = (p - v) / (p * (1.0 - p)) / n
-    return loss, grad
+    return loss, grad.astype(pred.dtype, copy=False)
 
 
 def count_parameters(model: E2VModel) -> int:
     return sum(p.value.size for p in model.parameters())
 
 
-def frames_to_input(stacks, dtype=np.float32) -> np.ndarray:
+def frames_to_input(stacks) -> np.ndarray:
     """Stack (D, H, W) frame arrays into a model input batch (N, 1, D, H, W).
     A stack with a zero-sized axis (events that span no frame) is a
     DataError."""
@@ -395,4 +394,4 @@ def frames_to_input(stacks, dtype=np.float32) -> np.ndarray:
             raise InternalError(f"frame stacks disagree in shape: {first} vs {a.shape}")
     if 0 in first:
         raise DataError(f"frame stack has a zero-sized axis {first}")
-    return np.stack(stacks)[:, None].astype(dtype)
+    return np.stack(stacks)[:, None].astype(np.float32)

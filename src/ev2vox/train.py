@@ -112,8 +112,8 @@ def adamw_step(params, state: OptState, cfg: AdamWConfig) -> None:
     Decay applies only to parameters flagged for it (conv/deconv weights);
     norm gains/shifts and the head's logit offset are excluded. The update,
     lr * ((m/c1)/(sqrt(v/c2) + eps) + decay*w), runs its operations in that
-    order in two float32 scratch buffers shared by all parameters: a float32
-    parameter gets the formula's bytes without a temporary per operation.
+    order in two float32 scratch buffers shared by all (float32) parameters,
+    which get the formula's bytes without a temporary per operation.
     """
     state.check(params)
     state.step += 1
@@ -123,7 +123,7 @@ def adamw_step(params, state: OptState, cfg: AdamWConfig) -> None:
     size = max((p.value.size for p in params), default=0)
     scratch = np.empty((2, size), np.float32)
     for p in params:
-        g = p.grad.astype(np.float32, copy=False)
+        g = p.grad
         m = state.m[p.name]
         v = state.v[p.name]
         a, b = (buf[: g.size].reshape(g.shape) for buf in scratch)
@@ -253,7 +253,7 @@ def train(
         iou_sum = 0.0
         for lo in range(0, n, run.batch_size):
             batch = order[lo:lo + run.batch_size]
-            x = frames_to_input([dataset[i][0] for i in batch], dtype=model.dtype)
+            x = frames_to_input([dataset[i][0] for i in batch])
             y = np.stack([dataset[i][1].occupancy for i in batch])
             probs = model.forward(x)
             loss, grad = bce_loss(probs, y)
@@ -320,7 +320,7 @@ def evaluate(
     per_sample = []
     for lo in range(0, len(dataset), EVAL_BATCH):
         chunk = dataset[lo:lo + EVAL_BATCH]
-        x = frames_to_input([s[0] for s in chunk], dtype=model.dtype)
+        x = frames_to_input([s[0] for s in chunk])
         probs = model.forward(x, remember=False)
         for j, sample in enumerate(chunk):
             pred, gt = voxel.binarize(probs[j], threshold), sample[1]

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from gradcheck import numeric_grad_coords, numeric_grad_full, rel_err
+from gradcheck import as_float64, numeric_grad_coords, numeric_grad_full, rel_err
 
 from ev2vox import nn
 from ev2vox.cli import _procedural_scene, grid_to_obj
@@ -155,8 +155,7 @@ def _full_toy_model_case(seed):
     """
     h = 1e-7
     rng = np.random.default_rng(seed)
-    model = build_model(EncoderConfig.toy(), DecoderConfig.toy(),
-                        seed=seed, dtype=np.float64)
+    model = as_float64(build_model(EncoderConfig.toy(), DecoderConfig.toy(), seed=seed))
     model.train()
     d = int(rng.integers(5, 9))
     hw = int(rng.integers(12, 20)) * 2

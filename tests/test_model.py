@@ -18,7 +18,7 @@ from ev2vox.errors import (
     DataError,
     InternalError,
 )
-from gradcheck import numeric_grad_coords, rel_err
+from gradcheck import as_float64, numeric_grad_coords, rel_err
 
 
 def micro_configs():
@@ -188,13 +188,14 @@ class TestDecoderEntryOrder:
         the larger product at R^3, so there the orders agree only to
         rounding."""
         rng = np.random.default_rng(17)
+        cast = as_float64 if dtype == np.float64 else (lambda module: module)
         for enc, dec, frames in ((M.EncoderConfig.toy(), M.DecoderConfig.toy(), (2, 1, 10, 32, 32)),
                                  (*micro_configs(), (3, 1, 6, 16, 16))):
-            m = M.build_model(enc, dec, seed=4, dtype=dtype)
+            m = cast(M.build_model(enc, dec, seed=4))
             yield m.decoder, M.encode(m, rng.random(frames).astype(dtype)), True
         latent = rng.normal(size=(1, 512, 4, 8, 8)).astype(dtype)
-        yield M.Decoder(M.DecoderConfig((64, 128)), 512, 16, seed=4, dtype=dtype), latent, True
-        yield M.Decoder(M.DecoderConfig((4, 8)), 512, 32, seed=4, dtype=dtype), latent, False
+        yield cast(M.Decoder(M.DecoderConfig((64, 128)), 512, 16, seed=4)), latent, True
+        yield cast(M.Decoder(M.DecoderConfig((4, 8)), 512, 32, seed=4)), latent, False
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("training", [True, False])
@@ -228,7 +229,7 @@ class TestDecoderEntryOrder:
         # Projected to 4 channels first, the forward's traced peak was 11.4
         # MiB as measured (76.9 MiB when remembered, which resizes first and
         # keeps its caches); 24 MiB catches any latent-wide resize.
-        dec = M.Decoder(M.DecoderConfig((4, 8)), 512, 32, seed=0, dtype=np.float32)
+        dec = M.Decoder(M.DecoderConfig((4, 8)), 512, 32, seed=0)
         latent = np.random.default_rng(0).random((1, 512, 4, 8, 8)).astype(np.float32)
         tracemalloc.start()
         try:
@@ -275,6 +276,20 @@ class TestBceLoss:
         # per-voxel gradient against the closed form
         expected = (pred - target) / (pred * (1 - pred)) / n
         np.testing.assert_allclose(grad, expected, rtol=1e-12)
+
+    def test_float32_model_gets_a_float32_gradient(self):
+        # bce_loss makes the one cast to the model's dtype, so a model
+        # recast to float64 (full_model_loss_check) runs its backward in
+        # float64; its float32 gradient is the float64 one rounded once
+        m = M.build_model(*micro_configs(), seed=0).train()
+        probs = m.forward(np.random.default_rng(2).random((2, 1, 6, 16, 16)).astype(np.float32))
+        target = (np.random.default_rng(3).random(probs.shape) > 0.5).astype(np.float64)
+        _, grad = M.bce_loss(probs, target)
+        assert probs.dtype == grad.dtype == np.float32
+        wide = M.bce_loss(probs.astype(np.float64), target)[1]
+        assert grad.tobytes() == wide.astype(np.float32).tobytes()
+        assert m.backward(grad).dtype == np.float32
+        assert {p.grad.dtype for p in m.parameters()} == {np.dtype(np.float32)}
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -360,6 +375,21 @@ def test_convs_followed_by_norm_own_one_parameter(configs, paired):
     assert all(conv.parameters() == [conv.weight] for conv in convs)
 
 
+def toy_train_step(budget_mib):
+    """Probabilities, input gradient and parameter gradients of one toy
+    training step (batch 5) with ``nn.MAX_PATCH_BYTES`` at ``budget_mib`` MiB;
+    at 8 MiB, the default, each toy conv is one block per sample."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn, "MAX_PATCH_BYTES", budget_mib * 2**20)
+        m = M.build_model(M.EncoderConfig.toy(), M.DecoderConfig.toy(), seed=3).train()
+        rng = np.random.default_rng(3)
+        x = (rng.random((5, 1, 10, 32, 32)) < 0.1).astype(np.float32)
+        target = (rng.random((5, 8, 8, 8)) < 0.4).astype(np.float32)
+        probs = m.forward(x)
+        gx = m.backward(M.bce_loss(probs, target)[1])
+        return probs, gx, {p.name: p.grad for p in m.parameters()}
+
+
 class TestDeterminism:
     def test_same_seed_same_weights(self):
         a = M.build_model(*micro_configs(), seed=42)
@@ -396,11 +426,31 @@ class TestDeterminism:
         for lo, hi in [(0, 3), (2, 5)] + [(i, i + 1) for i in range(5)]:
             assert m.forward(x[lo:hi], remember=False).tobytes() == whole[lo:hi].tobytes()
 
+    @pytest.mark.parametrize("budget_mib", [1, 2, 32])
+    def test_step_outputs_do_not_depend_on_the_budget(self, budget_mib):
+        probs, gx, _ = toy_train_step(budget_mib)
+        want_probs, want_gx, _ = toy_train_step(8)
+        assert probs.tobytes() == want_probs.tobytes()
+        assert gx.tobytes() == want_gx.tobytes()
+
+    @pytest.mark.parametrize("budget_mib", [
+        pytest.param(mib, marks=pytest.mark.xfail(strict=True, reason=(
+            "conv3d_core_weight_grad adds one product per output block into the weight "
+            "gradient, so a budget that cuts a layer into more blocks sums in another "
+            "order: at 1 MiB encoder.stage0.block0.conv2.weight and "
+            "decoder.up1.fuse.conv.weight differ from 8 MiB in the last bits, at 2 MiB "
+            "the first of them"))) for mib in (1, 2)
+    ] + [32])
+    def test_step_weight_gradients_do_not_depend_on_the_budget(self, budget_mib):
+        grads = toy_train_step(budget_mib)[2]
+        want = toy_train_step(8)[2]
+        assert [k for k in want if grads[k].tobytes() != want[k].tobytes()] == []
+
     def test_config_dict_rebuild_matches(self):
         enc, dec = micro_configs()
         m = M.build_model(enc, dec, seed=13)
         d = asdict(M.ModelConfig(enc, dec, seed=13))
-        m2 = M.E2VModel(from_json(M.ModelConfig, d, "config"), np.float32)
+        m2 = M.E2VModel(from_json(M.ModelConfig, d, "config"))
         for pa, pb in zip(m.parameters(), m2.parameters()):
             np.testing.assert_array_equal(pa.value, pb.value)
 
@@ -491,9 +541,10 @@ class TestState:
 
 def full_model_loss_check(seed, tol=1e-6, n_coords=6):
     """Finite-difference check of d(loss)/d(input) and d(loss)/d(params)
-    through the whole network at float64."""
+    through the whole network, recast to float64: the loss gradient, the
+    input gradient and every parameter gradient stay float64."""
     enc, dec = micro_configs()
-    m = M.build_model(enc, dec, seed=seed, dtype=np.float64).train()
+    m = as_float64(M.build_model(enc, dec, seed=seed)).train()
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((1, 1, 6, 16, 16))
     target = (rng.random((1, 4, 4, 4)) > 0.5).astype(np.float64)
@@ -504,6 +555,8 @@ def full_model_loss_check(seed, tol=1e-6, n_coords=6):
     for p in m.parameters():
         p.zero_grad()
     gx = m.backward(gloss)
+    assert gloss.dtype == gx.dtype == np.float64
+    assert {p.grad.dtype for p in m.parameters()} == {np.dtype(np.float64)}
 
     def f():
         return M.bce_loss(m.forward(x, remember=False), target)[0]

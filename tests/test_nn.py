@@ -12,7 +12,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ev2vox import checkpoint as ckp
 from ev2vox import nn
 from ev2vox.errors import DataError, FormatError, InternalError
-from gradcheck import check_layer
+from gradcheck import as_float64, check_layer
 
 N_GRAD_SEEDS = 20
 # kernel, stride, padding: the 1x1x1 fast path at both strides and a 3x3x3
@@ -410,8 +410,7 @@ class TestConvLowering:
         g = rng.normal(size=(5, 8, 8, 8))
 
         def step():
-            m = M.build_model(M.EncoderConfig.toy(), M.DecoderConfig.toy(), seed=0,
-                              dtype=np.float64)
+            m = as_float64(M.build_model(M.EncoderConfig.toy(), M.DecoderConfig.toy(), seed=0))
             out = [m.forward(x), m.backward(g)]
             return out + [p.grad for p in m.parameters()]
 

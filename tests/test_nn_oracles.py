@@ -373,7 +373,7 @@ class TestPaperStemOracle:
         )
         # the model's decoder opens with this resize; here it ends the chain
         enc, oracle = (
-            nn.Sequential(M.build_encoder(cfg, seed=0, dtype=np.float32),
+            nn.Sequential(M.build_encoder(cfg, seed=0),
                           nn.AdaptiveResize3d(cfg.resolution))
             for _ in range(2)
         )

@@ -288,7 +288,6 @@ class FakeModel:
     def __init__(self, probs):
         self.probs = np.asarray(probs, dtype=np.float64)
         self.cursor = 0
-        self.dtype = np.float32
 
     def eval(self):
         return self
