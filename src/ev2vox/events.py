@@ -186,7 +186,11 @@ def bin_to_frames(stream: EventStream, cfg: BinningConfig) -> np.ndarray:
     sets its pooled cell, so the sensor-resolution stack is never built."""
     h, w = stream.sensor_height, stream.sensor_width
     f = cfg.downscale_factor(w, h)
-    depth = int(math.ceil(stream.duration / cfg.window))
+    depth = stream.duration / cfg.window
+    if depth * (h // f) * (w // f) >= np.iinfo(np.intp).max:
+        raise ConfigError(f"binning.window {cfg.window!r} cuts the stream's {stream.duration!r}"
+                          f" s into {depth:.4g} frames, more than one array can hold")
+    depth = math.ceil(depth)
     if depth == 0 and len(stream) > 0:
         depth = 1
     frames = np.zeros((depth, h // f, w // f), dtype=np.uint8)

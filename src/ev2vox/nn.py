@@ -1,11 +1,12 @@
 """Rank-5 tensor layers with explicit forward and backward passes.
 
-Tensors are plain numpy arrays shaped (N, C, D, H, W), float32 by default
-with a float64 mode for gradient verification. There is no autodiff tape:
-a remembered forward keeps what its backward needs in the ``Module.saved``
-slot, which that backward empties, and a ``Sequential`` chain runs its
-layers' backwards in reverse order, so a block writes out only what a
-chain cannot express (a residual add, a concatenation).
+Tensors are plain numpy arrays shaped (N, C, D, H, W); parameters are
+float32, and a layer computes in its operands' dtype, so gradient checks
+recast them to float64. There is no autodiff tape: a remembered forward
+keeps what its backward needs in the ``Module.saved`` slot, which that
+backward empties, and a ``Sequential`` chain runs its layers' backwards
+in reverse order, so a block writes out only what a chain cannot express
+(a residual add, a concatenation).
 
 The convolution engine works channels-first: per sample and output block,
 the kernel reshaped to (cout, cin*kd*kh*kw) multiplies a patch matrix with
@@ -42,7 +43,8 @@ with the input. Batch norm subtracts the mean in place and squares each
 block's deviations into one budget-sized scratch buffer; it sums them per
 channel one sample at a time, in sample order, as numpy reduces the
 whole tensor, so its statistics are the bytes of ``x.mean`` and
-``x.var(mean=)``.
+``x.var(mean=)``. Max pooling's backward walks the forward's clipped
+taps, each adding what it won into the input slice it read.
 
 Every layer, and every block built from layers, is a ``Module``. A module
 holds no registry: its parameters, buffers and submodules are found by
@@ -53,6 +55,7 @@ different order in ``__init__`` changes the bytes of every saved model.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -451,7 +454,6 @@ class Conv3d(Module):
         padding=0,
         name: str = "conv",
         seed: int = 0,
-        dtype=np.float32,
     ):
         kernel = as_triple(kernel)
         self.spec = LayerSpec(
@@ -461,7 +463,7 @@ class Conv3d(Module):
         fan_in = in_channels * kernel[0] * kernel[1] * kernel[2]
         bound = np.sqrt(6.0 / fan_in)
         rng = ParameterRng(seed, f"{name}.weight")
-        w = rng.uniform(out_channels * fan_in, -bound, bound, dtype)
+        w = rng.uniform(out_channels * fan_in, -bound, bound, np.float32)
         channels = (in_channels, out_channels)
         if self.kind == "conv3d":
             channels = channels[::-1]
@@ -525,19 +527,19 @@ class BatchNorm3d(Module):
     Train mode uses batch statistics and updates running averages with
     momentum ``BN_MOMENTUM``; eval mode applies the stored running
     statistics. The input's buffer takes xhat, and the output too unless
-    ``remember`` keeps xhat for the backward or the parameters are wider
-    than the input; then the output is one fresh array. A tensor over
-    ``MAX_PATCH_BYTES`` is normalized in ``_slabs`` blocks, except with one
-    channel: one pass sums each block's squared deviations in a
-    budget-sized scratch buffer, a second scales and shifts the block.
+    ``remember`` keeps xhat for the backward; then the output is one fresh
+    array. A tensor over ``MAX_PATCH_BYTES`` is normalized in ``_slabs``
+    blocks, except with one channel: one pass sums each block's squared
+    deviations in a budget-sized scratch buffer, a second scales and shifts
+    the block.
     """
 
     buffer_names = ("running_mean", "running_var")
 
-    def __init__(self, channels: int, name: str = "norm", dtype=np.float32):
+    def __init__(self, channels: int, name: str = "norm"):
         self.channels = channels
-        self.gain = Parameter(np.ones(channels, dtype=dtype), f"{name}.gain", decay=False)
-        self.shift = Parameter(np.zeros(channels, dtype=dtype), f"{name}.shift", decay=False)
+        self.gain = Parameter(np.ones(channels, np.float32), f"{name}.gain", decay=False)
+        self.shift = Parameter(np.zeros(channels, np.float32), f"{name}.shift", decay=False)
         self.running_mean = np.zeros(channels, dtype=np.float32)
         self.running_var = np.ones(channels, dtype=np.float32)
         self.name = name
@@ -576,17 +578,14 @@ class BatchNorm3d(Module):
             mean = self.running_mean.astype(x.dtype)
             var = self.running_var.astype(x.dtype)
         ivar = 1.0 / np.sqrt(var + BN_EPS)
-        gain, shift = self.gain.value, self.shift.value
-        dtype = np.result_type(x, gain)
-        # xhat stays in x for the backward, or the output is wider than x
-        y = np.empty(x.shape, dtype) if remember or dtype != x.dtype else x
+        y = np.empty_like(x) if remember else x  # xhat stays in x for the backward
         for n, c in slabs:
             xs = x[n, c]
             if not self.training:
                 xs -= mean[c][per_channel]
             xs *= ivar[c][per_channel]
-            ys = np.multiply(gain[c][per_channel], xs, out=y[n, c])
-            ys += shift[c][per_channel]
+            ys = np.multiply(self.gain.value[c][per_channel], xs, out=y[n, c])
+            ys += self.shift.value[c][per_channel]
         self.save_for_backward((x, ivar, m), remember)
         return y
 
@@ -595,7 +594,7 @@ class BatchNorm3d(Module):
         axes = (0, 2, 3, 4)
         dshift = grad_out.sum(axis=axes)
         gscale = (self.gain.value * ivar)[None, :, None, None, None]
-        out = np.multiply(grad_out, xhat, dtype=np.result_type(grad_out, xhat, gscale))
+        out = np.multiply(grad_out, xhat)
         dgain = out.sum(axis=axes)
         self.shift.grad += dshift
         self.gain.grad += dgain
@@ -678,15 +677,19 @@ def _max_pass(x, arg, axis, kernel, stride, padding, size, scale, remember):
 class MaxPool3d(Module):
     """Max pooling with -inf padding and first-window-position tie-breaks.
 
-    The forward takes three 1-D passes, along w, then h, then d, each over
-    clipped slices of the unpadded input. Every pass keeps the first of
-    tied taps and never takes NaN, so the last pass picks the
-    lexicographically first (a, b, c) window offset holding the maximum:
-    the value and the tie-break of a scan over all kd*kh*kw taps. A tensor
-    over ``MAX_PATCH_BYTES`` is pooled one ``_slabs`` block at a time, so
-    the passes' intermediates and masks stay budget-sized; each block's
-    result is copied into one output array (and one int16 argmax array
-    when ``remember`` is set).
+    The forward takes three 1-D passes, along w, then h, then d, over
+    clipped slices of the unpadded input. Each keeps the first of tied taps
+    and never takes NaN, so the last picks the first (a, b, c) offset
+    holding the maximum, as a scan over all kd*kh*kw taps would. A tensor
+    over ``MAX_PATCH_BYTES`` is pooled one ``_slabs`` block at a time into
+    one output array (and one int16 argmax array with ``remember``).
+
+    The backward walks the same blocks and, in each, the taps in descending
+    order: a tap adds the gradients of the outputs it won, clipped by
+    ``_tap`` and selected on their bits, into the input slice it read. Per
+    input cell that is ascending outputs, the C order of a scatter-add
+    over the outputs, and a lost tap adds +0.0, which changes no bit: the
+    scatter's bytes, but for a NaN's sign where +inf meets -inf.
     """
 
     def __init__(self, kernel, stride=None, padding=0):
@@ -715,28 +718,20 @@ class MaxPool3d(Module):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         arg, in_shape = self.take_saved()
-        kd, kh, kw = self.spec.kernel
-        sd, sh, sw = self.spec.stride
-        pd, ph, pw = self.spec.padding
-        n, c, do, ho, wo = grad_out.shape
-        a = arg // (kh * kw)
-        b = (arg // kw) % kh
-        cc = arg % kw
-        gxp = np.zeros(
-            (n, c, in_shape[2] + 2 * pd, in_shape[3] + 2 * ph, in_shape[4] + 2 * pw),
-            dtype=grad_out.dtype,
-        )
-        ni = np.arange(n)[:, None, None, None, None]
-        ci = np.arange(c)[None, :, None, None, None]
-        di = np.arange(do)[None, None, :, None, None] * sd + a
-        hi = np.arange(ho)[None, None, None, :, None] * sh + b
-        wi = np.arange(wo)[None, None, None, None, :] * sw + cc
-        np.add.at(gxp, (ni, ci, di, hi, wi), grad_out)
-        if pd or ph or pw:
-            return np.ascontiguousarray(
-                gxp[:, :, pd : pd + in_shape[2], ph : ph + in_shape[3], pw : pw + in_shape[4]]
-            )
-        return gxp
+        axes = [[_tap(t, s, p, size, 0, o) for t in range(k)] for k, s, p, size, o in zip(
+            self.spec.kernel, self.spec.stride, self.spec.padding, in_shape[2:], arg.shape[2:])]
+        # (flat tap, the outputs it reaches, the input cells they read)
+        walk = [(t, (..., *(slice(lo, hi) for lo, hi, _ in r)), (..., *(src for *_, src in r)))
+                for t, r in enumerate(itertools.product(*axes)) if all(lo < hi for lo, hi, _ in r)]
+        gx = np.zeros(in_shape, grad_out.dtype)
+        for n, c in _slabs(gx):
+            gs, args, gxs = grad_out[n, c], arg[n, c], gx[n, c]
+            won, picked = np.empty(gs.shape, bool), np.empty(gs.shape, f"i{gs.itemsize}")
+            for t, outs, ins in reversed(walk):
+                np.equal(args[outs], t, out=won[outs])
+                np.multiply(gs[outs].view(picked.dtype), won[outs], out=picked[outs])
+                gxs[ins] += picked[outs].view(gs.dtype)
+        return gx
 
 
 class AdaptiveResize3d(Module):

@@ -1,8 +1,8 @@
 """Finite-difference gradient verification helpers shared by the tests.
 
-All checks run in float64 with central differences. A layer is built in
-float64 through its ``dtype``; a model is float32 only, so a float64 model
-is a built one recast by ``as_float64``. Agreement is measured normwise:
+All checks run in float64 with central differences. Layers and models
+build float32 parameters, so a float64 layer or model is a built one
+recast by ``as_float64``. Agreement is measured normwise:
 ||a - n|| / (||a|| + ||n||), which stays meaningful when individual
 coordinates pass through zero.
 
@@ -23,8 +23,8 @@ DEFAULT_TOL = 1e-6
 
 def as_float64(module):
     """Recast every parameter's value and gradient to float64, in place, and
-    return the module. Running statistics are float32 at any dtype, and the
-    weights keep their float32-rounded values."""
+    return the module. Running statistics stay float32, and the weights
+    keep their float32-rounded values."""
     for p in module.parameters():
         p.value = p.value.astype(np.float64)
         p.grad = p.grad.astype(np.float64)

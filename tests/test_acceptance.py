@@ -133,11 +133,11 @@ def _layer_cases(seed):
     rng = np.random.default_rng(seed)
     shape = (2, 3, int(rng.integers(3, 6)), int(rng.integers(4, 8)), int(rng.integers(4, 8)))
     x = rng.normal(size=shape)
-    yield "conv3d", nn.Conv3d(3, 4, kernel=3, stride=(1, 2, 2), padding=1,
-                              name="c", seed=seed, dtype=np.float64), x
-    yield "deconv3d", nn.Deconv3d(3, 2, kernel=2, stride=2,
-                                  name="d", seed=seed, dtype=np.float64), x
-    bn = nn.BatchNorm3d(3, name="b", dtype=np.float64)
+    yield "conv3d", as_float64(nn.Conv3d(3, 4, kernel=3, stride=(1, 2, 2), padding=1,
+                                         name="c", seed=seed)), x
+    yield "deconv3d", as_float64(nn.Deconv3d(3, 2, kernel=2, stride=2,
+                                             name="d", seed=seed)), x
+    bn = as_float64(nn.BatchNorm3d(3, name="b"))
     bn.training = True
     yield "batchnorm", bn, x
     yield "relu", nn.ReLU(), x

@@ -478,6 +478,20 @@ class TestPreprocess:
         assert "binning: target dimensions must be positive" in capsys.readouterr().err
         assert not (data / "cache").exists()
 
+    # 5e-324 makes the frame count infinite, 1e-300 one no array shape holds
+    @pytest.mark.parametrize("window", [5e-324, 1e-300])
+    @pytest.mark.parametrize("command", ["preprocess", "train"])
+    def test_window_too_fine_to_bin_exits_2(self, pipeline, tmp_path, capsys, command, window):
+        data = copy_dataset(pipeline, tmp_path)
+        cfg = write_config(tmp_path / "c.json", {"binning": {"window": window}})
+        args = [command, "--toy", "--config", cfg, "--manifest", str(data / "manifest.json")]
+        if command == "train":
+            args += ["--out", str(tmp_path / "run")]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert f"binning.window {window!r} cuts the stream's 0.5 s into" in err
+        assert "Traceback" not in err
+
     def test_bad_thread_values_exit_2(self, pipeline):
         args = ["preprocess", "--toy", "--manifest", str(pipeline["manifest"])]
         assert cli.main(args + ["--threads", "0"]) == 2
