@@ -36,6 +36,7 @@ of its entries in a checkpoint.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -317,8 +318,8 @@ class E2VModel(nn.Module):
         enc, seed = config.encoder, config.seed
         self.encoder = build_encoder(enc, seed)
         self.decoder = Decoder(config.decoder, enc.out_channels, enc.resolution, seed)
-        names = [p.name for p in self.parameters()] + [n for n, _ in self.buffers()]
-        dupes = {n for n in names if names.count(n) > 1}
+        names = Counter([p.name for p in self.parameters()] + [n for n, _ in self.buffers()])
+        dupes = {n for n, count in names.items() if count > 1}
         if dupes:
             raise ConfigError(f"duplicate state names in model: {sorted(dupes)}")
 

@@ -312,8 +312,10 @@ def evaluate(
 ) -> EvalReport:
     """Score samples (frames, label[, category]), as ``train`` takes them,
     with the model in inference mode; a sample without a category counts
-    as "all". Means are reported per category plus a sample-weighted
-    Overall row."""
+    as "all". Each prediction is binarized at ``threshold`` and scored
+    against its label grid by ``voxel.iou`` and by ``voxel.fscore`` at
+    ``distance``, both on the grids themselves. Means are reported per
+    category plus a sample-weighted Overall row."""
     _validate_dataset(dataset)
     model.eval()
     cats = [s[2] if len(s) > 2 else "all" for s in dataset]
@@ -324,10 +326,7 @@ def evaluate(
         probs = model.forward(x, remember=False)
         for j, sample in enumerate(chunk):
             pred, gt = voxel.binarize(probs[j], threshold), sample[1]
-            score_i = voxel.iou(pred, gt)
-            pred_pts, gt_pts = voxel.voxel_to_points(pred), voxel.voxel_to_points(gt)
-            score_f = voxel.fscore(pred_pts, gt_pts, distance=distance)
-            per_sample.append((score_i, score_f))
+            per_sample.append((voxel.iou(pred, gt), voxel.fscore(pred, gt, distance)))
 
     by_cat: dict[str, list[tuple[float, float]]] = {}
     for cat, scores in zip(cats, per_sample):

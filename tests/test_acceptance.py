@@ -55,7 +55,6 @@ from ev2vox.voxel import (
     parse_obj,
     unit_cube_mesh,
     uv_sphere_mesh,
-    voxel_to_points,
     voxelize,
     write_vox1,
 )
@@ -243,9 +242,9 @@ def test_criterion_4_metric_oracles(announce):
             assert got == expect, f"IoU mismatch on case {case}"
 
             d = float(rng.uniform(0.05, 0.5))
-            rec = voxel_to_points(VoxelGrid(8, pred_occ))
-            ref = voxel_to_points(VoxelGrid(8, gt))
-            got_f = fscore(rec, ref, distance=d)
+            got_f = fscore(VoxelGrid(8, pred_occ), VoxelGrid(8, gt), distance=d)
+            rec = (np.argwhere(pred_occ) + 0.5) / 8
+            ref = (np.argwhere(gt) + 0.5) / 8
             if len(rec) == 0 or len(ref) == 0:
                 both_empty = len(rec) == 0 and len(ref) == 0
                 assert got_f == (1.0 if both_empty else 0.0)
@@ -262,8 +261,8 @@ def test_criterion_4_metric_oracles(announce):
         empty = VoxelGrid(8, np.zeros((8, 8, 8), dtype=bool))
         full = VoxelGrid(8, np.ones((8, 8, 8), dtype=bool))
         assert iou(empty, empty) == 1.0
-        assert fscore(voxel_to_points(empty), voxel_to_points(full), 0.2) == 0.0
-        assert fscore(voxel_to_points(full), voxel_to_points(empty), 0.2) == 0.0
+        assert fscore(empty, full, 0.2) == 0.0
+        assert fscore(full, empty, 0.2) == 0.0
 
         loss, _ = bce_loss(np.full((1, 4, 4, 4), 0.5), np.zeros((1, 4, 4, 4)))
         assert abs(loss - np.log(2.0)) < 1e-6

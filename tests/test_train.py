@@ -322,8 +322,7 @@ class TestEvaluate:
         for p, gt in zip(preds, gts):
             pred = voxel.binarize(p, 0.3)
             expect_iou.append(voxel.iou(pred, gt))
-            expect_f.append(
-                voxel.fscore(voxel.voxel_to_points(pred), voxel.voxel_to_points(gt), 0.2))
+            expect_f.append(voxel.fscore(pred, gt, 0.2))
         assert report.rows[0].iou == pytest.approx(np.mean(expect_iou))
         assert report.rows[0].fscore == pytest.approx(np.mean(expect_f))
 

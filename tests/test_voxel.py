@@ -39,23 +39,49 @@ def brute_force_iou(pred_values, gt_occ, t):
 
 
 def brute_force_fscore(rec, gt, d):
-    if len(rec) == 0 and len(gt) == 0:
+    """F-Score from the integer offset between every pair of occupied
+    cells: a cell is within ``d`` when sqrt(di^2 + dj^2 + dk^2) / R < d."""
+    a, b = np.argwhere(rec.occupancy), np.argwhere(gt.occupancy)
+    if len(a) == 0 and len(b) == 0:
         return 1.0
-    if len(rec) == 0 or len(gt) == 0:
+    if len(a) == 0 or len(b) == 0:
         return 0.0
-    hits = 0
-    for p in rec:
-        if min(np.linalg.norm(p - q) for q in gt) < d:
-            hits += 1
-    precision = hits / len(rec)
-    hits = 0
-    for q in gt:
-        if min(np.linalg.norm(q - p) for p in rec) < d:
-            hits += 1
-    recall = hits / len(gt)
+    sq = sum((a[:, None, k] - b[None, :, k]) ** 2 for k in range(3))
+    precision = np.sum(np.sqrt(sq.min(axis=1)) / rec.resolution < d) / len(a)
+    recall = np.sum(np.sqrt(sq.min(axis=0)) / rec.resolution < d) / len(b)
     if precision + recall == 0:
         return 0.0
     return 2 * precision * recall / (precision + recall)
+
+
+def kdtree_fscore(rec, gt, d):
+    """The F-Score as it was computed before the distance transform: each
+    occupied cell's center as a point, and the nearest point of the other
+    grid from a KD-tree."""
+    from scipy.spatial import cKDTree
+
+    a = (np.argwhere(rec.occupancy) + 0.5) / rec.resolution
+    b = (np.argwhere(gt.occupancy) + 0.5) / gt.resolution
+    if len(a) == 0 and len(b) == 0:
+        return 1.0
+    if len(a) == 0 or len(b) == 0:
+        return 0.0
+    precision = float(np.mean(cKDTree(b).query(a)[0] < d))
+    recall = float(np.mean(cKDTree(a).query(b)[0] < d))
+    if precision + recall == 0.0:
+        return 0.0
+    return 2.0 * precision * recall / (precision + recall)
+
+
+def fscore_cases(r, seed):
+    """Random grid pairs at resolution ``r`` and a random distance; at
+    most about r^2 / 2 cells each, for the all-pairs brute force, and at
+    the smaller R one grid is empty now and then."""
+    rng = np.random.default_rng(seed)
+    for _ in range(12):
+        yield (random_voxel_grid(rng, r, rng.uniform(0.0, 0.5 / r)),
+               random_voxel_grid(rng, r, rng.uniform(0.0, 0.5 / r)),
+               float(rng.uniform(0.01, 0.5)))
 
 
 class TestParseObj:
@@ -480,78 +506,96 @@ class TestIoU:
             assert got == pytest.approx(want, abs=1e-12)
 
 
-class TestVoxelToPoints:
-    def test_empty(self):
-        assert len(vx.voxel_to_points(vx.VoxelGrid.empty(4))) == 0
-
-    def test_single_cell_center(self):
-        g = vx.VoxelGrid.empty(32)
-        g.occupancy[0, 0, 0] = True
-        pts = vx.voxel_to_points(g)
-        np.testing.assert_allclose(pts, [[1 / 64, 1 / 64, 1 / 64]])
-
-    def test_count_matches_popcount(self):
-        rng = np.random.default_rng(5)
-        g = random_voxel_grid(rng)
-        assert len(vx.voxel_to_points(g)) == g.count()
-
-    def test_points_in_unit_cube(self):
-        rng = np.random.default_rng(6)
-        g = random_voxel_grid(rng)
-        pts = vx.voxel_to_points(g)
-        assert np.all(pts > 0) and np.all(pts < 1)
+def one_cell(r, *cell):
+    g = vx.VoxelGrid.empty(r)
+    g.occupancy[cell] = True
+    return g
 
 
 class TestFScore:
     def test_identical_sets(self):
-        rng = np.random.default_rng(7)
-        pts = rng.uniform(size=(15, 3))
-        assert vx.fscore(pts, pts, 0.2) == 1.0
+        g = random_voxel_grid(np.random.default_rng(7))
+        assert vx.fscore(g, g, 0.2) == 1.0
+        assert vx.fscore(g, g, 1e-9) == 1.0
 
     def test_hand_computed_pair(self):
-        a = np.array([[0.1, 0.5, 0.5]])
-        b = np.array([[0.4, 0.5, 0.5]])
+        # three cells apart along x: 3/8 = 0.375
+        a, b = one_cell(8, 0, 4, 4), one_cell(8, 3, 4, 4)
         assert vx.fscore(a, b, 0.2) == 0.0
         assert vx.fscore(a, b, 0.4) == 1.0
 
     def test_strict_inequality(self):
-        a = np.array([[0.0, 0.0, 0.0]])
-        b = np.array([[0.2, 0.0, 0.0]])
-        assert vx.fscore(a, b, 0.2) == 0.0
+        # two cells apart along x and y: sqrt(8)/8 exactly, as numpy rounds it
+        a, b = one_cell(8, 1, 1, 4), one_cell(8, 3, 3, 4)
+        at = float(np.sqrt(8.0) / 8)
+        assert vx.fscore(a, b, at) == 0.0
+        assert vx.fscore(a, b, math.nextafter(at, 1.0)) == 1.0
 
     def test_empty_conventions(self):
-        e = np.zeros((0, 3))
-        p = np.array([[0.5, 0.5, 0.5]])
+        e = vx.VoxelGrid.empty(4)
+        p = one_cell(4, 2, 2, 2)
         assert vx.fscore(e, e, 0.2) == 1.0
         assert vx.fscore(e, p, 0.2) == 0.0
         assert vx.fscore(p, e, 0.2) == 0.0
 
     def test_symmetry(self):
         rng = np.random.default_rng(8)
-        a = rng.uniform(size=(10, 3))
-        b = rng.uniform(size=(17, 3))
-        assert vx.fscore(a, b, 0.2) == pytest.approx(vx.fscore(b, a, 0.2), abs=1e-15)
+        a, b = random_voxel_grid(rng, density=0.1), random_voxel_grid(rng, density=0.3)
+        assert vx.fscore(a, b, 0.2) == vx.fscore(b, a, 0.2)
 
     def test_monotone_in_distance(self):
         rng = np.random.default_rng(9)
-        a = rng.uniform(size=(12, 3))
-        b = rng.uniform(size=(12, 3))
+        a, b = random_voxel_grid(rng, density=0.05), random_voxel_grid(rng, density=0.05)
         scores = [vx.fscore(a, b, d) for d in (0.05, 0.1, 0.2, 0.4, 0.8)]
         assert all(s1 <= s2 for s1, s2 in zip(scores, scores[1:]))
 
     def test_non_positive_distance(self):
-        p = np.zeros((1, 3))
+        g = one_cell(4, 0, 0, 0)
         with pytest.raises(ConfigError, match="distance tolerance must be positive"):
-            vx.fscore(p, p, 0.0)
+            vx.fscore(g, g, 0.0)
+
+    def test_rejects_resolution_mismatch(self):
+        with pytest.raises(DataError, match="prediction R=4 vs ground truth R=8"):
+            vx.fscore(vx.VoxelGrid.empty(4), vx.VoxelGrid.empty(8), 0.2)
 
     def test_matches_brute_force(self):
-        rng = np.random.default_rng(10)
-        for _ in range(20):
-            a = rng.uniform(size=(rng.integers(0, 25), 3))
-            b = rng.uniform(size=(rng.integers(0, 25), 3))
-            got = vx.fscore(a, b, 0.2)
-            want = brute_force_fscore(a, b, 0.2)
-            assert got == pytest.approx(want, abs=1e-12)
+        # bit for bit, at power-of-two R and others; 1/R and sqrt(2)/R are
+        # ties at every R, and so is 0.2 at R=30 (6 cells), each decided by
+        # the cell offset alone
+        for r in (8, 12, 30, 32):
+            for a, b, d in fscore_cases(r, seed=r):
+                for dist in (1 / r, math.sqrt(2) / r, 0.2, d):
+                    got = vx.fscore(a, b, dist)
+                    assert got == brute_force_fscore(a, b, dist), (r, dist)
+
+    @pytest.mark.parametrize("r", [8, 32])
+    def test_matches_kdtree_at_power_of_two_resolution(self, r):
+        # every difference of cell centers is exact, so the KD-tree's
+        # distances are the transform's bit for bit, ties included
+        rng = np.random.default_rng(100 + r)
+        cases = list(fscore_cases(r, seed=200 + r)) + [
+            (random_voxel_grid(rng, r, 0.3), random_voxel_grid(rng, r, 0.1), 0.2)]
+        for a, b, d in cases:
+            for dist in (1 / r, math.sqrt(2) / r, 0.2, d):
+                assert vx.fscore(a, b, dist) == kdtree_fscore(a, b, dist), (r, dist)
+
+
+IMPORT_WEIGHT_SCRIPT = """
+import importlib, sys
+importlib.import_module(sys.argv[1])
+print(" ".join(m for m in ("scipy.spatial", "scipy.sparse") if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("module", ["ev2vox.cli", "ev2vox.sim"])
+def test_import_loads_no_kdtree(module):
+    # F-Score reads a distance transform, so no process needs scipy.spatial
+    # (and the scipy.sparse it pulls in), about 12 MiB of RSS at start-up
+    src = os.path.dirname(os.path.dirname(vx.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", IMPORT_WEIGHT_SCRIPT, module], env=env,
+                         capture_output=True, text=True, check=True, timeout=120).stdout
+    assert out.split() == []
 
 
 class TestVox1Format:
