@@ -16,11 +16,12 @@ occupancy label. The renderer and the label call these and never branch on
 the type; a scene holding a mesh and primitives is labelled with the union
 of their parts.
 
-A mesh is raycast by screen tiles. Each triangle's projected pixel
-bounding box, grown by one pixel, bins it into TILE x TILE tiles, and each
-tile runs the Moller-Trumbore test on its own rays against its candidates
-only. The image is the one a test of every ray against every triangle
-would give, byte for byte; ``render_frame`` says why.
+A mesh is raycast by 2 x 2-pixel screen tiles. Each triangle's projected
+pixel bounding box, grown by one pixel, bins it into tiles, and batches of
+tiles, each batch under a fixed byte budget, run the Moller-Trumbore test
+of each tile's rays against that tile's candidates only. The image is the
+one a test of every ray against every triangle would give, byte for byte,
+under one assumption about BLAS; ``render_frame`` says why.
 
 Event synthesis follows the usual contrast-threshold model: per pixel,
 log intensity is tracked against a reference level that advances by the
@@ -50,10 +51,10 @@ REVOLUTIONS = 1.0
 # a full-frame camera behind an 80 mm lens
 FOCAL_LENGTH_MM = 80.0
 SENSOR_WIDTH_MM = 36.0
-# triangles tested against a tile's rays at once by the mesh raycaster
-TRIANGLE_CHUNK = 512
 # side in pixels of the square screen tiles the mesh raycaster bins into
-TILE = 8
+TILE = 2
+# bytes of the (rays, tiles, candidates, 3) array in one raycaster batch
+BATCH_BYTES = 2**19
 
 # direction (unit), weight -- all with zero y-component, see module docstring
 _LIGHTS = (
@@ -73,6 +74,15 @@ class TrajectoryConfig:
             raise ConfigError(f"duration must be positive, got {self.duration}")
         if self.fps <= 0:
             raise ConfigError(f"fps must be positive, got {self.fps}")
+
+    @property
+    def frame_count(self) -> int:
+        """Frames in the orbit video: duration * fps, floored, except that a
+        product within rounding of an integer is that integer (0.29 * 100 is
+        28.999999999999996, and 29 frames)."""
+        product = self.duration * self.fps
+        nearest = round(product)
+        return nearest if math.isclose(product, nearest) else math.floor(product)
 
 
 @dataclass(frozen=True)
@@ -285,73 +295,154 @@ def camera_pose(cfg: TrajectoryConfig, t: float) -> Pose:
     return look_at_pose([r * math.cos(theta), r * math.sin(theta), z])
 
 
-def _triangle_hits(o, d, vertices, triangles):
-    """Nearest triangle intersection per ray (Moller-Trumbore), plus the
-    index of the winning triangle; inf / -1 where missed."""
-    n = d.shape[0]
-    best_t = np.full(n, np.inf)
-    best_tri = np.full(n, -1, dtype=np.int64)
-    eps = 1e-12
-    rows = np.arange(n)
-    for lo in range(0, len(triangles), TRIANGLE_CHUNK):
-        tri = triangles[lo:lo + TRIANGLE_CHUNK]
-        a = vertices[tri[:, 0]]
-        e1 = vertices[tri[:, 1]] - a
-        e2 = vertices[tri[:, 2]] - a
-        # the ray origin is shared, so s and q depend on the triangle only
-        s = o[None, :] - a
-        q = np.cross(s, e1)
-        p = np.cross(d[:, None, :], e2[None, :, :])
-        det = np.einsum("rtk,tk->rt", p, e1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 1.0 / det
-            u = np.einsum("rtk,tk->rt", p, s) * inv
-            v = (d @ q.T) * inv
-            t = np.einsum("tk,tk->t", q, e2)[None, :] * inv
-        good = (
-            (np.abs(det) > eps)
-            & (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0)
-            & (t > 1e-9)
-        )
-        t = np.where(good, t, np.inf)
-        idx = np.argmin(t, axis=1)
-        tmin = t[rows, idx]
-        closer = tmin < best_t
-        best_t[closer] = tmin[closer]
-        best_tri[closer] = lo + idx[closer]
-    return best_t, best_tri
+def _triangle_terms(o, vertices, triangles):
+    """The Moller-Trumbore terms that depend on the triangle alone, with a
+    degenerate triangle appended at index F that no ray hits.
+
+    Returns ``terms`` (F + 1, 4, 3), holding e1, e2, s = o - a and
+    q = s x e1 per triangle, and ``qe2`` (F + 1,), holding q . e2."""
+    terms = np.zeros((len(triangles) + 1, 4, 3))
+    e1, e2, s, q = (terms[:-1, i] for i in range(4))
+    a = vertices[triangles[:, 0]]
+    np.subtract(vertices[triangles[:, 1]], a, out=e1)
+    np.subtract(vertices[triangles[:, 2]], a, out=e2)
+    np.subtract(o[None, :], a, out=s)
+    q[...] = np.cross(s, e1)
+    return terms, np.append(np.einsum("tk,tk->t", q, e2), 0.0)
+
+
+def _moller_trumbore(d, terms, qe2, cand):
+    """Nearest hit of each tile's rays among that tile's candidates.
+
+    ``d`` (R, B, 3) holds ray r of tile b at [r, b], and ``cand`` (B, C)
+    each tile's triangle indices into ``terms`` in ascending order, padded
+    with the degenerate triangle. Returns the hit distance and the winning
+    index per ray, (R, B) each, inf / -1 where missed."""
+    (r, b), c = d.shape[:2], cand.shape[1]
+    g = np.take(terms, cand.ravel(), axis=0)
+    e1, e2, s, q = (g[:, i] for i in range(4))
+    # each pair at [r, b * c + j] with the coordinate axis last, so that its
+    # sums over k run in the same einsum loop as in a test of all rays
+    # against all triangles
+    p = np.cross(d[:, :, None, :], e2.reshape(b, c, 3)).reshape(r, b * c, 3)
+    det = np.einsum("rnk,nk->rn", p, e1)
+    # one BLAS product per tile
+    v = np.empty((r, b, c))
+    np.matmul(d.transpose(1, 0, 2), q.reshape(b, c, 3).transpose(0, 2, 1),
+              out=v.transpose(1, 0, 2))
+    v = v.reshape(r, b * c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / det
+        u = np.einsum("rnk,nk->rn", p, s) * inv
+        v *= inv
+        t = np.take(qe2, cand.ravel()) * inv
+    good = (
+        (np.abs(det) > 1e-12)
+        & (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0)
+        & (t > 1e-9)
+    )
+    t = np.where(good, t, np.inf).reshape(r, b, c)
+    # argmin takes the first of equal distances: the lowest index
+    idx = np.argmin(t, axis=2)
+    tmin = np.take_along_axis(t, idx[:, :, None], axis=2)[:, :, 0]
+    winner = np.take_along_axis(cand, idx.T, axis=1).T
+    return tmin, np.where(tmin < np.inf, winner, -1)
+
+
+def _tile_span(lo, hi, size):
+    """First and last tile along a screen axis of ``size`` pixels holding
+    a pixel center (at integer coordinates) in [lo, hi]; last < first
+    where none does."""
+    first = np.clip(np.ceil(lo), 0.0, size)
+    last = np.clip(np.floor(hi), -1.0, size - 1.0)
+    last = np.where(first <= last, last // TILE, -1)
+    return (first // TILE).astype(np.int64), last.astype(np.int64)
+
+
+def _tile_candidates(binned, cols, rows, cam: CameraIntrinsics):
+    """Bin the ``binned`` triangles into the frame's TILE x TILE tiles,
+    row-major: each goes to the tiles holding a pixel center inside the box
+    spanned by its projected vertices ``cols`` and ``rows`` (3, n), grown by
+    one pixel. Returns every tile's candidates, in ascending triangle order,
+    one tile after another, and each tile's count and start in them."""
+    th, tw = -(-cam.height // TILE), -(-cam.width // TILE)
+    c0, c1 = _tile_span(cols.min(axis=0) - 1.0, cols.max(axis=0) + 1.0, cam.width)
+    r0, r1 = _tile_span(rows.min(axis=0) - 1.0, rows.max(axis=0) + 1.0, cam.height)
+    ncol = np.maximum(c1 - c0 + 1, 0)
+    n = np.maximum(r1 - r0 + 1, 0) * ncol
+    owner = np.repeat(np.arange(len(n)), n)
+    k = np.arange(len(owner)) - np.repeat(np.cumsum(n) - n, n)
+    tile = (r0[owner] + k // ncol[owner]) * tw + c0[owner] + k % ncol[owner]
+    count = np.bincount(tile, minlength=th * tw)
+    return binned[owner[np.argsort(tile, kind="stable")]], count, np.cumsum(count) - count
+
+
+def _tile_hits(d, terms, qe2, binned, cols, rows, cam: CameraIntrinsics):
+    """``_moller_trumbore`` per TILE x TILE screen tile on its candidates
+    among the ``binned`` triangles (see ``_tile_candidates``), in batches
+    of tiles whose (R, B, C, 3) array fits BATCH_BYTES. Returns hits and
+    winners in the row-major pixel order of ``d``."""
+    h, w = cam.height, cam.width
+    th, tw = -(-h // TILE), -(-w // TILE)
+    cands, count, start = _tile_candidates(binned, cols, rows, cam)
+    # one entry past the last pads every batch with the degenerate triangle
+    cands = np.append(cands, len(terms) - 1)
+    rays = TILE * TILE
+    tile_d = np.pad(d.reshape(h, w, 3), ((0, th * TILE - h), (0, tw * TILE - w), (0, 0)))
+    tile_d = tile_d.reshape(th, TILE, tw, TILE, 3).transpose(1, 3, 0, 2, 4).reshape(rays, -1, 3)
+    best_t = np.full((rays, th * tw), np.inf)
+    best_tri = np.full((rays, th * tw), -1, dtype=np.int64)
+    # tiles in ascending candidate count, so that a batch of n tiles is
+    # n times its last tile's count wide and little of it is padding
+    todo = np.flatnonzero(count)
+    todo = todo[np.argsort(count[todo], kind="stable")]
+    lo = 0
+    while lo < len(todo):
+        size = np.arange(1, len(todo) - lo + 1) * count[todo[lo:]] * rays * 3 * d.itemsize
+        batch = todo[lo:lo + max(1, np.count_nonzero(size <= BATCH_BYTES))]
+        lo += len(batch)
+        slot = np.arange(count[batch[-1]])
+        pos = np.where(slot < count[batch][:, None], start[batch][:, None] + slot, -1)
+        best_t[:, batch], best_tri[:, batch] = _moller_trumbore(
+            tile_d[:, batch], terms, qe2, cands[pos])
+
+    def frame(x):
+        x = x.reshape(TILE, TILE, th, tw).transpose(2, 0, 3, 1).reshape(th * TILE, tw * TILE)
+        return x[:h, :w].ravel()
+
+    return frame(best_t), frame(best_tri)
 
 
 def _mesh_hits(o, d, vertices, triangles, pose: Pose, cam: CameraIntrinsics):
-    """``_triangle_hits`` over a frame's rays, run per screen tile on the
-    triangles whose grown pixel bounding box overlaps the tile (see
-    ``render_frame``). ``d`` holds the rays in row-major pixel order."""
+    """Nearest triangle hit per ray and the index of the winning triangle,
+    inf / -1 where missed (see ``render_frame``). ``d`` holds the rays in
+    row-major pixel order."""
     h, w = cam.height, cam.width
     rel = vertices - o
     depth = rel @ pose.forward
     with np.errstate(divide="ignore", invalid="ignore"):
         cols = (rel @ pose.right) / depth * cam.f_pix + (w / 2.0 - 0.5)
         rows = (h / 2.0 - 0.5) - (rel @ pose.up) / depth * cam.f_pix
-    behind = (depth[triangles] <= 1e-6).any(axis=1)
-    col_lo = np.where(behind, -np.inf, cols[triangles].min(axis=1) - 1.0)
-    col_hi = np.where(behind, np.inf, cols[triangles].max(axis=1) + 1.0)
-    row_lo = np.where(behind, -np.inf, rows[triangles].min(axis=1) - 1.0)
-    row_hi = np.where(behind, np.inf, rows[triangles].max(axis=1) + 1.0)
-
-    best_t = np.full(d.shape[0], np.inf)
-    best_tri = np.full(d.shape[0], -1, dtype=np.int64)
-    for r0 in range(0, h, TILE):
-        r1 = min(r0 + TILE, h)
-        in_rows = np.flatnonzero((row_lo <= r1 - 1) & (row_hi >= r0))
-        for c0 in range(0, w, TILE):
-            c1 = min(c0 + TILE, w)
-            cand = in_rows[(col_lo[in_rows] <= c1 - 1) & (col_hi[in_rows] >= c0)]
-            if cand.size == 0:
-                continue
-            rays = (np.arange(r0, r1)[:, None] * w + np.arange(c0, c1)[None, :]).ravel()
-            t, local = _triangle_hits(o, d[rays], vertices, triangles[cand])
-            best_t[rays] = t
-            best_tri[rays] = np.where(local >= 0, cand[local], -1)
+    # one C-ordered column per triangle (np.take keeps that order, fancy
+    # slicing does not), so reducing over a triangle's vertices is a fast
+    # axis-0 reduction
+    corners = np.ascontiguousarray(triangles.T)
+    behind = (depth[corners] <= 1e-6).any(axis=0)
+    terms, qe2 = _triangle_terms(o, vertices, triangles)
+    binned = np.flatnonzero(~behind)
+    corners = np.take(corners, binned, axis=1)
+    best_t, best_tri = _tile_hits(d, terms, qe2, binned, cols[corners], rows[corners], cam)
+    shared = np.flatnonzero(behind)
+    if len(shared):
+        # no pixel box bounds a triangle reaching behind the camera, so
+        # every ray meets all of them, in tiles of many rays that share them
+        step = max(1, BATCH_BYTES // (3 * d.itemsize * len(shared)))
+        for lo in range(0, len(d), step):
+            t, tri = _moller_trumbore(d[lo:lo + step, None], terms, qe2, shared[None])
+            t, tri = t[:, 0], tri[:, 0]
+            bt, btri = best_t[lo:lo + step], best_tri[lo:lo + step]
+            take = (t < bt) | ((t == bt) & (tri < btri))
+            bt[take], btri[take] = t[take], tri[take]
     return best_t, best_tri
 
 
@@ -361,18 +452,29 @@ def render_frame(scene: Scene, pose: Pose, cam: CameraIntrinsics) -> np.ndarray:
     Returns an (H, W) float64 image in [0, 1]; row 0 is the top of the
     image and column 0 the left edge as seen by the camera.
 
-    A mesh goes through ``_mesh_hits``: each triangle is projected through
-    the pose and intrinsics and binned into the screen tiles its pixel
-    bounding box, grown by one pixel, overlaps; a triangle with a vertex at
-    camera depth <= 1e-6 goes to every tile. Each tile then runs
-    ``_triangle_hits`` on its rays and its candidates. The image equals
-    the brute-force one (every ray against every triangle) byte for byte:
-    a ray can only hit a triangle whose projection holds its pixel center,
-    so no tile misses a hit; candidates keep ascending index order, so a
-    tie in depth still goes to the lowest triangle index; and each
-    ray-triangle pair runs the same arithmetic. The one assumption is that
-    BLAS gives the same bits for each element of ``d @ q.T`` whatever the
-    block shape, which the mesh digests in ``bench/reference.json`` check.
+    A mesh goes through ``_mesh_hits``. Each triangle is projected through
+    the pose and intrinsics, and its pixel bounding box, grown by one
+    pixel, bins it into the TILE x TILE (2 x 2) screen tiles holding a
+    pixel center inside the box. Tiles run Moller-Trumbore on their rays
+    and candidates in batches whose padded (rays, tiles, candidates, 3)
+    array fits BATCH_BYTES; the padding is a degenerate triangle, which
+    never hits. A triangle with a vertex at camera depth <= 1e-6 has no
+    box: every ray is tested against all such triangles, in chunks that
+    share their one list. The image equals the brute-force one (every ray
+    against every triangle) byte for byte:
+    - a ray can only hit a triangle whose projection holds its pixel
+      center, so no tile misses a hit;
+    - each ray-triangle pair runs the same arithmetic: the per-triangle
+      terms once per frame, ``np.cross``, ``einsum`` with the coordinate
+      axis last, and v from a BLAS product (one per tile);
+    - a tie in depth still goes to the lowest triangle index: candidates
+      are in ascending order, ``argmin`` takes the first of equal
+      distances, and a tie between a tile's winner and a shared
+      triangle's goes to the lower index.
+    The one assumption is that BLAS gives the same bits for each element
+    of ``d @ q.T`` whatever the product's shape, which the mesh digests in
+    ``bench/reference.json`` check. So neither TILE nor BATCH_BYTES moves
+    the bytes.
     """
     h, w = cam.height, cam.width
     us = (np.arange(w) + 0.5 - w / 2.0) / cam.f_pix
@@ -533,9 +635,8 @@ def generate_sample(
     """Render the orbit video, synthesize events, and build the voxel label."""
     traj = traj if traj is not None else TrajectoryConfig()
     cam = cam if cam is not None else CameraIntrinsics()
-    n_frames = int(traj.duration * traj.fps)
-    video = np.empty((n_frames, cam.height, cam.width))
-    for i in range(n_frames):
+    video = np.empty((traj.frame_count, cam.height, cam.width))
+    for i in range(traj.frame_count):
         pose = camera_pose(traj, i / traj.fps)
         video[i] = render_frame(scene, pose, cam)
     stream = video_to_events(video, traj.fps, contrast=contrast)

@@ -1,5 +1,8 @@
 """Tests for the orbit trajectory, raycast renderer, and event synthesis."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -202,9 +205,57 @@ def rotated_sphere(seed, **kwargs):
     return TriMesh((mesh.vertices - 0.5) @ q.T + 0.5, mesh.triangles)
 
 
+# triangles tested against all rays at once by the oracle
+TRIANGLE_CHUNK = 512
+
+
+def _triangle_hits(o, d, vertices, triangles):
+    """Nearest triangle intersection per ray (Moller-Trumbore), plus the
+    index of the winning triangle; inf / -1 where missed."""
+    n = d.shape[0]
+    best_t = np.full(n, np.inf)
+    best_tri = np.full(n, -1, dtype=np.int64)
+    eps = 1e-12
+    rows = np.arange(n)
+    for lo in range(0, len(triangles), TRIANGLE_CHUNK):
+        tri = triangles[lo:lo + TRIANGLE_CHUNK]
+        a = vertices[tri[:, 0]]
+        e1 = vertices[tri[:, 1]] - a
+        e2 = vertices[tri[:, 2]] - a
+        # the ray origin is shared, so s and q depend on the triangle only
+        s = o[None, :] - a
+        q = np.cross(s, e1)
+        p = np.cross(d[:, None, :], e2[None, :, :])
+        det = np.einsum("rtk,tk->rt", p, e1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = 1.0 / det
+            u = np.einsum("rtk,tk->rt", p, s) * inv
+            v = (d @ q.T) * inv
+            t = np.einsum("tk,tk->t", q, e2)[None, :] * inv
+        good = (
+            (np.abs(det) > eps)
+            & (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0)
+            & (t > 1e-9)
+        )
+        t = np.where(good, t, np.inf)
+        idx = np.argmin(t, axis=1)
+        tmin = t[rows, idx]
+        closer = tmin < best_t
+        best_t[closer] = tmin[closer]
+        best_tri[closer] = lo + idx[closer]
+    return best_t, best_tri
+
+
+_brute_force = {}
+
+
 def brute_force_hits(o, d, vertices, triangles, pose, cam):
-    """Every ray against every triangle: the oracle for the tiled raycaster."""
-    return sim._triangle_hits(o, d, vertices, triangles)
+    """Every ray against every triangle: the oracle for the tiled raycaster.
+    It does not depend on how the frame is cut, so each input runs once."""
+    key = hashlib.sha256(b"".join(a.tobytes() for a in (o, d, vertices, triangles))).digest()
+    if key not in _brute_force:
+        _brute_force[key] = _triangle_hits(o, d, vertices, triangles)
+    return _brute_force[key]
 
 
 def render_against_brute_force(monkeypatch, scene, pose, cam):
@@ -223,6 +274,7 @@ def render_against_brute_force(monkeypatch, scene, pose, cam):
     [((got_t, got_tri), (want_t, want_tri))] = calls
     monkeypatch.setattr(sim, "_mesh_hits", lambda *args: (want_t, want_tri))
     expect = sim.render_frame(scene, pose, cam)
+    monkeypatch.setattr(sim, "_mesh_hits", tiled)
     np.testing.assert_array_equal(got_tri, want_tri)
     np.testing.assert_array_equal(got_t, want_t)
     np.testing.assert_array_equal(img, expect)
@@ -230,6 +282,22 @@ def render_against_brute_force(monkeypatch, scene, pose, cam):
     return want_tri.reshape(cam.height, cam.width)
 
 
+ONE_TILE = 1
+
+
+@pytest.fixture(params=[(tile, budget) for tile in (1, 2, 8)
+                        for budget in (sim.BATCH_BYTES, ONE_TILE)],
+                ids=lambda param: f"tile{param[0]}-{param[1]}B")
+def cut(request, monkeypatch):
+    """The tile side and batch budget a frame is cut by; at ONE_TILE byte
+    every batch holds one tile."""
+    tile, budget = request.param
+    monkeypatch.setattr(sim, "TILE", tile)
+    monkeypatch.setattr(sim, "BATCH_BYTES", budget)
+    return tile, budget
+
+
+@pytest.mark.usefixtures("cut")
 class TestTiledMeshRaycaster:
     @pytest.mark.parametrize("seed, time", [(0, 0.0), (1, 0.13), (2, 0.37)])
     def test_rotated_sphere_matches_brute_force(self, monkeypatch, seed, time):
@@ -239,10 +307,45 @@ class TestTiledMeshRaycaster:
 
     def test_resolution_not_a_multiple_of_the_tile(self, monkeypatch):
         cam = sim.CameraIntrinsics(width=37, height=23)
-        assert cam.width % sim.TILE and cam.height % sim.TILE
+        assert cam.width % 2 and cam.height % 2
         scene = sim.Scene(mesh=rotated_sphere(3))
         pose = sim.camera_pose(sim.TrajectoryConfig(), 0.21)
         render_against_brute_force(monkeypatch, scene, pose, cam)
+
+    def test_wide_frame(self, monkeypatch):
+        scene = sim.Scene(mesh=rotated_sphere(9, n_lat=24, n_lon=48))
+        pose = sim.camera_pose(sim.TrajectoryConfig(), 0.29)
+        render_against_brute_force(monkeypatch, scene, pose, sim.CameraIntrinsics(80, 48))
+
+    def test_batch_mixes_one_candidate_and_hundreds(self, monkeypatch, cut):
+        # a small dense sphere in the middle (over 100 candidates a tile at
+        # every tile side) and, in the corner tile, one small triangle (one
+        # candidate); at the default budget one batch holds both, so a
+        # single candidate sits beside padding
+        sphere = uv_sphere_mesh(diameter=0.2, n_lat=12, n_lon=14)
+        n = len(sphere.vertices)
+        mesh = TriMesh(
+            np.concatenate([sphere.vertices,
+                            [[0.5, -0.1, -0.1], [0.5, -0.02, -0.1], [0.5, -0.1, -0.02]]]),
+            np.concatenate([sphere.triangles, [[n, n + 1, n + 2]]]),
+        )
+        kernel = sim._moller_trumbore
+        widths = []
+
+        def spy(d, terms, qe2, cand):
+            widths.append((cand < len(terms) - 1).sum(axis=1))
+            return kernel(d, terms, qe2, cand)
+
+        monkeypatch.setattr(sim, "_moller_trumbore", spy)
+        winners = render_against_brute_force(
+            monkeypatch, sim.Scene(mesh=mesh), sim.look_at_pose([4.0, 0.0, 0.0]),
+            sim.CameraIntrinsics(width=32, height=32))
+        assert np.isin(winners, [len(sphere.triangles)]).any()
+        if cut[1] == ONE_TILE:
+            assert all(len(w) == 1 for w in widths)
+            assert any(w[0] == 1 for w in widths)
+        else:
+            assert any(w.min() == 1 and w.max() >= 100 for w in widths)
 
     def test_camera_inside_the_bounding_box(self, monkeypatch):
         # the camera sits inside the sphere, so part of the mesh is behind
@@ -277,6 +380,27 @@ class TestTiledMeshRaycaster:
         assert winners.max() < n
         assert np.isin(winners, repeated).any()
 
+    @pytest.mark.parametrize("shared_first", [True, False])
+    def test_tie_across_the_shared_triangles_goes_to_the_lower_index(self, monkeypatch,
+                                                                    shared_first):
+        # two floor triangles on edge a-b: one reaches behind the camera, so
+        # every ray meets it; the other, half its size, is binned. With these
+        # dyadic coordinates the half one's terms are the big one's halved
+        # exactly, so each ray that hits both gets the same distance, bit
+        # for bit, and the lower index must win
+        a, b, behind = [-1.0, -1.0, -0.25], [-1.0, 1.0, -0.25], [1.5, 0.0, -0.25]
+        half = [0.25, -0.5, -0.25]
+        tris = [[0, 1, 2], [0, 1, 3]] if shared_first else [[0, 1, 3], [0, 1, 2]]
+        mesh = TriMesh(np.array([a, b, behind, half]) + 0.5, np.array(tris))
+        pose = sim.look_at_pose([1.0, 0.0, 0.25])
+        depth = (mesh.vertices - 0.5 - pose.position) @ pose.forward
+        assert (depth[[0, 1, 3]] > 1e-6).all() and depth[2] < 0.0
+        winners = render_against_brute_force(
+            monkeypatch, sim.Scene(mesh=mesh), pose, sim.CameraIntrinsics(width=32, height=32)
+        )
+        assert (winners == 0).sum() > 100
+        assert (winners == 1).any() != shared_first
+
     def test_mesh_and_primitive_in_one_scene(self, monkeypatch):
         scene = sim.Scene(
             primitives=[sim.Box((0.3, 0.1, 0.1), (0.15, 0.2, 0.1), albedo=0.6)],
@@ -288,6 +412,28 @@ class TestTiledMeshRaycaster:
         img = sim.render_frame(scene, pose, cam)
         no_box = sim.render_frame(sim.Scene(mesh=scene.mesh), pose, cam)
         assert not np.array_equal(img, no_box)
+
+
+class TestRaycasterMemory:
+    def test_camera_inside_the_paper_sphere_at_256(self):
+        # 285 of the 9,024 triangles reach behind the camera, so every ray
+        # meets them; binned per 2x2 tile they would be 4.7M (tile, triangle)
+        # pairs, 36 MiB for one int64 index array (a render that bins them
+        # so peaked at 186 MiB). This render peaked at 11.8 MiB when the
+        # bound was set.
+        mesh = rotated_sphere(4)
+        pose = sim.look_at_pose([0.44, 0.1, 0.1])
+        depth = (mesh.vertices - 0.5 - pose.position) @ pose.forward
+        assert (depth[mesh.triangles] <= 1e-6).any(axis=1).sum() == 285
+        tracemalloc.start()
+        try:
+            img = sim.render_frame(sim.Scene(mesh=mesh), pose, sim.CameraIntrinsics(256, 256))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        # the sphere surrounds the camera, so every ray hits it
+        assert (img < 1.0).all()
 
 
 class TestVideoToEvents:
@@ -462,6 +608,20 @@ class TestGenerateSample:
     def test_orbit_frame_count_at_defaults(self):
         cfg = sim.TrajectoryConfig()
         assert int(cfg.duration * cfg.fps) == 120
+
+    @pytest.mark.parametrize("duration, fps, frames", [
+        (0.29, 100.0, 29), (0.57, 100.0, 57), (1.15, 100.0, 115),
+        (0.5, 240.0, 120), (2 / 240, 240.0, 2), (0.295, 100.0, 29), (0.0299, 100.0, 2),
+    ])
+    def test_frame_count_rounds_only_within_rounding(self, duration, fps, frames):
+        assert sim.TrajectoryConfig(duration=duration, fps=fps).frame_count == frames
+
+    def test_product_just_below_an_integer_renders_every_frame(self):
+        traj = sim.TrajectoryConfig(duration=0.29, fps=100.0)
+        assert traj.duration * traj.fps < 29
+        stream, _ = sim.generate_sample(center_sphere_scene(), traj,
+                                        sim.CameraIntrinsics(width=8, height=8), resolution=4)
+        assert stream.duration == pytest.approx(0.29)
 
 
 ONE_OF_EACH = (
