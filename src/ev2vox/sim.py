@@ -435,12 +435,14 @@ def _mesh_hits(o, d, vertices, triangles, pose: Pose, cam: CameraIntrinsics):
     shared = np.flatnonzero(behind)
     if len(shared):
         # no pixel box bounds a triangle reaching behind the camera, so
-        # every ray meets all of them, in tiles of many rays that share them
+        # every ray meets all of them: chunks of rays, each one tile to the
+        # kernel, share the one list
         step = max(1, BATCH_BYTES // (3 * d.itemsize * len(shared)))
         for lo in range(0, len(d), step):
             t, tri = _moller_trumbore(d[lo:lo + step, None], terms, qe2, shared[None])
             t, tri = t[:, 0], tri[:, 0]
             bt, btri = best_t[lo:lo + step], best_tri[lo:lo + step]
+            # a tie in distance goes to the lower index
             take = (t < bt) | ((t == bt) & (tri < btri))
             bt[take], btri[take] = t[take], tri[take]
     return best_t, best_tri
