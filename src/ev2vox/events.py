@@ -193,7 +193,12 @@ def bin_to_frames(stream: EventStream, cfg: BinningConfig) -> np.ndarray:
     depth = math.ceil(depth)
     if depth == 0 and len(stream) > 0:
         depth = 1
-    frames = np.zeros((depth, h // f, w // f), dtype=np.uint8)
+    try:
+        frames = np.zeros((depth, h // f, w // f), dtype=np.uint8)
+    except MemoryError as exc:
+        raise ConfigError(f"binning.window {cfg.window!r} cuts the stream's {stream.duration!r}"
+                          f" s into {depth} frames of {h // f}x{w // f}, a stack too large to"
+                          " allocate") from exc
     if len(stream):
         k = np.floor_divide(stream.t, cfg.window).astype(np.int64)
         np.clip(k, 0, depth - 1, out=k)

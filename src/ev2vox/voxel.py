@@ -9,23 +9,29 @@ occupancy conventions used throughout the package: strict thresholds, and
 empty-vs-empty comparisons count as perfect agreement.
 
 ``iou`` and ``fscore`` both take two grids; no metric builds a point set.
-``fscore`` (Tatarchenko et al., CVPR 2019) reads each occupied cell's
-distance to the other grid's nearest occupied cell from an exact Euclidean
-distance transform of the other grid (Maurer et al., PAMI 2003), which is
-the square root of an integer squared cell offset, and divides it by R.
-For a power-of-two R every difference of cell centers is exact in
-floating point, so these are, bit for bit, the distances between the
-cells' center points. At any other R the centers' coordinates round, and
-a distance that ties the tolerance (1/R, or 0.2 at R=30) would go either
-way from place to place; here the integer offset alone decides it.
+``fscore`` (Tatarchenko et al., CVPR 2019) counts an occupied cell as near
+the other grid when the smallest integer squared cell offset s to one of
+its occupied cells passes ``np.sqrt(s) / R < distance``. That test holds
+below one integer ``cap`` and fails from it on, so s is computed exactly
+only below ``cap``: one min-plus pass per axis over the offsets whose
+square is below ``cap``. These are the booleans an exact Euclidean
+distance transform (Maurer et al., PAMI 2003, which the tests use as the
+oracle) would give. For a power-of-two R every difference of cell centers
+is exact in floating point, so the distances are, bit for bit, those
+between the cells' center points. At any other R the centers' coordinates
+round, and a distance that ties the tolerance (1/R, or 0.2 at R=30) would
+go either way from place to place; here the integer offset alone decides
+it.
 
 ``voxelize`` never holds a mesh's surface samples as one point cloud: it
 computes them ``SURFACE_CHUNK`` lattice points at a time and marks their
 cells as it goes, so its scratch memory does not grow with the triangle
-count, and it finds the solid's exterior with one lookup table over the
-labels of the empty space, read only at the output cells' centers.
-Meshes with non-finite vertices are rejected rather than voxelized to an
-empty grid.
+count. It finds the solid's exterior on runs of empty cells along the
+grid's contiguous axis rather than on cells: the runs that touch a face
+are reached, reachability spreads to overlapping runs on adjacent lines
+until a pass adds nothing, and the result is read only at the output
+cells' centers. Meshes with non-finite vertices are rejected rather than
+voxelized to an empty grid.
 
 ``write_vox1`` and ``read_vox1`` build and parse VOX1 bytes; the file
 itself is written and read through ``ev2vox.artifacts``.
@@ -33,12 +39,12 @@ itself is written and read through ``ev2vox.artifacts``.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .artifacts import read, write
 from .errors import ConfigError, DataError, FormatError
@@ -251,21 +257,66 @@ def _surface_cells(mesh: TriMesh, resolution: int) -> np.ndarray:
     return occ.reshape((resolution,) * 3)
 
 
+def _spread(reached: np.ndarray, frontier: np.ndarray, neighbours) -> np.ndarray:
+    """One pass of the exterior fill: mark every unreached run that shares
+    a face with a run of ``frontier``, and return the runs it marked.
+
+    ``neighbours`` holds one (lo, hi) pair per adjacent line: run r's
+    neighbours on that line are the runs lo[r] up to hi[r] (exclusive).
+    The lines are taken one at a time to keep the temporaries small."""
+    marked = []
+    for lo, hi in neighbours:
+        a = lo[frontier]
+        n = hi[frontier] - a
+        # the runs of every range, one after another
+        runs = np.repeat(a - (np.cumsum(n) - n), n) + np.arange(n.sum())
+        runs = runs[~reached[runs]]
+        reached[runs] = True
+        marked.append(runs)
+    return np.unique(np.concatenate(marked))
+
+
 def _fill_exterior(surface: np.ndarray, keep) -> np.ndarray:
-    """The cells ``keep`` (an index into the grid) of the solid: occupied
-    unless reachable from the grid boundary through empty cells
-    (6-connectivity). ``surface`` is inverted in place into the empty space
-    that is labelled, and the exterior table is read only at ``keep``."""
-    structure = ndimage.generate_binary_structure(3, 1)
-    labels, count = ndimage.label(np.logical_not(surface, out=surface), structure=structure)
-    # exterior[l]: empty component l touches a face of the grid; label 0 is
-    # the surface itself
-    exterior = np.zeros(count + 1, dtype=bool)
-    for face in (labels[0], labels[-1], labels[:, 0], labels[:, -1],
-                 labels[:, :, 0], labels[:, :, -1]):
-        exterior[face] = True
-    exterior[0] = False
-    return ~exterior[labels[keep]]
+    """The cells ``keep`` (a tuple of three slices, or ``...`` for all) of
+    the solid: occupied unless reachable from the grid boundary through
+    empty cells (6-connectivity).
+
+    The empty space is cut into runs along the contiguous last axis. Two
+    runs are joined when they lie on adjacent lines and their intervals
+    overlap, so the runs of an adjacent line that meet a run form one
+    range of the sorted runs, found by ``searchsorted`` on their start and
+    end keys. A run that touches a face of the grid is reached, and
+    ``_spread`` carries reachability over the joins until a pass adds
+    nothing. Each ``keep`` cell then looks up the run that holds it."""
+    n0, n1, n2 = surface.shape
+    # key of cell (i, j, k): (i * n1 + j) * w + k; a run's end key is one
+    # past its last cell, so the w - n2 = 1 spare slot keeps lines apart
+    w = n2 + 1
+    # with a surface cell padded before and after every line, the line
+    # changes between surface and empty exactly at the runs' starts and ends
+    change = np.flatnonzero(np.diff(surface.reshape(-1, n2), prepend=True, append=True))
+    starts, ends = change[0::2], change[1::2]
+    line = starts // w
+    i, j = np.divmod(line, n1)
+    reached = ((starts == line * w) | (ends == line * w + n2)
+               | (i == 0) | (i == n0 - 1) | (j == 0) | (j == n1 - 1))
+    # the runs of line + step that end after a run starts and start before
+    # it ends; where line + 1 wraps to the next row it joins two lines on
+    # faces of the grid, whose runs are all reached already
+    neighbours = [(np.searchsorted(ends, starts + step * w, side="right"),
+                   np.searchsorted(starts, ends + step * w, side="left"))
+                  for step in (n1, -n1, 1, -1)]
+    frontier = np.flatnonzero(reached)
+    while frontier.size:
+        frontier = _spread(reached, frontier, neighbours)
+    s0, s1, s2 = (slice(None),) * 3 if keep is Ellipsis else keep
+    keys = (np.arange(n0 * n1).reshape(n0, n1)[s0, s1] * w)[..., None] + np.arange(n2)[s2]
+    # the first run ending after the key holds the cell if it starts at or
+    # before it; a sentinel run past every key stands for "no run"
+    run = np.searchsorted(ends, keys, side="right")
+    starts = np.append(starts, n0 * n1 * w)
+    reached = np.append(reached, False)
+    return ~(reached[run] & (starts[run] <= keys))
 
 
 def voxelize(mesh: TriMesh, resolution: int) -> VoxelGrid:
@@ -274,16 +325,16 @@ def voxelize(mesh: TriMesh, resolution: int) -> VoxelGrid:
     Surface cells are found by sampling every triangle at sub-cell density
     (at least 4 samples per cell diagonal), ``SURFACE_CHUNK`` samples at a
     time, each chunk marking its cells before the next is computed. The
-    empty space is then labelled into 6-connected components, a lookup
-    table marks the labels found on the grid's six faces as exterior, and
-    everything else is kept. Marking and labelling happen on a finer
-    lattice (``SUPERSAMPLE`` subdivisions per cell, odd so cell centers are
-    fine cell centers) and each output cell takes the value of the fine
-    cell containing its center, the only cells the table is read at;
-    working at the output resolution
-    directly would count every surface-touching cell as occupied and
-    inflate thin or curved solids by well over the tolerance the tests
-    demand.
+    empty space is then cut into runs along the grid's last axis; the runs
+    that touch one of the grid's six faces, and every run joined to them
+    through overlapping runs on adjacent lines (6-connectivity), are
+    exterior, and everything else is kept. Marking and filling happen on a
+    finer lattice (``SUPERSAMPLE`` subdivisions per cell, odd so cell
+    centers are fine cell centers) and each output cell takes the value of
+    the fine cell containing its center, the only cells the fill is read
+    at; working at the output resolution directly would count every
+    surface-touching cell as occupied and inflate thin or curved solids by
+    well over the tolerance the tests demand.
 
     Raises ``DataError`` for a mesh without triangles or with a non-finite
     vertex.
@@ -333,9 +384,10 @@ def fscore(rec: VoxelGrid, gt: VoxelGrid, distance: float) -> float:
 
     Precision is the fraction of reconstructed occupied cells whose center
     lies strictly within ``distance`` of some ground-truth occupied cell's
-    center; recall is the symmetric fraction. Both grids empty gives 1.0,
-    exactly one empty gives 0.0. Grids of different resolution are a
-    DataError, as in ``iou``.
+    center, that is ``np.sqrt(s) / R < distance`` for its smallest integer
+    squared cell offset s, tested as s below a ``cap``; recall is the
+    symmetric fraction. Both grids empty gives 1.0, exactly one empty gives
+    0.0. Grids of different resolution are a DataError, as in ``iou``.
     """
     if not (distance > 0.0):
         raise ConfigError(f"distance tolerance must be positive, got {distance}")
@@ -354,9 +406,25 @@ def fscore(rec: VoxelGrid, gt: VoxelGrid, distance: float) -> float:
 
 def _near_fraction(grid: VoxelGrid, other: VoxelGrid, distance: float) -> float:
     """The fraction of ``grid``'s occupied cells within ``distance`` of the
-    nearest occupied cell of ``other`` (not empty), from its exact transform."""
-    cells = ndimage.distance_transform_edt(~other.occupancy)[grid.occupancy]
-    return float(np.mean(cells / grid.resolution < distance))
+    nearest occupied cell of ``other`` (not empty).
+
+    A squared cell offset s is within when ``np.sqrt(s) / R < distance``,
+    which holds for every s below some ``cap`` and for none from it on, so
+    only squared distances below ``cap`` need to be exact. They come from
+    one min-plus pass per axis over the offsets whose square is below
+    ``cap``, in int64, with every larger distance left at ``cap``."""
+    r = grid.resolution
+    far = 3 * (r - 1) ** 2 + 1  # past the largest squared offset in the grid
+    cap = bisect.bisect_left(range(far), True, key=lambda s: not (np.sqrt(s) / r < distance))
+    d = np.where(other.occupancy, 0, np.int64(cap))
+    for axis in range(3):
+        src = np.moveaxis(d, axis, 0)
+        out = src.copy()
+        for o in range(1, min(math.isqrt(cap - 1), r - 1) + 1):
+            np.minimum(out[o:], src[:-o] + o * o, out=out[o:])
+            np.minimum(out[:-o], src[o:] + o * o, out=out[:-o])
+        d = np.moveaxis(out, 0, axis)
+    return float(np.mean(d[grid.occupancy] < cap))
 
 
 def write_vox1(grid: VoxelGrid, path: str | os.PathLike) -> None:

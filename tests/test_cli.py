@@ -478,8 +478,10 @@ class TestPreprocess:
         assert "binning: target dimensions must be positive" in capsys.readouterr().err
         assert not (data / "cache").exists()
 
-    # 5e-324 makes the frame count infinite, 1e-300 one no array shape holds
-    @pytest.mark.parametrize("window", [5e-324, 1e-300])
+    # 5e-324 makes the frame count infinite, 1e-300 one no array shape holds,
+    # and 1e-15 a 455 PiB stack of 32x32 frames that fits an intp but no
+    # 57-bit address space, so its allocation fails on any host
+    @pytest.mark.parametrize("window", [5e-324, 1e-300, 1e-15])
     @pytest.mark.parametrize("command", ["preprocess", "train"])
     def test_window_too_fine_to_bin_exits_2(self, pipeline, tmp_path, capsys, command, window):
         data = copy_dataset(pipeline, tmp_path)

@@ -54,6 +54,25 @@ def brute_force_fscore(rec, gt, d):
     return 2 * precision * recall / (precision + recall)
 
 
+def edt_fscore(rec, gt, d):
+    """The F-Score from each cell's exact Euclidean distance to the other
+    grid, read from scipy's distance transform (Maurer et al., PAMI 2003):
+    the oracle for the capped distance test."""
+    def near(grid, other):
+        cells = ndimage.distance_transform_edt(~other.occupancy)[grid.occupancy]
+        return float(np.mean(cells / grid.resolution < d))
+
+    nr, ng = rec.count(), gt.count()
+    if nr == 0 and ng == 0:
+        return 1.0
+    if nr == 0 or ng == 0:
+        return 0.0
+    precision, recall = near(rec, gt), near(gt, rec)
+    if precision + recall == 0.0:
+        return 0.0
+    return 2.0 * precision * recall / (precision + recall)
+
+
 def kdtree_fscore(rec, gt, d):
     """The F-Score as it was computed before the distance transform: each
     occupied cell's center as a point, and the nearest point of the other
@@ -367,16 +386,69 @@ class TestVoxelize:
         assert not vx._fill_exterior(np.zeros((6, 6, 6), bool), every).any()
         assert vx._fill_exterior(np.ones((6, 6, 6), bool), every).all()
 
+    @staticmethod
+    def fill_and_count_passes(surface, monkeypatch):
+        """The fill of every cell, checked against the labelling oracle at
+        every cell and at a strided selection, and its number of passes."""
+        want = fill_exterior_isin(surface)
+        strided = (slice(1, None, 3),) * 3
+        np.testing.assert_array_equal(vx._fill_exterior(surface.copy(), strided), want[strided])
+        passes = []
+        spread = vx._spread
+        monkeypatch.setattr(vx, "_spread", lambda *a: passes.append(a) or spread(*a))
+        got = vx._fill_exterior(surface.copy(), ...)
+        np.testing.assert_array_equal(got, want)
+        return got, len(passes)
+
+    def test_fill_follows_a_winding_corridor(self, monkeypatch):
+        # a solid block with a corridor that enters at the x = 0 face, spirals
+        # inwards across the contiguous axis, one run per cell, and ends in a
+        # 3x3x3 chamber: every step is a pass, and the chamber is exterior
+        surface = np.ones((14, 14, 9), dtype=bool)
+        path = [(0, 1), (12, 1), (12, 12), (1, 12), (1, 3), (10, 3), (10, 10), (5, 10), (5, 8)]
+        for (x0, y0), (x1, y1) in zip(path, path[1:]):
+            surface[min(x0, x1):max(x0, x1) + 1, min(y0, y1):max(y0, y1) + 1, 4] = False
+        surface[4:7, 5:8, 3:6] = False
+        filled, passes = self.fill_and_count_passes(surface, monkeypatch)
+        assert not filled[4:7, 5:8, 3:6].any()
+        assert passes > 2
+        # sealing the corridor's mouth turns corridor and chamber into a cavity
+        surface[0, 1, 4] = True
+        filled, _ = self.fill_and_count_passes(surface, monkeypatch)
+        assert filled.all()
+
+    def test_sealed_cavity_fills(self, monkeypatch):
+        surface = np.zeros((12, 12, 12), dtype=bool)
+        surface[2:10, 2:10, 2:10] = True
+        surface[3:9, 3:9, 3:9] = False
+        filled, _ = self.fill_and_count_passes(surface, monkeypatch)
+        np.testing.assert_array_equal(filled, surface | np.pad(np.ones((6, 6, 6), bool), 3))
+
+    @pytest.mark.parametrize("open_outer", [False, True])
+    def test_nested_shells(self, monkeypatch, open_outer):
+        # two hollow shells, one inside the other; with a hole in the outer
+        # shell the gap between them is exterior and only the inner hollow fills
+        surface = np.zeros((14, 14, 14), dtype=bool)
+        for lo, hi in ((1, 13), (4, 10)):
+            surface[lo:hi, lo:hi, lo:hi] = True
+            surface[lo + 1:hi - 1, lo + 1:hi - 1, lo + 1:hi - 1] = False
+        if open_outer:
+            surface[1, 6, 6] = False
+        filled, _ = self.fill_and_count_passes(surface, monkeypatch)
+        assert filled[4:10, 4:10, 4:10].all()
+        assert filled[2, 2, 2] != open_outer
+
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="needs /proc/self/status for the peak resident set size")
     def test_peak_memory_does_not_grow_with_triangles(self):
-        # At R=32 voxelize works on a 160^3 fine grid: the int32 labels of
-        # its empty space are 15.6 MiB, the surface and the empty mask 3.9
-        # MiB each, 24 MiB of peak rise as measured; the surface samples add
-        # at most a 1.1 MiB chunk. Holding the 9,024-triangle sphere's 1.28M
-        # samples as one point cloud raised the peak by 93 MiB, and by 125
-        # MiB at 4x the triangles, so 40 MiB and a growth of 4 MiB leave room
-        # for allocator noise and catch any sample-sized array.
+        # At R=32 voxelize works on a 160^3 fine grid: the surface, its lines
+        # padded for the run search and their change mask are 3.9 MiB each,
+        # 13.6 MiB of peak rise as measured (15.4 MiB at 4x the triangles);
+        # the surface samples add at most a 1.1 MiB chunk. Holding the
+        # 9,024-triangle sphere's 1.28M samples as one point cloud raised the
+        # peak by 93 MiB, and by 125 MiB at 4x the triangles, so 40 MiB and a
+        # growth of 4 MiB leave room for allocator noise and catch any
+        # sample-sized array.
         tris, rise = voxelize_peak_rise(48, 96)
         tris4, rise4 = voxelize_peak_rise(96, 192)
         assert tris4 >= 4 * tris
@@ -568,6 +640,19 @@ class TestFScore:
                     got = vx.fscore(a, b, dist)
                     assert got == brute_force_fscore(a, b, dist), (r, dist)
 
+    @pytest.mark.parametrize("r", [1, 2, 3, 5, 8, 30, 32])
+    def test_matches_distance_transform(self, r):
+        # bit for bit, on random, empty and full grids; the distances are the
+        # ties 1/R and sqrt(2)/R, 0.2 (a tie at R=30), one below every cell
+        # offset, and two beyond the grid's diagonal
+        rng = np.random.default_rng(300 + r)
+        grids = [random_voxel_grid(rng, r, density) for density in (0.02, 0.1, 0.4)]
+        grids += [vx.VoxelGrid.empty(r), vx.VoxelGrid(r, np.ones((r,) * 3, bool))]
+        for a in grids:
+            for b in grids:
+                for dist in (1 / r, math.sqrt(2) / r, 0.2, 0.5 / r, math.sqrt(3), 2.0):
+                    assert vx.fscore(a, b, dist) == edt_fscore(a, b, dist), (r, dist)
+
     @pytest.mark.parametrize("r", [8, 32])
     def test_matches_kdtree_at_power_of_two_resolution(self, r):
         # every difference of cell centers is exact, so the KD-tree's
@@ -585,6 +670,27 @@ import importlib, sys
 importlib.import_module(sys.argv[1])
 print(" ".join(m for m in ("scipy.spatial", "scipy.sparse") if m in sys.modules))
 """
+
+
+# the mesh data path: a label voxelized and scored, with nothing from nn
+DATA_PATH_SCRIPT = """
+import sys
+from ev2vox import events, sim, voxel as vx
+grid = vx.voxelize(vx.unit_cube_mesh(), 8)
+assert grid.count() == 8 ** 3 and vx.fscore(grid, grid, 0.2) == 1.0
+print(" ".join(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_data_path_loads_no_scipy():
+    # the voxelizer and F-Score compute their fill and distances in numpy,
+    # so a process that simulates, bins and voxelizes never imports scipy
+    # (scipy.ndimage alone is about 0.2 s and 27 MiB of RSS at start-up)
+    src = os.path.dirname(os.path.dirname(vx.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", DATA_PATH_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True, timeout=120).stdout
+    assert out.split() == []
 
 
 @pytest.mark.parametrize("module", ["ev2vox.cli", "ev2vox.sim"])
