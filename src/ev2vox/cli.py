@@ -34,7 +34,7 @@ import numpy as np
 from .artifacts import make_dir, read, read_json, write, write_json
 from .config import from_json
 from .errors import ConfigError, DataError, FormatError, IoFailure, PipelineError
-from .events import BinningConfig, bin_to_frames, read_evt1, write_evt1
+from .events import EVT1_MAX_SIZE, BinningConfig, bin_to_frames, read_evt1, write_evt1
 from .model import DecoderConfig, EncoderConfig, ModelConfig, build_model, frames_to_input
 from .sim import (
     DEFAULT_CONTRAST,
@@ -49,7 +49,9 @@ from .sim import (
     scene_to_dict,
 )
 from .train import AdamWConfig, TrainRun, evaluate, load_training_checkpoint, train
-from .voxel import VoxelGrid, binarize, read_vox1, unit_cube_mesh, write_vox1
+from .voxel import (
+    VOX1_MAX_RESOLUTION, VoxelGrid, binarize, read_vox1, unit_cube_mesh, write_vox1,
+)
 
 SPLITS = ("train", "val", "test")
 
@@ -270,6 +272,14 @@ def _scene_category(scene: Scene) -> str:
 def cmd_generate(cfg: RunConfig, seed: int, out_dir: str) -> Manifest:
     """Write EVT1/VOX1 pairs, per-sample sidecars, and a split manifest."""
     gen, resolution = cfg.generate, cfg.model.encoder.resolution
+    # refused before anything renders: a size its file format cannot store
+    for key, value, limit, fmt in (
+        ("generate.width", gen.width, EVT1_MAX_SIZE, "EVT1"),
+        ("generate.height", gen.height, EVT1_MAX_SIZE, "EVT1"),
+        ("model.encoder.resolution", resolution, VOX1_MAX_RESOLUTION, "VOX1"),
+    ):
+        if value > limit:
+            raise ConfigError(f"{key} {value} is more than the {limit} that {fmt} stores")
     if gen.scenes is not None:
         scenes = [scene_from_dict(s, f"generate.scenes[{i}]") for i, s in enumerate(gen.scenes)]
         pairs = [(s, _scene_category(s)) for s in scenes]
@@ -373,18 +383,28 @@ def _frames(cfg: RunConfig, manifest: Manifest, entry: ManifestEntry) -> np.ndar
                               f"shape {frames.shape}, not (D, H, W) uint8)")
         if list(frames.shape) != meta.get("shape"):
             raise FormatError(f"{cached}: damaged frame cache (shape {frames.shape}, but "
-                              f"its sidecar records {meta.get('shape')})")
+                              f"{cache_dir / entry.id}.frames.json records {meta.get('shape')})")
         return frames
     return bin_to_frames(read_evt1(events), cfg.binning)
 
 
 def _load_dataset(cfg: RunConfig, manifest: Manifest, splits):
-    """Assemble (frames, label, category) samples for the given splits."""
-    return [
-        (_frames(cfg, manifest, e), read_vox1(manifest.root / e.label), e.category)
-        for e in manifest.entries
-        if e.split in splits
-    ]
+    """Assemble (frames, label, category) samples for the given splits; a
+    frame stack or label of another shape than the first sample's is a
+    DataError naming both samples' files."""
+    entries = [e for e in manifest.entries if e.split in splits]
+    dataset = [(_frames(cfg, manifest, e), read_vox1(manifest.root / e.label), e.category)
+               for e in entries]
+    root = manifest.root
+    for e, (frames, label, _) in zip(entries[1:], dataset[1:]):
+        (frames0, label0, _), e0 = dataset[0], entries[0]
+        if frames.shape != frames0.shape:
+            raise DataError(f"{root / e.events} bins to frames of shape {frames.shape}, "
+                            f"but {root / e0.events} to {frames0.shape}")
+        if label.resolution != label0.resolution:
+            raise DataError(f"{root / e.label} has resolution {label.resolution}, "
+                            f"but {root / e0.label} has {label0.resolution}")
+    return dataset
 
 
 # ---------------------------------------------------------------------------

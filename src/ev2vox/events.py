@@ -30,6 +30,8 @@ from .artifacts import read, write
 from .errors import ConfigError, DataError, FormatError
 
 EVT1_MAGIC = b"E2VEVT1\x00"
+# the widest and tallest sensor EVT1 stores: its pixel coordinates are u16
+EVT1_MAX_SIZE = 0xFFFF
 
 _HEADER_DTYPE = np.dtype([("m", "<u4"), ("n", "<u4"), ("t", "<f8"), ("i", "<u8")])
 _RECORD_DTYPE = np.dtype(
@@ -163,23 +165,6 @@ def from_arrays(
     )
 
 
-def validate_stream(raw_events, sensor_width: int, sensor_height: int, duration: float) -> EventStream:
-    """Build a validated EventStream from (x, y, t, p) records.
-
-    Input order is preserved; any invariant violation raises the matching
-    error with the index of the first offending record.
-    """
-    records = list(raw_events)
-    n = len(records)
-    t = np.empty(n, dtype=np.float64)
-    x = np.empty(n, dtype=np.int64)
-    y = np.empty(n, dtype=np.int64)
-    p = np.empty(n, dtype=np.int64)
-    for i, ev in enumerate(records):
-        x[i], y[i], t[i], p[i] = ev
-    return from_arrays(t, x, y, p, sensor_width, sensor_height, duration)
-
-
 def bin_to_frames(stream: EventStream, cfg: BinningConfig) -> np.ndarray:
     """Accumulate a stream into a (D, H/f, W/f) uint8 frame stack of
     ceil(T/dt) frames, f being the config's downscale factor: each event
@@ -213,7 +198,7 @@ def write_evt1(stream: EventStream, path: str | os.PathLike) -> None:
     f64 T, u64 I; then I records of (f64 t, u16 x, u16 y, i8 p, 3 zero
     pad bytes).
     """
-    if stream.sensor_width > 0xFFFF or stream.sensor_height > 0xFFFF:
+    if max(stream.sensor_width, stream.sensor_height) > EVT1_MAX_SIZE:
         raise FormatError("EVT1 stores pixel coordinates as u16")
     header = np.zeros(1, dtype=_HEADER_DTYPE)
     header["m"] = stream.sensor_width
@@ -234,6 +219,8 @@ def read_evt1(path: str | os.PathLike) -> EventStream:
     header = np.frombuffer(
         blob, dtype=_HEADER_DTYPE, count=1, offset=len(EVT1_MAGIC)
     )[0]
+    if max(header["m"], header["n"]) > EVT1_MAX_SIZE:
+        raise FormatError(f"{path}: a {header['m']}x{header['n']} sensor, larger than EVT1 stores")
     count = int(header["i"])
     body = blob[len(EVT1_MAGIC) + _HEADER_DTYPE.itemsize :]
     expected = count * _RECORD_DTYPE.itemsize

@@ -234,14 +234,15 @@ class UpBlock(nn.Module):
             nn.ReLU(),
         )
         self.fuse = conv_norm_relu(2 * cout, cout, 3, 1, 1, f"{name}.fuse", seed)
-        self.cout = cout
 
     def forward(self, x, skip, remember=True):
         up = self.up.forward(x, remember)
-        return self.fuse.forward(nn.concat_channels([up, skip]), remember)
+        return self.fuse.forward(np.concatenate([up, skip], axis=1), remember)
 
     def backward(self, g):
-        g_up, g_skip = nn.split_channels(self.fuse.backward(g), [self.cout, self.cout])
+        g = self.fuse.backward(g)
+        half = g.shape[1] // 2
+        g_up, g_skip = nn.split_channels(g, [half, half])
         return self.up.backward(g_up), g_skip
 
 

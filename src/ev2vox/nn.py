@@ -63,8 +63,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit
 
+from . import rng
 from .errors import InternalError
-from .rng import ParameterRng
 
 # Byte budget of one block, sized for cache. A conv's block is one sample's
 # patch matrix: whole output-depth planes while they fit, else slabs of h
@@ -200,8 +200,10 @@ class LayerSpec:
     """Declarative description of one layer for shape plumbing.
 
     ``out_dims`` computes the spatial output dims for given input dims and
-    raises if any would be non-positive, so configuration errors surface
-    at build time rather than mid-forward.
+    raises if any would be non-positive. Only the forwards call it. The
+    model pads each kernel of size k by k // 2, and its pool and deconvs
+    never shrink a side below one cell, so no model config reaches that
+    error; a layer built by hand can.
     """
 
     kind: str
@@ -462,8 +464,8 @@ class Conv3d(Module):
         )
         fan_in = in_channels * kernel[0] * kernel[1] * kernel[2]
         bound = np.sqrt(6.0 / fan_in)
-        rng = ParameterRng(seed, f"{name}.weight")
-        w = rng.uniform(out_channels * fan_in, -bound, bound, np.float32)
+        w = rng.uniform(rng.stream_key(seed, f"{name}.weight"), out_channels * fan_in,
+                        -bound, bound, np.float32)
         channels = (in_channels, out_channels)
         if self.kind == "conv3d":
             channels = channels[::-1]
@@ -782,12 +784,9 @@ class AdaptiveResize3d(Module):
         return g.copy() if g is grad_out else g
 
 
-def concat_channels(parts: list[np.ndarray]) -> np.ndarray:
-    """Forward of a channel concatenation; split_channels is its backward."""
-    return np.concatenate(parts, axis=1)
-
-
 def split_channels(grad: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
+    """Backward of ``np.concatenate(parts, axis=1)``: ``grad`` cut into
+    contiguous parts of ``sizes`` channels."""
     if sum(sizes) != grad.shape[1]:
         raise InternalError(
             f"cannot split {grad.shape[1]} channels into {sizes}"

@@ -63,31 +63,31 @@ def stream_key(seed: int, name: str) -> int:
     return k
 
 
-def uniform(key: int, start: int, count: int, low: float, high: float,
+def uniform(key: int, count: int, low: float, high: float,
             dtype=np.float64) -> np.ndarray:
-    """Uniform samples in [low, high) from the keyed stream, as ``dtype``.
+    """The first ``count`` samples in [low, high) of the keyed stream, as
+    ``dtype``.
 
-    Value ``i`` takes the top 53 bits of word ``start + i`` as a float64
-    in [0, 1), scales and shifts it in float64, then rounds it once to
-    ``dtype``; results are identical on any platform with IEEE doubles.
-    The words are made ``BLOCK`` at a time, each block written into the
-    output as it is done, so no whole-length temporary exists; since every
-    step is element-wise, the output bytes do not depend on ``BLOCK``.
+    Value ``i`` takes the top 53 bits of word ``i`` as a float64 in [0, 1),
+    scales and shifts it in float64, then rounds it once to ``dtype``;
+    results are identical on any platform with IEEE doubles. The words are
+    made ``BLOCK`` at a time, each block written into the output as it is
+    done, so no whole-length temporary exists; since every step is
+    element-wise, the output bytes do not depend on ``BLOCK``.
     """
     out = np.empty(count, dtype)
     n = min(count, BLOCK)
     z = np.empty(n, np.uint64)
     u = np.empty(n, np.float64)
-    # word start + i is splitmix64(key + (start + i + 1) * golden), all mod
-    # 2^64; the block from b0 adds its steps to base + b0 * golden
-    base = (start * _GOLDEN + key) & _MASK
     # exact: 2^-53 is a power of two, so the product rounds once, as
     # (bits * 2^-53) * (high - low) does
     scale = (high - low) * 2.0 ** -53
     for b0 in range(0, count, BLOCK):
         m = min(BLOCK, count - b0)
         zb, ub = z[:m], u[:m]
-        np.add(_STEPS[:m], np.uint64((base + b0 * _GOLDEN) & _MASK), out=zb)
+        # word i is splitmix64(key + (i + 1) * golden), all mod 2^64; the
+        # block from b0 adds its steps to key + b0 * golden
+        np.add(_STEPS[:m], np.uint64((key + b0 * _GOLDEN) & _MASK), out=zb)
         _finalize(zb, ub.view(np.uint64))
         zb >>= np.uint64(11)
         np.multiply(zb, scale, out=ub)
@@ -95,16 +95,3 @@ def uniform(key: int, start: int, count: int, low: float, high: float,
         out[b0:b0 + m] = ub
     return out
 
-
-class ParameterRng:
-    """Sequential view of one keyed stream, tracking its own offset."""
-
-    def __init__(self, seed: int, name: str):
-        self.key = stream_key(seed, name)
-        self.offset = 0
-
-    def uniform(self, count: int, low: float = 0.0, high: float = 1.0,
-                dtype=np.float64) -> np.ndarray:
-        out = uniform(self.key, self.offset, count, low, high, dtype)
-        self.offset += count
-        return out

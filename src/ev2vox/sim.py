@@ -55,6 +55,8 @@ SENSOR_WIDTH_MM = 36.0
 TILE = 2
 # bytes of the (rays, tiles, candidates, 3) array in one raycaster batch
 BATCH_BYTES = 2**19
+# the albedo a scene's mesh is shaded with
+MESH_ALBEDO = 0.9
 
 # direction (unit), weight -- all with zero y-component, see module docstring
 _LIGHTS = (
@@ -253,7 +255,6 @@ PRIMITIVES = {cls.kind: cls for cls in (Sphere, Box, Cylinder)}
 class Scene:
     primitives: list = field(default_factory=list)
     mesh: voxel.TriMesh | None = None
-    mesh_albedo: float = 0.9
 
 
 @dataclass(frozen=True)
@@ -517,7 +518,7 @@ def render_frame(scene: Scene, pose: Pose, cam: CameraIntrinsics) -> np.ndarray:
         # two-sided shading: orient each normal against the viewing ray
         flip = np.einsum("ij,ij->i", normals, d) > 0
         normals[flip] *= -1.0
-        consider(t, normals, scene.mesh_albedo)
+        consider(t, normals, MESH_ALBEDO)
 
     for prim in scene.primitives:
         consider(*prim.hit(o, d), prim.albedo)

@@ -50,6 +50,8 @@ from .artifacts import read, write
 from .errors import ConfigError, DataError, FormatError
 
 VOX1_MAGIC = b"E2VVOX1\x00"
+# the largest resolution VOX1 stores, a u16
+VOX1_MAX_RESOLUTION = 0xFFFF
 # voxelize's fine-lattice subdivisions per output cell; must be odd
 SUPERSAMPLE = 5
 # Lattice points per chunk of _surface_cells: a chunk's float64 points, their
@@ -430,7 +432,7 @@ def _near_fraction(grid: VoxelGrid, other: VoxelGrid, distance: float) -> float:
 def write_vox1(grid: VoxelGrid, path: str | os.PathLike) -> None:
     """Serialize a grid to VOX1: magic, u16 R, R^3 bits packed little-endian
     with x varying fastest."""
-    if grid.resolution > 0xFFFF:
+    if grid.resolution > VOX1_MAX_RESOLUTION:
         raise FormatError("VOX1 stores the resolution as u16")
     bits = grid.occupancy.ravel(order="F").astype(np.uint8)
     packed = np.packbits(bits, bitorder="little")

@@ -18,7 +18,6 @@ from ev2vox.events import (
     BinningConfig,
     bin_to_frames,
     from_arrays,
-    validate_stream,
     write_evt1,
 )
 from ev2vox.model import (
@@ -298,8 +297,7 @@ def test_criterion_5_event_synthesis(announce):
         for seed in range(5):
             vid = np.random.default_rng(seed).uniform(0.05, 1.0, size=(10, 8, 8))
             s = video_to_events(vid, fps=60.0)
-            records = list(zip(s.x, s.y, s.t, s.p))
-            validate_stream(records, s.sensor_width, s.sensor_height, s.duration)
+            from_arrays(s.t, s.x, s.y, s.p, s.sensor_width, s.sensor_height, s.duration)
 
     run_criterion(announce, 5, "event-synthesis properties", 30.0, body)
 

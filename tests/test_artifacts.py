@@ -18,12 +18,12 @@ import pytest
 from ev2vox import artifacts, cli
 from ev2vox.checkpoint import CKP1_MAGIC, load_checkpoint, save_checkpoint
 from ev2vox.errors import FormatError, IoFailure
-from ev2vox.events import EVT1_MAGIC, read_evt1, validate_stream, write_evt1
+from ev2vox.events import EVT1_MAGIC, from_arrays, read_evt1, write_evt1
 from ev2vox.voxel import VOX1_MAGIC, VoxelGrid, read_vox1, write_vox1
 
 # (label, write(path)) for each kind of artifact the package writes
 WRITERS = [
-    ("evt1", lambda p: write_evt1(validate_stream([(1, 2, 0.0, 1)], 4, 4, 0.1), p)),
+    ("evt1", lambda p: write_evt1(from_arrays([0.0], [1], [2], [1], 4, 4, 0.1), p)),
     ("vox1", lambda p: write_vox1(VoxelGrid.empty(2), p)),
     ("ckp1", lambda p: save_checkpoint(p, [("w", np.zeros(2, np.float32))])),
     ("json", lambda p: artifacts.write_json(p, {"a": 1})),

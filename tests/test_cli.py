@@ -7,7 +7,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import types
 import typing
 from collections import Counter
@@ -127,6 +130,31 @@ class TestGenerate:
         assert cli.main(["generate", "--toy", "--config", cfg, "--out", str(out)]) == 2
         assert f"generate.scenes[0].primitives[0].{field}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key,overrides", [
+        ("generate.width", {"generate": {"width": 2**63 - 1}}),
+        ("model.encoder.resolution", {"model": {"encoder": {"resolution": 2**33}}}),
+        ("generate.width", {"generate": {"width": 70_000, "height": 2}}),
+        ("generate.height", {"generate": {"width": 1, "height": 65_536}}),
+    ])
+    def test_size_its_format_cannot_store_exits_2(self, tmp_path, capsys, key, overrides):
+        cfg = write_config(tmp_path / "c.json", overrides)
+        out = tmp_path / "d"
+        assert cli.main(["generate", "--toy", "--config", cfg, "--out", str(out)]) == 2
+        assert f"config error: {key} " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_size_each_format_stores_is_let_through(self, tmp_path, monkeypatch, capsys):
+        def stop(scene, traj, cam, contrast, resolution):
+            raise DataError(f"reached rendering at {cam.width}x{cam.height}, R={resolution}")
+
+        monkeypatch.setattr(cli, "generate_sample", stop)
+        cfg = write_config(tmp_path / "c.json", {
+            "generate": {"count": 1, "width": 1, "height": 65_535},
+            "model": {"encoder": {"resolution": 65_535}, "decoder": {"channels": [4]}},
+        })
+        assert cli.main(["generate", "--toy", "--config", cfg, "--out", str(tmp_path / "d")]) == 3
+        assert "reached rendering at 1x65535, R=65535" in capsys.readouterr().err
 
     def test_count_scene_mismatch_exits_2(self, tmp_path):
         cfg = write_config(
@@ -675,9 +703,63 @@ def damaged_checkpoint_run(pipeline, tmp_path, damage) -> Path:
     return run
 
 
+# The toy pipeline (generate --seed 7 of 8 samples, preprocess, train, eval)
+# into argv[1], in one interpreter; it prints the BLAS thread count, asked
+# from the loaded OpenBLAS, or None where no OpenBLAS answers.
+TOY_RUN_SCRIPT = """
+import ctypes, json, sys
+from pathlib import Path
+from ev2vox import cli
+
+root = Path(sys.argv[1])
+(root / "cfg.json").write_text(json.dumps({"generate": {"count": 8}}))
+common = ["--toy", "--config", str(root / "cfg.json")]
+manifest = str(root / "data" / "manifest.json")
+for argv in (["generate", *common, "--seed", "7", "--out", str(root / "data")],
+             ["preprocess", *common, "--manifest", manifest],
+             ["train", *common, "--manifest", manifest],
+             ["eval", *common, "--manifest", manifest]):
+    if cli.main(argv):
+        sys.exit(f"{argv[0]} failed")
+with open("/proc/self/maps") as fh:
+    libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+threads = None
+for lib in map(ctypes.CDLL, libs):
+    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+        if threads is None and hasattr(lib, name):
+            get = getattr(lib, name)
+            get.argtypes, get.restype = [], ctypes.c_int
+            threads = get()
+print("blas threads", threads)
+"""
+
+
 class TestTrainEval:
     def test_pipeline_exit_codes(self, pipeline):
         assert pipeline["codes"] == {"generate": 0, "preprocess": 0, "train": 0, "eval": 0}
+
+    def test_blas_thread_count_does_not_change_bytes(self, tmp_path):
+        # both runs at once, each in a fresh interpreter, since OpenBLAS
+        # reads its thread count when it loads
+        runs = {}
+        for threads in ("1", "2"):
+            (tmp_path / threads).mkdir()
+            env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+                   "OPENBLAS_NUM_THREADS": threads}
+            runs[threads] = subprocess.Popen(
+                [sys.executable, "-c", TOY_RUN_SCRIPT, str(tmp_path / threads)],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        trees = []
+        for threads, proc in runs.items():
+            out, err = proc.communicate(timeout=600)
+            assert proc.returncode == 0, err
+            assert out.splitlines()[-1] in (f"blas threads {threads}", "blas threads None")
+            root = tmp_path / threads
+            trees.append({p.relative_to(root): p.read_bytes()
+                          for p in sorted(root.rglob("*")) if p.is_file()})
+        assert trees[0].keys() == trees[1].keys()
+        assert len(trees[0]) == 2 + 3 * 8 + 2 * 8 + 5
+        assert [p for p in trees[0] if trees[0][p] != trees[1][p]] == []
 
     def test_training_artifacts(self, pipeline):
         run = pipeline["run"]

@@ -23,15 +23,13 @@ def make_stream(ts, xs=None, ys=None, ps=None, m=16, n=16, duration=1.0):
 
 class TestValidateStream:
     def test_empty_stream_is_valid(self):
-        s = ev.validate_stream([], 256, 256, 0.5)
+        s = make_stream([], m=256, n=256, duration=0.5)
         assert len(s) == 0
         assert s.sensor_width == 256 and s.duration == 0.5
 
     def test_decreasing_timestamps_rejected(self):
         with pytest.raises(DataError, match="timestamp decreases at index 1"):
-            ev.validate_stream(
-                [(0, 0, 0.1, 1), (0, 0, 0.05, 1)], 8, 8, 1.0
-            )
+            make_stream([0.1, 0.05], m=8, n=8, duration=1.0)
 
     def test_equal_timestamps_allowed(self):
         s = make_stream([0.2, 0.2, 0.2])
@@ -39,15 +37,15 @@ class TestValidateStream:
 
     def test_coordinate_bounds(self):
         with pytest.raises(DataError, match="outside 8x8 sensor"):
-            ev.validate_stream([(8, 0, 0.0, 1)], 8, 8, 1.0)
+            make_stream([0.0], [8], [0], m=8, n=8, duration=1.0)
         with pytest.raises(DataError, match="outside 8x8 sensor"):
-            ev.validate_stream([(0, -1, 0.0, 1)], 8, 8, 1.0)
+            make_stream([0.0], [0], [-1], m=8, n=8, duration=1.0)
 
     def test_polarity_domain(self):
         with pytest.raises(DataError, match=r"expected \+1 or -1"):
-            ev.validate_stream([(0, 0, 0.0, 0)], 8, 8, 1.0)
+            make_stream([0.0], [0], [0], [0], m=8, n=8, duration=1.0)
         with pytest.raises(DataError, match=r"expected \+1 or -1"):
-            ev.validate_stream([(0, 0, 0.0, 2)], 8, 8, 1.0)
+            make_stream([0.0], [0], [0], [2], m=8, n=8, duration=1.0)
 
     def test_non_finite_timestamps_rejected(self):
         for bad in (math.nan, math.inf):
@@ -56,9 +54,9 @@ class TestValidateStream:
 
     def test_timestamp_range(self):
         with pytest.raises(DataError, match=r"outside \[0, 1.0\]"):
-            ev.validate_stream([(0, 0, 1.5, 1)], 8, 8, 1.0)
+            make_stream([1.5], m=8, n=8, duration=1.0)
         with pytest.raises(DataError, match=r"outside \[0, 1.0\]"):
-            ev.validate_stream([(0, 0, -0.1, 1)], 8, 8, 1.0)
+            make_stream([-0.1], m=8, n=8, duration=1.0)
 
     def test_random_uniform_times_within_duration(self):
         rng = np.random.default_rng(0)
@@ -71,9 +69,7 @@ class TestValidateStream:
         assert s.t[0] == pytest.approx(t[0])
 
     def test_order_preserved(self):
-        s = ev.validate_stream(
-            [(1, 2, 0.1, 1), (3, 4, 0.1, -1)], 8, 8, 1.0
-        )
+        s = make_stream([0.1, 0.1], [1, 3], [2, 4], [1, -1], m=8, n=8, duration=1.0)
         assert s.x.tolist() == [1, 3]
         assert s.p.tolist() == [1, -1]
 
@@ -109,15 +105,13 @@ class TestUniformBinning:
             assert len(stack) == 100
 
     def test_single_event_lands_in_frame_zero(self):
-        s = ev.validate_stream([(3, 4, 0.001, 1)], 16, 16, 0.5)
+        s = make_stream([0.001], [3], [4], m=16, n=16, duration=0.5)
         stack = ev.bin_to_frames(s, ev.BinningConfig(window=0.005))
         assert stack[0, 4, 3] == 1
         assert stack.sum() == 1
 
     def test_opposite_polarities_same_cell_give_one(self):
-        s = ev.validate_stream(
-            [(2, 2, 0.001, 1), (2, 2, 0.002, -1)], 8, 8, 0.01
-        )
+        s = make_stream([0.001, 0.002], [2, 2], [2, 2], [1, -1], m=8, n=8, duration=0.01)
         stack = ev.bin_to_frames(s, ev.BinningConfig(window=0.005))
         assert stack[0, 2, 2] == 1
         assert stack.sum() == 1
@@ -183,13 +177,13 @@ class TestDownscale:
     with the block max of binning at the sensor resolution."""
 
     def test_single_bit_survives(self):
-        s = ev.validate_stream([(0, 1, 0.01, 1)], 2, 2, 0.05)
+        s = make_stream([0.01], [0], [1], m=2, n=2, duration=0.05)
         out = ev.bin_to_frames(s, pooled(2, 2, window=0.05))
         assert out.shape == (1, 1, 1)
         assert out[0, 0, 0] == 1
 
     def test_all_zero_stays_zero(self):
-        s = ev.validate_stream([], 512, 512, 0.1)
+        s = make_stream([], m=512, n=512, duration=0.1)
         out = ev.bin_to_frames(s, pooled(512, 2, window=0.05))
         assert out.shape == (2, 256, 256)
         assert out.sum() == 0
@@ -225,7 +219,7 @@ class TestDownscale:
         np.testing.assert_array_equal(twice, once)
 
     def test_binning_applies_config_target(self):
-        s = ev.validate_stream([(7, 3, 0.01, 1)], 16, 16, 0.1)
+        s = make_stream([0.01], [7], [3], m=16, n=16, duration=0.1)
         cfg = ev.BinningConfig(window=0.05, target_height=8, target_width=8)
         stack = ev.bin_to_frames(s, cfg)
         assert stack.shape == (2, 8, 8)
@@ -276,14 +270,14 @@ class TestEvt1Format:
         np.testing.assert_array_equal(r.p, s.p)
 
     def test_empty_round_trip(self, tmp_path):
-        s = ev.validate_stream([], 256, 256, 0.5)
+        s = make_stream([], m=256, n=256, duration=0.5)
         path = tmp_path / "e.evt1"
         ev.write_evt1(s, path)
         assert len(ev.read_evt1(path)) == 0
         assert path.stat().st_size == 32
 
     def test_record_layout(self, tmp_path):
-        s = ev.validate_stream([(5, 6, 0.125, -1)], 16, 16, 1.0)
+        s = make_stream([0.125], [5], [6], [-1], m=16, n=16, duration=1.0)
         path = tmp_path / "one.evt1"
         ev.write_evt1(s, path)
         blob = path.read_bytes()
@@ -303,8 +297,21 @@ class TestEvt1Format:
         with pytest.raises(FormatError):
             ev.read_evt1(path)
 
+    def test_sensor_size_limit(self, tmp_path):
+        path = tmp_path / "wide.evt1"
+        ev.write_evt1(make_stream([], m=ev.EVT1_MAX_SIZE, n=1, duration=0.1), path)
+        assert ev.read_evt1(path).sensor_width == ev.EVT1_MAX_SIZE
+        for m, n in ((ev.EVT1_MAX_SIZE + 1, 1), (1, ev.EVT1_MAX_SIZE + 1)):
+            with pytest.raises(FormatError, match="u16"):
+                ev.write_evt1(make_stream([], m=m, n=n, duration=0.1), path)
+        blob = bytearray(path.read_bytes())
+        blob[12:16] = np.uint32(ev.EVT1_MAX_SIZE + 1).tobytes()  # the sensor height
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=f"{path}: a 65535x65536 sensor"):
+            ev.read_evt1(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
-        s = ev.validate_stream([], 8, 8, 0.1)
+        s = make_stream([], m=8, n=8, duration=0.1)
         path = tmp_path / "t.evt1"
         ev.write_evt1(s, path)
         path.write_bytes(path.read_bytes() + b"\x00")
@@ -312,7 +319,7 @@ class TestEvt1Format:
             ev.read_evt1(path)
 
     def test_truncated_rejected(self, tmp_path):
-        s = ev.validate_stream([(0, 0, 0.0, 1)], 8, 8, 0.1)
+        s = make_stream([0.0], m=8, n=8, duration=0.1)
         path = tmp_path / "x.evt1"
         ev.write_evt1(s, path)
         blob = path.read_bytes()
@@ -321,7 +328,7 @@ class TestEvt1Format:
             ev.read_evt1(path)
 
     def test_nan_timestamp_rejected_naming_file_and_index(self, tmp_path):
-        s = ev.validate_stream([(0, 0, 0.1, 1), (1, 0, 0.15, 1), (2, 0, 0.2, 1)], 8, 8, 0.5)
+        s = make_stream([0.1, 0.15, 0.2], [0, 1, 2], [0, 0, 0], m=8, n=8, duration=0.5)
         path = tmp_path / "n.evt1"
         ev.write_evt1(s, path)
         blob = bytearray(path.read_bytes())

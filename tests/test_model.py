@@ -584,15 +584,11 @@ class TestPaperLayerBudgets:
     block (the toy step's strict xfail in TestDeterminism)."""
 
     def test_table_holds_every_paper_layer_shape(self, monkeypatch):
-        class ZeroRng:
+        def zero_uniform(key, count, low, high, dtype):
             # untouched zero pages: the paper model's shapes for no memory
-            def __init__(self, seed, name):
-                pass
+            return np.zeros(count, dtype)
 
-            def uniform(self, count, low, high, dtype):
-                return np.zeros(count, dtype)
-
-        monkeypatch.setattr(nn, "ParameterRng", ZeroRng)
+        monkeypatch.setattr(nn.rng, "uniform", zero_uniform)
         m = M.build_model(M.EncoderConfig.paper(), M.DecoderConfig.paper())
         shapes = {(l.kind, l.spec.in_channels, l.spec.out_channels, *l.spec.kernel[:1],
                    *l.spec.stride[:1], *l.spec.padding[:1])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ev2vox import cli, sim
 from ev2vox.errors import ConfigError, DataError, InternalError
-from ev2vox.events import validate_stream
+from ev2vox.events import from_arrays
 from ev2vox.voxel import TriMesh, uv_sphere_mesh
 
 
@@ -495,10 +495,8 @@ class TestVideoToEvents:
         frames = rng.uniform(0.05, 1.0, size=(12, 6, 5))
         stream = sim.video_to_events(frames, fps=60.0)
         assert len(stream) > 0
-        records = list(zip(stream.x, stream.y, stream.t, stream.p))
-        rebuilt = validate_stream(
-            records, stream.sensor_width, stream.sensor_height, stream.duration
-        )
+        rebuilt = from_arrays(stream.t, stream.x, stream.y, stream.p,
+                              stream.sensor_width, stream.sensor_height, stream.duration)
         assert len(rebuilt) == len(stream)
 
     @settings(deadline=None, max_examples=40)

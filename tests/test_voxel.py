@@ -364,9 +364,14 @@ class TestVoxelize:
         np.testing.assert_array_equal(vx._surface_cells(mesh, resolution), want)
 
     def test_fill_exterior_matches_isin_form(self):
-        # the fill inverts its input in place, so each call gets a copy; it
-        # is compared on every cell and on a strided selection like the
-        # cell centers voxelize keeps
+        # compared on every cell and on a strided selection like the cell
+        # centers voxelize keeps
+        def fill(surface, keep):
+            before = surface.tobytes()
+            out = vx._fill_exterior(surface, keep)
+            assert surface.tobytes() == before  # the input is left as it was
+            return out
+
         every, strided = ..., (slice(1, None, 3),) * 3
         rng = np.random.default_rng(13)
         for density in (0.2, 0.35, 0.5, 0.65):
@@ -375,16 +380,16 @@ class TestVoxelize:
             surface[3:9, 3:9, 3:9] = True
             surface[4:8, 4:8, 4:8] = False
             want = fill_exterior_isin(surface)
-            got = vx._fill_exterior(surface.copy(), every)
+            got = fill(surface, every)
             np.testing.assert_array_equal(got, want)
             assert got[5, 5, 5]
-            np.testing.assert_array_equal(vx._fill_exterior(surface.copy(), strided), want[strided])
+            np.testing.assert_array_equal(fill(surface, strided), want[strided])
         for surface in (np.zeros((6, 6, 6), bool), np.ones((6, 6, 6), bool)):
             for keep in (every, strided):
-                np.testing.assert_array_equal(vx._fill_exterior(surface.copy(), keep),
-                                              fill_exterior_isin(surface)[keep])
-        assert not vx._fill_exterior(np.zeros((6, 6, 6), bool), every).any()
-        assert vx._fill_exterior(np.ones((6, 6, 6), bool), every).all()
+                want = fill_exterior_isin(surface)[keep]
+                np.testing.assert_array_equal(fill(surface, keep), want)
+        assert not fill(np.zeros((6, 6, 6), bool), every).any()
+        assert fill(np.ones((6, 6, 6), bool), every).all()
 
     @staticmethod
     def fill_and_count_passes(surface, monkeypatch):
@@ -392,11 +397,11 @@ class TestVoxelize:
         every cell and at a strided selection, and its number of passes."""
         want = fill_exterior_isin(surface)
         strided = (slice(1, None, 3),) * 3
-        np.testing.assert_array_equal(vx._fill_exterior(surface.copy(), strided), want[strided])
+        np.testing.assert_array_equal(vx._fill_exterior(surface, strided), want[strided])
         passes = []
         spread = vx._spread
         monkeypatch.setattr(vx, "_spread", lambda *a: passes.append(a) or spread(*a))
-        got = vx._fill_exterior(surface.copy(), ...)
+        got = vx._fill_exterior(surface, ...)
         np.testing.assert_array_equal(got, want)
         return got, len(passes)
 
