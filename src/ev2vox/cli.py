@@ -34,7 +34,8 @@ import numpy as np
 from .artifacts import make_dir, read, read_json, write, write_json
 from .config import from_json
 from .errors import ConfigError, DataError, FormatError, IoFailure, PipelineError
-from .events import EVT1_MAX_SIZE, BinningConfig, bin_to_frames, read_evt1, write_evt1
+from .events import (EVT1_MAX_SIZE, BinningConfig, bin_to_frames, read_evt1, read_evt1_header,
+                     write_evt1)
 from .model import DecoderConfig, EncoderConfig, ModelConfig, build_model, frames_to_input
 from .sim import (
     DEFAULT_CONTRAST,
@@ -357,12 +358,18 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(read(path)).hexdigest()
 
 
+def _frame_shape(cfg: RunConfig, manifest: Manifest, entry: ManifestEntry) -> tuple:
+    """The shape of the entry's frame stack, from its EVT1 header alone."""
+    return cfg.binning.frame_shape(*read_evt1_header(manifest.root / entry.events))
+
+
 def _frames(cfg: RunConfig, manifest: Manifest, entry: ManifestEntry) -> np.ndarray:
     """The entry's (D, H, W) uint8 frame stack: the one ``preprocess``
     cached under ``_cache_dir`` if its sidecar records ``cfg.binning`` and
     the digest of the entry's events as they are now, else those events
-    binned afresh. A cache that cannot be read, holds any other array, or
-    holds another shape than its sidecar records, is a FormatError."""
+    binned afresh. A cache that cannot be read, or holds any other array
+    than a uint8 stack of the shape ``_frame_shape`` gives, is a
+    FormatError."""
     events = manifest.root / entry.events
     cache_dir = _cache_dir(manifest)
     cached = cache_dir / f"{entry.id}.frames.npy"
@@ -378,32 +385,34 @@ def _frames(cfg: RunConfig, manifest: Manifest, entry: ManifestEntry) -> np.ndar
             frames = np.lib.format.read_array(io.BytesIO(read(cached)))
         except (ValueError, EOFError) as exc:
             raise FormatError(f"{cached}: damaged frame cache ({exc})") from exc
-        if frames.ndim != 3 or frames.dtype != np.uint8:
+        shape = _frame_shape(cfg, manifest, entry)
+        if frames.dtype != np.uint8 or frames.shape != shape:
             raise FormatError(f"{cached}: damaged frame cache (a {frames.dtype} array of "
-                              f"shape {frames.shape}, not (D, H, W) uint8)")
-        if list(frames.shape) != meta.get("shape"):
-            raise FormatError(f"{cached}: damaged frame cache (shape {frames.shape}, but "
-                              f"{cache_dir / entry.id}.frames.json records {meta.get('shape')})")
+                              f"shape {frames.shape}, but {events} bins to {shape} uint8)")
         return frames
     return bin_to_frames(read_evt1(events), cfg.binning)
 
 
 def _load_dataset(cfg: RunConfig, manifest: Manifest, splits):
-    """Assemble (frames, label, category) samples for the given splits; a
-    frame stack or label of another shape than the first sample's is a
-    DataError naming both samples' files."""
+    """Assemble (frames, label, category) samples for the given splits. The
+    frame stacks' shapes are read from the EVT1 headers before any stack is
+    binned, so a sample whose stack or label has another shape than the
+    first sample's is a DataError naming both samples' files, raised
+    before a stack of the wrong size is built."""
     entries = [e for e in manifest.entries if e.split in splits]
-    dataset = [(_frames(cfg, manifest, e), read_vox1(manifest.root / e.label), e.category)
-               for e in entries]
+    shapes = [_frame_shape(cfg, manifest, e) for e in entries]
     root = manifest.root
-    for e, (frames, label, _) in zip(entries[1:], dataset[1:]):
-        (frames0, label0, _), e0 = dataset[0], entries[0]
-        if frames.shape != frames0.shape:
-            raise DataError(f"{root / e.events} bins to frames of shape {frames.shape}, "
-                            f"but {root / e0.events} to {frames0.shape}")
+    for e, shape in zip(entries[1:], shapes[1:]):
+        if shape != shapes[0]:
+            raise DataError(f"{root / e.events} bins to frames of shape {shape}, "
+                            f"but {root / entries[0].events} to {shapes[0]}")
+    dataset = [(_frames(cfg, manifest, e), read_vox1(root / e.label), e.category)
+               for e in entries]
+    for e, (_, label, _) in zip(entries[1:], dataset[1:]):
+        label0 = dataset[0][1]
         if label.resolution != label0.resolution:
             raise DataError(f"{root / e.label} has resolution {label.resolution}, "
-                            f"but {root / e0.label} has {label0.resolution}")
+                            f"but {root / entries[0].label} has {label0.resolution}")
     return dataset
 
 

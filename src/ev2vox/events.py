@@ -16,6 +16,8 @@ over f x f blocks.
 
 ``write_evt1`` and ``read_evt1`` build and parse EVT1 bytes; the file
 itself is written and read through ``ev2vox.artifacts``.
+``read_evt1_header`` reads the header alone, which with a
+``BinningConfig`` gives a stack's shape before it is binned.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import read, write
+from .artifacts import reading, write
 from .errors import ConfigError, DataError, FormatError
 
 EVT1_MAGIC = b"E2VEVT1\x00"
@@ -97,6 +99,28 @@ class BinningConfig:
             )
         return sensor_width // self.target_width
 
+    def frame_shape(self, sensor_width: int, sensor_height: int, duration: float,
+                    count: int) -> tuple[int, int, int]:
+        """The (D, H/f, W/f) shape ``bin_to_frames`` gives a stream of ``count``
+        events over ``duration`` seconds: ceil(T/dt) frames, and one when
+        T is 0 but there are events. The EVT1 header holds all four, so a
+        stack's shape is known before it is binned."""
+        f = self.downscale_factor(sensor_width, sensor_height)
+        h, w = sensor_height // f, sensor_width // f
+        depth = duration / self.window
+        if depth * h * w >= np.iinfo(np.intp).max:
+            raise ConfigError(f"binning.window {self.window!r} cuts the stream's {duration!r}"
+                              f" s into {depth:.4g} frames, more than one array can hold")
+        depth = math.ceil(depth)
+        return (1 if depth == 0 and count > 0 else depth), h, w
+
+
+def _check_geometry(sensor_width: int, sensor_height: int, duration: float) -> None:
+    if not (sensor_width >= 1 and sensor_height >= 1):
+        raise DataError(f"a {sensor_width}x{sensor_height} sensor has no pixel")
+    if not (math.isfinite(duration) and duration >= 0):
+        raise DataError(f"duration {duration} is not a finite time >= 0")
+
 
 def from_arrays(
     t: np.ndarray,
@@ -113,10 +137,7 @@ def from_arrays(
     finite duration T >= 0, finite and monotone timestamps, in-bounds
     coordinates, polarity in {-1, +1}, timestamps within [0, T].
     """
-    if not (sensor_width >= 1 and sensor_height >= 1):
-        raise DataError(f"a {sensor_width}x{sensor_height} sensor has no pixel")
-    if not (math.isfinite(duration) and duration >= 0):
-        raise DataError(f"duration {duration} is not a finite time >= 0")
+    _check_geometry(sensor_width, sensor_height, duration)
     t = np.asarray(t, dtype=np.float64)
     x = np.asarray(x)
     y = np.asarray(y)
@@ -166,24 +187,19 @@ def from_arrays(
 
 
 def bin_to_frames(stream: EventStream, cfg: BinningConfig) -> np.ndarray:
-    """Accumulate a stream into a (D, H/f, W/f) uint8 frame stack of
-    ceil(T/dt) frames, f being the config's downscale factor: each event
-    sets its pooled cell, so the sensor-resolution stack is never built."""
-    h, w = stream.sensor_height, stream.sensor_width
-    f = cfg.downscale_factor(w, h)
-    depth = stream.duration / cfg.window
-    if depth * (h // f) * (w // f) >= np.iinfo(np.intp).max:
-        raise ConfigError(f"binning.window {cfg.window!r} cuts the stream's {stream.duration!r}"
-                          f" s into {depth:.4g} frames, more than one array can hold")
-    depth = math.ceil(depth)
-    if depth == 0 and len(stream) > 0:
-        depth = 1
+    """Accumulate a stream into a ``cfg.frame_shape`` uint8 frame stack:
+    each event sets its pooled cell, so the sensor-resolution stack is
+    never built."""
+    shape = cfg.frame_shape(stream.sensor_width, stream.sensor_height, stream.duration,
+                            len(stream))
+    depth, h, w = shape
     try:
-        frames = np.zeros((depth, h // f, w // f), dtype=np.uint8)
+        frames = np.zeros(shape, dtype=np.uint8)
     except MemoryError as exc:
         raise ConfigError(f"binning.window {cfg.window!r} cuts the stream's {stream.duration!r}"
-                          f" s into {depth} frames of {h // f}x{w // f}, a stack too large to"
+                          f" s into {depth} frames of {h}x{w}, a stack too large to"
                           " allocate") from exc
+    f = stream.sensor_width // w  # the downscale factor
     if len(stream):
         k = np.floor_divide(stream.t, cfg.window).astype(np.int64)
         np.clip(k, 0, depth - 1, out=k)
@@ -213,16 +229,31 @@ def write_evt1(stream: EventStream, path: str | os.PathLike) -> None:
     write(path, EVT1_MAGIC, header.data, records.data)
 
 
-def read_evt1(path: str | os.PathLike) -> EventStream:
-    """Read and fully validate an EVT1 file; every error names the file."""
-    blob = read(path, EVT1_MAGIC, _HEADER_DTYPE.itemsize, "EVT1")
-    header = np.frombuffer(
-        blob, dtype=_HEADER_DTYPE, count=1, offset=len(EVT1_MAGIC)
-    )[0]
+def _header(raw: bytes, path) -> tuple[int, int, float, int]:
+    """Sensor width and height, duration and event count of EVT1 header bytes."""
+    header = np.frombuffer(raw, dtype=_HEADER_DTYPE, count=1)[0]
     if max(header["m"], header["n"]) > EVT1_MAX_SIZE:
         raise FormatError(f"{path}: a {header['m']}x{header['n']} sensor, larger than EVT1 stores")
-    count = int(header["i"])
-    body = blob[len(EVT1_MAGIC) + _HEADER_DTYPE.itemsize :]
+    return int(header["m"]), int(header["n"]), float(header["t"]), int(header["i"])
+
+
+def read_evt1_header(path: str | os.PathLike) -> tuple[int, int, float, int]:
+    """Sensor width and height, duration and event count of an EVT1 file,
+    read and checked from its header alone; every error names the file."""
+    with reading(path, EVT1_MAGIC, _HEADER_DTYPE.itemsize, "EVT1") as fh:
+        width, height, duration, count = _header(fh.read(_HEADER_DTYPE.itemsize), path)
+    try:
+        _check_geometry(width, height, duration)
+    except DataError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+    return width, height, duration, count
+
+
+def read_evt1(path: str | os.PathLike) -> EventStream:
+    """Read and fully validate an EVT1 file; every error names the file."""
+    with reading(path, EVT1_MAGIC, _HEADER_DTYPE.itemsize, "EVT1") as fh:
+        width, height, duration, count = _header(fh.read(_HEADER_DTYPE.itemsize), path)
+        body = fh.read()
     expected = count * _RECORD_DTYPE.itemsize
     if len(body) != expected:
         raise FormatError(
@@ -236,9 +267,9 @@ def read_evt1(path: str | os.PathLike) -> EventStream:
             records["x"].copy(),
             records["y"].copy(),
             records["p"].copy(),
-            int(header["m"]),
-            int(header["n"]),
-            float(header["t"]),
+            width,
+            height,
+            duration,
         )
     except DataError as exc:
         raise type(exc)(f"{path}: {exc}") from exc

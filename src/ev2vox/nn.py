@@ -46,6 +46,14 @@ whole tensor, so its statistics are the bytes of ``x.mean`` and
 ``x.var(mean=)``. Max pooling's backward walks the forward's clipped
 taps, each adding what it won into the input slice it read.
 
+The float32 sigmoid is 1 / (1 + expf(-x)) in float32, with expf written
+in numpy float64 as glibc's table-driven expf computes it (a 32-entry
+table of 2^(i/32) and a cubic in the remainder, one rounding to float32
+at the end). Its bytes are those the C expression gives under glibc 2.36
+for every input, on any host, with no C library's exp called;
+``tests/check_sigmoid_exhaustive.py`` compares all 2^32 inputs with a
+compiled sigmoid that calls the host's expf.
+
 Every layer, and every block built from layers, is a ``Module``. A module
 holds no registry: its parameters, buffers and submodules are found by
 walking its instance attributes (and lists of them) in insertion order.
@@ -61,7 +69,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import expit
 
 from . import rng
 from .errors import InternalError
@@ -622,9 +629,64 @@ class ReLU(Module):
         return grad_out * self.take_saved()
 
 
+# glibc's table-driven expf (sysdeps/ieee754/flt-32/e_expf.c, from Arm's
+# optimized-routines): 2^(k/32) for k = round(x * 32/ln 2) is the table
+# entry of k % 32 with k // 32 added to its exponent bits, and a cubic in
+# the remainder r = x * 32/ln 2 - k gives 2^(r/32)
+_EXPF_SHIFT = float.fromhex("0x1.8p+52")  # z + SHIFT rounds z to an integer in the low bits
+_EXPF_INV_LN2_N = float.fromhex("0x1.71547652b82fep+5")  # RN(32 / ln 2)
+_EXPF_C = tuple(float.fromhex(c) for c in ("0x1.c6af84b912394p-20", "0x1.ebfce50fac4f3p-13",
+                                           "0x1.62e42ff0c52d6p-6"))
+# the bits of RN(2^(i/32)) less i << 47, so adding k << 47 adds k // 32 to the exponent
+_EXPF_TABLE = np.array([
+    0x3FF0000000000000, 0x3FEFD9B0D3158574, 0x3FEFB5586CF9890F, 0x3FEF9301D0125B51,
+    0x3FEF72B83C7D517B, 0x3FEF54873168B9AA, 0x3FEF387A6E756238, 0x3FEF1E9DF51FDEE1,
+    0x3FEF06FE0A31B715, 0x3FEEF1A7373AA9CB, 0x3FEEDEA64C123422, 0x3FEECE086061892D,
+    0x3FEEBFDAD5362A27, 0x3FEEB42B569D4F82, 0x3FEEAB07DD485429, 0x3FEEA47EB03A5585,
+    0x3FEEA09E667F3BCD, 0x3FEE9F75E8EC5F74, 0x3FEEA11473EB0187, 0x3FEEA589994CCE13,
+    0x3FEEACE5422AA0DB, 0x3FEEB737B0CDC5E5, 0x3FEEC49182A3F090, 0x3FEED503B23E255D,
+    0x3FEEE89F995AD3AD, 0x3FEEFF76F2FB5E47, 0x3FEF199BDD85529C, 0x3FEF3720DCEF9069,
+    0x3FEF5818DCFBA487, 0x3FEF7C97337B9B5F, 0x3FEFA4AFA2A490DA, 0x3FEFD0765B6E4540,
+], dtype=np.uint64)
+# above this expf overflows to inf; below the other it underflows to 0
+_EXPF_OVERFLOW = np.float32(float.fromhex("0x1.62e42ep6"))
+_EXPF_UNDERFLOW = np.float32(float.fromhex("-0x1.9fe368p6"))
+
+
+def _expf(a: np.ndarray) -> np.ndarray:
+    """exp of a float32 array, with the bytes of glibc's expf for every input."""
+    xd = a.astype(np.float64)
+    z = _EXPF_INV_LN2_N * xd
+    shifted = z + _EXPF_SHIFT
+    ki = shifted.view(np.uint64)
+    r = z - (shifted - _EXPF_SHIFT)
+    s = (_EXPF_TABLE.take(ki & np.uint64(31)) + (ki << np.uint64(47))).view(np.float64)
+    c0, c1, c2 = _EXPF_C
+    y = ((c0 * r + c1) * (r * r) + (c2 * r + 1.0)) * s
+    e = y.astype(np.float32)
+    e[a > _EXPF_OVERFLOW] = np.inf
+    e[a < _EXPF_UNDERFLOW] = 0.0
+    return e
+
+
 class Sigmoid(Module):
+    """1 / (1 + exp(-x)).
+
+    In float32: e = expf(-x) as glibc computes it (``_expf``: k and r from
+    -x * 32/ln 2, the table entry of k % 32 scaled by 2^(k // 32), a cubic
+    in r, all in float64, one rounding to float32, and glibc's overflow
+    and underflow cuts), then 1 + e and its reciprocal in float32. A
+    float32 or float64 ``np.exp`` in its place changes the bytes of some
+    inputs; ``tests/check_sigmoid_exhaustive.py`` checks all 2^32. Other
+    dtypes (the float64 of gradient checks) take ``np.exp``.
+    """
+
     def forward(self, x: np.ndarray, remember: bool = True) -> np.ndarray:
-        y = expit(x)
+        # inf - inf and overflow past the special cases are overwritten
+        with np.errstate(invalid="ignore", over="ignore"):
+            e = _expf(-x) if x.dtype == np.float32 else np.exp(-x)
+        e += 1
+        y = np.divide(1, e, out=e)
         self.save_for_backward(y, remember)
         return y
 

@@ -907,6 +907,29 @@ class TestTrainEval:
         assert code == 3
         assert "data error: frame stack has a zero-sized axis" in capsys.readouterr().err
 
+    def test_eval_rejects_a_long_stream_before_binning_it(self, pipeline, tmp_path, capsys,
+                                                          monkeypatch):
+        # T = 2e4 s bins to a 400,000x32x32 stack (410 MB); the headers'
+        # shapes are compared first, so no stack of that depth is built
+        data = copy_dataset(pipeline, tmp_path)
+        evt = data / "s0000.evt"
+        blob = bytearray(evt.read_bytes())
+        blob[16:24] = np.float64(2e4).tobytes()  # the header's f64 T
+        evt.write_bytes(bytes(blob))
+        binned = []
+
+        def recording(stream, binning):
+            binned.append(stream.duration)
+            return bin_to_frames(stream, binning)
+
+        monkeypatch.setattr(cli, "bin_to_frames", recording)
+        code = cli.main(["eval", "--toy", "--config", pipeline["cfg"],
+                         "--manifest", str(data / "manifest.json"), "--out", str(pipeline["run"])])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(evt) in err and "(400000, 32, 32)" in err
+        assert 2e4 not in binned
+
 
 class TestExport:
     def test_empty_grid(self, tmp_path):

@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 import os
@@ -8,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.special import expit
 
 from ev2vox import checkpoint as ckp
 from ev2vox import nn
@@ -822,6 +824,87 @@ class TestActivations:
         rng = np.random.default_rng(400 + seed)
         x = rng.normal(size=(1, 2, 3, 4, 4))
         check_layer(nn.Sigmoid(), x, rng)
+
+
+def float32_band(center, half_width=4096):
+    """The 2 * half_width float32 values with bit patterns around ``center``'s."""
+    c = int(np.float32(center).view(np.uint32))
+    return np.arange(c - half_width, c + half_width).astype(np.uint32).view(np.float32)
+
+
+def assert_same_bits(ours, ref):
+    """Equal float32 bits, or NaN on both sides whatever its payload."""
+    same = (ours.view(np.uint32) == ref.view(np.uint32)) | (np.isnan(ours) & np.isnan(ref))
+    assert same.all(), f"{(~same).sum()} differ, first at {ours[~same][:3]} vs {ref[~same][:3]}"
+
+
+class TestSigmoidBytes:
+    """The float32 sigmoid against ``scipy.special.expit`` bit for bit, on a
+    sample; ``tests/check_sigmoid_exhaustive.py`` covers all 2^32 inputs."""
+
+    def check(self, x):
+        x = np.asarray(x, dtype=np.float32)
+        assert_same_bits(nn.Sigmoid().forward(x, False), expit(x))
+
+    def test_strided_bit_patterns(self):
+        # every 4,099th pattern reaches every exponent and both signs
+        self.check(np.arange(0, 2**32, 4099, dtype=np.uint64).astype(np.uint32).view(np.float32))
+
+    def test_special_values(self):
+        tiny = np.float32(np.finfo(np.float32).smallest_subnormal)
+        self.check([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny])
+
+    def test_special_case_thresholds(self):
+        # expf's overflow and underflow cuts, at the argument -x; the
+        # underflow cut cannot show here, as 1 + e rounds to 1 on both sides
+        cuts = -np.array([nn._EXPF_OVERFLOW, nn._EXPF_UNDERFLOW], dtype=np.float32)
+        self.check(np.concatenate([cuts, np.nextafter(cuts, np.float32(np.inf)),
+                                   np.nextafter(cuts, np.float32(-np.inf))]))
+
+    @pytest.mark.parametrize("center", [88.0, -88.0, 8.94e-8, -8.94e-8])
+    def test_bands_where_simpler_forms_disagree(self, center):
+        # glibc's expf takes its special-case branch from |x| >= 88; near
+        # 8.94e-8 a float32 np.exp already rounds the other way
+        self.check(float32_band(center))
+
+    def test_simpler_forms_disagree_in_the_bands(self):
+        # the bands above would catch a float32 or float64 np.exp
+        x = np.concatenate([float32_band(c) for c in (88.0, -88.0, 8.94e-8, -8.94e-8)])
+        one = np.float32(1)
+        for e in (np.exp(-x), np.exp(-x.astype(np.float64)).astype(np.float32)):
+            assert (one / (one + e) != expit(x)).any()
+
+    def test_table_is_the_rounded_powers_of_two(self):
+        # bits(RN(2^(i/32))) - (i << 47), derived in 60-digit decimal
+        for i, entry in enumerate(nn._EXPF_TABLE.tolist()):
+            with decimal.localcontext() as ctx:
+                ctx.prec = 60
+                power = decimal.Decimal(2) ** (decimal.Decimal(i) / 32)
+                mantissa = int((power * 2**52).to_integral_value(decimal.ROUND_HALF_EVEN))
+            assert 2**52 <= mantissa < 2**53
+            assert entry == (0x3FF << 52) + mantissa - 2**52 - (i << 47), i
+
+    def test_float64_is_the_plain_formula(self):
+        x = np.random.default_rng(5).normal(scale=10.0, size=(2, 1, 3, 4, 5))
+        np.testing.assert_array_equal(nn.Sigmoid().forward(x, False), 1 / (1 + np.exp(-x)))
+
+
+# what every CLI command imports
+CLI_IMPORT_SCRIPT = """
+import sys
+import ev2vox.cli, ev2vox.model, ev2vox.train
+print(" ".join(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_cli_loads_no_scipy():
+    # the sigmoid computes expf in numpy, so no command imports scipy
+    # (scipy.special is about 0.2 s and 24 MiB of RSS at start-up)
+    src = os.path.dirname(os.path.dirname(nn.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", CLI_IMPORT_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True, timeout=120).stdout
+    assert out.split() == []
 
 
 class TestMaxPool:
