@@ -330,6 +330,8 @@ def _cache_dir(manifest: Manifest) -> Path:
 def cmd_preprocess(cfg: RunConfig, manifest_path: str, threads: int) -> int:
     """Bin every event file into a cached frame stack plus a JSON sidecar."""
     manifest = load_manifest(manifest_path)
+    # every sample's shape is compared before the first is binned
+    entries = _scored_entries(cfg, manifest, SPLITS)
     cache = _cache_dir(manifest)
     make_dir(cache)
 
@@ -348,7 +350,7 @@ def cmd_preprocess(cfg: RunConfig, manifest_path: str, threads: int) -> int:
 
     # samples are independent, so worker count cannot change the output
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for future in [pool.submit(one, e) for e in manifest.entries]:
+        for future in [pool.submit(one, e) for e in entries]:
             future.result()
     print(f"cached {len(manifest.entries)} frame stacks in {cache}")
     return len(manifest.entries)
@@ -359,18 +361,35 @@ def _sha256(path: Path) -> str:
 
 
 def _frame_shape(cfg: RunConfig, manifest: Manifest, entry: ManifestEntry) -> tuple:
-    """The shape of the entry's frame stack, from its EVT1 header alone."""
-    return cfg.binning.frame_shape(*read_evt1_header(manifest.root / entry.events))
+    """The shape of the entry's frame stack, from its EVT1 header alone.
+
+    The header's sensor size is first compared with another manifest
+    entry's, the first's, or the second's for the first itself. A damaged
+    size is then a DataError naming both events files, where mapping it
+    onto the binning target would read as a config that does not fit the
+    data; a size every header shares that the target cannot divide stays
+    a ConfigError."""
+    events = manifest.root / entry.events
+    header = read_evt1_header(events)
+    others = [e for e in manifest.entries[:2] if e is not entry]
+    if others:
+        other = manifest.root / others[0].events
+        sensor, expected = header[:2], read_evt1_header(other)[:2]
+        if sensor != expected:
+            raise DataError(f"{events} has a {sensor[0]}x{sensor[1]} sensor, "
+                            f"but {other} a {expected[0]}x{expected[1]} one")
+    return cfg.binning.frame_shape(*header)
 
 
 def _frames(cfg: RunConfig, manifest: Manifest, entry: ManifestEntry) -> np.ndarray:
     """The entry's (D, H, W) uint8 frame stack: the one ``preprocess``
     cached under ``_cache_dir`` if its sidecar records ``cfg.binning`` and
     the digest of the entry's events as they are now, else those events
-    binned afresh. A cache that cannot be read, or holds any other array
-    than a uint8 stack of the shape ``_frame_shape`` gives, is a
-    FormatError."""
+    binned afresh. ``_frame_shape`` checks the header before either is
+    read. A cache that cannot be read, or holds any other array than a
+    uint8 stack of the shape ``_frame_shape`` gives, is a FormatError."""
     events = manifest.root / entry.events
+    shape = _frame_shape(cfg, manifest, entry)
     cache_dir = _cache_dir(manifest)
     cached = cache_dir / f"{entry.id}.frames.npy"
     try:
@@ -385,7 +404,6 @@ def _frames(cfg: RunConfig, manifest: Manifest, entry: ManifestEntry) -> np.ndar
             frames = np.lib.format.read_array(io.BytesIO(read(cached)))
         except (ValueError, EOFError) as exc:
             raise FormatError(f"{cached}: damaged frame cache ({exc})") from exc
-        shape = _frame_shape(cfg, manifest, entry)
         if frames.dtype != np.uint8 or frames.shape != shape:
             raise FormatError(f"{cached}: damaged frame cache (a {frames.dtype} array of "
                               f"shape {frames.shape}, but {events} bins to {shape} uint8)")
@@ -393,12 +411,12 @@ def _frames(cfg: RunConfig, manifest: Manifest, entry: ManifestEntry) -> np.ndar
     return bin_to_frames(read_evt1(events), cfg.binning)
 
 
-def _load_dataset(cfg: RunConfig, manifest: Manifest, splits):
-    """Assemble (frames, label, category) samples for the given splits. The
-    frame stacks' shapes are read from the EVT1 headers before any stack is
-    binned, so a sample whose stack or label has another shape than the
-    first sample's is a DataError naming both samples' files, raised
-    before a stack of the wrong size is built."""
+def _scored_entries(cfg: RunConfig, manifest: Manifest, splits) -> list[ManifestEntry]:
+    """The manifest's entries in the given splits. Their frame stacks'
+    shapes are read from the EVT1 headers before any stack is binned, so
+    a sample whose stack has another shape than the first sample's is a
+    DataError naming both samples' events files, raised before a stack of
+    the wrong size is built."""
     entries = [e for e in manifest.entries if e.split in splits]
     shapes = [_frame_shape(cfg, manifest, e) for e in entries]
     root = manifest.root
@@ -406,6 +424,14 @@ def _load_dataset(cfg: RunConfig, manifest: Manifest, splits):
         if shape != shapes[0]:
             raise DataError(f"{root / e.events} bins to frames of shape {shape}, "
                             f"but {root / entries[0].events} to {shapes[0]}")
+    return entries
+
+
+def _load_dataset(cfg: RunConfig, manifest: Manifest, entries: list[ManifestEntry]):
+    """Assemble (frames, label, category) samples for entries that
+    ``_scored_entries`` gave; a label of another resolution than the first
+    sample's is a DataError naming both label files."""
+    root = manifest.root
     dataset = [(_frames(cfg, manifest, e), read_vox1(root / e.label), e.category)
                for e in entries]
     for e, (_, label, _) in zip(entries[1:], dataset[1:]):
@@ -425,7 +451,7 @@ def _run_dir(manifest: Manifest, out_dir: str | None) -> Path:
 
 def cmd_train(cfg: RunConfig, manifest_path: str, out_dir: str | None) -> None:
     manifest = load_manifest(manifest_path)
-    dataset = _load_dataset(cfg, manifest, ("train",))
+    dataset = _load_dataset(cfg, manifest, _scored_entries(cfg, manifest, ("train",)))
     if not dataset:
         raise DataError(f"{manifest_path}: no train-split entries")
     # the manifest may come from a run under another config
@@ -455,8 +481,11 @@ def cmd_eval(cfg: RunConfig, manifest_path: str, out_dir: str | None) -> None:
 
     text_parts = []
     csv_lines = ["split,category,count,iou,fscore"]
-    for split in manifest.splits_present():
-        dataset = _load_dataset(cfg, manifest, (split,))
+    # every split's shapes are compared before the first is binned
+    splits = manifest.splits_present()
+    entries = _scored_entries(cfg, manifest, splits)
+    for split in splits:
+        dataset = _load_dataset(cfg, manifest, [e for e in entries if e.split == split])
         report = evaluate(model, dataset, cfg.metrics.threshold, cfg.metrics.distance)
         text_parts.append(f"== {split} ==\n{report.text()}")
         for row in report.csv_rows()[1:]:

@@ -621,6 +621,8 @@ def occupancy_label(scene: Scene, resolution: int) -> voxel.VoxelGrid:
     """
     r = resolution
     label = voxel.voxelize(scene.mesh, r) if scene.mesh is not None else voxel.VoxelGrid.empty(r)
+    if not scene.primitives:
+        return label
     axes = (np.arange(r) + 0.5) / r - 0.5
     xs, ys, zs = np.meshgrid(axes, axes, axes, indexing="ij")
     for prim in scene.primitives:

@@ -24,14 +24,19 @@ go either way from place to place; here the integer offset alone decides
 it.
 
 ``voxelize`` never holds a mesh's surface samples as one point cloud: it
-computes them ``SURFACE_CHUNK`` lattice points at a time and marks their
-cells as it goes, so its scratch memory does not grow with the triangle
-count. It finds the solid's exterior on runs of empty cells along the
-grid's contiguous axis rather than on cells: the runs that touch a face
-are reached, reachability spreads to overlapping runs on adjacent lines
-until a pass adds nothing, and the result is read only at the output
-cells' centers. Meshes with non-finite vertices are rejected rather than
-voxelized to an empty grid.
+builds each lattice row of a block of triangles with one add of shared row
+and column terms, ``SURFACE_CHUNK`` points at a time, and marks their cells
+as it goes, so its scratch memory does not grow with the triangle count.
+It marks the cells into lines along the grid's contiguous axis with one
+spare slot each, set, so the runs of empty cells on those lines begin and
+end where the flat lines change value. It finds the solid's exterior on
+those runs rather than on cells: the runs that touch a face are reached,
+reachability spreads to overlapping runs on adjacent lines until a pass
+adds nothing (the first pass searches neighbours for the unreached runs,
+each later one for the runs the last one reached), and the result is read
+only at the output cells' centers.
+Meshes with non-finite vertices, or edges that overflow, are rejected
+rather than voxelized to a grid that means nothing.
 
 ``write_vox1`` and ``read_vox1`` build and parse VOX1 bytes; the file
 itself is written and read through ``ev2vox.artifacts``.
@@ -189,128 +194,165 @@ def normalize_mesh(mesh: TriMesh) -> TriMesh:
     return TriMesh(verts, mesh.triangles.copy())
 
 
-def _mark_chunk(occ, a, e1, e2, u, v, resolution, scratch):
-    """Set the cells of the points ``a + u*e1 + v*e2`` in the flat grid ``occ``.
+def _mark_cells(keys: np.ndarray, pts: np.ndarray, resolution: int) -> None:
+    """Mark the cells of the points ``pts``, a (3, ...) float64 array it
+    overwrites, in ``keys``, the flat form of (R, R, R + 1) lines.
 
-    a, e1 and e2 are (3, triangles, 1) and u, v one run of lattice points,
-    so every array is (3, triangles, points), coordinate-major, and each
-    numpy loop runs along the lattice rather than along 3 coordinates.
-    ``scratch`` holds two float64 and one int64 flat buffer at least that
-    large.
-    """
-    shape = (3, a.shape[1], len(u))
-    size = math.prod(shape)
-    pts, prod, cell = (buf[:size].reshape(shape) for buf in scratch)
-    np.multiply(u, e1, out=pts)
-    pts += a
-    np.multiply(v, e2, out=prod)
-    pts += prod
-    pts *= resolution
+    A point's cell is floor(p R) clipped to [0, R - 1] on each axis, in
+    float64: the integer clip's cell for every |p R| < 2^63, and past that
+    still the face cell the point lies beyond. Its key (i R + j)(R + 1) + k,
+    exact in float64, is cast to an integer once."""
+    r = resolution
+    pts *= r
     np.floor(pts, out=pts)
-    np.copyto(cell, pts, casting="unsafe")
-    np.clip(cell, 0, resolution - 1, out=cell)
-    flat = cell[0]
-    flat *= resolution
-    flat += cell[1]
-    flat *= resolution
-    flat += cell[2]
-    occ[flat] = True
+    np.clip(pts, 0, r - 1, out=pts)
+    key, j, k = pts
+    key *= r
+    key += j
+    key *= r + 1
+    key += k
+    keys[key.astype(np.intp)] = True
 
 
 def _surface_cells(mesh: TriMesh, resolution: int) -> np.ndarray:
-    """Occupancy of every cell the mesh's surface passes through.
+    """Occupancy of every cell the mesh's surface passes through, as
+    (R, R, R + 1) lines along the last axis whose spare last slot is set.
 
     Each triangle is sampled on a barycentric lattice fine enough that
     neighboring samples are at most a quarter of a cell diagonal apart
     along both edge directions, so no cell the triangle passes through is
-    missed. Triangles that need the same number of steps share one
-    lattice, which is computed at most ``SURFACE_CHUNK`` points at a time
-    and turned straight into flat cell indices, so the scratch memory does
-    not grow with the mesh. Every point gets the same element-wise
-    arithmetic in any chunk, and marking a cell does not depend on order,
-    so the grid does not depend on the chunk size.
+    missed. Triangles that need the same number of steps n share one
+    lattice: point (i, j) is (u e1 + a) + v e2 with u = i/n and v = j/n,
+    and for a block of triangles the row terms u e1 + a and the column
+    terms v e2 are computed once each, as (3, n + 1, triangles) arrays, so
+    row i's points are one add. Rows are gathered ``SURFACE_CHUNK`` points
+    at a time, a longer row split, and turned straight into cells, so the
+    scratch memory does not grow with the mesh. Every point gets the same
+    element-wise arithmetic in any chunk, and marking a cell does not
+    depend on order, so the grid does not depend on the chunk size. A
+    triangle whose edge vector overflows float64 would make NaN points,
+    which have no cell, so it is a DataError.
     """
     spacing = math.sqrt(3.0) / (4.0 * resolution)
     vertices, triangles = mesh.vertices, mesh.triangles
     a = vertices[triangles[:, 0]]
     e1 = vertices[triangles[:, 1]] - a
     e2 = vertices[triangles[:, 2]] - a
+    bad = np.flatnonzero(~np.isfinite(np.concatenate([e1, e2], axis=1)).all(axis=1))
+    if len(bad):
+        raise DataError(f"cannot voxelize triangle {bad[0]}: an edge vector overflows float64")
     nb = np.ceil(np.linalg.norm(e1, axis=1) / spacing).astype(int)
     nc = np.ceil(np.linalg.norm(e2, axis=1) / spacing).astype(int)
     steps = np.maximum(np.maximum(nb, nc), 1)
     a, e1, e2 = a.T, e1.T, e2.T
-    occ = np.zeros(resolution**3, dtype=bool)
-    scratch = (np.empty(3 * SURFACE_CHUNK), np.empty(3 * SURFACE_CHUNK),
-               np.empty(3 * SURFACE_CHUNK, dtype=np.int64))
+    lines = np.zeros((resolution, resolution, resolution + 1), dtype=bool)
+    lines[..., resolution] = True
+    keys = lines.reshape(-1)
+    scratch = np.empty(3 * SURFACE_CHUNK)
     for n in np.unique(steps):
         group = np.flatnonzero(steps == n)
-        i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
-        keep = (i + j) <= n
-        u = i[keep] / n
-        v = j[keep] / n
-        points = min(len(u), SURFACE_CHUNK)
-        tris = max(1, SURFACE_CHUNK // len(u))
+        frac = (np.arange(n + 1) / n)[:, None]
+        # a block's row and column terms are SURFACE_CHUNK points at most,
+        # unless one triangle's n + 1 is more
+        tris = max(1, SURFACE_CHUNK // (n + 1))
         for t0 in range(0, len(group), tris):
             g = group[t0:t0 + tris]
-            ga, ge1, ge2 = a[:, g, None], e1[:, g, None], e2[:, g, None]
-            for p0 in range(0, len(u), points):
-                _mark_chunk(occ, ga, ge1, ge2, u[p0:p0 + points], v[p0:p0 + points],
-                            resolution, scratch)
-    return occ.reshape((resolution,) * 3)
+            rows = frac * e1[:, None, g] + a[:, None, g]
+            cols = frac * e2[:, None, g]
+            span = SURFACE_CHUNK // len(g)
+            pts = scratch[:3 * span * len(g)].reshape(3, span, len(g))
+            used = 0
+            for i in range(n + 1):
+                for j0 in range(0, n + 1 - i, span):
+                    m = min(n + 1 - i - j0, span)
+                    if used + m > span:
+                        _mark_cells(keys, pts[:, :used], resolution)
+                        used = 0
+                    np.add(rows[:, i, None], cols[:, j0:j0 + m], out=pts[:, used:used + m])
+                    used += m
+            _mark_cells(keys, pts[:, :used], resolution)
+    return lines
 
 
-def _spread(reached: np.ndarray, frontier: np.ndarray, neighbours) -> np.ndarray:
-    """One pass of the exterior fill: mark every unreached run that shares
-    a face with a run of ``frontier``, and return the runs it marked.
+def _neighbour_ranges(runs: np.ndarray, starts: np.ndarray, ends: np.ndarray, steps):
+    """For each key offset in ``steps`` (one per adjacent line), the range
+    lo up to hi (exclusive) of the sorted runs that share a face with each
+    of ``runs``: those that end after its start and start before its end,
+    shifted by that offset. Only the given runs are searched for."""
+    first, last = starts[runs], ends[runs]
+    for step in steps:
+        yield (np.searchsorted(ends, first + step, side="right"),
+               np.searchsorted(starts, last + step, side="left"))
 
-    ``neighbours`` holds one (lo, hi) pair per adjacent line: run r's
-    neighbours on that line are the runs lo[r] up to hi[r] (exclusive).
-    The lines are taken one at a time to keep the temporaries small."""
+
+def _first_pass(reached: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                steps) -> np.ndarray:
+    """The exterior fill's first pass, asked from the other side: mark
+    every unreached run that shares a face with a reached run, and return
+    the runs it marked. Each unreached run tests its neighbour ranges
+    against a running count of the reached runs, so the pass searches for
+    the unreached runs alone, which around an object are fewer than the
+    reached ones."""
+    unreached = np.flatnonzero(~reached)
+    count = np.concatenate(([0], np.cumsum(reached)))
+    hit = np.zeros(len(unreached), dtype=bool)
+    for lo, hi in _neighbour_ranges(unreached, starts, ends, steps):
+        hit |= count[hi] > count[lo]
+    marked = unreached[hit]
+    reached[marked] = True
+    return marked
+
+
+def _spread(reached: np.ndarray, frontier: np.ndarray, starts: np.ndarray,
+            ends: np.ndarray, steps) -> np.ndarray:
+    """One later pass of the exterior fill: mark every unreached run that
+    shares a face with a run of ``frontier``, and return the runs it
+    marked. The lines are taken one at a time to keep the temporaries
+    small."""
     marked = []
-    for lo, hi in neighbours:
-        a = lo[frontier]
-        n = hi[frontier] - a
+    for lo, hi in _neighbour_ranges(frontier, starts, ends, steps):
+        n = hi - lo
         # the runs of every range, one after another
-        runs = np.repeat(a - (np.cumsum(n) - n), n) + np.arange(n.sum())
+        runs = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
         runs = runs[~reached[runs]]
         reached[runs] = True
         marked.append(runs)
     return np.unique(np.concatenate(marked))
 
 
-def _fill_exterior(surface: np.ndarray, keep) -> np.ndarray:
+def _fill_exterior(lines: np.ndarray, keep) -> np.ndarray:
     """The cells ``keep`` (a tuple of three slices, or ``...`` for all) of
-    the solid: occupied unless reachable from the grid boundary through
-    empty cells (6-connectivity).
+    the solid whose surface ``lines`` holds as (n0, n1, n2 + 1) lines with
+    the spare last slot set: occupied unless reachable from the grid
+    boundary through empty cells (6-connectivity).
 
     The empty space is cut into runs along the contiguous last axis. Two
     runs are joined when they lie on adjacent lines and their intervals
-    overlap, so the runs of an adjacent line that meet a run form one
-    range of the sorted runs, found by ``searchsorted`` on their start and
-    end keys. A run that touches a face of the grid is reached, and
-    ``_spread`` carries reachability over the joins until a pass adds
-    nothing. Each ``keep`` cell then looks up the run that holds it."""
-    n0, n1, n2 = surface.shape
-    # key of cell (i, j, k): (i * n1 + j) * w + k; a run's end key is one
-    # past its last cell, so the w - n2 = 1 spare slot keeps lines apart
-    w = n2 + 1
-    # with a surface cell padded before and after every line, the line
-    # changes between surface and empty exactly at the runs' starts and ends
-    change = np.flatnonzero(np.diff(surface.reshape(-1, n2), prepend=True, append=True))
+    overlap. A run that touches a face of the grid is reached;
+    ``_first_pass`` and then ``_spread`` carry reachability over the joins
+    until a pass adds nothing. Each ``keep`` cell then looks up the run
+    that holds it."""
+    n0, n1, w = lines.shape
+    n2 = w - 1
+    # key of cell (i, j, k): (i * n1 + j) * w + k, its place in the flat
+    # lines; with a surface slot closing every line, the runs' start keys
+    # and end keys (one past their last cell) are where the value changes
+    flat = lines.reshape(-1)
+    change = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    if not flat[0]:
+        change = np.concatenate(([0], change))
     starts, ends = change[0::2], change[1::2]
     line = starts // w
     i, j = np.divmod(line, n1)
     reached = ((starts == line * w) | (ends == line * w + n2)
                | (i == 0) | (i == n0 - 1) | (j == 0) | (j == n1 - 1))
-    # the runs of line + step that end after a run starts and start before
-    # it ends; where line + 1 wraps to the next row it joins two lines on
-    # faces of the grid, whose runs are all reached already
-    neighbours = [(np.searchsorted(ends, starts + step * w, side="right"),
-                   np.searchsorted(starts, ends + step * w, side="left"))
-                  for step in (n1, -n1, 1, -1)]
-    frontier = np.flatnonzero(reached)
+    # the key offsets of the adjacent lines; where line + 1 wraps to the
+    # next row it joins two lines on faces of the grid, whose runs are all
+    # reached already
+    steps = [step * w for step in (n1, -n1, 1, -1)]
+    frontier = _first_pass(reached, starts, ends, steps)
     while frontier.size:
-        frontier = _spread(reached, frontier, neighbours)
+        frontier = _spread(reached, frontier, starts, ends, steps)
     s0, s1, s2 = (slice(None),) * 3 if keep is Ellipsis else keep
     keys = (np.arange(n0 * n1).reshape(n0, n1)[s0, s1] * w)[..., None] + np.arange(n2)[s2]
     # the first run ending after the key holds the cell if it starts at or
@@ -325,12 +367,12 @@ def voxelize(mesh: TriMesh, resolution: int) -> VoxelGrid:
     """Convert a normalized mesh into a solid binary occupancy grid.
 
     Surface cells are found by sampling every triangle at sub-cell density
-    (at least 4 samples per cell diagonal), ``SURFACE_CHUNK`` samples at a
-    time, each chunk marking its cells before the next is computed. The
-    empty space is then cut into runs along the grid's last axis; the runs
-    that touch one of the grid's six faces, and every run joined to them
-    through overlapping runs on adjacent lines (6-connectivity), are
-    exterior, and everything else is kept. Marking and filling happen on a
+    (at least 4 samples per cell diagonal), a lattice row at a time and
+    ``SURFACE_CHUNK`` samples at most, each chunk marking its cells before
+    the next is computed. The empty space is then cut into runs along the
+    grid's last axis; the runs that touch one of the grid's six faces, and
+    every run joined to them through overlapping runs on adjacent lines
+    (6-connectivity), are exterior, and everything else is kept. Marking and filling happen on a
     finer lattice (``SUPERSAMPLE`` subdivisions per cell, odd so cell
     centers are fine cell centers) and each output cell takes the value of
     the fine cell containing its center, the only cells the fill is read
@@ -338,8 +380,8 @@ def voxelize(mesh: TriMesh, resolution: int) -> VoxelGrid:
     surface-touching cell as occupied and inflate thin or curved solids by
     well over the tolerance the tests demand.
 
-    Raises ``DataError`` for a mesh without triangles or with a non-finite
-    vertex.
+    Raises ``DataError`` for a mesh without triangles, with a non-finite
+    vertex, or with an edge vector that overflows float64.
     """
     if resolution <= 0:
         raise ConfigError(f"voxelize needs a positive resolution, got {resolution}")
@@ -347,9 +389,9 @@ def voxelize(mesh: TriMesh, resolution: int) -> VoxelGrid:
         raise DataError("cannot voxelize a mesh with no triangles")
     _require_finite(mesh, "voxelize")
 
-    surface = _surface_cells(mesh, resolution * SUPERSAMPLE)
+    lines = _surface_cells(mesh, resolution * SUPERSAMPLE)
     centers = (slice(SUPERSAMPLE // 2, None, SUPERSAMPLE),) * 3
-    return VoxelGrid(resolution, _fill_exterior(surface, centers))
+    return VoxelGrid(resolution, _fill_exterior(lines, centers))
 
 
 def binarize(probs: np.ndarray, threshold: float) -> VoxelGrid:

@@ -459,6 +459,33 @@ class TestPreprocess:
         assert code == 0
         assert tree_hash(data / "cache") == tree_hash(pipeline["data"] / "cache")
 
+    def test_rejects_a_long_stream_before_binning_it(self, pipeline, tmp_path, capsys,
+                                                     monkeypatch):
+        # T = 2e4 s in the lone val sample's header: every header's shape is
+        # compared before the first sample is binned
+        data = copy_dataset(pipeline, tmp_path)
+        shutil.rmtree(data / "cache")
+        evt = data / "s0002.evt"
+        blob = bytearray(evt.read_bytes())
+        blob[16:24] = np.float64(2e4).tobytes()  # the header's f64 T
+        evt.write_bytes(bytes(blob))
+        binned = []
+
+        def recording(stream, binning):
+            binned.append(stream.duration)
+            # never build the 410 MB stack, even when the check is missing
+            if stream.duration == 2e4:
+                return np.zeros((1, 1, 1), np.uint8)
+            return bin_to_frames(stream, binning)
+
+        monkeypatch.setattr(cli, "bin_to_frames", recording)
+        code = cli.main(["preprocess", "--toy", "--config", pipeline["cfg"],
+                         "--manifest", str(data / "manifest.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(evt) in err and "(400000, 32, 32)" in err
+        assert binned == []
+
     def test_missing_manifest_exits_3_naming_path(self, tmp_path, capsys):
         missing = tmp_path / "nowhere" / "manifest.json"
         assert cli.main(["preprocess", "--toy", "--manifest", str(missing)]) == 3
@@ -929,6 +956,34 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert str(evt) in err and "(400000, 32, 32)" in err
         assert 2e4 not in binned
+
+    def test_eval_compares_a_lone_split_with_the_others(self, pipeline, tmp_path, capsys,
+                                                         monkeypatch):
+        # s0002 is the only val sample; its T = 2e4 s is compared with the
+        # train samples' headers before any split is binned
+        data = copy_dataset(pipeline, tmp_path)
+        manifest = json.loads((data / "manifest.json").read_text())
+        assert [e["id"] for e in manifest["entries"] if e["split"] == "val"] == ["s0002"]
+        evt = data / "s0002.evt"
+        blob = bytearray(evt.read_bytes())
+        blob[16:24] = np.float64(2e4).tobytes()  # the header's f64 T
+        evt.write_bytes(bytes(blob))
+        binned = []
+
+        def recording(stream, binning):
+            binned.append(stream.duration)
+            # never build the 410 MB stack, even when the check is missing
+            if stream.duration == 2e4:
+                return np.zeros((1, 1, 1), np.uint8)
+            return bin_to_frames(stream, binning)
+
+        monkeypatch.setattr(cli, "bin_to_frames", recording)
+        code = cli.main(["eval", "--toy", "--config", pipeline["cfg"],
+                         "--manifest", str(data / "manifest.json"), "--out", str(pipeline["run"])])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(evt) in err and "(400000, 32, 32)" in err and str(data / "s0000.evt") in err
+        assert binned == []
 
 
 class TestExport:

@@ -301,6 +301,12 @@ def fill_exterior_isin(surface):
     return ~np.isin(labels, boundary_labels[boundary_labels != 0])
 
 
+def pad_lines(surface):
+    """The (n0, n1, n2 + 1) lines ``voxel._fill_exterior`` takes: the
+    surface with a set slot closing every line."""
+    return np.pad(surface, ((0, 0), (0, 0), (0, 1)), constant_values=True)
+
+
 # runs in a fresh interpreter; VmHWM is the peak RSS of its own address
 # space (ru_maxrss would carry over the launching process's peak)
 VOXELIZE_PEAK_SCRIPT = """
@@ -354,22 +360,87 @@ class TestVoxelize:
         want = surface_cells_from_points(
             sample_triangles_loop(mesh.vertices, mesh.triangles, spacing), resolution
         )
-        np.testing.assert_array_equal(vx._surface_cells(mesh, resolution), want)
+        lines = vx._surface_cells(mesh, resolution)
+        assert lines[..., -1].all()
+        np.testing.assert_array_equal(lines[..., :-1], want)
         # a chunk smaller than one triangle's lattice splits the lattice, with
         # a partial last run, while the degenerate triangle's 3 points fit
         lattice = (steps + 1) * (steps + 2) // 2
         chunk = 50
         assert lattice.min() < chunk < lattice.max() and lattice.max() % chunk
         monkeypatch.setattr(vx, "SURFACE_CHUNK", chunk)
-        np.testing.assert_array_equal(vx._surface_cells(mesh, resolution), want)
+        np.testing.assert_array_equal(vx._surface_cells(mesh, resolution)[..., :-1], want)
+        # a chunk shorter than the longest lattice row splits that row too
+        chunk = 7
+        assert steps.max() + 1 > chunk and (steps.max() + 1) % chunk
+        monkeypatch.setattr(vx, "SURFACE_CHUNK", chunk)
+        np.testing.assert_array_equal(vx._surface_cells(mesh, resolution)[..., :-1], want)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+    def test_cells_at_the_int64_bound(self):
+        # one-point triangles: the cell is floor(p R) clipped to [0, R - 1]
+        # as the integer oracle computes it while |p R| < 2^63, and past
+        # that the face cell the point lies beyond
+        r = 8
+        below = np.nextafter(2.0**63, 0) / r
+        inside = [(below, -below, 0.3), (-below, 0.7, below), (0.5, 0.5, 0.5), (1.0, 0.0, -0.2)]
+        past = [((2.0**63 / r, -(2.0**63) / r, 0.3), (r - 1, 0, 2)),
+                ((1e300, 0.45, -1e300), (r - 1, 3, 0)),
+                ((-1e308, 1e308, 1e-300), (0, r - 1, 0))]
+        points = np.array(inside + [p for p, _ in past])
+        tris = np.repeat(np.arange(len(points)), 3).reshape(-1, 3)
+        lines = vx._surface_cells(vx.TriMesh(points, tris), r)
+        want = surface_cells_from_points(np.array(inside), r)
+        for _, cell in past:
+            want[cell] = True
+        np.testing.assert_array_equal(lines[..., :-1], want)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
+    def test_overflowing_edge_rejected(self):
+        # finite vertices whose difference overflows would make NaN samples
+        verts = np.array([[-1e308, 0.5, 0.5], [1e308, 0.5, 0.5], [0.5, 0.6, 0.5],
+                          [0.1, 0.1, 0.1]])
+        mesh = vx.TriMesh(verts, np.array([[3, 3, 2], [0, 1, 2]]))
+        with pytest.raises(DataError, match="triangle 1: an edge vector overflows"):
+            vx.voxelize(mesh, 4)
+
+    @staticmethod
+    def sphere(seed, diameter, center=(0.5, 0.5, 0.5)):
+        """A seeded rotation of a coarse UV sphere."""
+        mesh = vx.uv_sphere_mesh(center=(0.0, 0.0, 0.0), diameter=diameter, n_lat=10, n_lon=20)
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+        return vx.TriMesh(mesh.vertices @ q.T + center, mesh.triangles)
+
+    @pytest.mark.parametrize("resolution", [1, 7, 32, 33])
+    def test_voxelize_matches_oracle_composition(self, resolution):
+        # the per-triangle sampler, the whole-array cell marking and the
+        # labelling fill, read at the fine cells holding the cell centers
+        meshes = {
+            "sliver": self.sliver_mesh(),
+            "cube": vx.unit_cube_mesh(),
+            "sphere": self.sphere(1, 0.8, (0.45, 0.55, 0.5)),
+            "past the cube": self.sphere(2, 1.3),
+            "tiny": self.sphere(3, 0.004, (0.31, 0.62, 0.77)),
+        }
+        fine = resolution * vx.SUPERSAMPLE
+        spacing = math.sqrt(3.0) / (4.0 * fine)
+        centers = (slice(vx.SUPERSAMPLE // 2, None, vx.SUPERSAMPLE),) * 3
+        for name, mesh in meshes.items():
+            points = sample_triangles_loop(mesh.vertices, mesh.triangles, spacing)
+            if name == "past the cube":
+                assert points.min() < 0 and points.max() > 1
+            want = fill_exterior_isin(surface_cells_from_points(points, fine))[centers]
+            got = vx.voxelize(mesh, resolution).occupancy
+            np.testing.assert_array_equal(got, want, err_msg=name)
 
     def test_fill_exterior_matches_isin_form(self):
         # compared on every cell and on a strided selection like the cell
         # centers voxelize keeps
         def fill(surface, keep):
-            before = surface.tobytes()
-            out = vx._fill_exterior(surface, keep)
-            assert surface.tobytes() == before  # the input is left as it was
+            lines = pad_lines(surface)
+            before = lines.tobytes()
+            out = vx._fill_exterior(lines, keep)
+            assert lines.tobytes() == before  # the input is left as it was
             return out
 
         every, strided = ..., (slice(1, None, 3),) * 3
@@ -397,11 +468,12 @@ class TestVoxelize:
         every cell and at a strided selection, and its number of passes."""
         want = fill_exterior_isin(surface)
         strided = (slice(1, None, 3),) * 3
-        np.testing.assert_array_equal(vx._fill_exterior(surface, strided), want[strided])
+        np.testing.assert_array_equal(vx._fill_exterior(pad_lines(surface), strided),
+                                      want[strided])
         passes = []
         spread = vx._spread
         monkeypatch.setattr(vx, "_spread", lambda *a: passes.append(a) or spread(*a))
-        got = vx._fill_exterior(surface, ...)
+        got = vx._fill_exterior(pad_lines(surface), ...)
         np.testing.assert_array_equal(got, want)
         return got, len(passes)
 
